@@ -232,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, type=Path)
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker-thread budget; 1 guarantees bit-reproducibility")
+                       help="accepted and validated (>= 1) only: the engine is "
+                            "single-threaded, so the value has no effect")
         if needs_data:
             p.add_argument("--data", required=True, type=Path)
         if needs_params:

@@ -112,7 +112,10 @@ class IndividualRecord:
 
     def truncated(self, t: float) -> "IndividualRecord":
         """Data observed up to time t: measurements at times <= t, trajectory
-        pairs with transition time <= t, censoring at t."""
+        pairs with transition time <= t, censoring at min(t, C). Nothing is
+        observed past the censoring time C, so truncating after C gives the
+        same record as truncating at C."""
+        t = min(t, self.censoring_time)
         keep = self.measurement_times <= t
         return IndividualRecord(
             covariates=self.covariates,

@@ -135,21 +135,6 @@ class ModelDesign:
 # Design-level operations
 
 
-def individual_effects(effects, gamma, x, b) -> np.ndarray:
-    """psi = f(gamma, x, b), batched like b."""
-    return effects.psi(gamma, x, b)
-
-
-def regression(family, t, psi) -> np.ndarray:
-    """h(t, psi) with trailing biomarker dimension."""
-    return family.value(t, psi)
-
-
-def link(family, t, x, psi) -> np.ndarray:
-    """g(t, x, psi) with trailing link dimension."""
-    return family.value(t, x, psi)
-
-
 def transition_log_intensity(
     design: ModelDesign, params: ModelParams, edge: Edge, t, t_entry, x, psi
 ):
@@ -225,6 +210,12 @@ def transition_state_probs(
 # Finite-difference self-check of family derivative callbacks
 
 
+def _close(a, b, atol, rtol) -> bool:
+    """np.allclose for the self-check's finite arrays, without its per-call
+    overhead: the check runs at every design construction."""
+    return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(b)))
+
+
 def _fd(fun, z, h=1e-6):
     z = np.asarray(z, dtype=float)
     cols = []
@@ -236,29 +227,56 @@ def _fd(fun, z, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def _breakpoint_points(family, t, psi, x=None):
+    """For a family declaring ``linear_in_psi``, the random check points plus
+    one on either side of the breakpoint ``tau`` of the family (or of its
+    regression), if it has one."""
+    tau = getattr(getattr(family, "regression", family), "tau", None)
+    if tau is None or not getattr(family, "linear_in_psi", False):
+        return t, psi, x
+    more = (np.concatenate([t, [tau - 0.5, tau + 0.5]]), np.concatenate([psi, psi[:2]]))
+    return more + (None if x is None else np.concatenate([x, x[:2]]),)
+
+
+def _check_linearity(family, jac, t, psi, x=None) -> None:
+    """A family declaring ``linear_in_psi`` must satisfy value = J(t) psi with
+    J independent of psi: ``jac``, evaluated at (t, psi), must reproduce the
+    value at a second psi (one value call). ``x`` is given for links."""
+    if not getattr(family, "linear_in_psi", False):
+        return
+    other = 2.0 * psi + 1.0
+    value = family.value(*((t,) if x is None else (t, x)), other)
+    err = np.abs(value - (jac @ other[..., None])[..., 0]).max(initial=0.0)
+    if not err <= 1e-8 * (1.0 + np.abs(value).max(initial=0.0)):
+        raise ValueError(
+            f"{family.name}: declared linear in psi, but value is not J(t) psi with J independent of psi"
+        )
+
+
 def check_regression_family(family, rng=None, atol=1e-5) -> None:
     """Validate jac_psi (and the time-derivative pair if present) against
-    central finite differences on random inputs."""
+    central finite differences on random inputs, and a declared linearity."""
     rng = rng or np.random.default_rng(1234)
     s = getattr(family, "n_psi", None) or 3
     psi = rng.normal(0.3, 0.7, size=(4, s))
     if s > 1:
         psi[..., 1] = 0.8 + np.abs(psi[..., 1])  # keep scale-like components positive
-    t = rng.uniform(0.1, 7.9, size=(4,))
+    t, psi, _ = _breakpoint_points(family, rng.uniform(0.1, 7.9, size=(4,)), psi)
     jac = family.jac_psi(t, psi)
     fd = _fd(lambda z: family.value(t, z), psi)
-    if not np.allclose(jac, fd, atol=atol, rtol=atol):
+    if not _close(jac, fd, atol, atol):
         raise ValueError(f"{family.name}: jac_psi disagrees with finite differences")
+    _check_linearity(family, jac, t, psi)
     try:
         dt = family.time_derivative(t, psi)
     except NotImplementedError:
         return
     fd_t = (family.value(t + 1e-6, psi) - family.value(t - 1e-6, psi)) / 2e-6
-    if not np.allclose(dt, fd_t, atol=max(atol, 1e-4), rtol=1e-4):
+    if not _close(dt, fd_t, max(atol, 1e-4), 1e-4):
         raise ValueError(f"{family.name}: time derivative disagrees with finite differences")
     jac_t = family.time_derivative_jac_psi(t, psi)
     fd_jt = _fd(lambda z: family.time_derivative(t, z), psi)
-    if not np.allclose(jac_t, fd_jt, atol=atol, rtol=atol):
+    if not _close(jac_t, fd_jt, atol, atol):
         raise ValueError(
             f"{family.name}: time-derivative Jacobian disagrees with finite differences"
         )
@@ -272,11 +290,12 @@ def check_link_family(family, rng=None, atol=1e-5, n_covariates=1) -> None:
     if s > 1:
         psi[..., 1] = 0.8 + np.abs(psi[..., 1])
     t = rng.uniform(0.1, 7.9, size=(4,))
-    x = rng.normal(size=(4, n_covariates))
+    t, psi, x = _breakpoint_points(family, t, psi, rng.normal(size=(4, n_covariates)))
     jac = family.jac_psi(t, x, psi)
     fd = _fd(lambda z: family.value(t, x, z), psi)
-    if not np.allclose(jac, fd, atol=atol, rtol=atol):
+    if not _close(jac, fd, atol, atol):
         raise ValueError(f"{family.name}: link jac_psi disagrees with finite differences")
+    _check_linearity(family, jac, t, psi, x)
 
 
 def check_effects_family(family, rng=None, atol=1e-5, q=3, n_covariates=1) -> None:
@@ -298,7 +317,7 @@ def check_effects_family(family, rng=None, atol=1e-5, q=3, n_covariates=1) -> No
         ],
         axis=-1,
     )
-    if not np.allclose(jac, fd, atol=atol, rtol=atol):
+    if not _close(jac, fd, atol, atol):
         raise ValueError(f"{family.name}: jac_gamma disagrees with finite differences")
 
 
@@ -315,7 +334,7 @@ def check_hazard_family(hazard, rng=None, atol=1e-5) -> None:
         ],
         axis=-1,
     )
-    if not np.allclose(jac, fd, atol=atol, rtol=atol):
+    if not _close(jac, fd, atol, atol):
         raise ValueError(f"{hazard.name}: dlog_dparams disagrees with finite differences")
 
 

@@ -7,8 +7,14 @@ array ``t`` must broadcast against ``P``. Values gain one trailing axis of
 the family's output dimension, Jacobians two (output, psi component). Callers
 insert extra axes (e.g. a time or quadrature axis) into ``psi`` themselves.
 
+A family whose value is linear in psi, value(t, psi) = J(t) psi with J
+independent of psi, declares ``linear_in_psi = True``; the likelihood engine
+then evaluates J once at fixed times and reuses it. Links built on a
+regression inherit the declaration from it.
+
 Custom families are plain objects exposing the same methods; they must pass
-the finite-difference self-check in :mod:`msjoint.design` before use.
+the finite-difference self-check in :mod:`msjoint.design` before use, which
+also verifies a declared linearity.
 """
 
 from __future__ import annotations
@@ -157,6 +163,7 @@ class Polynomial:
 
     name = "polynomial"
     dim = 1
+    linear_in_psi = True
 
     def __init__(self, degree: int):
         self.degree = int(degree)
@@ -201,6 +208,7 @@ class PiecewiseAffine:
     name = "piecewise_affine"
     dim = 1
     n_psi = 3
+    linear_in_psi = True
 
     def __init__(self, breakpoint: float):
         self.tau = float(breakpoint)
@@ -344,7 +352,15 @@ class CustomRegression:
 # Link families: g(t, x, psi) -> R^a, entering the hazard exponent
 
 
-class ValueLink:
+class _RegressionLink:
+    """A link computed from a regression family, linear in psi when it is."""
+
+    @property
+    def linear_in_psi(self) -> bool:
+        return getattr(self.regression, "linear_in_psi", False)
+
+
+class ValueLink(_RegressionLink):
     """g = h: direct effect of the current marker level."""
 
     name = "value"
@@ -360,7 +376,7 @@ class ValueLink:
         return self.regression.jac_psi(t, psi)
 
 
-class SlopeLink:
+class SlopeLink(_RegressionLink):
     """g = dh/dt: effect of the marker's rate of change."""
 
     name = "slope"
@@ -376,7 +392,7 @@ class SlopeLink:
         return self.regression.time_derivative_jac_psi(t, psi)
 
 
-class ValueSlopeLink:
+class ValueSlopeLink(_RegressionLink):
     """g = (h, dh/dt) concatenated."""
 
     name = "value_slope"
@@ -397,7 +413,7 @@ class ValueSlopeLink:
         )
 
 
-class CumulativeLink:
+class CumulativeLink(_RegressionLink):
     """g = integral of h from a finite lower bound to t, via Gauss-Legendre."""
 
     name = "cumulative"
@@ -436,6 +452,7 @@ class EmptyLink:
 
     name = "none"
     dim = 0
+    linear_in_psi = True
 
     def value(self, t, x, psi):
         return np.zeros(_bshape(t, psi) + (0,))

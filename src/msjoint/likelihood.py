@@ -136,36 +136,109 @@ def locate_nonfinite(terms: LogLikTerms) -> str | None:
 
 # --------------------------------------------------------------------------
 # Vectorized engine
+#
+# Inside the engine a row is one individual (marker) or one event or sojourn
+# at risk of an edge, and arrays are laid out (rows, chains, nodes, ...); the
+# nodes are observation times or quadrature nodes.
 
 
-class _EdgeBlock:
-    """Precomputed event and risk layouts for one edge."""
+class _CachedBasis:
+    """A family linear in psi, value(t, psi) = J(t) psi, with J evaluated once
+    at fixed points and stored as B of shape (rows, nodes, s, out). Chained
+    psi arguments have shape (rows, chains, s)."""
 
-    __slots__ = (
-        "edge", "ev_idx", "ev_t", "ev_u", "ev_x", "risk_idx", "nd_t", "nd_w",
-        "nd_u", "risk_x", "haz_ev", "haz_nd",
-    )
+    def __init__(self, B: np.ndarray):
+        self.B = B
 
-    def __init__(self, edge, ev_idx, ev_t, ev_u, ev_x, risk_idx, nd_t, nd_w, nd_u, risk_x):
-        self.edge = edge
-        self.ev_idx = ev_idx
-        self.ev_t = ev_t
-        self.ev_u = ev_u
-        self.ev_x = ev_x
-        self.risk_idx = risk_idx
-        self.nd_t = nd_t
-        self.nd_w = nd_w
-        self.nd_u = nd_u
-        self.risk_x = risk_x
-        self.haz_ev = None
-        self.haz_nd = None
+    def take(self, keep) -> "_CachedBasis":
+        return _CachedBasis(self.B[keep])
+
+    def value(self, psi):
+        r, k, s, o = self.B.shape
+        return (psi @ self.B.transpose(0, 2, 1, 3).reshape(r, s, k * o)).reshape(r, psi.shape[1], k, o)
+
+    def vjp(self, cot, psi):
+        """Sum over nodes and outputs of cot . d value / d psi."""
+        r, k, s, o = self.B.shape
+        return cot.reshape(r, cot.shape[1], k * o) @ self.B.transpose(0, 1, 3, 2).reshape(r, k * o, s)
+
+    def contract(self, psi, coef):
+        """coef . value(psi), shape (rows, chains, nodes), and the map from node
+        weights wt to (sum_k wt_k value_k, sum_k wt_k coef . jac_k)."""
+        r, k, s, o = self.B.shape
+        c = psi.shape[1]
+        w = (self.B.reshape(r * k * s, o) @ coef).reshape(r, k, s)  # coef first: no chain axis
+
+        def pullback(wt):
+            pre = (wt @ self.B.reshape(r, k, s * o)).reshape(r, c, s, o)  # sum_k wt_k J_k
+            return np.einsum("rcso,rcs->rco", pre, psi), (pre.reshape(r * c * s, o) @ coef).reshape(r, c, s)
+
+        return psi @ np.ascontiguousarray(w.transpose(0, 2, 1)), pullback
 
 
-def _segment_add(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    # out (C, n), vals (C, m): accumulate vals into columns idx.
-    n = out.shape[1]
-    for c in range(out.shape[0]):
-        out[c] += np.bincount(idx, weights=vals[c], minlength=n)
+class _FamilyBasis:
+    """The same operations through the family's value and jac_psi, called at
+    every evaluation. ``args`` are the family's leading arguments (times, and
+    covariates for a link), shaped to broadcast against (rows, chains, nodes)."""
+
+    def __init__(self, family, *args):
+        self.family = family
+        self.args = args
+
+    def take(self, keep) -> "_FamilyBasis":
+        return _FamilyBasis(self.family, *(a[keep] for a in self.args))
+
+    def value(self, psi):
+        return self.family.value(*self.args, psi[:, :, None, :])
+
+    def vjp(self, cot, psi):
+        return np.einsum("rcko,rckos->rcs", cot, self.family.jac_psi(*self.args, psi[:, :, None, :]))
+
+    def contract(self, psi, coef):
+        g = self.value(psi)
+
+        def pullback(wt):
+            return np.einsum("rck,rcko->rco", wt, g), self.vjp(wt[..., None] * coef, psi)
+
+        return g @ coef, pullback
+
+
+def _basis(family, n_psi, t, *covariates):
+    """Basis of a regression (times only) or link (times and covariates)
+    family at the fixed times t of shape (rows, nodes); cached when the
+    family declares ``linear_in_psi``, the psi dimension is known and the
+    family has outputs (an empty link reads no psi, whatever its size)."""
+    args = (t[:, None, :],) + tuple(x[:, None, None, :] for x in covariates)
+    if n_psi is None or not family.dim or not getattr(family, "linear_in_psi", False):
+        return _FamilyBasis(family, *args)
+    jac = family.jac_psi(*args, np.zeros(t.shape[:1] + (1,) + t.shape[1:] + (n_psi,)))
+    return _CachedBasis(np.ascontiguousarray(jac[:, 0].swapaxes(-1, -2)))
+
+
+class _Rows:
+    """One edge's event rows (one node at the event time) or sojourn-at-risk
+    rows (quadrature nodes, with the quadrature weights negated): the
+    individual of each row, clock times, node weights, covariates, the log
+    baseline when it is fixed, and the link basis at the node times."""
+
+    __slots__ = ("event", "idx", "u", "w", "x", "haz", "basis")
+
+    def __init__(self, event, idx, u, w, x, haz, basis):
+        self.event, self.idx, self.u, self.w, self.x, self.haz, self.basis = event, idx, u, w, x, haz, basis
+
+    def take(self, keep) -> "_Rows":
+        return _Rows(
+            self.event, self.idx[keep], self.u[keep], self.w[keep], self.x[keep],
+            None if self.haz is None else self.haz[keep], self.basis.take(keep),
+        )
+
+
+def _add_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Sum per-row values (rows, C, m) into their individuals, (m, C, n), with
+    one bincount over the flattened (column, chain, individual) index."""
+    _, C, m = vals.shape
+    flat = idx[:, None, None] + n * (np.arange(C)[:, None] + C * np.arange(m))
+    return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * C * n).reshape(m, C, n)
 
 
 def _absolute_extra_slice(layout: ParamLayout, local: slice | None) -> slice | None:
@@ -178,11 +251,14 @@ def _absolute_extra_slice(layout: ParamLayout, local: slice | None) -> slice | N
 
 
 class LikelihoodEngine:
-    """Batched complete-data log-likelihood and gradient for a fixed cohort,
-    design and graph.
+    """Batched complete-data log-likelihood, gradient and per-individual
+    scores for a fixed cohort, design and graph.
 
     Random effects ``b`` are accepted with shape (n, q) or (chains, n, q);
-    per-individual outputs follow the leading chain axis.
+    per-individual outputs follow the leading chain axis. Families declaring
+    ``linear_in_psi`` have their psi-Jacobians evaluated once, at the
+    observation times and quadrature nodes; the others are called at every
+    evaluation.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph, validate: bool = True):
@@ -215,9 +291,13 @@ class LikelihoodEngine:
             rows[~obs] = 0.0
             self.y_obs[i, :m] = rows
 
-        self._build_edge_blocks()
+        n_psi = getattr(design.regression, "n_psi", None)
+        self.marker = None
+        if self.d and j_max and self.obs_mask.any():
+            self.marker = _basis(design.regression, n_psi, self.t_obs)
+        self._build_edge_blocks(n_psi)
 
-    def _build_edge_blocks(self) -> None:
+    def _build_edge_blocks(self, n_psi) -> None:
         nodes, weights = gauss_legendre(self.design.n_quad)
         buckets = build_buckets(self.graph, self.cohort.trajectories(), self.cohort.censoring_times())
         # Sojourn intervals at risk: every stay in a state exposes all of its
@@ -238,37 +318,29 @@ class LikelihoodEngine:
                 for s in succ:
                     risk[(s_last, s)].append((i, t_last, rec.censoring_time))
 
-        self.edge_blocks: list[_EdgeBlock] = []
+        self.edge_blocks: list[tuple[Edge, list[_Rows]]] = []
         for edge in self.graph.sorted_edges():
+            hazard, lnk = self.design.hazard(edge), self.design.link(edge)
             entries = buckets.by_edge[edge]
-            ev_idx = np.array([e.individual for e in entries], dtype=int)
-            ev_entry = np.array([e.entry_time for e in entries])
-            ev_t = np.array([e.exit_time for e in entries])
             intervals = risk[edge]
-            r_idx = np.array([i for i, _, _ in intervals], dtype=int)
             r_t0 = np.array([a for _, a, _ in intervals])
-            r_t1 = np.array([b for _, _, b in intervals])
-            nd_t, nd_w = map_nodes(nodes, weights, r_t0, r_t1)
-            hazard = self.design.hazard(edge)
-            ev_u = ev_t - ev_entry if hazard.clock == "reset" else ev_t
-            nd_u = nd_t - r_t0[:, None] if hazard.clock == "reset" else nd_t
-            block = _EdgeBlock(
-                edge,
-                ev_idx,
-                ev_t,
-                ev_u,
-                self.x[ev_idx],
-                r_idx,
-                nd_t,
-                nd_w,
-                nd_u,
-                self.x[r_idx],
+            nd_t, nd_w = map_nodes(nodes, weights, r_t0, np.array([b for _, _, b in intervals]))
+            ev_t = np.array([e.exit_time for e in entries]).reshape(-1, 1)
+            ev_entry = [e.entry_time for e in entries]
+            layouts = (
+                (True, [e.individual for e in entries], ev_t, np.ones_like(ev_t), ev_entry),
+                (False, [i for i, _, _ in intervals], nd_t, -nd_w, r_t0),
             )
-            if not hazard.trainable:
-                vals = hazard.initial_params()
-                block.haz_ev = hazard.log_hazard(ev_u, vals)
-                block.haz_nd = hazard.log_hazard(nd_u, vals)
-            self.edge_blocks.append(block)
+            row_sets = []
+            for event, idx, t, w, entry in layouts:
+                idx = np.array(idx, dtype=int)
+                if not idx.size:
+                    continue
+                u = t - np.asarray(entry)[:, None] if hazard.clock == "reset" else t
+                haz = None if hazard.trainable else hazard.log_hazard(u, hazard.initial_params())
+                x = self.x[idx]
+                row_sets.append(_Rows(event, idx, u, w, x, haz, _basis(lnk, n_psi, t, x)))
+            self.edge_blocks.append((edge, row_sets))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -284,53 +356,114 @@ class LikelihoodEngine:
     def psi(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
         return self.design.effects.psi(params.gamma, self.x, b)
 
+    def _evaluate(self, params: ModelParams, b: np.ndarray, sel=None, scores: bool = False):
+        """Prior, longitudinal and semi-Markov terms per (chain, individual) of
+        the selected individuals (all when ``sel`` is None, else a sorted index
+        array), each (C, n_sel); with ``scores`` also the complete-data scores
+        (n_free, C, n_sel), else None. Rows of other individuals are dropped
+        before any node work."""
+        C = b.shape[0]
+        keep = slice(None) if sel is None else sel
+        n = self.n if sel is None else sel.size
+        pos = np.arange(self.n)
+        if sel is not None:
+            pos = np.full(self.n, -1)
+            pos[sel] = np.arange(n)
+        layout = params.layout()
+        sl = layout.slices()
+        P = layout.size
+        psi = self.psi(params, b)
+        psi_rows = np.ascontiguousarray(psi.transpose(1, 0, 2))
+        # one (C, n) score plane per free parameter, then d/dpsi planes that are
+        # pulled back to gamma last
+        acc = np.zeros((P + psi.shape[-1], C, n)) if scores else None
+
+        q_repr, r_repr = params.q_repr, params.r_repr
+        b_sel = b[:, keep]
+        prior = -0.5 * q_repr.dim * LOG_2PI + 0.5 * q_repr.log_det_precision() - 0.5 * q_repr.quad_form(b_sel)
+        if scores and q_repr.dim:
+            outer = np.einsum("cnq,cnr->cnqr", b_sel, b_sel)
+            acc[sl["q"]] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
+
+        longit = np.zeros((C, n))
+        if self.marker is not None:
+            obs = self.obs_mask[keep]
+            marker, psi_m = self.marker.take(keep), psi_rows[keep]
+            r = (self.y_obs[keep][:, None] - marker.value(psi_m)) * obs[:, None, :, None]
+            counts = obs.sum(axis=1)
+            const = -0.5 * self.d * LOG_2PI + 0.5 * r_repr.log_det_precision()
+            longit = (counts[:, None] * const - 0.5 * r_repr.quad_form(r).sum(axis=-1)).T
+            if scores:
+                if r_repr.n_free:
+                    outer = np.einsum("ncjd,ncje->cnde", r, r)
+                    acc[sl["r"]] = np.moveaxis(r_repr.grad_values(outer, counts), -1, 0)
+                # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
+                pr = (r.reshape(-1, self.d) @ r_repr.precision()).reshape(r.shape)
+                acc[P:] += marker.vjp(pr, psi_m).transpose(2, 1, 0)
+
+        sm = np.zeros((C, n))
+        for edge, row_sets in self.edge_blocks:
+            hazard = self.design.hazard(edge)
+            alpha, beta = params.alpha[edge], params.beta[edge]
+            trainable = self.design.extra_slice(edge) is not None
+            vals = self.design.hazard_values(edge, params)
+            where, parts = [], []
+            for rows in row_sets:
+                if sel is not None:
+                    rows = rows.take(pos[rows.idx] >= 0)
+                log_lam, pullback = rows.basis.contract(psi_rows[rows.idx], alpha)
+                base = hazard.log_hazard(rows.u, vals) if trainable else rows.haz
+                log_lam += (base + (rows.x @ beta)[:, None])[:, None, :]
+                if rows.event:
+                    term, wt = log_lam[..., 0], np.ones_like(log_lam)
+                    wsum = np.ones_like(term)
+                else:
+                    # node weights carry the minus sign of the cumulative hazard
+                    wt = np.exp(log_lam, out=log_lam)
+                    wt *= rows.w[:, None, :]
+                    term = wsum = wt.sum(axis=-1)
+                cols = [term[..., None]]
+                if scores:
+                    # per-row scores: alpha, beta, trainable hazard values, psi
+                    g_score, psi_score = pullback(wt)
+                    cols += [g_score, wsum[..., None] * rows.x[:, None, :]]
+                    if trainable:
+                        cols.append(wt @ hazard.dlog_dparams(rows.u, vals))
+                    cols.append(psi_score)
+                where.append(pos[rows.idx])
+                parts.append(np.concatenate(cols, axis=-1))
+            if not parts:
+                continue
+            sums = _add_rows(np.concatenate(where), np.concatenate(parts), n)
+            sm += sums[0]
+            if scores:
+                col = 1
+                for target in self._edge_slices(layout, edge, P, psi.shape[-1]):
+                    width = target.stop - target.start
+                    acc[target] += sums[col:col + width]
+                    col += width
+
+        if scores:
+            if layout.n_gamma:
+                jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)[:, keep]
+                acc[sl["gamma"]] += np.einsum("scn,cnsg->gcn", acc[P:], jpg)
+            acc = acc[:P]
+        return prior, longit, sm, acc
+
+    def _edge_slices(self, layout: ParamLayout, edge: Edge, n_free: int, n_psi: int) -> list[slice]:
+        """Accumulator columns of an edge's row scores, in order: alpha, beta,
+        trainable hazard values, psi."""
+        extra = _absolute_extra_slice(layout, self.design.extra_slice(edge))
+        out = [layout.edge_slice("alpha", edge), layout.edge_slice("beta", edge)]
+        return out + ([extra] if extra is not None else []) + [slice(n_free, n_free + n_psi)]
+
     def loglik_terms(self, params: ModelParams, b: np.ndarray) -> LogLikTerms:
         """Per-(chain, individual) prior, longitudinal and semi-Markov terms."""
         b, squeeze = self._as_chains(b)
-        psi = self.psi(params, b)
-        prior = (
-            -0.5 * params.q_repr.dim * LOG_2PI
-            + 0.5 * params.q_repr.log_det_precision()
-            - 0.5 * params.q_repr.quad_form(b)
-        )
-        longit = self._longitudinal(params, psi)
-        sm = self._semi_markov(params, psi)
+        prior, longit, sm, _ = self._evaluate(params, b)
         if squeeze:
             return LogLikTerms(prior[0], longit[0], sm[0])
         return LogLikTerms(prior, longit, sm)
-
-    def _longitudinal(self, params: ModelParams, psi: np.ndarray) -> np.ndarray:
-        C = psi.shape[0]
-        if self.d == 0 or self.t_obs.shape[1] == 0 or not self.obs_mask.any():
-            return np.zeros((C, self.n))
-        h = self.design.regression.value(self.t_obs, psi[:, :, None, :])
-        r = (self.y_obs - h) * self.obs_mask[..., None]
-        quad = params.r_repr.quad_form(r)
-        const = -0.5 * self.d * LOG_2PI + 0.5 * params.r_repr.log_det_precision()
-        return self.obs_mask.sum(axis=1) * const - 0.5 * (quad * self.obs_mask).sum(axis=-1)
-
-    def _semi_markov(self, params: ModelParams, psi: np.ndarray) -> np.ndarray:
-        C = psi.shape[0]
-        out = np.zeros((C, self.n))
-        for blk in self.edge_blocks:
-            edge = blk.edge
-            alpha = params.alpha[edge]
-            beta = params.beta[edge]
-            lnk = self.design.link(edge)
-            hazard = self.design.hazard(edge)
-            vals = None if blk.haz_ev is not None else self.design.hazard_values(edge, params)
-            if blk.ev_idx.size:
-                g = lnk.value(blk.ev_t, blk.ev_x, psi[:, blk.ev_idx, :])
-                log_lam = g @ alpha + blk.ev_x @ beta
-                log_lam += blk.haz_ev if blk.haz_ev is not None else hazard.log_hazard(blk.ev_u, vals)
-                _segment_add(out, blk.ev_idx, log_lam)
-            if blk.risk_idx.size:
-                g = lnk.value(blk.nd_t, blk.risk_x[:, None, :], psi[:, blk.risk_idx, None, :])
-                log_lam = g @ alpha + (blk.risk_x @ beta)[:, None]
-                log_lam += blk.haz_nd if blk.haz_nd is not None else hazard.log_hazard(blk.nd_u, vals)
-                lam = np.exp(log_lam)
-                _segment_add(out, blk.risk_idx, -np.sum(lam * blk.nd_w, axis=-1))
-        return out
 
     def posterior_logdensity(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
         """Unnormalized per-individual posterior log-density of b given the
@@ -350,7 +483,13 @@ class LikelihoodEngine:
         value = total.sum(axis=-1)
         return float(value[0]) if squeeze else value
 
-    # -- gradient -----------------------------------------------------------
+    # -- scores and gradient ------------------------------------------------
+
+    def individual_scores(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
+        """Per-individual complete-data scores, shape (chains, n, n_free)."""
+        self.design.validate_params(params)
+        scores = self._evaluate(params, self._as_chains(b)[0], scores=True)[3]
+        return np.ascontiguousarray(np.moveaxis(scores, 0, -1))
 
     def grad_theta(
         self,
@@ -360,198 +499,11 @@ class LikelihoodEngine:
         average_chains: bool = True,
     ) -> np.ndarray:
         """Gradient of the summed complete-data log-likelihood with respect to
-        the flattened free parameters (tied slots accumulate). For chained
-        input the per-chain gradients are averaged when ``average_chains``."""
+        the flattened free parameters (tied slots accumulate): the
+        per-individual scores summed over the subset. For chained input the
+        per-chain gradients are averaged when ``average_chains``."""
         self.design.validate_params(params)
         b, squeeze = self._as_chains(b)
-        C = b.shape[0]
-        layout = params.layout()
-        sl = layout.slices()
-        grad = np.zeros(layout.size)
-        scale = 1.0 / C if (average_chains and not squeeze) else 1.0
-
-        mask = None
-        if subset is not None:
-            subset = np.asarray(subset, dtype=int)
-            mask = np.zeros(self.n, dtype=bool)
-            mask[subset] = True
-
-        psi = self.psi(params, b)
-        n_sel = self.n if mask is None else int(mask.sum())
-
-        # prior -> Q representation
-        b_sel = b if mask is None else b[:, mask, :]
-        if params.q_repr.dim:
-            s_b = np.einsum("cnq,cnr->qr", b_sel, b_sel) / C
-            grad[sl["q"]] += scale * C * params.q_repr.grad_values(s_b, float(n_sel))
-
-        # longitudinal -> R representation and psi
-        v_psi = np.zeros(psi.shape)
-        if self.d and self.t_obs.shape[1] and self.obs_mask.any():
-            obs = self.obs_mask if mask is None else (self.obs_mask & mask[:, None])
-            h = self.design.regression.value(self.t_obs, psi[:, :, None, :])
-            r = (self.y_obs - h) * obs[..., None]
-            if params.r_repr.n_free:
-                s_r = np.einsum("cnjd,cnje->de", r, r) / C
-                grad[sl["r"]] += scale * C * params.r_repr.grad_values(s_r, float(obs.sum()))
-            # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
-            pr = r @ params.r_repr.precision()
-            jh = self.design.regression.jac_psi(self.t_obs, psi[:, :, None, :])
-            v_psi += np.einsum("cnjd,cnjds->cns", pr, jh)
-
-        # semi-Markov -> alpha, beta, extra and psi
-        for blk in self.edge_blocks:
-            self._edge_grad(params, psi, blk, grad, v_psi, layout, mask, scale)
-
-        # psi -> gamma through the effects map
-        if layout.n_gamma:
-            if mask is not None:
-                v_psi = v_psi * mask[:, None]
-            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)
-            grad[sl["gamma"]] += scale * np.einsum("cns,cnsg->g", v_psi, jpg)
-        return grad
-
-    def _edge_grad(self, params, psi, blk, grad, v_psi, layout, mask, scale):
-        edge = blk.edge
-        alpha = params.alpha[edge]
-        beta = params.beta[edge]
-        lnk = self.design.link(edge)
-        hazard = self.design.hazard(edge)
-        a_sl = layout.edge_slice("alpha", edge)
-        b_sl = layout.edge_slice("beta", edge)
-        e_sl = _absolute_extra_slice(layout, self.design.extra_slice(edge))
-        vals = None if blk.haz_ev is not None else self.design.hazard_values(edge, params)
-        C = psi.shape[0]
-
-        if blk.ev_idx.size:
-            keep = slice(None) if mask is None else mask[blk.ev_idx]
-            idx = blk.ev_idx[keep]
-            if idx.size:
-                ev_t, ev_x, ev_u = blk.ev_t[keep], blk.ev_x[keep], blk.ev_u[keep]
-                psi_e = psi[:, idx, :]
-                g = lnk.value(ev_t, ev_x, psi_e)
-                grad[a_sl] += scale * np.einsum("cea->a", g)
-                grad[b_sl] += scale * C * ev_x.sum(axis=0)
-                if e_sl is not None:
-                    dh = hazard.dlog_dparams(ev_u, vals)
-                    grad[e_sl] += scale * C * dh.sum(axis=0)
-                jg = lnk.jac_psi(ev_t, ev_x, psi_e)
-                contrib = np.einsum("ceas,a->ces", jg, alpha)
-                for s in range(psi.shape[-1]):
-                    _segment_add(v_psi[..., s], idx, contrib[..., s])
-
-        if blk.risk_idx.size:
-            keep = slice(None) if mask is None else mask[blk.risk_idx]
-            idx = blk.risk_idx[keep]
-            if idx.size:
-                nd_t, nd_w, nd_u = blk.nd_t[keep], blk.nd_w[keep], blk.nd_u[keep]
-                risk_x = blk.risk_x[keep]
-                haz_nd = blk.haz_nd[keep] if blk.haz_nd is not None else hazard.log_hazard(nd_u, vals)
-                psi_r = psi[:, idx, None, :]
-                g = lnk.value(nd_t, risk_x[:, None, :], psi_r)
-                log_lam = g @ alpha + (risk_x @ beta)[:, None] + haz_nd
-                wlam = np.exp(log_lam) * nd_w  # (C, M, nq)
-                grad[a_sl] -= scale * np.einsum("cmj,cmja->a", wlam, g)
-                grad[b_sl] -= scale * np.einsum("cmj,mk->k", wlam, risk_x)
-                if e_sl is not None:
-                    dh = hazard.dlog_dparams(nd_u, vals)
-                    grad[e_sl] -= scale * np.einsum("cmj,mjp->p", wlam, dh)
-                jg = lnk.jac_psi(nd_t, risk_x[:, None, :], psi_r)
-                dpsi = np.einsum("cmjas,a->cmjs", jg, alpha)
-                contrib = -np.einsum("cmj,cmjs->cms", wlam, dpsi)
-                for s in range(psi.shape[-1]):
-                    _segment_add(v_psi[..., s], idx, contrib[..., s])
-
-    # -- per-individual scores (Fisher information) ---------------------------
-
-    def individual_scores(
-        self, params: ModelParams, b: np.ndarray
-    ) -> np.ndarray:
-        """Per-individual complete-data scores, shape (chains, n, n_free)."""
-        self.design.validate_params(params)
-        b, _ = self._as_chains(b)
-        C = b.shape[0]
-        layout = params.layout()
-        sl = layout.slices()
-        scores = np.zeros((C, self.n, layout.size))
-        psi = self.psi(params, b)
-
-        if params.q_repr.dim:
-            outer = np.einsum("cnq,cnr->cnqr", b, b)
-            scores[..., sl["q"]] = params.q_repr.grad_values(outer, 1.0)
-
-        v_psi = np.zeros(psi.shape)
-        if self.d and self.t_obs.shape[1] and self.obs_mask.any():
-            h = self.design.regression.value(self.t_obs, psi[:, :, None, :])
-            r = (self.y_obs - h) * self.obs_mask[..., None]
-            if params.r_repr.n_free:
-                outer = np.einsum("cnjd,cnje->cnde", r, r)
-                counts = self.obs_mask.sum(axis=1).astype(float)
-                scores[..., sl["r"]] = params.r_repr.grad_values(outer, counts)
-            pr = r @ params.r_repr.precision()
-            jh = self.design.regression.jac_psi(self.t_obs, psi[:, :, None, :])
-            v_psi += np.einsum("cnjd,cnjds->cns", pr, jh)
-
-        for blk in self.edge_blocks:
-            self._edge_scores(params, psi, blk, scores, v_psi, layout)
-
-        if layout.n_gamma:
-            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)
-            scores[..., sl["gamma"]] += np.einsum("cns,cnsg->cng", v_psi, jpg)
-        return scores
-
-    def _edge_scores(self, params, psi, blk, scores, v_psi, layout):
-        edge = blk.edge
-        alpha = params.alpha[edge]
-        beta = params.beta[edge]
-        lnk = self.design.link(edge)
-        hazard = self.design.hazard(edge)
-        a_sl = layout.edge_slice("alpha", edge)
-        b_sl = layout.edge_slice("beta", edge)
-        e_sl = _absolute_extra_slice(layout, self.design.extra_slice(edge))
-        vals = None if blk.haz_ev is not None else self.design.hazard_values(edge, params)
-        C = psi.shape[0]
-
-        if blk.ev_idx.size:
-            idx = blk.ev_idx
-            psi_e = psi[:, idx, :]
-            g = lnk.value(blk.ev_t, blk.ev_x, psi_e)
-            for col in range(g.shape[-1]):
-                _segment_add(scores[..., a_sl.start + col], idx, g[..., col])
-            xb = np.broadcast_to(blk.ev_x, (C,) + blk.ev_x.shape)
-            for col in range(blk.ev_x.shape[1]):
-                _segment_add(scores[..., b_sl.start + col], idx, xb[..., col])
-            if e_sl is not None:
-                dh = hazard.dlog_dparams(blk.ev_u, vals)
-                dhb = np.broadcast_to(dh, (C,) + dh.shape)
-                for col in range(dh.shape[-1]):
-                    _segment_add(scores[..., e_sl.start + col], idx, dhb[..., col])
-            jg = lnk.jac_psi(blk.ev_t, blk.ev_x, psi_e)
-            contrib = np.einsum("ceas,a->ces", jg, alpha)
-            for s in range(psi.shape[-1]):
-                _segment_add(v_psi[..., s], idx, contrib[..., s])
-
-        if blk.risk_idx.size:
-            idx = blk.risk_idx
-            psi_r = psi[:, idx, None, :]
-            haz_nd = blk.haz_nd if blk.haz_nd is not None else hazard.log_hazard(blk.nd_u, vals)
-            g = lnk.value(blk.nd_t, blk.risk_x[:, None, :], psi_r)
-            log_lam = g @ alpha + (blk.risk_x @ beta)[:, None] + haz_nd
-            wlam = np.exp(log_lam) * blk.nd_w
-            ga = np.einsum("cmj,cmja->cma", wlam, g)
-            for col in range(g.shape[-1]):
-                _segment_add(scores[..., a_sl.start + col], idx, -ga[..., col])
-            if blk.risk_x.shape[1]:
-                xb = np.einsum("cmj,mk->cmk", wlam, blk.risk_x)
-                for col in range(blk.risk_x.shape[1]):
-                    _segment_add(scores[..., b_sl.start + col], idx, -xb[..., col])
-            if e_sl is not None:
-                dh = hazard.dlog_dparams(blk.nd_u, vals)
-                dhw = np.einsum("cmj,mjp->cmp", wlam, dh)
-                for col in range(dh.shape[-1]):
-                    _segment_add(scores[..., e_sl.start + col], idx, -dhw[..., col])
-            jg = lnk.jac_psi(blk.nd_t, blk.risk_x[:, None, :], psi_r)
-            dpsi = np.einsum("cmjas,a->cmjs", jg, alpha)
-            contrib = -np.einsum("cmj,cmjs->cms", wlam, dpsi)
-            for s in range(psi.shape[-1]):
-                _segment_add(v_psi[..., s], idx, contrib[..., s])
+        sel = None if subset is None else np.unique(np.asarray(subset, dtype=int))
+        grad = self._evaluate(params, b, sel, scores=True)[3].sum(axis=(1, 2))
+        return grad / b.shape[0] if (average_chains and not squeeze) else grad

@@ -10,7 +10,7 @@ identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,8 +92,9 @@ class PrecisionRepr:
         """b^T P b for b of shape (..., dim)."""
         if self.dim == 0:
             return np.zeros(np.asarray(b).shape[:-1])
-        u = np.asarray(b) @ self.chol_factor()
-        return np.sum(u * u, axis=-1)
+        b = np.asarray(b)
+        u = b.reshape(-1, self.dim) @ self.chol_factor()  # one matrix product for any batch
+        return np.einsum("ij,ij->i", u, u).reshape(b.shape[:-1])
 
     def grad_values(self, outer_sum: np.ndarray, count) -> np.ndarray:
         """Gradient of sum over items of [1/2 log det P - 1/2 r^T P r].
@@ -263,11 +264,6 @@ class ModelParams:
 
     def layout(self) -> "ParamLayout":
         return ParamLayout.from_params(self)
-
-    def with_edge_values(
-        self, alpha: dict[Edge, np.ndarray], beta: dict[Edge, np.ndarray]
-    ) -> "ModelParams":
-        return replace(self, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,9 @@ def condition_cohort(
     """MH draws from p(b | data up to t, theta) for every individual.
 
     Histories are truncated at t (measurements at times <= t, transitions at
-    times <= t, censoring at t). Returns draws of shape (>= n_draws, n, q).
+    times <= t, censoring at min(t, C_i), so no follow-up past an
+    individual's censoring time is assumed). Returns draws of shape
+    (>= n_draws, n, q).
     """
     cfg = sampler_config or SamplerConfig(warmup=500, thin=5)
     truncated = Cohort(tuple(rec.truncated(t) for rec in cohort))
@@ -210,9 +212,9 @@ def _simulate_continuations(
     """Continue the truncated history past t once per psi draw.
 
     Continuation restarts at the last transition at or before t with the
-    survival condition T >= t, so clock-reset hazards keep the correct
-    sojourn age. When ``stop_spec`` is given, each draw stops as soon as its
-    rule fires; draws hitting the transition guard are flagged.
+    survival condition T >= min(t, C), so clock-reset hazards keep the
+    correct sojourn age. When ``stop_spec`` is given, each draw stops as
+    soon as its rule fires; draws hitting the transition guard are flagged.
     """
     prefix = record.trajectory.truncated(t).pairs
     m = psi_draws.shape[0]
@@ -235,7 +237,9 @@ def _simulate_continuations(
     cap_arr = np.full(m, float(cap))
     done |= ~np.array([bool(successors.get(int(s))) for s in cur_s])
     done |= cur_t >= cap_arr
-    lower = np.maximum(cur_t, t)  # survival condition enters the first step only
+    # survival condition, up to t but never past the censoring time; it
+    # enters the first step only
+    lower = np.maximum(cur_t, min(t, record.censoring_time))
     for step in range(max_transitions + 1):
         active = ~done
         if not active.any():

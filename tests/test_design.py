@@ -347,6 +347,28 @@ def test_self_check_rejects_wrong_derivatives():
         check_regression_family(broken)
 
 
+def test_design_rejects_false_linearity_declaration(study_graph):
+    from msjoint.families import CustomLink
+
+    reg = PiecewiseAffine(6.0)
+
+    def custom_link(family, linear):
+        link = CustomLink(
+            lambda t, x, psi: family.value(t, psi), lambda t, x, psi: family.jac_psi(t, psi), dim=1
+        )
+        link.linear_in_psi = linear
+        return link
+
+    def build(link):
+        return ModelDesign(GammaPlusB(), reg, {e: (ExponentialHazard(0.1), link) for e in study_graph.edges})
+
+    build(custom_link(ShiftedTanh(), False))
+    build(custom_link(reg, True))
+    # correct derivatives, so only the linearity check can reject it
+    with pytest.raises(ValueError, match="declared linear in psi"):
+        build(custom_link(ShiftedTanh(), True))
+
+
 def test_custom_effects_family_passes_self_check():
     from msjoint.families import CustomEffects
 

@@ -22,12 +22,14 @@ from msjoint.families import (
     GammaPlusB,
     PiecewiseAffine,
     Polynomial,
+    ShiftedTanh,
     ValueLink,
     ValueSlopeLink,
 )
-from msjoint.hazards import ExponentialHazard
-from msjoint.likelihood import locate_nonfinite
+from msjoint.hazards import ExponentialHazard, WeibullHazard
+from msjoint.likelihood import _CachedBasis, locate_nonfinite
 from msjoint.params import Sharing, flatten, unflatten
+from msjoint.simulate import generate_cohort
 
 
 # -- prior term ---------------------------------------------------------------
@@ -224,31 +226,76 @@ def test_hazard_scaling_closed_form(small_cohort, study_graph):
 # -- aggregation -------------------------------------------------------------------
 
 
+def nonlinear_model():
+    """The study graph with a value link on a shifted tanh, which is not linear
+    in psi, and a trainable Weibull baseline on the edge 0 -> 1."""
+    reg = ShiftedTanh()
+    link = ValueLink(reg)
+    design = ModelDesign(
+        GammaPlusB(),
+        reg,
+        {
+            (0, 1): (WeibullHazard(1.5, 6.0, trainable=True), link),
+            (0, 2): (ExponentialHazard(0.02), link),
+            (1, 2): (ExponentialHazard(0.2), link),
+        },
+    )
+    params = ModelParams(
+        gamma=np.array([0.8, 4.0, 5.0]),
+        q_repr=repr_from_cov(np.diag([0.05, 0.3, 0.5]), "diag"),
+        r_repr=repr_from_cov([[0.3]], "ball"),
+        alpha={e: np.array([-1.0]) for e in design.edges},
+        beta={e: np.array([0.3]) for e in design.edges},
+        extra=design.initial_extra(),
+    )
+    return design, params
+
+
+@pytest.fixture(params=["study", "nonlinear"])
+def engine_case(request, small_cohort, study_design, study_params):
+    """(cohort, latent, design, params, linear): the study design, whose
+    families the engine evaluates once as linear in psi, and a design it
+    evaluates through the family methods at every call."""
+    if request.param == "study":
+        return small_cohort + (study_design, study_params, True)
+    design, params = nonlinear_model()
+    cohort, latent = generate_cohort(design, params, n=25, m=6, seed=5)
+    return cohort, latent, design, params, False
+
+
+def reference_loglik(rec, b, params, design, graph):
+    """One individual's complete-data log-likelihood from the reference
+    functions, which evaluate the families directly."""
+    psi = design.effects.psi(params.gamma, rec.covariates, b)
+    return (
+        prior_loglik(b, params.q_repr)
+        + longitudinal_loglik(rec, psi, params.r_repr, design)
+        + semi_markov_loglik(rec, psi, params, design, graph)
+    )
+
+
+def test_engine_caches_bases_of_linear_families(engine_case, study_graph):
+    cohort, _, design, _, linear = engine_case
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    bases = [engine.marker] + [rows.basis for _, row_sets in engine.edge_blocks for rows in row_sets]
+    assert all(isinstance(basis, _CachedBasis) == linear for basis in bases)
+
+
 def test_complete_loglik_empty_subset(small_cohort, study_design, study_graph, study_params):
     cohort, latent = small_cohort
     got = complete_loglik(cohort, latent["b"], study_params, study_design, study_graph, subset=[])
     assert got == 0.0
 
 
-def test_complete_loglik_matches_per_individual_sum(
-    small_cohort, study_design, study_graph, study_params
-):
-    cohort, latent = small_cohort
-    total = complete_loglik(cohort, latent["b"], study_params, study_design, study_graph)
-    ref = 0.0
-    for i, rec in enumerate(cohort):
-        b = latent["b"][i]
-        psi = latent["psi"][i]
-        ref += prior_loglik(b, study_params.q_repr)
-        ref += longitudinal_loglik(rec, psi, study_params.r_repr, study_design)
-        ref += semi_markov_loglik(rec, psi, study_params, study_design, study_graph)
-    assert total == pytest.approx(ref, abs=1e-9)
-    single = complete_loglik(cohort, latent["b"], study_params, study_design, study_graph, subset=[3])
-    ref3 = (
-        prior_loglik(latent["b"][3], study_params.q_repr)
-        + longitudinal_loglik(cohort[3], latent["psi"][3], study_params.r_repr, study_design)
-        + semi_markov_loglik(cohort[3], latent["psi"][3], study_params, study_design, study_graph)
+def test_complete_loglik_matches_per_individual_sum(engine_case, study_graph):
+    cohort, latent, design, params, _ = engine_case
+    total = complete_loglik(cohort, latent["b"], params, design, study_graph)
+    ref = sum(
+        reference_loglik(rec, latent["b"][i], params, design, study_graph) for i, rec in enumerate(cohort)
     )
+    assert total == pytest.approx(ref, abs=1e-9)
+    single = complete_loglik(cohort, latent["b"], params, design, study_graph, subset=[3])
+    ref3 = reference_loglik(cohort[3], latent["b"][3], params, design, study_graph)
     assert single == pytest.approx(ref3, abs=1e-9)
 
 
@@ -318,18 +365,42 @@ def test_prior_gradient_wrt_gamma_is_zero(small_cohort, study_design, study_grap
     np.testing.assert_allclose(grad[:3], 0.0, atol=1e-12)
 
 
-def test_gradient_matches_finite_differences(small_cohort, study_design, study_graph, study_params):
-    cohort, latent = small_cohort
-    engine = LikelihoodEngine(cohort, study_design, study_graph)
+def test_gradient_matches_finite_differences(engine_case, study_graph):
+    cohort, _, design, params0, _ = engine_case
+    engine = LikelihoodEngine(cohort, design, study_graph)
     rng = np.random.default_rng(2)
-    theta0 = flatten(study_params)
+    theta0 = flatten(params0)
     for _ in range(6):
         theta = theta0 + rng.normal(scale=0.25, size=theta0.size)
-        params = unflatten(theta, study_params)
+        params = unflatten(theta, params0)
         b = rng.normal(scale=0.6, size=(len(cohort), 3))
         ana = engine.grad_theta(params, b)
         fd = fd_gradient(engine, params, b)
         assert rel_err(ana, fd).max() < 1e-4
+
+
+def test_individual_scores_match_reference_finite_differences(engine_case, study_graph):
+    # per-individual scores against central differences of the reference
+    # per-individual log-likelihood, which calls the families directly
+    cohort, latent, design, params, _ = engine_case
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    rng = np.random.default_rng(6)
+    b = latent["b"][None] + rng.normal(scale=0.1, size=(2,) + latent["b"].shape)
+    scores = engine.individual_scores(params, b)
+    assert scores.shape == (2, len(cohort), flatten(params).size)
+    theta = flatten(params)
+    for c, i in [(0, 0), (1, 3), (0, 11), (1, 20)]:
+        fd = np.zeros_like(theta)
+        for j in range(theta.size):
+            h = 1e-5 * max(1.0, abs(theta[j]))
+            vp, vm = theta.copy(), theta.copy()
+            vp[j] += h
+            vm[j] -= h
+            fd[j] = (
+                reference_loglik(cohort[i], b[c, i], unflatten(vp, params), design, study_graph)
+                - reference_loglik(cohort[i], b[c, i], unflatten(vm, params), design, study_graph)
+            ) / (2 * h)
+        assert rel_err(scores[c, i], fd).max() < 1e-4
 
 
 def test_gradient_with_subset_matches_finite_differences(

@@ -23,6 +23,7 @@ from msjoint.predict import (
     state_occupied_at,
 )
 from msjoint.sampler import SamplerConfig
+from msjoint.simulate import generate_cohort
 
 
 def four_state_graph():
@@ -222,6 +223,24 @@ def test_survival_information_shifts_posterior_down():
     se = x.std() / np.sqrt(x.size / 20)
     assert x.mean() < mean_l
     assert abs(x.mean() - mean_joint) < 4 * se
+
+
+def test_truncation_past_censoring_equals_truncation_at_censoring(study_design, study_params, study_graph):
+    # nothing is observed after the censoring time, so conditioning or
+    # predicting at t = 8 for a subject censored at 3 must not assume
+    # event-free follow-up up to 8
+    cohort, _ = generate_cohort(study_design, study_params, n=50, m=20, seed=3, censoring=3.0)
+    rec = cohort[20]
+    assert rec.censoring_time == 3.0 and rec.trajectory.pairs[-1][1] == 0
+    cfg = SamplerConfig(n_chains=5, warmup=150, thin=5)
+    at_c = posterior_condition(rec, 3.0, study_design, study_params, study_graph, cfg, n_draws=200, seed=11)
+    past = posterior_condition(rec, 8.0, study_design, study_params, study_graph, cfg, n_draws=200, seed=11)
+    np.testing.assert_array_equal(past, at_c)
+    grids = [
+        predict_state_grid(rec, t, [9.0, 12.0], study_design, study_params, study_graph, b_draws=at_c, rng=5)[0]
+        for t in (3.0, 8.0)
+    ]
+    np.testing.assert_array_equal(grids[1], grids[0])
 
 
 # -- Monte-Carlo prediction -------------------------------------------------------
