@@ -24,7 +24,7 @@ from msjoint.hazards import ExponentialHazard
 from msjoint.inference import FitConfig, StopRule, compute_fim, fit, stderr
 from msjoint.io import write_cohort, write_params
 from msjoint.params import flatten
-from msjoint.predict import condition_cohort, predict_state_grid
+from msjoint.predict import predict_cohort_grid
 from msjoint.sampler import SamplerConfig
 from msjoint.simulate import generate_cohort
 
@@ -124,21 +124,12 @@ def main():
     rng = np.random.default_rng(args.seed + 2000)
     rows = []
     for t in truncations:
-        draws = condition_cohort(
-            test_cohort, t, design, report.params, graph,
-            SamplerConfig(n_chains=5, warmup=400, thin=5), n_draws=200,
-            seed=int(rng.integers(2**63)),
+        probs, capped = predict_cohort_grid(
+            test_cohort, t, horizons, design, report.params, graph,
+            SamplerConfig(n_chains=5, warmup=400, thin=5), 200, rng,
         )
-        hits = np.zeros(horizons.size)
-        for i, rec in enumerate(test_cohort):
-            capped = np.minimum(horizons, rec.censoring_time)
-            _, modal = predict_state_grid(
-                rec, t, capped, design, report.params, graph,
-                n_draws=200, rng=rng.spawn(1)[0], b_draws=draws[:, i, :],
-            )
-            truth_states = [rec.trajectory.state_at(u) for u in capped]
-            hits += modal == np.asarray(truth_states)
-        acc = hits / len(test_cohort)
+        truth_states = [[rec.trajectory.state_at(u) for u in row] for rec, row in zip(test_cohort, capped)]
+        acc = np.mean(np.argmax(probs, axis=2) == np.array(truth_states), axis=0)
         rows.append(acc)
         print(f"truncation t={t}: accuracy " + " ".join(f"u={u}:{a:.3f}" for u, a in zip(horizons, acc)))
     np.savetxt(

@@ -33,7 +33,7 @@ from .io import (
     write_params,
 )
 from .params import flatten
-from .predict import condition_cohort, predict_state_grid
+from .predict import predict_cohort_grid
 from .sampler import SamplerConfig
 from .simulate import generate_cohort
 
@@ -180,29 +180,22 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
     pred_rows = []
     acc_rows = []
     for t in truncations:
-        cond_seed = int(master.integers(2**63))
-        draws = condition_cohort(cohort, t, design, params, graph, sampler_cfg, n_draws, cond_seed)
-        modal_at = np.zeros((len(cohort), len(horizons)), dtype=int)
-        truth_at = np.zeros((len(cohort), len(horizons)), dtype=int)
-        for i, rec in enumerate(cohort):
-            capped = np.minimum(horizons, rec.censoring_time)
-            probs, _ = predict_state_grid(
-                rec, t, capped, design, params, graph, n_draws=n_draws,
-                rng=master.spawn(1)[0], b_draws=draws[:, i, :],
-            )
-            censored_mass = 1.0 - probs.sum(axis=1)
+        probs, capped = predict_cohort_grid(
+            cohort, t, horizons, design, params, graph, sampler_cfg, n_draws, master
+        )
+        modal = np.argmax(probs, axis=2)
+        truth = np.array([[rec.trajectory.state_at(u) for u in row] for rec, row in zip(cohort, capped)])
+        censored_mass = 1.0 - probs.sum(axis=2)
+        for i in range(len(cohort)):
             for ui, u in enumerate(horizons):
-                modal = int(np.argmax(probs[ui]))
-                modal_at[i, ui] = modal
-                truth_at[i, ui] = rec.trajectory.state_at(capped[ui])
                 for s in range(graph.num_states):
                     pred_rows.append(
-                        [i, fmt(t), fmt(u), s, fmt(probs[ui, s]), int(s == modal)]
+                        [i, fmt(t), fmt(u), s, fmt(probs[i, ui, s]), int(s == modal[i, ui])]
                     )
-                if censored_mass[ui] > 1e-12:
-                    pred_rows.append([i, fmt(t), fmt(u), "censored", fmt(censored_mass[ui]), 0])
+                if censored_mass[i, ui] > 1e-12:
+                    pred_rows.append([i, fmt(t), fmt(u), "censored", fmt(censored_mass[i, ui]), 0])
         for ui, u in enumerate(horizons):
-            acc = float(np.mean(modal_at[:, ui] == truth_at[:, ui]))
+            acc = float(np.mean(modal[:, ui] == truth[:, ui]))
             acc_rows.append([fmt(t), fmt(u), fmt(acc), len(cohort)])
     with open(out_dir / "predictions.csv", "w", newline="") as f:
         w = csv.writer(f)

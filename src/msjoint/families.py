@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .design import gauss_legendre, map_nodes
+
 
 def _bshape(t, psi) -> tuple[int, ...]:
     return np.broadcast_shapes(np.shape(t), np.shape(psi)[:-1])
@@ -427,14 +429,7 @@ class CumulativeLink(_RegressionLink):
         self.dim = regression.dim
 
     def _nodes(self, t):
-        from .design import gauss_legendre
-
-        nodes, weights = gauss_legendre(self.n_nodes)
-        t = np.asarray(t, dtype=float)
-        half = 0.5 * (t - self.lower)
-        mid = 0.5 * (t + self.lower)
-        w = half[..., None] * nodes + mid[..., None]
-        return w, half[..., None] * weights
+        return map_nodes(*gauss_legendre(self.n_nodes), self.lower, t)
 
     def value(self, t, x, psi):
         w, ww = self._nodes(t)

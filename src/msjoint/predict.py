@@ -16,7 +16,10 @@ from .graph import TransitionGraph, reaches
 from .likelihood import LikelihoodEngine
 from .params import ModelParams
 from .sampler import SamplerConfig, init_chains, run
-from .simulate import step_transitions
+from .simulate import extend_paths, step_transitions  # noqa: F401
+
+# bench/tracing.py patches step_transitions, posterior_condition and
+# LikelihoodEngine in this module by name: keep all three importable here.
 
 Prefix = tuple[tuple[float, int], ...]
 
@@ -198,71 +201,42 @@ def posterior_condition(
 # Monte-Carlo prediction
 
 
-def _simulate_continuations(
+def _continuations(
     record: IndividualRecord,
     t: float,
     design: ModelDesign,
     params: ModelParams,
-    psi_draws: np.ndarray,
-    rng: np.random.Generator,
+    graph: TransitionGraph,
+    n_draws: int,
+    rng: np.random.Generator | int,
+    sampler_config: SamplerConfig | None,
+    b_draws: np.ndarray | None,
+    max_transitions: int,
     cap: float = np.inf,
-    stop_spec: StoppingSpec | None = None,
-    max_transitions: int = 10_000,
-) -> tuple[list[Prefix], np.ndarray]:
-    """Continue the truncated history past t once per psi draw.
-
-    Continuation restarts at the last transition at or before t with the
-    survival condition T >= min(t, C), so clock-reset hazards keep the
-    correct sojourn age. When ``stop_spec`` is given, each draw stops as
-    soon as its rule fires; draws hitting the transition guard are flagged.
-    """
-    prefix = record.trajectory.truncated(t).pairs
-    m = psi_draws.shape[0]
-    x = np.broadcast_to(record.covariates, (m, record.covariates.shape[0]))
-    rngs = rng.spawn(m)
-
-    successors: dict[int, tuple[int, ...]] = {}
-    for k, kp in design.edges:
-        successors[k] = tuple(sorted(set(successors.get(k, ())) | {kp}))
-
-    trajectories: list[list[tuple[float, int]]] = [list(prefix) for _ in range(m)]
-    guard_hit = np.zeros(m, dtype=bool)
-    done = np.zeros(m, dtype=bool)
-    if stop_spec is not None:
-        for i in range(m):
-            done[i] = stop_spec.fired(tuple(trajectories[i]))
-
-    cur_t = np.full(m, float(prefix[-1][0]))
-    cur_s = np.full(m, int(prefix[-1][1]), dtype=int)
-    cap_arr = np.full(m, float(cap))
-    done |= ~np.array([bool(successors.get(int(s))) for s in cur_s])
-    done |= cur_t >= cap_arr
-    # survival condition, up to t but never past the censoring time; it
-    # enters the first step only
-    lower = np.maximum(cur_t, min(t, record.censoring_time))
-    for step in range(max_transitions + 1):
-        active = ~done
-        if not active.any():
-            break
-        if step == max_transitions:
-            guard_hit[active] = True
-            break
-        t_new, s_new = step_transitions(
-            design, params, x, psi_draws, cur_t, cur_s, lower, cap_arr, rngs,
-            active, successors, n_quad=design.n_quad,
+    stop: Callable[[Prefix], bool] | None = None,
+) -> tuple[list[Prefix], int]:
+    """Continue the history up to t once per random-effects draw (posterior
+    draws unless ``b_draws`` is given, recycled to ``n_draws``) from its last
+    transition, so clock-reset hazards keep the sojourn age, conditioned on
+    T >= min(t, C). Returns the completed paths and the number of draws cut
+    off by the max-transitions guard."""
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if b_draws is None:
+        b_draws = posterior_condition(
+            record, t, design, params, graph, sampler_config,
+            n_draws=n_draws, seed=int(rng.integers(2**63)),
         )
-        for i in np.nonzero(active)[0]:
-            if not np.isfinite(t_new[i]):
-                done[i] = True  # no further event below the cap
-                continue
-            trajectories[i].append((float(t_new[i]), int(s_new[i])))
-            cur_t[i], cur_s[i] = t_new[i], int(s_new[i])
-            if stop_spec is not None and stop_spec.fired(tuple(trajectories[i])):
-                done[i] = True
-            elif not successors.get(int(cur_s[i])) or cur_t[i] >= cap_arr[i]:
-                done[i] = True
-        lower = cur_t
-    return [tuple(tr) for tr in trajectories], guard_hit
+    b_used = b_draws[np.resize(np.arange(b_draws.shape[0]), n_draws)]
+    x = np.broadcast_to(record.covariates, (n_draws, record.covariates.shape[0]))
+    psi = design.effects.psi(params.gamma, x, b_used)
+    prefix = record.trajectory.truncated(t).pairs
+    paths = [list(prefix) for _ in range(n_draws)]
+    running = extend_paths(
+        design, params, x, psi, paths, cap, rng.spawn(n_draws),
+        t_surv=min(t, record.censoring_time), max_transitions=max_transitions, stop=stop,
+    )
+    completed = [tuple(p) for p, r in zip(paths, running) if not r]
+    return completed, int(running.sum())
 
 
 def predict_functional(
@@ -285,25 +259,14 @@ def predict_functional(
     (or taken from ``b_draws``); each draw is continued by simulation until
     the stopping pair fires and the functional is evaluated on the prefix.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if b_draws is None:
-        b_draws = posterior_condition(
-            record, t, design, params, graph, sampler_config,
-            n_draws=n_draws, seed=int(rng.integers(2**63)),
-        )
-    idx = np.resize(np.arange(b_draws.shape[0]), n_draws)
-    b_used = b_draws[idx]
-    x = np.broadcast_to(record.covariates, (n_draws, record.covariates.shape[0]))
-    psi = design.effects.psi(params.gamma, x, b_used)
-    prefixes, guard_hit = _simulate_continuations(
-        record, t, design, params, psi, rng, stop_spec=stop_spec,
-        max_transitions=max_transitions,
+    prefixes, n_guard = _continuations(
+        record, t, design, params, graph, n_draws, rng, sampler_config, b_draws,
+        max_transitions, stop=stop_spec.fired,
     )
-    outcomes = [xi(stop_spec, p) for p, g in zip(prefixes, guard_hit) if not g]
     return PredictionResult(
-        outcomes=outcomes,
+        outcomes=[xi(stop_spec, p) for p in prefixes],
         n_draws=n_draws,
-        n_horizon_censored=int(guard_hit.sum()),
+        n_horizon_censored=n_guard,
         truncation_time=t,
     )
 
@@ -324,31 +287,50 @@ def predict_state_grid(
     """State-occupancy distribution at several horizons from one continuation
     batch per draw (capped at the largest horizon).
 
-    Returns (probwith shape (n_horizons, n_states), modal states)."""
+    Returns (probabilities with shape (n_horizons, n_states), modal states)."""
     horizons = np.asarray(horizons, dtype=float)
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if b_draws is None:
-        b_draws = posterior_condition(
-            record, t, design, params, graph, sampler_config,
-            n_draws=n_draws, seed=int(rng.integers(2**63)),
-        )
-    idx = np.resize(np.arange(b_draws.shape[0]), n_draws)
-    b_used = b_draws[idx]
-    x = np.broadcast_to(record.covariates, (n_draws, record.covariates.shape[0]))
-    psi = design.effects.psi(params.gamma, x, b_used)
-    cap = float(max(horizons.max(), t))
-    prefixes, guard_hit = _simulate_continuations(
-        record, t, design, params, psi, rng, cap=cap, max_transitions=max_transitions,
+    prefixes, _ = _continuations(
+        record, t, design, params, graph, n_draws, rng, sampler_config, b_draws,
+        max_transitions, cap=float(max(horizons.max(), t)),
     )
     probs = np.zeros((horizons.size, graph.num_states))
-    kept = [p for p, g in zip(prefixes, guard_hit) if not g]
-    for prefix in kept:
+    for prefix in prefixes:
         for ui, u in enumerate(horizons):
             probs[ui, state_occupied_at(prefix, u)] += 1.0
-    if kept:
-        probs /= len(kept)
+    if prefixes:
+        probs /= len(prefixes)
     modal = np.argmax(probs, axis=1)  # argmax takes the lowest index on ties
     return probs, modal
+
+
+def predict_cohort_grid(
+    cohort: Cohort,
+    t: float,
+    horizons: Sequence[float],
+    design: ModelDesign,
+    params: ModelParams,
+    graph: TransitionGraph,
+    sampler_config: SamplerConfig | None,
+    n_draws: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """State-occupancy distributions (n, n_horizons, n_states) of a cohort
+    truncated at t, at horizons capped at each censoring time; also returns
+    the capped horizons (n, n_horizons). The cohort is conditioned with a seed
+    drawn from ``rng``, then each individual is continued from its own stream
+    spawned from ``rng``, in cohort order."""
+    draws = condition_cohort(
+        cohort, t, design, params, graph, sampler_config, n_draws, int(rng.integers(2**63))
+    )
+    capped = np.minimum.outer(cohort.censoring_times(), np.asarray(horizons, dtype=float))
+    probs = np.stack([
+        predict_state_grid(
+            rec, t, capped[i], design, params, graph, n_draws=n_draws,
+            rng=rng.spawn(1)[0], b_draws=draws[:, i, :],
+        )[0]
+        for i, rec in enumerate(cohort)
+    ])
+    return probs, capped
 
 
 def accuracy(predicted_states: Sequence[int], true_states: Sequence[int]) -> float:

@@ -2,10 +2,12 @@
 
 Event times come from inverse-transform sampling: an Exp(1) threshold is
 drawn per competing edge and the cumulative intensity is inverted by
-bisection (bracketing by doubling when the censoring cap is infinite). The
-trajectory loop draws one candidate time per successor edge and keeps the
-minimum, with a survival condition entering through the integration lower
-bound of the first transition only.
+bisection (bracketing by doubling when the censoring cap is infinite).
+One loop, :func:`extend_paths`, steps trajectories: each step draws one
+candidate time per successor edge and keeps the minimum, and a survival
+condition raises the integration lower bound of the first step only. Its
+two callers are :func:`sample_trajectories` (cohort generation) and
+``predict``, which continues an observed prefix past the truncation time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, Trajectory
-from .design import ModelDesign, gauss_legendre, map_nodes
+from .design import ModelDesign, gauss_legendre, map_nodes, transition_log_intensity
 from .params import ModelParams
 
 BISECT_TOL = 1e-9
@@ -183,20 +185,12 @@ def sample_event_times(
 def _edge_intensity(design, params, edge, x, psi, entry):
     """Batched intensity of one edge: rows follow (x, psi, entry) rows; the
     returned callable accepts (times, active_row_index)."""
-    hazard = design.hazard(edge)
-    lnk = design.link(edge)
-    alpha = params.alpha[edge]
-    beta = params.beta[edge]
-    vals = design.hazard_values(edge, params)
-    xb = x @ beta
 
     def fn(w, idx=None):
         sel = slice(None) if idx is None else idx
-        u = w - entry[sel, None] if hazard.clock == "reset" else w
-        log_lam = hazard.log_hazard(u, vals)
-        log_lam = log_lam + lnk.value(w, x[sel, None, :], psi[sel, None, :]) @ alpha
-        log_lam = log_lam + xb[sel, None]
-        return np.exp(log_lam)
+        return np.exp(transition_log_intensity(
+            design, params, edge, w, entry[sel, None], x[sel, None, :], psi[sel, None, :]
+        ))
 
     return fn
 
@@ -242,6 +236,55 @@ def step_transitions(
     return t_new, s_new
 
 
+def extend_paths(
+    design: ModelDesign,
+    params: ModelParams,
+    x: np.ndarray,
+    psi: np.ndarray,
+    paths: list[list[tuple[float, int]]],
+    cap: np.ndarray | float,
+    rngs: Sequence[np.random.Generator],
+    t_surv: np.ndarray | float = -np.inf,
+    max_transitions: int = 10_000,
+    stop: Callable[[tuple], bool] | None = None,
+) -> np.ndarray:
+    """Extend each (time, state) path in place from its last pair, one
+    competing-risks step at a time. A row stops in an absorbing state, at its
+    cap, when no event falls below the cap, or when ``stop(prefix)`` fires;
+    the survival condition T >= ``t_surv`` bounds the first step only.
+    Returns the mask of rows still running after ``max_transitions`` steps."""
+    n = len(paths)
+    last = [p[-1] for p in paths]
+    cur_t = np.array([t for t, _ in last], dtype=float)
+    cur_s = np.array([s for _, s in last], dtype=int)
+    cap = np.broadcast_to(np.asarray(cap, dtype=float), (n,))
+    caps = cap.tolist()
+    edges = design.edges
+    successors = {k: tuple(sorted(b for a, b in edges if a == k)) for k, _ in edges}
+
+    def running(path, cap_i) -> bool:
+        t_i, s_i = path[-1]
+        return t_i < cap_i and s_i in successors and not (stop is not None and stop(tuple(path)))
+
+    active = np.array([running(p, c) for p, c in zip(paths, caps)], dtype=bool)
+    lower = np.maximum(cur_t, t_surv)
+    for _ in range(max_transitions):
+        if not active.any():
+            break
+        t_new, s_new = step_transitions(
+            design, params, x, psi, cur_t, cur_s, lower, cap, rngs, active,
+            successors, n_quad=design.n_quad,
+        )
+        moved = np.nonzero(active & np.isfinite(t_new))[0]
+        cur_t[moved], cur_s[moved] = t_new[moved], s_new[moved]
+        active[:] = False  # rows with no event below the cap stop
+        for i, t_i, s_i in zip(moved.tolist(), t_new[moved].tolist(), s_new[moved].tolist()):
+            paths[i].append((t_i, s_i))
+            active[i] = running(paths[i], caps[i])
+        lower = cur_t
+    return active
+
+
 def sample_trajectories(
     design: ModelDesign,
     params: ModelParams,
@@ -274,46 +317,17 @@ def sample_trajectories(
 
     if isinstance(initial, tuple) and np.isscalar(initial[0]):
         initial = [initial] * n
-    cur_t = np.array([float(t0) for t0, _ in initial])
-    cur_s = np.array([int(s0) for _, s0 in initial])
-    cap = np.broadcast_to(np.asarray(sim_config.censoring, dtype=float), (n,)).copy()
-    t_surv = np.broadcast_to(np.asarray(sim_config.t_surv, dtype=float), (n,))
-
-    successors: dict[int, tuple[int, ...]] = {}
-    for k, kp in design.edges:
-        successors.setdefault(k, ())
-        successors[k] = tuple(sorted(set(successors[k]) | {kp}))
-
-    pairs: list[list[tuple[float, int]]] = [[(float(t), int(s))] for t, s in zip(cur_t, cur_s)]
-    active = cur_t < cap
-    for i in range(n):
-        if not successors.get(int(cur_s[i])):
-            active[i] = False
-
-    lower = np.maximum(cur_t, t_surv)  # survival condition: first step only
-    for _ in range(sim_config.max_transitions):
-        if not active.any():
-            break
-        t_new, s_new = step_transitions(
-            design, params, x, psi, cur_t, cur_s, lower, cap, rngs, active,
-            successors, n_quad=design.n_quad,
-        )
-        moved = active & np.isfinite(t_new)
-        for i in np.nonzero(moved)[0]:
-            pairs[i].append((float(t_new[i]), int(s_new[i])))
-        cur_t = np.where(moved, t_new, cur_t)
-        cur_s = np.where(moved, s_new, cur_s)
-        active &= moved
-        for i in np.nonzero(active)[0]:
-            if not successors.get(int(cur_s[i])) or cur_t[i] >= cap[i]:
-                active[i] = False
-        lower = cur_t
-    if active.any():
+    paths = [[(float(t0), int(s0))] for t0, s0 in initial]
+    running = extend_paths(
+        design, params, x, psi, paths, sim_config.censoring, rngs,
+        t_surv=sim_config.t_surv, max_transitions=sim_config.max_transitions,
+    )
+    if running.any():
         raise TrajectoryLimitError(
-            f"{int(active.sum())} trajectories exceeded the "
+            f"{int(running.sum())} trajectories exceeded the "
             f"{sim_config.max_transitions}-transition guard"
         )
-    return [Trajectory(tuple(p)) for p in pairs]
+    return [Trajectory(tuple(p)) for p in paths]
 
 
 def sample_trajectory(
@@ -400,7 +414,7 @@ def random_far_apart(
     if m <= 0:
         return np.zeros((n, 0))
     span = high - low
-    if m * min_separation > span:
+    if (m - 1) * min_separation > span:
         raise ValueError(
             f"cannot place {m} points with separation {min_separation} in a span of {span}"
         )

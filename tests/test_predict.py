@@ -14,16 +14,19 @@ from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard
 from msjoint.predict import (
     PredictionResult,
+    _continuations,
     accuracy,
+    condition_cohort,
     hitting_time,
     posterior_condition,
+    predict_cohort_grid,
     predict_functional,
     predict_state_grid,
     state_at_time,
     state_occupied_at,
 )
 from msjoint.sampler import SamplerConfig
-from msjoint.simulate import generate_cohort
+from msjoint.simulate import SimConfig, generate_cohort, sample_trajectories
 
 
 def four_state_graph():
@@ -386,6 +389,58 @@ def test_predict_state_grid_matches_functional():
         assert abs(probs[ui, 1] - p) < 3 * np.sqrt(max(p * (1 - p), 1e-9) / 40_000) + 1e-9
     assert probs[0, 0] == 1.0  # u = t: point mass on the current state
     assert modal[0] == 0
+
+
+def test_continuation_from_initial_pair_equals_sample_trajectories(study_design, study_params, study_graph):
+    # prediction continues a prefix with the simulator's own loop: from a
+    # one-pair history, capped at C and conditioned on survival to s, it must
+    # reproduce sample_trajectories draw for draw
+    C, s, n = 9.0, 2.5, 12
+    rec = IndividualRecord(
+        covariates=np.array([0.4]),
+        measurement_times=np.zeros(0),
+        measurements=np.zeros((0, 1)),
+        trajectory=Trajectory(((0.0, 0),)),
+        censoring_time=C,
+    )
+    b = np.random.default_rng(1).normal(size=(n, 3))
+    paths, n_guard = _continuations(
+        rec, s, study_design, study_params, study_graph, n, np.random.default_rng(7), None, b,
+        10_000, cap=C,
+    )
+    x = np.tile(rec.covariates, (n, 1))
+    psi = study_design.effects.psi(study_params.gamma, x, b)
+    expected = sample_trajectories(
+        study_design, study_params, x, psi, (0.0, 0), SimConfig(censoring=C, t_surv=s),
+        rng=np.random.default_rng(7),
+    )
+    assert n_guard == 0
+    assert paths == [tr.pairs for tr in expected]
+    assert any(len(p) > 1 for p in paths)
+
+
+def test_predict_cohort_grid_equals_per_record_loop(study_design, study_params, study_graph):
+    cohort, _ = generate_cohort(study_design, study_params, n=6, m=5, seed=8, censoring=(6.0, 15.0))
+    t, horizons, n_draws = 3.0, [4.0, 12.0], 10
+    cfg = SamplerConfig(n_chains=2, warmup=20, thin=2)
+    probs, capped = predict_cohort_grid(
+        cohort, t, horizons, study_design, study_params, study_graph, cfg, n_draws,
+        np.random.default_rng(4),
+    )
+    rng = np.random.default_rng(4)
+    draws = condition_cohort(
+        cohort, t, study_design, study_params, study_graph, cfg, n_draws, int(rng.integers(2**63))
+    )
+    for i, rec in enumerate(cohort):
+        rec_capped = np.minimum(horizons, rec.censoring_time)
+        rec_probs, _ = predict_state_grid(
+            rec, t, rec_capped, study_design, study_params, study_graph, n_draws=n_draws,
+            rng=rng.spawn(1)[0], b_draws=draws[:, i, :],
+        )
+        np.testing.assert_array_equal(capped[i], rec_capped)
+        np.testing.assert_array_equal(probs[i], rec_probs)
+    assert probs.shape == (6, 2, 3)
+    assert (capped[:, 1] < 12.0).any()  # some horizons are capped at C
 
 
 # -- accuracy metric ------------------------------------------------------------

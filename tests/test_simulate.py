@@ -250,6 +250,14 @@ def test_random_far_apart_rejection_path():
     assert (np.diff(grid, axis=1) >= 1.0).all()
 
 
+def test_random_far_apart_needs_only_m_minus_one_gaps():
+    # two points 0.75 apart fit in [0, 1]: one gap, not two
+    rng = np.random.default_rng(13)
+    grid = random_far_apart(rng, 3, 2, 0.0, 1.0, 0.75)
+    assert (np.diff(grid, axis=1) >= 0.75).all()
+    assert (grid >= 0).all() and (grid <= 1).all()
+
+
 def test_random_far_apart_infeasible():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError, match="cannot place"):
