@@ -184,7 +184,6 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
             cohort, t, horizons, design, params, graph, sampler_cfg, n_draws, master
         )
         modal = np.argmax(probs, axis=2)
-        truth = np.array([[rec.trajectory.state_at(u) for u in row] for rec, row in zip(cohort, capped)])
         censored_mass = 1.0 - probs.sum(axis=2)
         for i in range(len(cohort)):
             for ui, u in enumerate(horizons):
@@ -194,6 +193,9 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
                     )
                 if censored_mass[i, ui] > 1e-12:
                     pred_rows.append([i, fmt(t), fmt(u), "censored", fmt(censored_mass[i, ui]), 0])
+        if not len(cohort):
+            continue  # accuracy over no individuals is undefined: header-only tables
+        truth = np.array([[rec.trajectory.state_at(u) for u in row] for rec, row in zip(cohort, capped)])
         for ui, u in enumerate(horizons):
             acc = float(np.mean(modal[:, ui] == truth[:, ui]))
             acc_rows.append([fmt(t), fmt(u), fmt(acc), len(cohort)])

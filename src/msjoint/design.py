@@ -158,11 +158,11 @@ def cumulative_intensity(
     t1,
     x,
     psi,
-    n_nodes: int | None = None,
     lower=None,
 ) -> np.ndarray:
-    """Gauss-Legendre approximation of the integrated intensity on [t0, t1]
-    (or [lower, t1] when conditioning past the entry time t0).
+    """Gauss-Legendre approximation (``design.n_quad`` nodes) of the
+    integrated intensity on [t0, t1] (or [lower, t1] when conditioning past
+    the entry time t0).
 
     Positive weights and a positive integrand keep the result >= 0.
     """
@@ -172,7 +172,7 @@ def cumulative_intensity(
     a = t0 if lower is None else np.asarray(lower, dtype=float)
     if np.any(t1 < a):
         raise ValueError("upper integration bound precedes the lower bound")
-    nodes, weights = gauss_legendre(n_nodes or design.n_quad)
+    nodes, weights = gauss_legendre(design.n_quad)
     w, ww = map_nodes(nodes, weights, a, t1)
     psi_q = np.asarray(psi)[..., None, :] if np.ndim(psi) else psi
     x_q = np.asarray(x, dtype=float)[..., None, :] if np.ndim(x) else x
@@ -309,14 +309,7 @@ def check_effects_family(family, rng=None, atol=1e-5, q=3, n_covariates=1) -> No
         if jac.shape[-1] != 0:
             raise ValueError(f"{family.name}: expected empty gamma Jacobian")
         return
-    fd = np.stack(
-        [
-            (family.psi(_bump(gamma, i, 1e-6), x, b) - family.psi(_bump(gamma, i, -1e-6), x, b))
-            / 2e-6
-            for i in range(n_gamma)
-        ],
-        axis=-1,
-    )
+    fd = _fd(lambda g: family.psi(g, x, b), gamma)
     if not _close(jac, fd, atol, atol):
         raise ValueError(f"{family.name}: jac_gamma disagrees with finite differences")
 
@@ -326,22 +319,9 @@ def check_hazard_family(hazard, rng=None, atol=1e-5) -> None:
     values = hazard.initial_params()
     u = rng.uniform(0.05, 9.5, size=(6,))
     jac = hazard.dlog_dparams(u, values)
-    fd = np.stack(
-        [
-            (hazard.log_hazard(u, _bump(values, i, 1e-6)) - hazard.log_hazard(u, _bump(values, i, -1e-6)))
-            / 2e-6
-            for i in range(values.shape[0])
-        ],
-        axis=-1,
-    )
+    fd = _fd(lambda v: hazard.log_hazard(u, v), values)
     if not _close(jac, fd, atol, atol):
         raise ValueError(f"{hazard.name}: dlog_dparams disagrees with finite differences")
-
-
-def _bump(v, i, h):
-    out = np.asarray(v, dtype=float).copy()
-    out[i] += h
-    return out
 
 
 def run_self_check(design: ModelDesign) -> None:

@@ -17,6 +17,7 @@ from .params import ModelParams, flatten, unflatten
 from .sampler import SamplerConfig, init_chains, sweep, warmup
 
 MAX_NONFINITE_STREAK = 25
+STDERR_COND_LIMIT = 1e12  # eigenvalues below top / limit count as null space
 
 
 @dataclass
@@ -283,7 +284,7 @@ def compute_fim(
     return FIMEstimate(matrix=0.5 * (fim + fim.T), n_samples=m)
 
 
-def stderr(fim: FIMEstimate | np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
+def stderr(fim: FIMEstimate | np.ndarray) -> np.ndarray:
     """sqrt(diag(FIM^-1)); null-space coordinates get +inf with a warning."""
     matrix = fim.matrix if isinstance(fim, FIMEstimate) else np.asarray(fim, dtype=float)
     if matrix.size == 0:
@@ -292,7 +293,7 @@ def stderr(fim: FIMEstimate | np.ndarray, cond_limit: float = 1e12) -> np.ndarra
         raise ValueError("the Fisher information estimate must be symmetric")
     eigval, eigvec = np.linalg.eigh(matrix)
     top = eigval.max() if eigval.size else 0.0
-    null = eigval <= max(top, 1.0) / cond_limit
+    null = eigval <= max(top, 1.0) / STDERR_COND_LIMIT
     if null.any():
         warnings.warn(
             f"Fisher information is singular or ill-conditioned "

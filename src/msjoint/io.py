@@ -178,17 +178,6 @@ def read_cohort(data_dir: str | Path) -> Cohort:
     return Cohort(tuple(records), n_covariates=k, n_biomarkers=d)
 
 
-def read_latent(data_dir: str | Path) -> dict[str, np.ndarray]:
-    path = Path(data_dir) / "latent.csv"
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        nb = sum(1 for h in header if h.startswith("b"))
-        rows = [[_parse_float(v) for v in row[1:]] for row in reader if row]
-    arr = np.array(rows)
-    return {"b": arr[:, :nb], "psi": arr[:, nb:]}
-
-
 # --------------------------------------------------------------------------
 # Params JSON
 

@@ -261,12 +261,11 @@ class LikelihoodEngine:
     evaluation.
     """
 
-    def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph, validate: bool = True):
+    def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
         design.validate_against(graph)
-        if validate:
-            violations = validate_cohort(cohort, graph)
-            if violations:
-                raise ValueError("invalid cohort: " + "; ".join(violations[:5]))
+        violations = validate_cohort(cohort, graph)
+        if violations:
+            raise ValueError("invalid cohort: " + "; ".join(violations[:5]))
         self.cohort = cohort
         self.design = design
         self.graph = graph
@@ -491,19 +490,13 @@ class LikelihoodEngine:
         scores = self._evaluate(params, self._as_chains(b)[0], scores=True)[3]
         return np.ascontiguousarray(np.moveaxis(scores, 0, -1))
 
-    def grad_theta(
-        self,
-        params: ModelParams,
-        b: np.ndarray,
-        subset=None,
-        average_chains: bool = True,
-    ) -> np.ndarray:
+    def grad_theta(self, params: ModelParams, b: np.ndarray, subset=None) -> np.ndarray:
         """Gradient of the summed complete-data log-likelihood with respect to
         the flattened free parameters (tied slots accumulate): the
         per-individual scores summed over the subset. For chained input the
-        per-chain gradients are averaged when ``average_chains``."""
+        per-chain gradients are averaged."""
         self.design.validate_params(params)
         b, squeeze = self._as_chains(b)
         sel = None if subset is None else np.unique(np.asarray(subset, dtype=int))
         grad = self._evaluate(params, b, sel, scores=True)[3].sum(axis=(1, 2))
-        return grad / b.shape[0] if (average_chains and not squeeze) else grad
+        return grad if squeeze else grad / b.shape[0]

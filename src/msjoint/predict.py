@@ -171,7 +171,7 @@ def condition_cohort(
     chains = init_chains(len(cohort), params.q_repr.dim, log_density, cfg, np.random.default_rng(seed))
     keep = int(np.ceil(n_draws / cfg.n_chains))
     snaps = run(chains, log_density, n_steps=keep * cfg.thin, thin=cfg.thin)
-    return snaps.reshape(-1, len(cohort), params.q_repr.dim)
+    return snaps.reshape(snaps.shape[0] * snaps.shape[1], len(cohort), params.q_repr.dim)
 
 
 def posterior_condition(
@@ -323,14 +323,16 @@ def predict_cohort_grid(
         cohort, t, design, params, graph, sampler_config, n_draws, int(rng.integers(2**63))
     )
     capped = np.minimum.outer(cohort.censoring_times(), np.asarray(horizons, dtype=float))
-    probs = np.stack([
+    probs = [
         predict_state_grid(
             rec, t, capped[i], design, params, graph, n_draws=n_draws,
             rng=rng.spawn(1)[0], b_draws=draws[:, i, :],
         )[0]
         for i, rec in enumerate(cohort)
-    ])
-    return probs, capped
+    ]
+    if not probs:
+        return np.zeros((0, capped.shape[1], graph.num_states)), capped
+    return np.stack(probs), capped
 
 
 def accuracy(predicted_states: Sequence[int], true_states: Sequence[int]) -> float:

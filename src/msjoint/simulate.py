@@ -2,7 +2,9 @@
 
 Event times come from inverse-transform sampling: an Exp(1) threshold is
 drawn per competing edge and the cumulative intensity is inverted by
-bisection (bracketing by doubling when the censoring cap is infinite).
+bisection (bracketing by doubling when the censoring cap is infinite). The
+inversion integrates through ``design.cumulative_intensity``, the function
+the reference likelihood uses, so the hazard integral exists once.
 One loop, :func:`extend_paths`, steps trajectories: each step draws one
 candidate time per successor edge and keeps the minimum, and a survival
 condition raises the integration lower bound of the first step only. Its
@@ -18,12 +20,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, Trajectory
-from .design import ModelDesign, gauss_legendre, map_nodes, transition_log_intensity
+from .design import ModelDesign, cumulative_intensity
 from .params import ModelParams
 
 BISECT_TOL = 1e-9
 MAX_BRACKET_DOUBLINGS = 200
 MAX_BISECT_ITERS = 200
+MAX_REJECTION_ROUNDS = 100
+GRID_RETRIES = 1000
 
 
 @dataclass
@@ -46,153 +50,78 @@ class TrajectoryLimitError(RuntimeError):
     """Raised when a simulated path exceeds the max-transitions guard."""
 
 
-def _cumulative(intensity_fn: Callable, lower: np.ndarray, upper: np.ndarray, n_quad: int) -> np.ndarray:
-    nodes, weights = gauss_legendre(n_quad)
-    w, ww = map_nodes(nodes, weights, lower, upper)
-    vals = intensity_fn(w)
-    if np.any(vals < 0):
-        raise RuntimeError("intensity evaluated negative; hazards must be nonnegative")
-    return np.sum(vals * ww, axis=-1)
-
-
 def invert_cumulative_hazard(
-    intensity_fn: Callable[[np.ndarray], np.ndarray],
+    cumulative: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     lower: np.ndarray,
     cap: np.ndarray,
     thresholds: np.ndarray,
-    n_quad: int = 32,
-    tol: float = BISECT_TOL,
 ) -> np.ndarray:
-    """Vectorized smallest t with integral_lower^t intensity = threshold.
+    """Vectorized smallest t with Lambda(lower, t) = threshold.
 
-    Entries whose threshold is not reached below ``cap`` (or within the
-    doubling bracket for infinite caps) come back as +inf, meaning censored.
-    ``intensity_fn`` receives a (batch, n_quad) matrix of absolute times.
+    ``cumulative(idx, a, b)`` returns Lambda of rows ``idx`` over [a, b].
+    A finite cap is probed once; an infinite one is bracketed by doubling
+    from max(1, |lower|). Entries whose threshold is not reached below the
+    cap (or within the doubling bracket) come back as +inf, meaning
+    censored; so do rows whose finite cap is at or below their lower bound,
+    which are never integrated.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    cap = np.broadcast_to(np.asarray(cap, dtype=float), lower.shape).copy()
+    cap = np.broadcast_to(np.asarray(cap, dtype=float), lower.shape)
     thresholds = np.broadcast_to(np.asarray(thresholds, dtype=float), lower.shape)
     out = np.full(lower.shape, np.inf)
 
-    hi = np.where(np.isfinite(cap), cap, lower)
-    finite = np.isfinite(cap)
-    solvable = np.zeros(lower.shape, dtype=bool)
-    if finite.any():
-        lam = np.zeros(lower.shape)
-        lam[finite] = _cumulative(_restrict(intensity_fn, finite), lower[finite], cap[finite], n_quad)
-        solvable |= finite & (lam >= thresholds)
-    if (~finite).any():
-        # bracket by doubling, starting at max(1, |lower|)
-        width = np.maximum(1.0, np.abs(lower))
-        active = ~finite
-        probe = lower.copy()
-        for _ in range(MAX_BRACKET_DOUBLINGS):
-            if not active.any():
-                break
-            probe[active] = lower[active] + width[active]
-            lam_a = _cumulative(_restrict(intensity_fn, active), lower[active], probe[active], n_quad)
-            reached = np.zeros(lower.shape, dtype=bool)
-            reached[active] = lam_a >= thresholds[active]
-            hi[reached] = probe[reached]
-            solvable |= reached
-            active &= ~reached
-            width *= 2.0
-    if not solvable.any():
-        return out
+    def lam(idx, upper):
+        got = cumulative(idx, lower[idx], upper)
+        if np.any(got < 0):
+            raise RuntimeError("cumulative hazard evaluated negative; hazards must be nonnegative")
+        return got
 
-    lo = lower[solvable].copy()
-    hi_s = hi[solvable].copy()
-    base = lower[solvable]
-    thr = thresholds[solvable]
-    fn = _restrict(intensity_fn, solvable)
+    finite = np.isfinite(cap)
+    hi = np.where(finite, cap, lower)
+    width = np.maximum(1.0, np.abs(lower))
+    solvable = np.zeros(lower.shape, dtype=bool)
+    active = ~finite | (cap > lower)
+    for _ in range(MAX_BRACKET_DOUBLINGS):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        probe = np.where(finite[idx], cap[idx], lower[idx] + width[idx])
+        reached = lam(idx, probe) >= thresholds[idx]
+        hi[idx[reached]] = probe[reached]
+        solvable[idx[reached]] = True
+        active[idx] = ~(finite[idx] | reached)
+        width *= 2.0
+
+    idx = np.nonzero(solvable)[0]
+    if idx.size == 0:
+        return out
+    lo = lower[idx]
+    hi_s = hi[idx]
+    thr = thresholds[idx]
     for _ in range(MAX_BISECT_ITERS):
-        if np.max(hi_s - lo) <= tol:
+        if np.max(hi_s - lo) <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi_s)
-        lam_mid = _cumulative(fn, base, mid, n_quad)
-        below = lam_mid < thr
+        below = lam(idx, mid) < thr
         lo = np.where(below, mid, lo)
         hi_s = np.where(below, hi_s, mid)
     # keep the solved time strictly past the lower bound at float resolution
-    out[solvable] = np.maximum(0.5 * (lo + hi_s), np.nextafter(base, np.inf))
+    out[idx] = np.maximum(0.5 * (lo + hi_s), np.nextafter(lower[idx], np.inf))
     return out
-
-
-def _restrict(intensity_fn: Callable, mask: np.ndarray) -> Callable:
-    idx = np.nonzero(mask)[0]
-
-    def fn(w):
-        return intensity_fn(w, idx)
-
-    return fn
-
-
-def sample_event_time(
-    intensity_fn: Callable[[np.ndarray], np.ndarray],
-    lower: float,
-    upper_cap: float,
-    rng: np.random.Generator,
-    n_quad: int = 32,
-    tol: float = BISECT_TOL,
-) -> float | None:
-    """One inverse-transform event-time draw for a single intensity.
-
-    Draws E ~ Exp(1) and returns the smallest t with Lambda(lower, t) = E by
-    bisection, or None (censored) when Lambda(lower, upper_cap) < E.
-    ``intensity_fn`` maps an array of absolute times to intensities.
-    """
-    threshold = rng.standard_exponential()
-    t = invert_cumulative_hazard(
-        lambda w, idx=None: np.asarray(intensity_fn(w)),
-        np.array([lower]),
-        np.array([upper_cap]),
-        np.array([threshold]),
-        n_quad=n_quad,
-        tol=tol,
-    )[0]
-    return None if np.isinf(t) else float(t)
-
-
-def sample_event_times(
-    intensity_fn: Callable[[np.ndarray], np.ndarray],
-    lower: float,
-    upper_cap: float,
-    n_draws: int,
-    rng: np.random.Generator,
-    n_quad: int = 32,
-    tol: float = BISECT_TOL,
-) -> np.ndarray:
-    """Batched draws from one intensity; censored draws come back as +inf."""
-    thresholds = rng.standard_exponential(n_draws)
-
-    def fn(w, idx=None):
-        return np.asarray(intensity_fn(w))
-
-    return invert_cumulative_hazard(
-        fn,
-        np.full(n_draws, float(lower)),
-        np.full(n_draws, float(upper_cap)),
-        thresholds,
-        n_quad=n_quad,
-        tol=tol,
-    )
 
 
 # --------------------------------------------------------------------------
 # Trajectory sampling (competing edges, one transition at a time)
 
 
-def _edge_intensity(design, params, edge, x, psi, entry):
-    """Batched intensity of one edge: rows follow (x, psi, entry) rows; the
-    returned callable accepts (times, active_row_index)."""
+def _edge_cumulative(design, params, edge, x, psi, entry):
+    """Cumulative intensity of one edge for rows of (x, psi, entry): the
+    returned callable maps (row index, a, b) to Lambda over [a, b]."""
 
-    def fn(w, idx=None):
-        sel = slice(None) if idx is None else idx
-        return np.exp(transition_log_intensity(
-            design, params, edge, w, entry[sel, None], x[sel, None, :], psi[sel, None, :]
-        ))
+    def cumulative(idx, a, b):
+        return cumulative_intensity(design, params, edge, entry[idx], b, x[idx], psi[idx], lower=a)
 
-    return fn
+    return cumulative
 
 
 def step_transitions(
@@ -207,7 +136,6 @@ def step_transitions(
     rngs: Sequence[np.random.Generator],
     active: np.ndarray,
     successors: dict[int, tuple[int, ...]],
-    n_quad: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One competing-risks step for every active row: draw a candidate time
     per successor edge and keep the minimum (ties break toward the lowest
@@ -223,12 +151,10 @@ def step_transitions(
         cand = np.full((len(succ), rows.size), np.inf)
         for j, s in enumerate(succ):
             thresholds = np.array([rngs[i].standard_exponential() for i in rows])
-            fn = _edge_intensity(
+            cumulative = _edge_cumulative(
                 design, params, (int(state), int(s)), x[rows], psi[rows], cur_t[rows]
             )
-            cand[j] = invert_cumulative_hazard(
-                fn, lower[rows], cap[rows], thresholds, n_quad=n_quad
-            )
+            cand[j] = invert_cumulative_hazard(cumulative, lower[rows], cap[rows], thresholds)
         best = np.argmin(cand, axis=0)  # first minimum = lowest successor index
         t_best = cand[best, np.arange(rows.size)]
         t_new[rows] = t_best
@@ -272,8 +198,7 @@ def extend_paths(
         if not active.any():
             break
         t_new, s_new = step_transitions(
-            design, params, x, psi, cur_t, cur_s, lower, cap, rngs, active,
-            successors, n_quad=design.n_quad,
+            design, params, x, psi, cur_t, cur_s, lower, cap, rngs, active, successors
         )
         moved = np.nonzero(active & np.isfinite(t_new))[0]
         cur_t[moved], cur_s[moved] = t_new[moved], s_new[moved]
@@ -359,7 +284,9 @@ def conditioned_equals_rejection(
     """Diagnostic: first-transition samples from the survival-conditioned
     simulator versus rejection sampling of the unconditioned one.
 
-    Returns the two (time, state) samples; their laws must agree."""
+    Returns the two (time, state) samples; their laws must agree. Raises
+    RuntimeError when rejection has not gathered ``n_draws`` accepted draws
+    after ``MAX_REJECTION_ROUNDS`` rounds of ``n_draws`` paths each."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     master = np.random.default_rng(seed)
@@ -379,11 +306,18 @@ def conditioned_equals_rejection(
     s_rej = np.empty(0, dtype=int)
     plain_cfg = SimConfig(censoring=censoring)
     rej_rng = master.spawn(1)[0]
+    rounds = 0
     while t_rej.size < n_draws:
+        if rounds == MAX_REJECTION_ROUNDS:
+            raise RuntimeError(
+                f"rejection sampling stopped after {rounds} rounds: acceptance rate "
+                f"{t_rej.size / (rounds * n_draws):.3g} gave {t_rej.size} of {n_draws} draws"
+            )
         t_all, s_all = first_transitions(plain_cfg, n_draws, rej_rng)
         keep = t_all >= t_surv
         t_rej = np.concatenate([t_rej, t_all[keep]])
         s_rej = np.concatenate([s_rej, s_all[keep]])
+        rounds += 1
     return {
         "conditioned_times": t_cond,
         "conditioned_states": s_cond,
@@ -403,12 +337,11 @@ def random_far_apart(
     low: float,
     high: float,
     min_separation: float,
-    max_retries: int = 1000,
 ) -> np.ndarray:
     """(n, m) sorted grids on [low, high] with consecutive gaps >= delta.
 
     Sorted uniforms are rejection-sampled per row; rows still violating the
-    separation after ``max_retries`` rounds fall back to an equispaced grid
+    separation after ``GRID_RETRIES`` rounds fall back to an equispaced grid
     with bounded jitter (which satisfies the gap constraint by construction).
     """
     if m <= 0:
@@ -421,7 +354,7 @@ def random_far_apart(
     grid = np.sort(rng.uniform(low, high, size=(n, m)), axis=1)
     if m > 1 and min_separation > 0:
         bad = np.nonzero((np.diff(grid, axis=1) < min_separation).any(axis=1))[0]
-        for _ in range(max_retries):
+        for _ in range(GRID_RETRIES):
             if bad.size == 0:
                 break
             redraw = np.sort(rng.uniform(low, high, size=(bad.size, m)), axis=1)

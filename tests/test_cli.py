@@ -156,6 +156,23 @@ def test_simulate_empty_cohort_has_valid_headers(tmp_path):
     assert len(back) == 0
 
 
+def test_predict_empty_cohort_writes_header_only_tables(tmp_path):
+    cfg = study_config(n=0)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
+    rc = main([
+        "predict", "--config", str(path), "--data", str(tmp_path / "data"),
+        "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / "pred"),
+    ])
+    assert rc == 0
+    with open(tmp_path / "pred" / "predictions.csv") as f:
+        assert list(csv.reader(f)) == [["id", "truncation", "horizon", "outcome", "probability", "modal"]]
+    with open(tmp_path / "pred" / "accuracy.csv") as f:
+        assert list(csv.reader(f)) == [["truncation", "horizon", "accuracy", "n"]]
+
+
 def test_simulate_byte_reproducible(config_file, tmp_path):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "a"), "--seed", "11"])
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "b"), "--seed", "11"])

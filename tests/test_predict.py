@@ -443,6 +443,17 @@ def test_predict_cohort_grid_equals_per_record_loop(study_design, study_params, 
     assert (capped[:, 1] < 12.0).any()  # some horizons are capped at C
 
 
+def test_predict_cohort_grid_of_empty_cohort(study_design, study_params, study_graph):
+    cohort, _ = generate_cohort(study_design, study_params, n=0, m=5, seed=8)
+    cfg = SamplerConfig(n_chains=2, warmup=5, thin=2)
+    probs, capped = predict_cohort_grid(
+        cohort, 3.0, [4.0, 12.0], study_design, study_params, study_graph, cfg, 10,
+        np.random.default_rng(4),
+    )
+    assert probs.shape == (0, 2, 3)
+    assert capped.shape == (0, 2)
+
+
 # -- accuracy metric ------------------------------------------------------------
 
 

@@ -7,14 +7,13 @@ from msjoint.design import transition_state_probs
 from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
+    MAX_REJECTION_ROUNDS,
     SimConfig,
     TrajectoryLimitError,
     conditioned_equals_rejection,
     generate_cohort,
     invert_cumulative_hazard,
     random_far_apart,
-    sample_event_time,
-    sample_event_times,
     sample_trajectories,
     sample_trajectory,
 )
@@ -22,8 +21,19 @@ from msjoint.simulate import (
 KS_CRIT_1PCT = 1.63  # Kolmogorov critical value: D * sqrt(n) at alpha = 0.01
 
 
-def constant_intensity(level):
-    return lambda w: np.full(np.shape(w), level)
+def constant_cumulative(level):
+    """Lambda(a, b) = level * (b - a) of a constant hazard."""
+    return lambda idx, a, b: level * (b - a)
+
+
+def quadratic_cumulative(idx, a, b):
+    """Lambda(a, b) = b^2 - a^2: Weibull shape 2, scale 1."""
+    return b**2 - a**2
+
+
+def sample_event_times(cumulative, n, rng):
+    """Batched draws from 0 with no cap; censored draws come back as +inf."""
+    return invert_cumulative_hazard(cumulative, np.zeros(n), np.inf, rng.standard_exponential(n))
 
 
 def two_state_model(rates, link_dim=0):
@@ -51,47 +61,52 @@ def two_state_model(rates, link_dim=0):
 
 def test_invert_constant_hazard_exact():
     t = invert_cumulative_hazard(
-        lambda w, idx=None: np.full(np.shape(w), 0.5),
-        np.array([0.0]), np.array([np.inf]), np.array([1.0]),
+        constant_cumulative(0.5), np.array([0.0]), np.array([np.inf]), np.array([1.0])
     )
     assert t[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_invert_censors_below_threshold():
     t = invert_cumulative_hazard(
-        lambda w, idx=None: np.full(np.shape(w), 0.1),
-        np.array([0.0]), np.array([4.0]), np.array([1.0]),
+        constant_cumulative(0.1), np.array([0.0]), np.array([4.0]), np.array([1.0])
     )
     assert np.isinf(t[0])  # Lambda(0, 4) = 0.4 < 1
 
 
 def test_invert_respects_nonzero_lower():
     t = invert_cumulative_hazard(
-        lambda w, idx=None: np.full(np.shape(w), 0.5),
-        np.array([3.0]), np.array([np.inf]), np.array([1.0]),
+        constant_cumulative(0.5), np.array([3.0]), np.array([np.inf]), np.array([1.0])
     )
     assert t[0] == pytest.approx(5.0, abs=1e-8)
 
 
-def test_sample_event_time_scalar_interface():
-    rng = np.random.default_rng(0)
-    t = sample_event_time(constant_intensity(0.5), 0.0, np.inf, rng)
-    assert t is not None and t > 0
-    censored = sample_event_time(constant_intensity(1e-9), 0.0, 1.0, rng)
-    assert censored is None
+def test_invert_censors_cap_at_or_below_lower_without_integrating():
+    calls = []
+
+    def cumulative(idx, a, b):
+        if np.any(np.isin(idx, [1, 2])):
+            raise AssertionError("integrated a row whose cap does not exceed its lower bound")
+        calls.append(idx)
+        return 0.5 * (b - a)
+
+    t = invert_cumulative_hazard(
+        cumulative, np.array([0.0, 5.0, 3.0]), np.array([np.inf, 3.0, 3.0]), np.array([1.0, 1.0, 0.0])
+    )
+    assert t[0] == pytest.approx(2.0, abs=1e-8)
+    assert np.isinf(t[1:]).all()
+    assert calls
 
 
 def test_negative_intensity_raises():
     with pytest.raises(RuntimeError, match="nonnegative"):
         invert_cumulative_hazard(
-            lambda w, idx=None: np.full(np.shape(w), -0.1),
-            np.array([0.0]), np.array([10.0]), np.array([1.0]),
+            constant_cumulative(-0.1), np.array([0.0]), np.array([10.0]), np.array([1.0])
         )
 
 
 def test_event_times_follow_exponential_law():
     rng = np.random.default_rng(1)
-    draws = sample_event_times(constant_intensity(0.1), 0.0, np.inf, 100_000, rng)
+    draws = sample_event_times(constant_cumulative(0.1), 100_000, rng)
     assert np.isfinite(draws).all()
     assert abs(draws.mean() - 10.0) < 3 * 10.0 / np.sqrt(draws.size)
     d = stats.kstest(draws, "expon", args=(0, 10.0)).statistic
@@ -101,7 +116,7 @@ def test_event_times_follow_exponential_law():
 def test_event_times_nonconstant_hazard_law():
     # Weibull shape 2 scale 1: Lambda(t) = t^2, inverse sqrt(E)
     rng = np.random.default_rng(2)
-    draws = sample_event_times(lambda w: 2.0 * np.asarray(w), 0.0, np.inf, 50_000, rng)
+    draws = sample_event_times(quadratic_cumulative, 50_000, rng)
     d = stats.kstest(draws, lambda x: 1 - np.exp(-(x**2))).statistic
     assert d * np.sqrt(draws.size) < KS_CRIT_1PCT
 
@@ -232,6 +247,22 @@ def test_no_condition_reduces_to_plain_sampler():
     assert [x.pairs for x in a] == [y.pairs for y in b]
 
 
+def test_rejection_stops_at_round_limit():
+    # Lambda(0, 20) = 100 under hazard 5: about exp(-100) of draws survive to t = 20
+    _, design, params = two_state_model({(0, 1): 5.0})
+    with pytest.raises(RuntimeError, match=f"after {MAX_REJECTION_ROUNDS} rounds: acceptance rate 0 "):
+        conditioned_equals_rejection(
+            design, params, np.zeros(1), np.zeros(1), (0.0, 0), t_surv=20.0, n_draws=20, seed=4,
+        )
+
+
+def test_survival_beyond_censoring_leaves_initial_pair_only():
+    _, design, params = two_state_model({(0, 1): 0.3, (0, 2): 0.2})
+    cfg = SimConfig(censoring=3.0, t_surv=5.0, seed=10)
+    trajs = sample_trajectories(design, params, np.zeros((20, 1)), np.zeros((20, 1)), (0.0, 0), cfg)
+    assert [tr.pairs for tr in trajs] == [((0.0, 0),)] * 20
+
+
 # -- measurement grids -----------------------------------------------------------
 
 
@@ -261,7 +292,7 @@ def test_random_far_apart_needs_only_m_minus_one_gaps():
 def test_random_far_apart_infeasible():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError, match="cannot place"):
-        random_far_apart(rng, 1, 20, 0.0, 10.0, 0.6)  # 20 * 0.6 > 10
+        random_far_apart(rng, 1, 20, 0.0, 10.0, 0.6)  # 19 * 0.6 > 10
 
 
 # -- cohort generation ------------------------------------------------------------
