@@ -24,15 +24,7 @@ class ConfigError(ValueError):
 
 def fmt(x: float) -> str:
     """Canonical decimal form: 17 significant digits round-trip float64."""
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
+    return "%.17g" % float(x)
 
 
 # --------------------------------------------------------------------------
@@ -40,49 +32,46 @@ def _parse_float(s: str) -> float:
 
 
 def write_cohort(cohort: Cohort, out_dir: str | Path, latent: dict | None = None) -> None:
+    """Write the cohort's CSV files, one %-format per row, as ``csv.writer``
+    would with every float through ``fmt`` (no cell needs quoting)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k, d = cohort.n_covariates, cohort.n_biomarkers
+    recs = list(enumerate(cohort))
 
-    with open(out / "covariates.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id"] + [f"x{j+1}" for j in range(k)])
-        for i, rec in enumerate(cohort):
-            w.writerow([i] + [fmt(v) for v in rec.covariates])
+    def names(prefix, size):
+        return "".join(f",{prefix}{j+1}" for j in range(size))
 
-    with open(out / "longitudinal.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "time"] + [f"y{j+1}" for j in range(d)])
-        for i, rec in enumerate(cohort):
-            for j in range(rec.n_measurements):
-                row = rec.measurements[j]
-                cells = [""] * d if np.all(np.isnan(row)) else [fmt(v) for v in row]
-                w.writerow([i, fmt(rec.measurement_times[j])] + cells)
-
-    with open(out / "trajectories.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "time", "state"])
-        for i, rec in enumerate(cohort):
-            for t, s in rec.trajectory.pairs:
-                w.writerow([i, fmt(t), s])
-
-    with open(out / "censoring.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "ctime"])
-        for i, rec in enumerate(cohort):
-            w.writerow([i, fmt(rec.censoring_time)])
-
+    full, blank = "%d,%.17g" + ",%.17g" * d, "%d,%.17g" + "," * d
+    tables = {
+        "covariates.csv": (
+            "id" + names("x", k),
+            [("%d" + ",%.17g" * k) % (i, *rec.covariates.tolist()) for i, rec in recs],
+        ),
+        "longitudinal.csv": (
+            "id,time" + names("y", d),
+            [
+                blank % (i, t) if gone else full % (i, t, *y)
+                for i, rec in recs
+                for t, y, gone in zip(rec.measurement_times.tolist(), rec.measurements.tolist(), rec.missing_rows)
+            ],
+        ),
+        "trajectories.csv": (
+            "id,time,state",
+            ["%d,%.17g,%d" % (i, t, s) for i, rec in recs for t, s in rec.trajectory.pairs],
+        ),
+        "censoring.csv": ("id,ctime", ["%d,%.17g" % (i, rec.censoring_time) for i, rec in recs]),
+    }
     if latent is not None:
-        b, psi = np.asarray(latent["b"]), np.asarray(latent["psi"])
-        with open(out / "latent.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["id"]
-                + [f"b{j+1}" for j in range(b.shape[1])]
-                + [f"psi{j+1}" for j in range(psi.shape[1])]
-            )
-            for i in range(b.shape[0]):
-                w.writerow([i] + [fmt(v) for v in b[i]] + [fmt(v) for v in psi[i]])
+        b, psi = np.asarray(latent["b"], dtype=float), np.asarray(latent["psi"], dtype=float)
+        row = "%d" + ",%.17g" * (b.shape[1] + psi.shape[1])
+        tables["latent.csv"] = (
+            "id" + names("b", b.shape[1]) + names("psi", psi.shape[1]),
+            [row % (i, *v) for i, v in enumerate(np.hstack([b, psi]).tolist())],
+        )
+    for name, (header, lines) in tables.items():
+        with open(out / name, "w", newline="") as f:
+            f.write("\r\n".join([header, *lines]) + "\r\n")
 
 
 def read_cohort(data_dir: str | Path) -> Cohort:
@@ -107,7 +96,7 @@ def read_cohort(data_dir: str | Path) -> Cohort:
     for ln, row in rows:
         try:
             i = int(row[0])
-            covariates[i] = np.array([_parse_float(v) for v in row[1:]])
+            covariates[i] = np.array([float(v) for v in row[1:]])
         except ValueError as exc:
             raise ConfigError(f"covariates.csv line {ln}: {exc}") from exc
         ids.append(i)
@@ -119,14 +108,14 @@ def read_cohort(data_dir: str | Path) -> Cohort:
     for ln, row in rows:
         try:
             i = int(row[0])
-            t = _parse_float(row[1])
+            t = float(row[1])
             cells = row[2:]
             if all(c == "" for c in cells):
                 y = [np.nan] * d
             elif any(c == "" for c in cells):
                 raise ValueError("partially missing measurement row")
             else:
-                y = [_parse_float(c) for c in cells]
+                y = [float(c) for c in cells]
         except ValueError as exc:
             raise ConfigError(f"longitudinal.csv line {ln}: {exc}") from exc
         if i not in times:
@@ -139,7 +128,7 @@ def read_cohort(data_dir: str | Path) -> Cohort:
     for ln, row in rows:
         try:
             i = int(row[0])
-            t = _parse_float(row[1])
+            t = float(row[1])
             s = int(row[2])
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"trajectories.csv line {ln}: {exc}") from exc
@@ -151,7 +140,7 @@ def read_cohort(data_dir: str | Path) -> Cohort:
     ctimes: dict[int, float] = {}
     for ln, row in rows:
         try:
-            ctimes[int(row[0])] = _parse_float(row[1])
+            ctimes[int(row[0])] = float(row[1])
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"censoring.csv line {ln}: {exc}") from exc
 

@@ -27,7 +27,6 @@ BISECT_TOL = 1e-9
 MAX_BRACKET_DOUBLINGS = 200
 MAX_BISECT_ITERS = 200
 MAX_REJECTION_ROUNDS = 100
-GRID_RETRIES = 1000
 
 
 @dataclass
@@ -330,6 +329,17 @@ def conditioned_equals_rejection(
 # Cohort generation
 
 
+def _push_apart(grid: np.ndarray, delta: float) -> None:
+    """Raise each column of a row-sorted grid in place until its float64
+    difference from the previous column is >= delta; where ``prev + delta``
+    rounds short, one ulp more suffices, as rounding is monotone."""
+    for k in range(1, grid.shape[1]):
+        prev, cur = grid[:, k - 1], grid[:, k]
+        np.maximum(cur, prev + delta, out=cur)
+        short = cur - prev < delta
+        cur[short] = np.nextafter(cur[short], np.inf)
+
+
 def random_far_apart(
     rng: np.random.Generator,
     n: int,
@@ -338,35 +348,32 @@ def random_far_apart(
     high: float,
     min_separation: float,
 ) -> np.ndarray:
-    """(n, m) sorted grids on [low, high] with consecutive gaps >= delta.
-
-    Sorted uniforms are rejection-sampled per row; rows still violating the
-    separation after ``GRID_RETRIES`` rounds fall back to an equispaced grid
-    with bounded jitter (which satisfies the gap constraint by construction).
-    """
-    if m <= 0:
-        return np.zeros((n, 0))
-    span = high - low
-    if (m - 1) * min_separation > span:
-        raise ValueError(
-            f"cannot place {m} points with separation {min_separation} in a span of {span}"
-        )
-    grid = np.sort(rng.uniform(low, high, size=(n, m)), axis=1)
-    if m > 1 and min_separation > 0:
-        bad = np.nonzero((np.diff(grid, axis=1) < min_separation).any(axis=1))[0]
-        for _ in range(GRID_RETRIES):
-            if bad.size == 0:
-                break
-            redraw = np.sort(rng.uniform(low, high, size=(bad.size, m)), axis=1)
-            grid[bad] = redraw
-            still = (np.diff(redraw, axis=1) < min_separation).any(axis=1)
-            bad = bad[still]
-        if bad.size:
-            step = span / (m - 1)
-            base = low + step * np.arange(m)
-            amp = 0.5 * (step - min_separation)
-            jitter = rng.uniform(-amp, amp, size=(bad.size, m))
-            grid[bad] = np.clip(base + jitter, low, high)
+    """(n, m) sorted grids on [low, high], each uniform over the grids whose
+    consecutive gaps are all >= delta = ``min_separation``, in one draw: m sorted
+    uniforms on [low, high - (m-1) delta], the k-th shifted by k delta, a
+    volume-preserving bijection onto those grids (the spacing transform; Devroye
+    1986, *Non-Uniform Random Variate Generation*, ch. V). Rounding is repaired
+    by ulps, so that in float64 every ``np.diff`` gap is >= delta and every point
+    lies in [low, high]. Raises ValueError for a negative delta or when no such
+    grid fits."""
+    if min_separation < 0:
+        raise ValueError(f"min_separation must be nonnegative, got {min_separation}")
+    top = high - (m - 1) * min_separation
+    if top < low:
+        raise ValueError(f"cannot place {m} points {min_separation} apart in a span of {high - low}")
+    grid = np.sort(rng.uniform(low, top, size=(n, m)), axis=1)
+    if m == 0 or min_separation == 0:
+        return grid
+    grid += min_separation * np.arange(m)
+    _push_apart(grid, min_separation)
+    over = grid[:, -1] > high
+    if over.any():  # the same repair on the mirrored rows, down from high
+        mirrored = -grid[over, ::-1]
+        mirrored[:, 0] = -high
+        _push_apart(mirrored, min_separation)
+        grid[over] = -mirrored[:, ::-1]
+        if (grid[:, 0] < low).any():
+            raise ValueError(f"cannot place {m} points {min_separation} apart in [{low}, {high}] in float64")
     return grid
 
 

@@ -7,8 +7,10 @@ import pytest
 
 from msjoint import repr_from_cov
 from msjoint.cli import main
+from msjoint.dataset import Cohort, IndividualRecord, Trajectory
 from msjoint.io import (
     ConfigError,
+    fmt,
     load_config,
     params_from_dict,
     params_to_dict,
@@ -122,6 +124,63 @@ def test_cohort_round_trip_is_bit_exact(tmp_path, study_cohort):
         np.testing.assert_array_equal(a.measurements, b.measurements)
         assert a.trajectory.pairs == b.trajectory.pairs
         assert a.censoring_time == b.censoring_time
+
+
+def write_cohort_with_csv_writer(cohort, out, latent):
+    """Reference writer: every cell through ``fmt`` and ``csv.writer``."""
+    out.mkdir(parents=True)
+    k, d = cohort.n_covariates, cohort.n_biomarkers
+    tables = {
+        "covariates.csv": [["id"] + [f"x{j+1}" for j in range(k)]]
+        + [[i] + [fmt(v) for v in rec.covariates] for i, rec in enumerate(cohort)],
+        "longitudinal.csv": [["id", "time"] + [f"y{j+1}" for j in range(d)]]
+        + [
+            [i, fmt(t)] + ([""] * d if np.all(np.isnan(y)) else [fmt(v) for v in y])
+            for i, rec in enumerate(cohort)
+            for t, y in zip(rec.measurement_times, rec.measurements)
+        ],
+        "trajectories.csv": [["id", "time", "state"]]
+        + [[i, fmt(t), s] for i, rec in enumerate(cohort) for t, s in rec.trajectory.pairs],
+        "censoring.csv": [["id", "ctime"]] + [[i, fmt(rec.censoring_time)] for i, rec in enumerate(cohort)],
+        "latent.csv": [["id", "b1", "psi1", "psi2"]]
+        + [[i] + [fmt(v) for v in row] for i, row in enumerate(np.hstack([latent["b"], latent["psi"]]))],
+    }
+    for name, rows in tables.items():
+        with open(out / name, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+
+
+def test_write_cohort_matches_csv_writer_bytes(tmp_path):
+    tiny, huge = 1e-300, 1e300
+    records = [
+        IndividualRecord(
+            covariates=[-0.0, huge],
+            measurement_times=[0.0, 1.5, 2.0 / 3.0, 12.0],
+            measurements=[[np.nan, np.nan], [-tiny, 3.0], [np.nan, 1.0], [np.nan, np.nan]],
+            trajectory=Trajectory(((0.0, 0), (0.1 + 0.2, 1), (7.25, 2))),
+            censoring_time=np.inf,
+        ),
+        IndividualRecord(
+            covariates=[np.pi, -huge],
+            measurement_times=[-0.0],
+            measurements=[[tiny, -1e-310]],
+            trajectory=Trajectory(((-1.0, 0),)),
+            censoring_time=11.123456789012345,
+        ),
+        IndividualRecord(
+            covariates=[1.0, 2.0], measurement_times=[], measurements=np.empty((0, 2)),
+            trajectory=Trajectory(((0.0, 1),)), censoring_time=-0.0,
+        ),
+    ]
+    cohort = Cohort(tuple(records))
+    latent = {
+        "b": np.array([[-0.0], [np.inf], [5e-324]]),
+        "psi": np.array([[huge, -tiny], [np.nan, -np.inf], [1.0, 0.1]]),
+    }
+    write_cohort(cohort, tmp_path / "new", latent=latent)
+    write_cohort_with_csv_writer(cohort, tmp_path / "ref", latent)
+    for name in ("covariates.csv", "longitudinal.csv", "trajectories.csv", "censoring.csv", "latent.csv"):
+        assert read_bytes(tmp_path / "new" / name) == read_bytes(tmp_path / "ref" / name), name
 
 
 def test_infinite_censoring_round_trips(tmp_path):

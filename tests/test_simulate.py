@@ -275,7 +275,7 @@ def test_random_far_apart_separation():
 
 
 def test_random_far_apart_rejection_path():
-    # loose separation: rejection alone succeeds
+    # loose separation: most rows of plain sorted uniforms would already qualify
     rng = np.random.default_rng(11)
     grid = random_far_apart(rng, 50, 4, 0.0, 100.0, 1.0)
     assert (np.diff(grid, axis=1) >= 1.0).all()
@@ -295,7 +295,102 @@ def test_random_far_apart_infeasible():
         random_far_apart(rng, 1, 20, 0.0, 10.0, 0.6)  # 19 * 0.6 > 10
 
 
+def assert_exact_grid(grid, low, high, delta):
+    """The grid's guarantees, with no tolerance: float64 gaps and bounds."""
+    assert (np.diff(grid, axis=1) >= delta).all()
+    assert (grid >= low).all() and (grid <= high).all()
+
+
+@pytest.mark.parametrize("low", [0.0, 3.0])
+def test_random_far_apart_exact_in_float64(low):
+    rng = np.random.default_rng(15)
+    # loose, on a shifted interval too
+    assert_exact_grid(random_far_apart(rng, 500, 20, low, low + 15.0, 0.525), low, low + 15.0, 0.525)
+    # tight: 20 gaps of 0.75 fill the span exactly, so every grid is the lattice
+    grid = random_far_apart(rng, 50, 21, low, low + 15.0, 0.75)
+    assert_exact_grid(grid, low, low + 15.0, 0.75)
+    np.testing.assert_array_equal(grid, np.broadcast_to(low + 0.75 * np.arange(21), grid.shape))
+
+
+def test_random_far_apart_rounding_past_high_is_repaired():
+    # a slack of 16 ulps: rounding of the shift pushes some rows past high,
+    # and those are rebuilt down from it
+    low, delta, m = 10.0, 0.3, 8
+    high = low + (m - 1) * delta
+    for _ in range(16):
+        high = np.nextafter(high, np.inf)
+    assert_exact_grid(random_far_apart(np.random.default_rng(0), 200, m, low, high, delta), low, high, delta)
+
+
+def test_random_far_apart_rejects_separations_float64_cannot_hold():
+    # 19 * fl(15/19) exceeds 15 by 2**-52, and rounding the points to float64
+    # adds more: no float64 grid keeps every gap >= delta inside [0, 15]
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="in float64"):
+        random_far_apart(rng, 200, 20, 0.0, 15.0, 15 / 19)
+
+
+def test_random_far_apart_single_point_and_zero_separation():
+    grid = random_far_apart(np.random.default_rng(16), 30, 1, 2.0, 5.0, 100.0)
+    assert grid.shape == (30, 1) and ((grid >= 2.0) & (grid <= 5.0)).all()
+    assert random_far_apart(np.random.default_rng(16), 30, 0, 2.0, 5.0, 1.0).shape == (30, 0)
+    # delta = 0: plain sorted uniforms, draw for draw
+    grid = random_far_apart(np.random.default_rng(17), 30, 6, 0.0, 15.0, 0.0)
+    expected = np.sort(np.random.default_rng(17).uniform(0.0, 15.0, size=(30, 6)), axis=1)
+    np.testing.assert_array_equal(grid, expected)
+
+
+def test_random_far_apart_negative_separation():
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_far_apart(np.random.default_rng(18), 3, 4, 0.0, 10.0, -0.1)
+
+
+def brute_force_far_apart(rng, n, m, low, high, delta):
+    """Rejection: sorted uniform rows, kept when every gap is >= delta."""
+    kept = np.empty((0, m))
+    while kept.shape[0] < n:
+        rows = np.sort(rng.uniform(low, high, size=(n, m)), axis=1)
+        kept = np.vstack([kept, rows[(np.diff(rows, axis=1) >= delta).all(axis=1)]])
+    return kept[:n]
+
+
+def test_random_far_apart_matches_rejection_law():
+    n, m, low, high, delta = 4000, 4, 0.0, 100.0, 1.0
+    grid = random_far_apart(np.random.default_rng(19), n, m, low, high, delta)
+    ref = brute_force_far_apart(np.random.default_rng(20), n, m, low, high, delta)
+    for stat in (lambda g: np.diff(g, axis=1).min(axis=1), lambda g: g[:, 0]):
+        d = stats.ks_2samp(stat(grid), stat(ref)).statistic
+        assert d * np.sqrt(n / 2) < KS_CRIT_1PCT
+
+
+def test_random_far_apart_study_grid_law():
+    # closed forms of the uniform law over feasible grids, via the spacings
+    # of m sorted uniforms on [0, L], L = span - (m-1) delta:
+    # P(first point > s) = (1 - s/L)^m, P(smallest gap - delta > s) = (1 - (m-1) s/L)^m
+    n, m, span, delta = 4000, 20, 15.0, 0.525
+    length = span - (m - 1) * delta
+    grid = random_far_apart(np.random.default_rng(21), n, m, 0.0, span, delta)
+    d = stats.kstest(grid[:, 0], lambda s: 1 - (1 - s / length) ** m).statistic
+    assert d * np.sqrt(n) < KS_CRIT_1PCT
+    gap = np.diff(grid, axis=1).min(axis=1) - delta
+    d = stats.kstest(gap, lambda s: 1 - (1 - (m - 1) * s / length) ** m).statistic
+    assert d * np.sqrt(n) < KS_CRIT_1PCT
+
+
 # -- cohort generation ------------------------------------------------------------
+
+
+def test_generate_cohort_grid_size_leaves_the_rest_unchanged(study_design, study_params):
+    # covariates, b and censoring are drawn before the grid, trajectories from
+    # spawned streams: none of them depends on m
+    a, la = generate_cohort(study_design, study_params, 40, 20, seed=5)
+    b, lb = generate_cohort(study_design, study_params, 40, 5, seed=5)
+    np.testing.assert_array_equal(la["b"], lb["b"])
+    np.testing.assert_array_equal(la["psi"], lb["psi"])
+    for ra, rb in zip(a, b):
+        assert ra.trajectory.pairs == rb.trajectory.pairs
+        np.testing.assert_array_equal(ra.covariates, rb.covariates)
+        assert ra.censoring_time == rb.censoring_time
 
 
 def test_generate_cohort_zero_noise_limit(study_design, study_graph):
