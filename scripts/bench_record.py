@@ -13,6 +13,10 @@ and quartiles of each end-to-end metric named in ``BENCHMARK.json``, and per
 metric the pairs the change wins, loses and ties by that metric's direction,
 and per workload and side one traced run (``--trace 1``) at the first seed,
 with its per-layer metrics.
+
+Workload names are checked against ``BENCHMARK.json`` before anything runs.
+A run that reports ``correct: false`` or failed operations is kept in the
+file, but the script then lists every such run and exits 1.
 """
 
 from __future__ import annotations
@@ -76,6 +80,22 @@ def pair_wins(change: list[dict], parent: list[dict], better: dict[str, str]) ->
     return out
 
 
+def faulty_runs(record: dict) -> list[str]:
+    """One line per run of the record that is not correct or has failed
+    operations, timed and traced runs alike."""
+    out = []
+    for workload, entry in record["workloads"].items():
+        runs = [(side, "", run) for side in ("change", "parent") if side in entry for run in entry[side]["runs"]]
+        runs += [(side, " traced", run) for side, run in entry["traced"].items()]
+        for side, kind, run in runs:
+            if not run["correct"] or run["failed"]:
+                out.append(
+                    f"{workload} {side}{kind} seed {run['seed']}: correct={run['correct']}, "
+                    f"failed {run['failed']} of {run['attempted']}"
+                )
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--pr", required=True, help="label of the change; names the output BENCH_<pr>.json")
@@ -87,6 +107,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; BENCHMARK.json declares {known}")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"change": ROOT}
     if args.parent is not None:
@@ -127,7 +151,10 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0
+    faulty = faulty_runs(record)
+    for line in faulty:
+        print(f"FAULTY RUN: {line}", file=sys.stderr)
+    return 1 if faulty else 0
 
 
 if __name__ == "__main__":

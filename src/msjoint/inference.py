@@ -157,11 +157,10 @@ def fit(
     layout = params.layout()
     n = len(cohort)
 
-    chains = init_chains(
-        n, params.q_repr.dim, lambda b: engine.posterior_logdensity(params, b),
-        sampler_cfg, chain_seed,
-    )
-    warmup(chains, lambda b: engine.posterior_logdensity(params, b))
+    bound = engine.bind(params)
+    log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
+    chains = init_chains(n, params.q_repr.dim, log_density, sampler_cfg, chain_seed)
+    warmup(chains, log_density)
 
     opt = _Adam(layout.size, cfg) if cfg.optimizer == "adam" else _Sgd(layout.size, cfg)
     draws_per_iter = max(1, int(np.ceil((cfg.n_draws or sampler_cfg.n_chains) / sampler_cfg.n_chains)))
@@ -174,7 +173,9 @@ def fit(
 
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
-        log_density = lambda b: engine.posterior_logdensity(params, b)  # noqa: E731
+        bound = None  # at most one bound parameter value alive at a time
+        bound = engine.bind(params)
+        log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
         chains.refresh(log_density)
         draw_blocks = []
         for _ in range(draws_per_iter):
@@ -188,7 +189,7 @@ def fit(
             subset = np.sort(batch_rng.choice(n, size=cfg.minibatch, replace=False))
             scale = n / cfg.minibatch
 
-        grad = engine.grad_theta(params, b_draws, subset=subset) * scale
+        grad = engine.grad_theta(bound, b_draws, subset=subset) * scale
         if cfg.grad_clip is not None:
             norm = float(np.linalg.norm(grad))
             if norm > cfg.grad_clip:
@@ -199,7 +200,7 @@ def fit(
 
         if not np.all(np.isfinite(grad)):
             nonfinite_streak += 1
-            culprit = locate_nonfinite(engine.loglik_terms(params, b_draws))
+            culprit = locate_nonfinite(engine.loglik_terms(bound, b_draws))
             warnings.warn(
                 f"iteration {t}: non-finite gradient"
                 + (f" ({culprit})" if culprit else "")
@@ -267,7 +268,8 @@ def compute_fim(
     sampler_cfg = sampler_config or SamplerConfig()
     design.validate_params(params)
     engine = engine or LikelihoodEngine(cohort, design, graph)
-    log_density = lambda b: engine.posterior_logdensity(params, b)  # noqa: E731
+    bound = engine.bind(params)
+    log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
     chains = init_chains(len(cohort), params.q_repr.dim, log_density, sampler_cfg, np.random.default_rng(seed))
     warmup(chains, log_density)
 
@@ -277,7 +279,7 @@ def compute_fim(
     while m < n_samples:
         for _ in range(sampler_cfg.thin):
             sweep(chains, log_density)
-        scores = engine.individual_scores(params, chains.b)
+        scores = engine.individual_scores(bound, chains.b)
         acc += np.einsum("cnp,cnq->pq", scores, scores)
         m += chains.n_chains
     fim = acc / m

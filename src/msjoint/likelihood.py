@@ -162,18 +162,25 @@ class _CachedBasis:
         r, k, s, o = self.B.shape
         return cot.reshape(r, cot.shape[1], k * o) @ self.B.transpose(0, 1, 3, 2).reshape(r, k * o, s)
 
-    def contract(self, psi, coef):
-        """coef . value(psi), shape (rows, chains, nodes), and the map from node
-        weights wt to (sum_k wt_k value_k, sum_k wt_k coef . jac_k)."""
+    def weights(self, coef):
+        """coef . J at every node, laid out (rows, s, nodes): the psi-free
+        factor of :meth:`contract`."""
+        r, k, s, o = self.B.shape
+        w = (self.B.reshape(r * k * s, o) @ coef).reshape(r, k, s)
+        return np.ascontiguousarray(w.transpose(0, 2, 1))
+
+    def contract(self, psi, coef, w):
+        """coef . value(psi), shape (rows, chains, nodes), from w =
+        weights(coef), and the map from node weights wt to
+        (sum_k wt_k value_k, sum_k wt_k coef . jac_k)."""
         r, k, s, o = self.B.shape
         c = psi.shape[1]
-        w = (self.B.reshape(r * k * s, o) @ coef).reshape(r, k, s)  # coef first: no chain axis
 
         def pullback(wt):
             pre = (wt @ self.B.reshape(r, k, s * o)).reshape(r, c, s, o)  # sum_k wt_k J_k
             return np.einsum("rcso,rcs->rco", pre, psi), (pre.reshape(r * c * s, o) @ coef).reshape(r, c, s)
 
-        return psi @ np.ascontiguousarray(w.transpose(0, 2, 1)), pullback
+        return psi @ w, pullback
 
 
 class _FamilyBasis:
@@ -194,7 +201,10 @@ class _FamilyBasis:
     def vjp(self, cot, psi):
         return np.einsum("rcko,rckos->rcs", cot, self.family.jac_psi(*self.args, psi[:, :, None, :]))
 
-    def contract(self, psi, coef):
+    def weights(self, coef):
+        return None  # not linear in psi: contract applies coef to each value
+
+    def contract(self, psi, coef, w):
         g = self.value(psi)
 
         def pullback(wt):
@@ -233,12 +243,55 @@ class _Rows:
         )
 
 
-def _add_rows(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+def _row_index(idx: np.ndarray, n: int, C: int, m: int) -> np.ndarray:
+    """Flattened (column, chain, individual) index of per-row values (rows, C,
+    m) whose rows belong to individuals idx among n."""
+    return (idx[:, None, None] + n * (np.arange(C)[:, None] + C * np.arange(m))).ravel()
+
+
+def _add_rows(flat: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Sum per-row values (rows, C, m) into their individuals, (m, C, n), with
-    one bincount over the flattened (column, chain, individual) index."""
+    one bincount over their :func:`_row_index`."""
     _, C, m = vals.shape
-    flat = idx[:, None, None] + n * (np.arange(C)[:, None] + C * np.arange(m))
-    return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * C * n).reshape(m, C, n)
+    return np.bincount(flat, weights=vals.ravel(), minlength=m * C * n).reshape(m, C, n)
+
+
+def _quad_form(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b^T P b for b of shape (..., dim) and P = L L^T, as
+    :meth:`PrecisionRepr.quad_form` computes it from its factor L."""
+    if L.shape[0] == 0:
+        return np.zeros(b.shape[:-1])
+    u = b.reshape(-1, L.shape[0]) @ L
+    return np.einsum("ij,ij->i", u, u).reshape(b.shape[:-1])
+
+
+class _BoundParams:
+    """One parameter value bound to one engine (:meth:`LikelihoodEngine.bind`):
+    the validated params and every quantity of the evaluation that depends on
+    them alone. ``edges`` follows ``engine.edge_blocks``: per edge, one
+    (link weights, offset) pair per row set, from :meth:`row_consts`."""
+
+    def __init__(self, engine: LikelihoodEngine, params: ModelParams):
+        engine.design.validate_params(params)
+        self.engine, self.params = engine, params
+        q_repr, r_repr = params.q_repr, params.r_repr
+        self.prior_const = -0.5 * q_repr.dim * LOG_2PI + 0.5 * q_repr.log_det_precision()
+        self.L_q = q_repr.chol_factor()
+        const = -0.5 * engine.d * LOG_2PI + 0.5 * r_repr.log_det_precision()
+        self.longit_const = engine.obs_counts[:, None] * const
+        self.L_r = r_repr.chol_factor()
+        self.edges = [[self.row_consts(edge, rows) for rows in row_sets] for edge, row_sets in engine.edge_blocks]
+
+    def row_consts(self, edge: Edge, rows: _Rows) -> tuple[np.ndarray | None, np.ndarray]:
+        """The link weights of a cached basis (None for a family basis) and
+        the offset log lambda_0(u) + x . beta, shaped (rows, 1, nodes)."""
+        design, params = self.engine.design, self.params
+        if design.extra_slice(edge) is None:
+            base = rows.haz
+        else:
+            base = design.hazard(edge).log_hazard(rows.u, design.hazard_values(edge, params))
+        offset = (base + (rows.x @ params.beta[edge])[:, None])[:, None, :]
+        return rows.basis.weights(params.alpha[edge]), offset
 
 
 def _absolute_extra_slice(layout: ParamLayout, local: slice | None) -> slice | None:
@@ -259,6 +312,13 @@ class LikelihoodEngine:
     ``linear_in_psi`` have their psi-Jacobians evaluated once, at the
     observation times and quadrature nodes; the others are called at every
     evaluation.
+
+    :meth:`bind` validates a parameter value and evaluates, once, everything
+    that depends on it alone: the prior and longitudinal constants and
+    Cholesky factors, each edge's link weights alpha . J on cached bases, and
+    each row's log baseline hazard plus x . beta. Every method takes either
+    ``ModelParams``, bound on the fly, or such a bound value, which callers
+    that evaluate many ``b`` at one theta (MH sweeps, the FIM) pass instead.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
@@ -289,6 +349,11 @@ class LikelihoodEngine:
             rows = rec.measurements.copy()
             rows[~obs] = 0.0
             self.y_obs[i, :m] = rows
+
+        self.obs_counts = self.obs_mask.sum(axis=1)
+        # bincount index of each edge's rows per chain count, for the
+        # one-column log-density of the whole cohort
+        self._density_index: dict[int, list[np.ndarray]] = {}
 
         n_psi = getattr(design.regression, "n_psi", None)
         self.marker = None
@@ -343,6 +408,18 @@ class LikelihoodEngine:
 
     # -- evaluation ---------------------------------------------------------
 
+    def bind(self, params: ModelParams) -> _BoundParams:
+        """Validate params and evaluate their parameter-only quantities once;
+        the result stands in for params in every method of this engine."""
+        return _BoundParams(self, params)
+
+    def _bound(self, params: ModelParams | _BoundParams) -> _BoundParams:
+        if not isinstance(params, _BoundParams):
+            return self.bind(params)
+        if params.engine is not self:
+            raise ValueError("parameters were bound by another engine")
+        return params
+
     @staticmethod
     def _as_chains(b: np.ndarray) -> tuple[np.ndarray, bool]:
         b = np.asarray(b, dtype=float)
@@ -355,12 +432,25 @@ class LikelihoodEngine:
     def psi(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
         return self.design.effects.psi(params.gamma, self.x, b)
 
-    def _evaluate(self, params: ModelParams, b: np.ndarray, sel=None, scores: bool = False):
+    def _density_rows(self, C: int) -> list[np.ndarray]:
+        """Per edge, the :func:`_row_index` of its row sets' individuals for
+        one column and C chains over the whole cohort."""
+        index = self._density_index.get(C)
+        if index is None:
+            index = self._density_index[C] = [
+                _row_index(np.concatenate([rows.idx for rows in row_sets]), self.n, C, 1) if row_sets else None
+                for _, row_sets in self.edge_blocks
+            ]
+        return index
+
+    def _evaluate(self, bound: _BoundParams, b: np.ndarray, sel=None, scores: bool = False):
         """Prior, longitudinal and semi-Markov terms per (chain, individual) of
         the selected individuals (all when ``sel`` is None, else a sorted index
         array), each (C, n_sel); with ``scores`` also the complete-data scores
         (n_free, C, n_sel), else None. Rows of other individuals are dropped
-        before any node work."""
+        before any node work, and their parameter-only quantities are formed
+        from the kept rows."""
+        params = bound.params
         C = b.shape[0]
         keep = slice(None) if sel is None else sel
         n = self.n if sel is None else sel.size
@@ -368,18 +458,20 @@ class LikelihoodEngine:
         if sel is not None:
             pos = np.full(self.n, -1)
             pos[sel] = np.arange(n)
-        layout = params.layout()
-        sl = layout.slices()
-        P = layout.size
         psi = self.psi(params, b)
         psi_rows = np.ascontiguousarray(psi.transpose(1, 0, 2))
-        # one (C, n) score plane per free parameter, then d/dpsi planes that are
-        # pulled back to gamma last
-        acc = np.zeros((P + psi.shape[-1], C, n)) if scores else None
+        acc = None
+        if scores:
+            layout = params.layout()
+            sl = layout.slices()
+            P = layout.size
+            # one (C, n) score plane per free parameter, then d/dpsi planes
+            # that are pulled back to gamma last
+            acc = np.zeros((P + psi.shape[-1], C, n))
 
         q_repr, r_repr = params.q_repr, params.r_repr
         b_sel = b[:, keep]
-        prior = -0.5 * q_repr.dim * LOG_2PI + 0.5 * q_repr.log_det_precision() - 0.5 * q_repr.quad_form(b_sel)
+        prior = bound.prior_const - 0.5 * _quad_form(bound.L_q, b_sel)
         if scores and q_repr.dim:
             outer = np.einsum("cnq,cnr->cnqr", b_sel, b_sel)
             acc[sl["q"]] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
@@ -389,30 +481,30 @@ class LikelihoodEngine:
             obs = self.obs_mask[keep]
             marker, psi_m = self.marker.take(keep), psi_rows[keep]
             r = (self.y_obs[keep][:, None] - marker.value(psi_m)) * obs[:, None, :, None]
-            counts = obs.sum(axis=1)
-            const = -0.5 * self.d * LOG_2PI + 0.5 * r_repr.log_det_precision()
-            longit = (counts[:, None] * const - 0.5 * r_repr.quad_form(r).sum(axis=-1)).T
+            longit = (bound.longit_const[keep] - 0.5 * _quad_form(bound.L_r, r).sum(axis=-1)).T
             if scores:
                 if r_repr.n_free:
                     outer = np.einsum("ncjd,ncje->cnde", r, r)
-                    acc[sl["r"]] = np.moveaxis(r_repr.grad_values(outer, counts), -1, 0)
+                    acc[sl["r"]] = np.moveaxis(r_repr.grad_values(outer, self.obs_counts[keep]), -1, 0)
                 # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
                 pr = (r.reshape(-1, self.d) @ r_repr.precision()).reshape(r.shape)
                 acc[P:] += marker.vjp(pr, psi_m).transpose(2, 1, 0)
 
         sm = np.zeros((C, n))
-        for edge, row_sets in self.edge_blocks:
+        density_rows = self._density_rows(C) if sel is None and not scores else None
+        for e, ((edge, row_sets), consts) in enumerate(zip(self.edge_blocks, bound.edges)):
+            if not row_sets:
+                continue
             hazard = self.design.hazard(edge)
-            alpha, beta = params.alpha[edge], params.beta[edge]
+            alpha = params.alpha[edge]
             trainable = self.design.extra_slice(edge) is not None
-            vals = self.design.hazard_values(edge, params)
             where, parts = [], []
-            for rows in row_sets:
+            for rows, (w, offset) in zip(row_sets, consts):
                 if sel is not None:
                     rows = rows.take(pos[rows.idx] >= 0)
-                log_lam, pullback = rows.basis.contract(psi_rows[rows.idx], alpha)
-                base = hazard.log_hazard(rows.u, vals) if trainable else rows.haz
-                log_lam += (base + (rows.x @ beta)[:, None])[:, None, :]
+                    w, offset = bound.row_consts(edge, rows)
+                log_lam, pullback = rows.basis.contract(psi_rows[rows.idx], alpha, w)
+                log_lam += offset
                 if rows.event:
                     term, wt = log_lam[..., 0], np.ones_like(log_lam)
                     wsum = np.ones_like(term)
@@ -427,13 +519,16 @@ class LikelihoodEngine:
                     g_score, psi_score = pullback(wt)
                     cols += [g_score, wsum[..., None] * rows.x[:, None, :]]
                     if trainable:
-                        cols.append(wt @ hazard.dlog_dparams(rows.u, vals))
+                        cols.append(wt @ hazard.dlog_dparams(rows.u, self.design.hazard_values(edge, params)))
                     cols.append(psi_score)
                 where.append(pos[rows.idx])
                 parts.append(np.concatenate(cols, axis=-1))
-            if not parts:
-                continue
-            sums = _add_rows(np.concatenate(where), np.concatenate(parts), n)
+            vals = np.concatenate(parts)
+            if density_rows is None:
+                flat = _row_index(np.concatenate(where), n, C, vals.shape[-1])
+            else:
+                flat = density_rows[e]
+            sums = _add_rows(flat, vals, n)
             sm += sums[0]
             if scores:
                 col = 1
@@ -456,21 +551,21 @@ class LikelihoodEngine:
         out = [layout.edge_slice("alpha", edge), layout.edge_slice("beta", edge)]
         return out + ([extra] if extra is not None else []) + [slice(n_free, n_free + n_psi)]
 
-    def loglik_terms(self, params: ModelParams, b: np.ndarray) -> LogLikTerms:
+    def loglik_terms(self, params: ModelParams | _BoundParams, b: np.ndarray) -> LogLikTerms:
         """Per-(chain, individual) prior, longitudinal and semi-Markov terms."""
         b, squeeze = self._as_chains(b)
-        prior, longit, sm, _ = self._evaluate(params, b)
+        prior, longit, sm, _ = self._evaluate(self._bound(params), b)
         if squeeze:
             return LogLikTerms(prior[0], longit[0], sm[0])
         return LogLikTerms(prior, longit, sm)
 
-    def posterior_logdensity(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
+    def posterior_logdensity(self, params: ModelParams | _BoundParams, b: np.ndarray) -> np.ndarray:
         """Unnormalized per-individual posterior log-density of b given the
         data (theta fixed): the sum of the three complete-data terms."""
         terms = self.loglik_terms(params, b)
         return terms.total
 
-    def complete_loglik(self, params: ModelParams, b: np.ndarray, subset=None) -> float | np.ndarray:
+    def complete_loglik(self, params: ModelParams | _BoundParams, b: np.ndarray, subset=None) -> float | np.ndarray:
         """Complete-data log-likelihood summed over the subset; returns a
         scalar for (n, q) input, a per-chain vector for (chains, n, q)."""
         b_arr, squeeze = self._as_chains(b)
@@ -484,19 +579,18 @@ class LikelihoodEngine:
 
     # -- scores and gradient ------------------------------------------------
 
-    def individual_scores(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
+    def individual_scores(self, params: ModelParams | _BoundParams, b: np.ndarray) -> np.ndarray:
         """Per-individual complete-data scores, shape (chains, n, n_free)."""
-        self.design.validate_params(params)
-        scores = self._evaluate(params, self._as_chains(b)[0], scores=True)[3]
+        scores = self._evaluate(self._bound(params), self._as_chains(b)[0], scores=True)[3]
         return np.ascontiguousarray(np.moveaxis(scores, 0, -1))
 
-    def grad_theta(self, params: ModelParams, b: np.ndarray, subset=None) -> np.ndarray:
+    def grad_theta(self, params: ModelParams | _BoundParams, b: np.ndarray, subset=None) -> np.ndarray:
         """Gradient of the summed complete-data log-likelihood with respect to
         the flattened free parameters (tied slots accumulate): the
         per-individual scores summed over the subset. For chained input the
         per-chain gradients are averaged."""
-        self.design.validate_params(params)
+        bound = self._bound(params)
         b, squeeze = self._as_chains(b)
         sel = None if subset is None else np.unique(np.asarray(subset, dtype=int))
-        grad = self._evaluate(params, b, sel, scores=True)[3].sum(axis=(1, 2))
+        grad = self._evaluate(bound, b, sel, scores=True)[3].sum(axis=(1, 2))
         return grad if squeeze else grad / b.shape[0]

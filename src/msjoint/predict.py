@@ -167,7 +167,8 @@ def condition_cohort(
     cfg = sampler_config or SamplerConfig(warmup=500, thin=5)
     truncated = Cohort(tuple(rec.truncated(t) for rec in cohort))
     engine = LikelihoodEngine(truncated, design, graph)
-    log_density = lambda b: engine.posterior_logdensity(params, b)  # noqa: E731
+    bound = engine.bind(params)
+    log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
     chains = init_chains(len(cohort), params.q_repr.dim, log_density, cfg, np.random.default_rng(seed))
     keep = int(np.ceil(n_draws / cfg.n_chains))
     snaps = run(chains, log_density, n_steps=keep * cfg.thin, thin=cfg.thin)

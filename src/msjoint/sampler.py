@@ -97,6 +97,12 @@ def init_chains(
     )
 
 
+def _rate(accepted: np.ndarray) -> np.ndarray:
+    """Per-individual mean over chains: the reduction and true division that
+    ``accepted.mean(axis=0)`` performs, without its dispatch overhead."""
+    return accepted.sum(axis=0) / accepted.shape[0]
+
+
 def mh_step(chains: ChainState, log_density: LogDensity) -> np.ndarray:
     """One random-walk proposal/accept update of every (chain, individual).
 
@@ -118,7 +124,7 @@ def mh_step(chains: ChainState, log_density: LogDensity) -> np.ndarray:
     accepted = (log_u < delta) & np.isfinite(lp_prop)
     chains.b = np.where(accepted[..., None], proposal, chains.b)
     chains.log_post = np.where(accepted, lp_prop, chains.log_post)
-    chains.accept_stat = accepted.mean(axis=0)
+    chains.accept_stat = _rate(accepted)
     return accepted
 
 
@@ -126,7 +132,7 @@ def adapt_step(chains: ChainState, accepted: np.ndarray) -> None:
     """Robbins-Monro update of the per-individual proposal scales toward the
     target acceptance; to be called during warmup only."""
     cfg = chains.config
-    rate = accepted.mean(axis=0)
+    rate = _rate(accepted)
     eta = cfg.rm_scale / (chains.adapt_steps + 1) ** cfg.rm_decay
     chains.step_scale = chains.step_scale * np.exp(eta * (rate - cfg.target_accept))
     chains.adapt_steps += 1

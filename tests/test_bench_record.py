@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 METRICS = {"setup_s", "peak_rss_mb", "work_s", "op_p50_ms", "op_p90_ms"}
 
@@ -44,3 +46,46 @@ def test_pair_wins_follow_each_metric_direction():
         "lat": {"change": 1, "parent": 1, "ties": 1},
         "rate": {"change": 1, "parent": 1, "ties": 1},
     }
+
+
+def fake_result(seed, correct=True, failed=0):
+    metrics = {name: {"value": 1.0, "unit": "s"} for name in METRICS}
+    return {"correct": correct, "attempted": 4, "failed": failed, "metrics": metrics, "seed": seed}
+
+
+def test_unknown_workload_fails_before_any_run(monkeypatch, tmp_path):
+    module = load_script()
+    ran = []
+    monkeypatch.setattr(module, "run_bench", lambda *args, **kwargs: ran.append(args))
+    argv = ["--pr", "t", "--workloads", "cohort-sim", "study-fitt", "--seeds", "1", "--out", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code != 0
+    assert ran == [] and not (tmp_path / "x.json").exists()
+
+
+def test_incorrect_and_failed_runs_are_listed_and_exit_nonzero(monkeypatch, tmp_path, capsys):
+    module = load_script()
+
+    def run_bench(tree, workload, seed, seconds, trace):
+        if trace:
+            return fake_result(seed, correct=tree == module.ROOT)  # the parent's traced run is wrong
+        return fake_result(seed, failed=int(seed == 2 and tree == module.ROOT))
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--pr", "t", "--workloads", "study-fit", "--seeds", "1", "2", "--parent", str(tmp_path), "--out", str(out)]
+    assert module.main(argv) == 1
+    record = json.loads(out.read_text())  # written before failing
+    assert len(record["workloads"]["study-fit"]["change"]["runs"]) == 2
+    err = capsys.readouterr().err
+    assert "study-fit change seed 2: correct=True, failed 1 of 4" in err
+    assert "study-fit parent traced seed 1: correct=False, failed 0 of 4" in err
+    assert err.count("FAULTY RUN") == 2
+
+
+def test_clean_runs_exit_zero(monkeypatch, tmp_path):
+    module = load_script()
+    monkeypatch.setattr(module, "run_bench", lambda tree, workload, seed, seconds, trace: fake_result(seed))
+    argv = ["--pr", "t", "--workloads", "cohort-sim", "--seeds", "1", "--out", str(tmp_path / "b.json")]
+    assert module.main(argv) == 0

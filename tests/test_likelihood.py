@@ -26,7 +26,7 @@ from msjoint.families import (
     ValueLink,
     ValueSlopeLink,
 )
-from msjoint.hazards import ExponentialHazard, WeibullHazard
+from msjoint.hazards import ExponentialHazard, PiecewiseConstantHazard, WeibullHazard
 from msjoint.likelihood import _CachedBasis, locate_nonfinite
 from msjoint.params import Sharing, flatten, unflatten
 from msjoint.simulate import generate_cohort
@@ -279,6 +279,74 @@ def test_engine_caches_bases_of_linear_families(engine_case, study_graph):
     engine = LikelihoodEngine(cohort, design, study_graph)
     bases = [engine.marker] + [rows.basis for _, row_sets in engine.edge_blocks for rows in row_sets]
     assert all(isinstance(basis, _CachedBasis) == linear for basis in bases)
+
+
+def trainable_model(hazard):
+    """The study design and truth with a trainable baseline on 0 -> 1, set
+    away from its construction values."""
+    reg = PiecewiseAffine(6.0)
+    link = ValueSlopeLink(reg)
+    design = ModelDesign(
+        GammaPlusB(),
+        reg,
+        {(0, 1): (hazard, link), (0, 2): (ExponentialHazard(0.01), link), (1, 2): (ExponentialHazard(0.2), link)},
+    )
+    params = ModelParams(
+        gamma=np.array([2.5, -1.3, 0.2]),
+        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"),
+        r_repr=repr_from_cov([[1.7]], "ball"),
+        alpha={(0, 1): [-0.5, -3.0], (0, 2): [-1.0, -5.0], (1, 2): [0.0, -1.2]},
+        beta={(0, 1): [-1.3], (0, 2): [-0.9], (1, 2): [-0.7]},
+        extra=design.initial_extra() + 0.1,
+    )
+    return design, params
+
+
+def assert_bound_matches_unbound(engine, params):
+    bound = engine.bind(params)
+    rng = np.random.default_rng(12)
+    subset = [2, 3, 11, 17]
+    # one bound value reused across chain counts and across the methods
+    for C in (1, 5, 15):
+        b = rng.normal(scale=0.5, size=(C, engine.n, 3))
+        assert np.array_equal(engine.posterior_logdensity(bound, b), engine.posterior_logdensity(params, b))
+        assert np.array_equal(engine.grad_theta(bound, b), engine.grad_theta(params, b))
+        assert np.array_equal(engine.grad_theta(bound, b, subset=subset), engine.grad_theta(params, b, subset=subset))
+        assert np.array_equal(engine.individual_scores(bound, b), engine.individual_scores(params, b))
+        assert np.array_equal(engine.posterior_logdensity(bound, b[0]), engine.posterior_logdensity(params, b[0]))
+
+
+def test_bound_params_evaluate_as_unbound(engine_case, study_graph):
+    cohort, _, design, params, _ = engine_case
+    assert_bound_matches_unbound(LikelihoodEngine(cohort, design, study_graph), params)
+
+
+@pytest.mark.parametrize(
+    "hazard",
+    [WeibullHazard(1.5, 6.0, trainable=True), PiecewiseConstantHazard([2.0, 5.0], [0.05, 0.1, 0.2], trainable=True)],
+    ids=["weibull", "piecewise"],
+)
+def test_bound_params_with_trainable_baseline_evaluate_as_unbound(hazard, study_graph):
+    design, params = trainable_model(hazard)
+    cohort, _ = generate_cohort(design, params, n=25, m=6, seed=7)
+    assert_bound_matches_unbound(LikelihoodEngine(cohort, design, study_graph), params)
+
+
+def test_bind_validates_like_design(small_cohort, study_design, study_graph, study_params):
+    engine = LikelihoodEngine(small_cohort[0], study_design, study_graph)
+    bad = ModelParams(
+        gamma=study_params.gamma, q_repr=study_params.q_repr, r_repr=study_params.r_repr,
+        alpha={**study_params.alpha, (0, 1): np.zeros(3)}, beta=study_params.beta,
+    )
+    with pytest.raises(ValueError) as want:
+        study_design.validate_params(bad)
+    with pytest.raises(ValueError) as got:
+        engine.bind(bad)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="another engine"):
+        LikelihoodEngine(small_cohort[0], study_design, study_graph).posterior_logdensity(
+            engine.bind(study_params), small_cohort[1]["b"]
+        )
 
 
 def test_complete_loglik_empty_subset(small_cohort, study_design, study_graph, study_params):

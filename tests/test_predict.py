@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,8 +12,10 @@ from msjoint import (
     build_graph,
     repr_from_cov,
 )
+from msjoint import predict
 from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard
+from msjoint.inference import FitConfig, StopRule, fit
 from msjoint.predict import (
     PredictionResult,
     _continuations,
@@ -141,6 +145,44 @@ def test_posterior_condition_before_any_data_matches_prior():
     se = draws[:, 0].std() / np.sqrt(draws.shape[0] / 20)  # crude ESS guard
     assert abs(draws[:, 0].mean()) < 3 * se
     assert abs(draws[:, 0].var() - 0.5) < 0.05
+
+
+def counting_engine(calls):
+    """An engine class that records each posterior_logdensity call, as the
+    benchmark's traced engine counts them."""
+
+    class CountingEngine(predict.LikelihoodEngine):
+        def posterior_logdensity(self, params, b):
+            calls.append(np.shape(b))
+            return super().posterior_logdensity(params, b)
+
+    return CountingEngine
+
+
+def test_every_conditioning_sweep_calls_posterior_logdensity(
+    monkeypatch, small_cohort, study_design, study_params, study_graph
+):
+    calls = []
+    monkeypatch.setattr(predict, "LikelihoodEngine", counting_engine(calls))
+    cfg = SamplerConfig(n_chains=5, warmup=30, thin=3)
+    draws = posterior_condition(small_cohort[0][4], 5.0, study_design, study_params, study_graph, cfg, 23, seed=1)
+    assert draws.shape == (25, 3)
+    assert len(calls) == 1 + cfg.warmup + math.ceil(23 / cfg.n_chains) * cfg.thin
+    assert set(calls) == {(5, 1, 3)}
+
+
+def test_every_fit_sweep_calls_posterior_logdensity(small_cohort, study_design, study_graph, study_init_params):
+    cohort, _ = small_cohort
+    calls = []
+    engine = counting_engine(calls)(cohort, study_design, study_graph)
+    cfg = SamplerConfig(n_chains=5, warmup=20)
+    report = fit(
+        cohort, study_design, study_graph, study_init_params, FitConfig(max_iterations=4, n_draws=12),
+        StopRule(rtol=0.0, atol=0.0), cfg, seed=3, engine=engine,
+    )
+    draws_per_iter = math.ceil(12 / cfg.n_chains)
+    assert report.iterations == 4
+    assert len(calls) == 1 + cfg.warmup + report.iterations * (1 + draws_per_iter)
 
 
 def test_posterior_condition_rejects_time_before_initial():

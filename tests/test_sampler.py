@@ -5,6 +5,7 @@ from msjoint import Cohort, IndividualRecord, LikelihoodEngine, ModelDesign, Mod
 from msjoint.families import BOnly, Polynomial
 from msjoint.sampler import (
     SamplerConfig,
+    _rate,
     adapt_step,
     init_chains,
     mh_step,
@@ -75,6 +76,14 @@ def test_adapt_step_monotone_drift():
         adapt_step(chains2, np.zeros((2, 3)))  # acceptance permanently 0
         scales2.append(chains2.step_scale.copy())
     assert (np.diff(np.array(scales2), axis=0) < 0).all()
+
+
+def test_rate_is_bitwise_mean_over_chains():
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (5, 1), (2, 3), (5, 200), (15, 1000)]:
+        for accepted in (rng.random(shape) < 0.3, rng.random(shape), rng.normal(scale=1e3, size=shape)):
+            got, want = _rate(accepted), accepted.mean(axis=0)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_post_warmup_acceptance_near_target():
