@@ -24,7 +24,7 @@ from msjoint.hazards import ExponentialHazard
 from msjoint.inference import FitConfig, StopRule, compute_fim, fit, stderr
 from msjoint.io import write_cohort, write_params
 from msjoint.params import flatten
-from msjoint.predict import predict_cohort_grid
+from msjoint.predict import accuracy, predict_cohort_grid
 from msjoint.sampler import SamplerConfig
 from msjoint.simulate import generate_cohort
 
@@ -128,8 +128,9 @@ def main():
             test_cohort, t, horizons, design, report.params, graph,
             SamplerConfig(n_chains=5, warmup=400, thin=5), 200, rng,
         )
-        truth_states = [[rec.trajectory.state_at(u) for u in row] for rec, row in zip(test_cohort, capped)]
-        acc = np.mean(np.argmax(probs, axis=2) == np.array(truth_states), axis=0)
+        modal = np.argmax(probs, axis=2)
+        truth_states = np.array([[rec.trajectory.state_at(u) for u in row] for rec, row in zip(test_cohort, capped)])
+        acc = np.array([accuracy(modal[:, ui], truth_states[:, ui]) for ui in range(horizons.size)])
         rows.append(acc)
         print(f"truncation t={t}: accuracy " + " ".join(f"u={u}:{a:.3f}" for u, a in zip(horizons, acc)))
     np.savetxt(

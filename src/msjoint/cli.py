@@ -33,7 +33,7 @@ from .io import (
     write_params,
 )
 from .params import flatten
-from .predict import predict_cohort_grid
+from .predict import accuracy, predict_cohort_grid
 from .sampler import SamplerConfig
 from .simulate import generate_cohort
 
@@ -67,23 +67,12 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> None:
         raise ConfigError("config.params: missing section (true parameters are required to simulate)")
     params = params_from_dict(config["params"], "config.params")
     design.validate_params(params)
-    spec = _require(config, "simulate")
-    censoring = spec.get("censoring", [10.0, 15.0])
-    if censoring == "inf":
-        censoring = np.inf
-    cohort, latent = generate_cohort(
-        design,
-        params,
-        n=int(spec.get("n", 100)),
-        m=int(spec.get("m", 10)),
-        horizon=float(spec.get("horizon", 15.0)),
-        min_separation=spec.get("min_separation"),
-        censoring=censoring,
-        n_covariates=int(spec.get("n_covariates", 1)),
-        initial=tuple(spec.get("initial", (0.0, 0))),
-        seed=seed,
-        max_transitions=int(spec.get("max_transitions", 10_000)),
-    )
+    spec = {"n": 100, "m": 10, **_require(config, "simulate")}
+    if spec.get("censoring") == "inf":
+        spec["censoring"] = np.inf
+    if "initial" in spec:
+        spec["initial"] = tuple(spec["initial"])
+    cohort, latent = generate_cohort(design, params, seed=seed, **spec)
     write_cohort(cohort, out_dir, latent=latent)
     counts = build_buckets(graph, cohort.trajectories(), cohort.censoring_times()).counts()
     print(f"simulated {len(cohort)} individuals into {out_dir}")
@@ -197,8 +186,7 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
             continue  # accuracy over no individuals is undefined: header-only tables
         truth = np.array([[rec.trajectory.state_at(u) for u in row] for rec, row in zip(cohort, capped)])
         for ui, u in enumerate(horizons):
-            acc = float(np.mean(modal[:, ui] == truth[:, ui]))
-            acc_rows.append([fmt(t), fmt(u), fmt(acc), len(cohort)])
+            acc_rows.append([fmt(t), fmt(u), fmt(accuracy(modal[:, ui], truth[:, ui])), len(cohort)])
     with open(out_dir / "predictions.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["id", "truncation", "horizon", "outcome", "probability", "modal"])

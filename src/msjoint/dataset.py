@@ -12,6 +12,16 @@ from .graph import TransitionGraph
 TimeStatePair = tuple[float, int]
 
 
+def state_occupied_at(pairs, t: float) -> int:
+    """State held at time t along time-ordered (time, state) pairs: the state
+    of the last pair at or before t (the first state when t precedes them)."""
+    state = pairs[0][1]
+    for time, s in pairs:
+        if time <= t:
+            state = s
+    return state
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Observed portion of a multi-state path: ordered (time, state) pairs.
@@ -54,11 +64,7 @@ class Trajectory:
 
     def state_at(self, t: float) -> int:
         """State occupied at time ``t`` (the initial state for t < T_0)."""
-        state = self.pairs[0][1]
-        for time, s in self.pairs:
-            if time <= t:
-                state = s
-        return state
+        return state_occupied_at(self.pairs, t)
 
     def truncated(self, t: float) -> "Trajectory":
         """Prefix of pairs with transition time <= t."""

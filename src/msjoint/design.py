@@ -45,16 +45,14 @@ def map_nodes(nodes: np.ndarray, weights: np.ndarray, a, b):
 class ModelDesign:
     """Effects map f, regression h, and per-edge (baseline hazard, link).
 
-    The per-edge table keys are the graph edges; each custom family must pass
-    the finite-difference derivative self-check, run at construction unless
-    ``self_check=False``.
+    The per-edge table keys are the graph edges; every family must pass the
+    finite-difference derivative self-check, run at construction.
     """
 
     effects: object
     regression: object
     edge_specs: dict[Edge, tuple[object, object]]
     n_quad: int = DEFAULT_QUAD_NODES
-    self_check: bool = True
     _extra_slices: dict[Edge, slice] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -67,8 +65,7 @@ class ModelDesign:
                 slices[e] = slice(pos, pos + hazard.n_params)
                 pos += hazard.n_params
         self._extra_slices = slices
-        if self.self_check:
-            run_self_check(self)
+        run_self_check(self)
 
     @property
     def edges(self) -> list[Edge]:

@@ -473,24 +473,8 @@ class CustomLink:
         return self._jac(t, x, psi)
 
 
-EFFECTS_FAMILIES = {
-    "gamma_plus_b": lambda **kw: GammaPlusB(),
-    "gamma_x_plus_b": lambda **kw: GammaXPlusB(kw["n_effects"], kw["n_covariates"]),
-    "transform_stack": lambda **kw: TransformStack(kw["transforms"]),
-    "b_only": lambda **kw: BOnly(),
-}
-
-REGRESSION_FAMILIES = {
-    "polynomial": lambda **kw: Polynomial(kw["degree"]),
-    "piecewise_affine": lambda **kw: PiecewiseAffine(kw["breakpoint"]),
-    "exponential_decay": lambda **kw: ExponentialDecay(),
-    "shifted_tanh": lambda **kw: ShiftedTanh(),
-}
-
-LINK_FAMILIES = {
-    "value": lambda reg, **kw: ValueLink(reg),
-    "slope": lambda reg, **kw: SlopeLink(reg),
-    "value_slope": lambda reg, **kw: ValueSlopeLink(reg),
-    "cumulative": lambda reg, **kw: CumulativeLink(reg, **kw),
-    "none": lambda reg, **kw: EmptyLink(),
-}
+# Registries: name -> class. A config's family keys are the constructor's
+# parameters (``msjoint.io``), so renaming a parameter renames a config key.
+EFFECTS_FAMILIES = {cls.name: cls for cls in (GammaPlusB, GammaXPlusB, TransformStack, BOnly)}
+REGRESSION_FAMILIES = {cls.name: cls for cls in (Polynomial, PiecewiseAffine, ExponentialDecay, ShiftedTanh)}
+LINK_FAMILIES = {cls.name: cls for cls in (ValueLink, SlopeLink, ValueSlopeLink, CumulativeLink, EmptyLink)}

@@ -112,8 +112,4 @@ class PiecewiseConstantHazard:
         return out
 
 
-HAZARD_FAMILIES = {
-    "exponential": lambda **kw: ExponentialHazard(**kw),
-    "weibull": lambda **kw: WeibullHazard(**kw),
-    "piecewise_constant": lambda **kw: PiecewiseConstantHazard(**kw),
-}
+HAZARD_FAMILIES = {cls.name: cls for cls in (ExponentialHazard, WeibullHazard, PiecewiseConstantHazard)}

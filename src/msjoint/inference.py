@@ -58,8 +58,8 @@ class StopRule:
     beta2: float = 0.9
     atol: float = 1e-6
     rtol: float = 0.1
-    m1: np.ndarray | None = field(default=None, repr=False)
-    m2: np.ndarray | None = field(default=None, repr=False)
+    m1: np.ndarray | None = field(default=None, init=False, repr=False)
+    m2: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def reset(self) -> None:
         self.m1 = None

@@ -5,17 +5,23 @@ that rejects unknown keys."""
 from __future__ import annotations
 
 import csv
+import dataclasses
+import inspect
 import json
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, Trajectory
-from .design import ModelDesign
+from .design import DEFAULT_QUAD_NODES, ModelDesign
 from .families import EFFECTS_FAMILIES, LINK_FAMILIES, REGRESSION_FAMILIES
 from .graph import Edge, TransitionGraph, build_graph
 from .hazards import HAZARD_FAMILIES
+from .inference import FitConfig, StopRule
 from .params import METHODS, ModelParams, PrecisionRepr, Sharing
+from .sampler import SamplerConfig
+from .simulate import generate_cohort
 
 
 class ConfigError(ValueError):
@@ -74,10 +80,12 @@ def write_cohort(cohort: Cohort, out_dir: str | Path, latent: dict | None = None
             f.write("\r\n".join([header, *lines]) + "\r\n")
 
 
-def read_cohort(data_dir: str | Path) -> Cohort:
-    data = Path(data_dir)
+class _Table:
+    """The non-blank rows of one cohort CSV file, as columns of cells with
+    their line numbers. A missing file, a missing header and a row whose
+    width differs from the header's are errors naming the file (and line)."""
 
-    def rows_of(name):
+    def __init__(self, data: Path, name: str):
         path = data / name
         if not path.exists():
             raise ConfigError(f"missing data file {path}")
@@ -87,84 +95,107 @@ def read_cohort(data_dir: str | Path) -> Cohort:
             if header is None:
                 raise ConfigError(f"{name}: missing header row")
             body = [(ln, row) for ln, row in enumerate(reader, start=2) if row]
-        return header, body
+        self.name, self.width = name, len(header)
+        for ln, row in body:
+            if len(row) != self.width:
+                raise self.error(ln, f"{len(row)} cells, the header has {self.width}")
+        self.lines = [ln for ln, _ in body]
+        self.columns = list(zip(*(row for _, row in body))) or [()] * self.width
 
-    header, rows = rows_of("covariates.csv")
-    k = len(header) - 1
-    ids: list[int] = []
-    covariates: dict[int, np.ndarray] = {}
-    for ln, row in rows:
-        try:
-            i = int(row[0])
-            covariates[i] = np.array([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise ConfigError(f"covariates.csv line {ln}: {exc}") from exc
-        ids.append(i)
+    def error(self, line: int, message) -> ConfigError:
+        return ConfigError(f"{self.name} line {line}: {message}")
 
-    header, rows = rows_of("longitudinal.csv")
-    d = len(header) - 2
-    times: dict[int, list[float]] = {i: [] for i in ids}
-    values: dict[int, list[list[float]]] = {i: [] for i in ids}
-    for ln, row in rows:
+    def parse(self, col: int, kind=float, keep=None) -> np.ndarray:
+        """Column ``col`` converted by ``kind`` (float or int), of the rows
+        where ``keep`` holds (all rows by default)."""
+        cells, lines = self.columns[col], self.lines
+        if keep is not None:
+            cells, lines = list(compress(cells, keep)), list(compress(lines, keep))
         try:
-            i = int(row[0])
-            t = float(row[1])
-            cells = row[2:]
-            if all(c == "" for c in cells):
-                y = [np.nan] * d
-            elif any(c == "" for c in cells):
-                raise ValueError("partially missing measurement row")
-            else:
-                y = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ConfigError(f"longitudinal.csv line {ln}: {exc}") from exc
-        if i not in times:
-            raise ConfigError(f"longitudinal.csv line {ln}: unknown individual id {i}")
-        times[i].append(t)
-        values[i].append(y)
+            return np.array(list(map(kind, cells)), dtype=kind)
+        except ValueError:
+            for ln, cell in zip(lines, cells):
+                try:
+                    kind(cell)
+                except ValueError as exc:
+                    raise self.error(ln, exc) from exc
+            raise
 
-    header, rows = rows_of("trajectories.csv")
-    pairs: dict[int, list[tuple[float, int]]] = {i: [] for i in ids}
-    for ln, row in rows:
-        try:
-            i = int(row[0])
-            t = float(row[1])
-            s = int(row[2])
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"trajectories.csv line {ln}: {exc}") from exc
-        if i not in pairs:
-            raise ConfigError(f"trajectories.csv line {ln}: unknown individual id {i}")
-        pairs[i].append((t, s))
+    def floats(self, first: int, keep=None) -> np.ndarray:
+        """Columns ``first`` onward as float rows, of the rows where ``keep`` holds."""
+        out = np.empty((len(self.lines) if keep is None else np.count_nonzero(keep), self.width - first))
+        for col in range(first, self.width):
+            out[:, col - first] = self.parse(col, float, keep)
+        return out
 
-    header, rows = rows_of("censoring.csv")
-    ctimes: dict[int, float] = {}
-    for ln, row in rows:
-        try:
-            ctimes[int(row[0])] = float(row[1])
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"censoring.csv line {ln}: {exc}") from exc
+    def groups(self, index: dict[int, int]) -> list[np.ndarray]:
+        """Each individual's rows, in the order of ``index`` (id -> position),
+        each in file order; an id that ``index`` lacks is an error."""
+        ids = self.parse(0, int).tolist()
+        pos = np.array([index.get(i, -1) for i in ids], dtype=int)
+        if np.any(pos < 0):
+            r = int(np.argmax(pos < 0))
+            raise self.error(self.lines[r], f"unknown individual id {ids[r]}")
+        order = np.argsort(pos, kind="stable")
+        bounds = np.searchsorted(pos[order], np.arange(len(index) + 1)).tolist()
+        return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def read_cohort(data_dir: str | Path) -> Cohort:
+    """Read the cohort files that :func:`write_cohort` writes. Records follow
+    the rows of ``covariates.csv``; each individual's rows of the other files
+    keep their file order."""
+    data = Path(data_dir)
+    cov = _Table(data, "covariates.csv")
+    ids = cov.parse(0, int).tolist()
+    index = {i: j for j, i in enumerate(ids)}
+    if len(index) < len(ids):
+        j = next(j for j, i in enumerate(ids) if index[i] != j)
+        raise cov.error(cov.lines[j], f"duplicate individual id {ids[j]}")
+    x = cov.floats(1)
+
+    lon = _Table(data, "longitudinal.csv")
+    d = lon.width - 2
+    measured = lon.groups(index)
+    times = lon.parse(1)
+    blank = np.zeros(len(lon.lines), dtype=int)  # empty measurement cells per row
+    for col in lon.columns[2:]:
+        blank += np.array([c == "" for c in col], dtype=bool)
+    partial = (blank > 0) & (blank < d)
+    if partial.any():
+        raise lon.error(lon.lines[int(np.argmax(partial))], "partially missing measurement row")
+    y = np.full((len(lon.lines), d), np.nan)
+    seen = blank == 0
+    y[seen] = lon.floats(2, seen)
+
+    traj = _Table(data, "trajectories.csv")
+    moves = traj.groups(index)
+    move_times, states = traj.parse(1), traj.parse(2, int)
+
+    cens = _Table(data, "censoring.csv")
+    censored = cens.groups(index)
+    ctimes = cens.parse(1)
 
     records = []
-    for i in ids:
-        if not pairs[i]:
-            raise ConfigError(f"individual {i}: no trajectory rows")
-        if i not in ctimes:
-            raise ConfigError(f"individual {i}: no censoring time")
+    for j, i in enumerate(ids):
+        if not moves[j].size or not censored[j].size:
+            missing = "censoring time" if moves[j].size else "trajectory rows"
+            raise ConfigError(f"individual {i} (covariates.csv line {cov.lines[j]}): no {missing}")
         try:
-            trajectory = Trajectory(tuple(pairs[i]))
+            trajectory = Trajectory(tuple(zip(move_times[moves[j]].tolist(), states[moves[j]].tolist())))
         except ValueError as exc:
-            raise ConfigError(f"individual {i}: {exc}") from exc
-        y = np.array(values[i], dtype=float).reshape(len(times[i]), d)
+            raise traj.error(traj.lines[moves[j][0]], f"individual {i}: {exc}") from exc
+        rows = measured[j]
         records.append(
             IndividualRecord(
-                covariates=covariates[i],
-                measurement_times=np.array(times[i]),
-                measurements=y,
+                covariates=x[j],
+                measurement_times=times[rows],
+                measurements=y[rows],
                 trajectory=trajectory,
-                censoring_time=ctimes[i],
+                censoring_time=ctimes[censored[j][-1]],
             )
         )
-    return Cohort(tuple(records), n_covariates=k, n_biomarkers=d)
+    return Cohort(tuple(records), n_covariates=cov.width - 1, n_biomarkers=d)
 
 
 # --------------------------------------------------------------------------
@@ -249,44 +280,31 @@ def read_params(path: str | Path) -> ModelParams:
 # Run configuration
 
 
-_FAMILY_KEYS = {
-    "effects": {
-        "gamma_plus_b": set(),
-        "gamma_x_plus_b": {"n_effects", "n_covariates"},
-        "transform_stack": {"transforms"},
-        "b_only": set(),
-    },
-    "regression": {
-        "polynomial": {"degree"},
-        "piecewise_affine": {"breakpoint"},
-        "exponential_decay": set(),
-        "shifted_tanh": set(),
-    },
-    "link": {
-        "value": set(),
-        "slope": set(),
-        "value_slope": set(),
-        "cumulative": {"lower", "n_nodes"},
-        "none": set(),
-    },
-    "hazard": {
-        "exponential": {"rate", "clock", "trainable"},
-        "weibull": {"shape", "scale", "clock", "trainable"},
-        "piecewise_constant": {"cuts", "levels", "clock", "trainable"},
-    },
+def _param_keys(fn, *supplied: str) -> frozenset:
+    """The parameters of a function or constructor, less those its caller supplies."""
+    return frozenset(inspect.signature(fn).parameters).difference(supplied)
+
+
+def _field_keys(cls) -> frozenset:
+    """The constructor fields of a dataclass."""
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.init)
+
+
+_FAMILIES = {
+    "effects": EFFECTS_FAMILIES,
+    "regression": REGRESSION_FAMILIES,
+    "link": LINK_FAMILIES,
+    "hazard": HAZARD_FAMILIES,
 }
 
+# Each section's keys are the fields or parameters of what it feeds, except
+# where no signature states them (design, predict, fim, the top level).
 _SECTION_KEYS = {
-    "graph": {"num_states", "edges", "labels"},
+    "graph": _param_keys(build_graph),
     "design": {"effects", "regression", "edges", "n_quad"},
-    "fit": {
-        "optimizer", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
-        "n_draws", "minibatch", "max_iterations", "grad_clip", "schedule_decay",
-        "stop",
-    },
-    "stop": {"beta1", "beta2", "atol", "rtol"},
-    "sampler": {"n_chains", "warmup", "target_accept", "rm_scale", "rm_decay", "init_scale", "thin"},
-    "simulate": {"n", "m", "horizon", "min_separation", "censoring", "n_covariates", "initial", "max_transitions"},
+    "fit": _field_keys(FitConfig) | {"stop"},
+    "sampler": _field_keys(SamplerConfig),
+    "simulate": _param_keys(generate_cohort, "design", "params", "seed"),
     "predict": {"truncations", "horizons", "n_draws", "warmup", "thin"},
     "fim": {"n_samples"},
 }
@@ -301,18 +319,30 @@ def _check_keys(spec: dict, allowed: set, path: str) -> None:
         raise ConfigError(f"unknown key {path}.{key}")
 
 
-def _family_spec(kind: str, spec, path: str) -> tuple[str, dict]:
+def _family_spec(kind: str, spec, path: str) -> tuple[type, dict]:
+    """The registered class of a family spec and its keyword arguments,
+    which must be parameters of the class's constructor (less
+    ``regression``, which links are given by the design)."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError(f"{path}: expected an object with a 'family' key")
     name = spec["family"]
-    table = _FAMILY_KEYS[kind]
+    table = _FAMILIES[kind]
     if name not in table:
         raise ConfigError(f"{path}.family: unknown {kind} family {name!r}")
     kwargs = {k: v for k, v in spec.items() if k != "family"}
-    unknown = set(kwargs) - table[name]
-    if unknown:
-        raise ConfigError(f"unknown key {path}.{sorted(unknown)[0]}")
-    return name, kwargs
+    _check_keys(kwargs, _param_keys(table[name], "regression"), path)
+    return table[name], kwargs
+
+
+def _build_family(kind: str, spec, path: str, regression=None):
+    """Construct a family from its spec; links take the design's regression."""
+    cls, kwargs = _family_spec(kind, spec, path)
+    if "regression" in inspect.signature(cls).parameters:
+        kwargs["regression"] = regression
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> dict:
@@ -330,8 +360,6 @@ def load_config(path: str | Path) -> dict:
 def validate_config(config: dict) -> None:
     _check_keys(config, _TOP_KEYS, "config")
     for section, allowed in _SECTION_KEYS.items():
-        if section in ("stop",):
-            continue
         block = config.get(section)
         if block is None:
             continue
@@ -352,7 +380,7 @@ def validate_config(config: dict) -> None:
         else:
             _check_keys(block, allowed, f"config.{section}")
     if "fit" in config and isinstance(config["fit"], dict) and "stop" in config["fit"]:
-        _check_keys(config["fit"]["stop"] or {}, _SECTION_KEYS["stop"], "config.fit.stop")
+        _check_keys(config["fit"]["stop"] or {}, _field_keys(StopRule), "config.fit.stop")
     if "params" in config:
         params_from_dict(config["params"], "config.params")
 
@@ -375,25 +403,19 @@ def build_design_from_config(config: dict) -> ModelDesign:
     spec = config.get("design")
     if spec is None:
         raise ConfigError("config.design: missing section")
-    name, kwargs = _family_spec("effects", spec.get("effects", {}), "config.design.effects")
-    effects = EFFECTS_FAMILIES[name](**kwargs)
-    name, kwargs = _family_spec("regression", spec.get("regression", {}), "config.design.regression")
-    regression = REGRESSION_FAMILIES[name](**kwargs)
+    effects = _build_family("effects", spec.get("effects", {}), "config.design.effects")
+    regression = _build_family("regression", spec.get("regression", {}), "config.design.regression")
     edge_specs = {}
     links_cache: dict[str, object] = {}
     for key, espec in spec.get("edges", {}).items():
-        edge = parse_edge_key(key)
-        hname, hkwargs = _family_spec("hazard", espec.get("hazard", {}), f"config.design.edges.{key}.hazard")
-        try:
-            hazard = HAZARD_FAMILIES[hname](**hkwargs)
-        except ValueError as exc:
-            raise ConfigError(f"config.design.edges.{key}.hazard: {exc}") from exc
-        lname, lkwargs = _family_spec("link", espec.get("link", {}), f"config.design.edges.{key}.link")
-        cache_key = json.dumps({"family": lname, **lkwargs}, sort_keys=True)
+        edge, path = parse_edge_key(key), f"config.design.edges.{key}"
+        hazard = _build_family("hazard", espec.get("hazard", {}), f"{path}.hazard")
+        lspec = espec.get("link", {})
+        cache_key = json.dumps(lspec, sort_keys=True)
         if cache_key not in links_cache:
-            links_cache[cache_key] = LINK_FAMILIES[lname](regression, **lkwargs)
+            links_cache[cache_key] = _build_family("link", lspec, f"{path}.link", regression)
         edge_specs[edge] = (hazard, links_cache[cache_key])
     try:
-        return ModelDesign(effects, regression, edge_specs, n_quad=int(spec.get("n_quad", 32)))
+        return ModelDesign(effects, regression, edge_specs, n_quad=int(spec.get("n_quad", DEFAULT_QUAD_NODES)))
     except ValueError as exc:
         raise ConfigError(f"config.design: {exc}") from exc

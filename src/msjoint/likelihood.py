@@ -228,19 +228,16 @@ def _basis(family, n_psi, t, *covariates):
 class _Rows:
     """One edge's event rows (one node at the event time) or sojourn-at-risk
     rows (quadrature nodes, with the quadrature weights negated): the
-    individual of each row, clock times, node weights, covariates, the log
-    baseline when it is fixed, and the link basis at the node times."""
+    individual of each row, clock times, node weights, covariates and the
+    link basis at the node times."""
 
-    __slots__ = ("event", "idx", "u", "w", "x", "haz", "basis")
+    __slots__ = ("event", "idx", "u", "w", "x", "basis")
 
-    def __init__(self, event, idx, u, w, x, haz, basis):
-        self.event, self.idx, self.u, self.w, self.x, self.haz, self.basis = event, idx, u, w, x, haz, basis
+    def __init__(self, event, idx, u, w, x, basis):
+        self.event, self.idx, self.u, self.w, self.x, self.basis = event, idx, u, w, x, basis
 
     def take(self, keep) -> "_Rows":
-        return _Rows(
-            self.event, self.idx[keep], self.u[keep], self.w[keep], self.x[keep],
-            None if self.haz is None else self.haz[keep], self.basis.take(keep),
-        )
+        return _Rows(self.event, self.idx[keep], self.u[keep], self.w[keep], self.x[keep], self.basis.take(keep))
 
 
 def _row_index(idx: np.ndarray, n: int, C: int, m: int) -> np.ndarray:
@@ -286,10 +283,7 @@ class _BoundParams:
         """The link weights of a cached basis (None for a family basis) and
         the offset log lambda_0(u) + x . beta, shaped (rows, 1, nodes)."""
         design, params = self.engine.design, self.params
-        if design.extra_slice(edge) is None:
-            base = rows.haz
-        else:
-            base = design.hazard(edge).log_hazard(rows.u, design.hazard_values(edge, params))
+        base = design.hazard(edge).log_hazard(rows.u, design.hazard_values(edge, params))
         offset = (base + (rows.x @ params.beta[edge])[:, None])[:, None, :]
         return rows.basis.weights(params.alpha[edge]), offset
 
@@ -401,9 +395,8 @@ class LikelihoodEngine:
                 if not idx.size:
                     continue
                 u = t - np.asarray(entry)[:, None] if hazard.clock == "reset" else t
-                haz = None if hazard.trainable else hazard.log_hazard(u, hazard.initial_params())
                 x = self.x[idx]
-                row_sets.append(_Rows(event, idx, u, w, x, haz, _basis(lnk, n_psi, t, x)))
+                row_sets.append(_Rows(event, idx, u, w, x, _basis(lnk, n_psi, t, x)))
             self.edge_blocks.append((edge, row_sets))
 
     # -- evaluation ---------------------------------------------------------

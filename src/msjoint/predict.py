@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import Cohort, IndividualRecord
+from .dataset import Cohort, IndividualRecord, state_occupied_at
 from .design import ModelDesign
 from .graph import TransitionGraph, reaches
 from .likelihood import LikelihoodEngine
@@ -86,16 +86,6 @@ class PredictionResult:
         dist = self.distribution()
         best = max(sorted(dist), key=lambda v: dist[v])
         return best
-
-
-def state_occupied_at(prefix: Prefix, u: float) -> int:
-    """State held at time u: the state of the last transition at or before u
-    (the initial state when u precedes the first time)."""
-    state = prefix[0][1]
-    for t, s in prefix:
-        if t <= u:
-            state = s
-    return state
 
 
 def state_at_time(graph: TransitionGraph, u: float) -> tuple[StoppingSpec, Functional]:

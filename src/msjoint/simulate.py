@@ -227,8 +227,10 @@ def sample_trajectories(
     exceeding the max-transitions guard raises TrajectoryLimitError.
 
     Randomness is consumed from one independent stream per row (spawned from
-    ``rng`` unless ``rngs`` is given), so each row's trajectory is
-    reproducible regardless of batch composition.
+    ``rng`` unless ``rngs`` is given), so each row draws the same variates
+    whatever the batch. Its event times agree across batches only to
+    ``BISECT_TOL``: bisection runs until the widest bracket in the batch is
+    that narrow, so a row batched with slower rows is bisected further.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)

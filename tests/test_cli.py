@@ -1,5 +1,7 @@
 import csv
+import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from msjoint import repr_from_cov
 from msjoint.cli import main
 from msjoint.dataset import Cohort, IndividualRecord, Trajectory
+from msjoint.families import EFFECTS_FAMILIES, LINK_FAMILIES, REGRESSION_FAMILIES
+from msjoint.hazards import HAZARD_FAMILIES
 from msjoint.io import (
     ConfigError,
     fmt,
@@ -16,6 +20,7 @@ from msjoint.io import (
     params_to_dict,
     read_cohort,
     read_params,
+    validate_config,
     write_cohort,
     write_params,
 )
@@ -94,6 +99,36 @@ def test_config_rejects_unknown_family_kwarg(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match="config.design.regression.breakpont"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "kind, registry, path",
+    [
+        ("effects", EFFECTS_FAMILIES, "config.design.effects"),
+        ("regression", REGRESSION_FAMILIES, "config.design.regression"),
+        ("link", LINK_FAMILIES, "config.design.edges.0->1.link"),
+        ("hazard", HAZARD_FAMILIES, "config.design.edges.0->1.hazard"),
+    ],
+)
+def test_family_keys_are_the_constructor_parameters(kind, registry, path):
+    assert registry
+    for name, cls in registry.items():
+        keys = {p: 1 for p in inspect.signature(cls).parameters if p != "regression"}
+        cfg = study_config()
+        parent = cfg["design"] if kind in ("effects", "regression") else cfg["design"]["edges"]["0->1"]
+        parent[kind] = {"family": name, **keys}
+        validate_config(cfg)  # every constructor parameter is accepted
+        misspelt = next(iter(keys), name) + "_typo"
+        parent[kind][misspelt] = 1
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key {path}.{misspelt}")):
+            validate_config(cfg)
+
+
+def test_config_rejects_stop_rule_moments():
+    cfg = study_config()
+    cfg["fit"]["stop"] = {"rtol": 0.1, "m1": [0.0]}
+    with pytest.raises(ConfigError, match=re.escape("unknown key config.fit.stop.m1")):
+        validate_config(cfg)
 
 
 def test_params_json_round_trip(tmp_path):
@@ -190,6 +225,63 @@ def test_infinite_censoring_round_trips(tmp_path):
     write_cohort(cohort, tmp_path / "d")
     back = read_cohort(tmp_path / "d")
     assert np.isinf(back[0].censoring_time)
+
+
+def _replace_line(path, line, text):
+    """Replace line ``line`` (1-based, the header is line 1) of a CSV file."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _two_biomarker_cohort(out):
+    records = [
+        IndividualRecord(
+            covariates=[0.5], measurement_times=[1.0, 2.0], measurements=[[1.0, 2.0], [3.0, 4.0]],
+            trajectory=Trajectory(((0.0, 0), (1.5, 1))), censoring_time=10.0,
+        ),
+        IndividualRecord(
+            covariates=[-0.5], measurement_times=[0.5], measurements=[[5.0, 6.0]],
+            trajectory=Trajectory(((0.0, 0),)), censoring_time=12.0,
+        ),
+    ]
+    write_cohort(Cohort(tuple(records)), out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, line, text, message",
+    [
+        ("covariates.csv", 3, "1,abc", "covariates.csv line 3: could not convert string to float: 'abc'"),
+        ("covariates.csv", 3, "0,-0.5", "covariates.csv line 2: duplicate individual id 0"),
+        ("longitudinal.csv", 3, "0,2,3,", "longitudinal.csv line 3: partially missing measurement row"),
+        ("longitudinal.csv", 4, "999,0.5,5,6", "longitudinal.csv line 4: unknown individual id 999"),
+        ("trajectories.csv", 2, "0,0,0,7", "trajectories.csv line 2: 4 cells, the header has 3"),
+        ("trajectories.csv", 3, "0,-1,1", "trajectories.csv line 2: individual 0: trajectory times must be strictly increasing"),
+        ("censoring.csv", 3, "", "individual 1 (covariates.csv line 3): no censoring time"),
+        ("censoring.csv", 3, "1,12,0", "censoring.csv line 3: 3 cells, the header has 2"),
+        ("censoring.csv", 3, "7,12", "censoring.csv line 3: unknown individual id 7"),
+        ("trajectories.csv", 4, "", "individual 1 (covariates.csv line 3): no trajectory rows"),
+    ],
+)
+def test_read_cohort_errors_name_file_and_line(tmp_path, name, line, text, message):
+    data = _two_biomarker_cohort(tmp_path / "d")
+    _replace_line(data / name, line, text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        read_cohort(data)
+
+
+def test_read_cohort_follows_covariates_order_and_file_order(tmp_path):
+    data = _two_biomarker_cohort(tmp_path / "d")
+    for name in ("covariates.csv", "longitudinal.csv"):
+        header, *rows = (data / name).read_text().splitlines()
+        (data / name).write_text("\n".join([header] + rows[::-1]) + "\n")
+    back = read_cohort(data)
+    assert [rec.covariates.tolist() for rec in back] == [[-0.5], [0.5]]  # id 1 first
+    np.testing.assert_array_equal(back[1].measurement_times, [2.0, 1.0])  # unsorted, as filed
+    np.testing.assert_array_equal(back[1].measurements, [[3.0, 4.0], [1.0, 2.0]])
+    assert back[1].trajectory.pairs == ((0.0, 0), (1.5, 1))
+    assert back[0].censoring_time == 12.0
 
 
 # -- commands ------------------------------------------------------------------------
