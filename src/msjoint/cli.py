@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +39,26 @@ from .sampler import SamplerConfig
 from .simulate import generate_cohort
 
 
+@contextmanager
+def _section(name: str):
+    """Report a constructor's rejection of a config section as a ConfigError
+    naming the section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.{name}: {exc}") from exc
+
+
 def _sampler_config(config: dict) -> SamplerConfig:
-    spec = config.get("sampler") or {}
-    return SamplerConfig(**spec)
+    with _section("sampler"):
+        return SamplerConfig(**(config.get("sampler") or {}))
 
 
 def _fit_config(config: dict) -> tuple[FitConfig, StopRule]:
     spec = dict(config.get("fit") or {})
     stop_spec = spec.pop("stop", None) or {}
-    try:
+    with _section("fit"):
         return FitConfig(**spec), StopRule(**stop_spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.fit: {exc}") from exc
 
 
 def _require(config: dict, section: str) -> dict:
@@ -159,11 +168,12 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
     if not horizons:
         raise ConfigError("config.predict.horizons: at least one horizon is required")
     n_draws = int(spec.get("n_draws", 200))
-    sampler_cfg = SamplerConfig(
-        n_chains=(config.get("sampler") or {}).get("n_chains", 5),
-        warmup=int(spec.get("warmup", 500)),
-        thin=int(spec.get("thin", 5)),
-    )
+    with _section("predict"):
+        sampler_cfg = SamplerConfig(
+            n_chains=(config.get("sampler") or {}).get("n_chains", 5),
+            warmup=int(spec.get("warmup", 500)),
+            thin=int(spec.get("thin", 5)),
+        )
     master = np.random.default_rng(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_rows = []

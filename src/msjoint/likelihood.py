@@ -16,8 +16,8 @@ import numpy as np
 
 from .dataset import Cohort, IndividualRecord, validate_cohort
 from .design import ModelDesign, cumulative_intensity, gauss_legendre, map_nodes, transition_log_intensity
-from .graph import Edge, TransitionGraph, build_buckets
-from .params import ModelParams, ParamLayout, PrecisionRepr
+from .graph import Edge, TransitionGraph
+from .params import ModelParams, ParamLayout, PrecisionRepr, quad_form
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -253,15 +253,6 @@ def _add_rows(flat: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=vals.ravel(), minlength=m * C * n).reshape(m, C, n)
 
 
-def _quad_form(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b^T P b for b of shape (..., dim) and P = L L^T, as
-    :meth:`PrecisionRepr.quad_form` computes it from its factor L."""
-    if L.shape[0] == 0:
-        return np.zeros(b.shape[:-1])
-    u = b.reshape(-1, L.shape[0]) @ L
-    return np.einsum("ij,ij->i", u, u).reshape(b.shape[:-1])
-
-
 class _BoundParams:
     """One parameter value bound to one engine (:meth:`LikelihoodEngine.bind`):
     the validated params and every quantity of the evaluation that depends on
@@ -286,15 +277,6 @@ class _BoundParams:
         base = design.hazard(edge).log_hazard(rows.u, design.hazard_values(edge, params))
         offset = (base + (rows.x @ params.beta[edge])[:, None])[:, None, :]
         return rows.basis.weights(params.alpha[edge]), offset
-
-
-def _absolute_extra_slice(layout: ParamLayout, local: slice | None) -> slice | None:
-    # hazard trainables are indexed within params.extra; shift into the
-    # flattened free-parameter vector
-    if local is None:
-        return None
-    start = layout.slices()["extra"].start
-    return slice(start + local.start, start + local.stop)
 
 
 class LikelihoodEngine:
@@ -357,13 +339,16 @@ class LikelihoodEngine:
 
     def _build_edge_blocks(self, n_psi) -> None:
         nodes, weights = gauss_legendre(self.design.n_quad)
-        buckets = build_buckets(self.graph, self.cohort.trajectories(), self.cohort.censoring_times())
-        # Sojourn intervals at risk: every stay in a state exposes all of its
-        # outgoing edges from the entry time to the exit or censoring time.
+        # Per edge, (individual, entry, exit) of each observed transition and
+        # of each sojourn interval at risk: every stay in a state exposes all
+        # of its outgoing edges from the entry time to the exit or censoring
+        # time. Rows follow the cohort, then the trajectory.
+        events: dict[Edge, list[tuple[int, float, float]]] = {e: [] for e in self.graph.sorted_edges()}
         risk: dict[Edge, list[tuple[int, float, float]]] = {e: [] for e in self.graph.sorted_edges()}
         for i, rec in enumerate(self.cohort):
             pairs = rec.trajectory.pairs
-            for (t0, s0), (t1, _) in zip(pairs, pairs[1:]):
+            for (t0, s0), (t1, s1) in zip(pairs, pairs[1:]):
+                events[(s0, s1)].append((i, t0, t1))
                 for s in self.graph.successors(s0):
                     risk[(s0, s)].append((i, t0, t1))
             t_last, s_last = pairs[-1]
@@ -379,22 +364,19 @@ class LikelihoodEngine:
         self.edge_blocks: list[tuple[Edge, list[_Rows]]] = []
         for edge in self.graph.sorted_edges():
             hazard, lnk = self.design.hazard(edge), self.design.link(edge)
-            entries = buckets.by_edge[edge]
-            intervals = risk[edge]
-            r_t0 = np.array([a for _, a, _ in intervals])
-            nd_t, nd_w = map_nodes(nodes, weights, r_t0, np.array([b for _, _, b in intervals]))
-            ev_t = np.array([e.exit_time for e in entries]).reshape(-1, 1)
-            ev_entry = [e.entry_time for e in entries]
+            ev = np.array(events[edge], dtype=float).reshape(-1, 3)
+            sj = np.array(risk[edge], dtype=float).reshape(-1, 3)
+            nd_t, nd_w = map_nodes(nodes, weights, sj[:, 1], sj[:, 2])
             layouts = (
-                (True, [e.individual for e in entries], ev_t, np.ones_like(ev_t), ev_entry),
-                (False, [i for i, _, _ in intervals], nd_t, -nd_w, r_t0),
+                (True, ev[:, 0], ev[:, 2:], np.ones((len(ev), 1)), ev[:, 1]),
+                (False, sj[:, 0], nd_t, -nd_w, sj[:, 1]),
             )
             row_sets = []
             for event, idx, t, w, entry in layouts:
-                idx = np.array(idx, dtype=int)
                 if not idx.size:
                     continue
-                u = t - np.asarray(entry)[:, None] if hazard.clock == "reset" else t
+                idx = idx.astype(int)
+                u = t - entry[:, None] if hazard.clock == "reset" else t
                 x = self.x[idx]
                 row_sets.append(_Rows(event, idx, u, w, x, _basis(lnk, n_psi, t, x)))
             self.edge_blocks.append((edge, row_sets))
@@ -456,7 +438,6 @@ class LikelihoodEngine:
         acc = None
         if scores:
             layout = params.layout()
-            sl = layout.slices()
             P = layout.size
             # one (C, n) score plane per free parameter, then d/dpsi planes
             # that are pulled back to gamma last
@@ -464,21 +445,21 @@ class LikelihoodEngine:
 
         q_repr, r_repr = params.q_repr, params.r_repr
         b_sel = b[:, keep]
-        prior = bound.prior_const - 0.5 * _quad_form(bound.L_q, b_sel)
+        prior = bound.prior_const - 0.5 * quad_form(bound.L_q, b_sel)
         if scores and q_repr.dim:
             outer = np.einsum("cnq,cnr->cnqr", b_sel, b_sel)
-            acc[sl["q"]] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
+            acc[layout.group_slice("q")] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
 
         longit = np.zeros((C, n))
         if self.marker is not None:
             obs = self.obs_mask[keep]
             marker, psi_m = self.marker.take(keep), psi_rows[keep]
             r = (self.y_obs[keep][:, None] - marker.value(psi_m)) * obs[:, None, :, None]
-            longit = (bound.longit_const[keep] - 0.5 * _quad_form(bound.L_r, r).sum(axis=-1)).T
+            longit = (bound.longit_const[keep] - 0.5 * quad_form(bound.L_r, r).sum(axis=-1)).T
             if scores:
                 if r_repr.n_free:
                     outer = np.einsum("ncjd,ncje->cnde", r, r)
-                    acc[sl["r"]] = np.moveaxis(r_repr.grad_values(outer, self.obs_counts[keep]), -1, 0)
+                    acc[layout.group_slice("r")] = np.moveaxis(r_repr.grad_values(outer, self.obs_counts[keep]), -1, 0)
                 # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
                 pr = (r.reshape(-1, self.d) @ r_repr.precision()).reshape(r.shape)
                 acc[P:] += marker.vjp(pr, psi_m).transpose(2, 1, 0)
@@ -531,18 +512,20 @@ class LikelihoodEngine:
                     col += width
 
         if scores:
-            if layout.n_gamma:
+            if params.gamma.size:
                 jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)[:, keep]
-                acc[sl["gamma"]] += np.einsum("scn,cnsg->gcn", acc[P:], jpg)
+                acc[layout.group_slice("gamma")] += np.einsum("scn,cnsg->gcn", acc[P:], jpg)
             acc = acc[:P]
         return prior, longit, sm, acc
 
     def _edge_slices(self, layout: ParamLayout, edge: Edge, n_free: int, n_psi: int) -> list[slice]:
         """Accumulator columns of an edge's row scores, in order: alpha, beta,
         trainable hazard values, psi."""
-        extra = _absolute_extra_slice(layout, self.design.extra_slice(edge))
         out = [layout.edge_slice("alpha", edge), layout.edge_slice("beta", edge)]
-        return out + ([extra] if extra is not None else []) + [slice(n_free, n_free + n_psi)]
+        local = self.design.extra_slice(edge)
+        if local is not None:
+            out.append(layout.group_slice("extra", local))
+        return out + [slice(n_free, n_free + n_psi)]
 
     def loglik_terms(self, params: ModelParams | _BoundParams, b: np.ndarray) -> LogLikTerms:
         """Per-(chain, individual) prior, longitudinal and semi-Markov terms."""

@@ -11,12 +11,23 @@ identity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .graph import Edge
 
 METHODS = ("full", "diag", "ball")
+
+
+def quad_form(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b^T P b for b of shape (..., dim) and P = L L^T."""
+    b = np.asarray(b)
+    if L.shape[0] == 0:
+        return np.zeros(b.shape[:-1])
+    u = b.reshape(-1, L.shape[0]) @ L  # one matrix product for any batch
+    return np.einsum("ij,ij->i", u, u).reshape(b.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -90,11 +101,7 @@ class PrecisionRepr:
 
     def quad_form(self, b: np.ndarray) -> np.ndarray:
         """b^T P b for b of shape (..., dim)."""
-        if self.dim == 0:
-            return np.zeros(np.asarray(b).shape[:-1])
-        b = np.asarray(b)
-        u = b.reshape(-1, self.dim) @ self.chol_factor()  # one matrix product for any batch
-        return np.einsum("ij,ij->i", u, u).reshape(b.shape[:-1])
+        return quad_form(self.chol_factor(), b)
 
     def grad_values(self, outer_sum: np.ndarray, count) -> np.ndarray:
         """Gradient of sum over items of [1/2 log det P - 1/2 r^T P r].
@@ -268,97 +275,73 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Index map from free (untied) scalars to parameter slots.
+    """Index map from free (untied) scalars to parameter slots: one block
+    (group, tie-class edges or (), size) per run of the free vector, in
+    flatten order: gamma, Q values, R values, one block per alpha tie class
+    (classes in edge-sorted first-seen order), the same for beta, then the
+    extra hazard vector."""
 
-    Flatten order: gamma, Q values, R values, one representative per alpha
-    tie class (classes in edge-sorted first-seen order), same for beta, then
-    the extra hazard vector.
-    """
-
-    n_gamma: int
-    n_q: int
-    n_r: int
-    alpha_classes: tuple[tuple[Edge, ...], ...]
-    alpha_sizes: tuple[int, ...]
-    beta_classes: tuple[tuple[Edge, ...], ...]
-    beta_sizes: tuple[int, ...]
-    n_extra: int
+    blocks: tuple[tuple[str, tuple[Edge, ...], int], ...]
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "ParamLayout":
-        a_classes = p.sharing.classes("alpha", p.edges)
-        b_classes = p.sharing.classes("beta", p.edges)
-        return cls(
-            n_gamma=p.gamma.shape[0],
-            n_q=p.q_repr.n_free,
-            n_r=p.r_repr.n_free,
-            alpha_classes=tuple(a_classes),
-            alpha_sizes=tuple(p.alpha[c[0]].shape[0] for c in a_classes),
-            beta_classes=tuple(b_classes),
-            beta_sizes=tuple(p.beta[c[0]].shape[0] for c in b_classes),
-            n_extra=p.extra.shape[0],
-        )
+        blocks = [("gamma", (), p.gamma.shape[0]), ("q", (), p.q_repr.n_free), ("r", (), p.r_repr.n_free)]
+        for group, slots in (("alpha", p.alpha), ("beta", p.beta)):
+            blocks += [(group, c, slots[c[0]].shape[0]) for c in p.sharing.classes(group, p.edges)]
+        blocks.append(("extra", (), p.extra.shape[0]))
+        return cls(tuple(blocks))
 
     @property
     def size(self) -> int:
-        return (
-            self.n_gamma
-            + self.n_q
-            + self.n_r
-            + sum(self.alpha_sizes)
-            + sum(self.beta_sizes)
-            + self.n_extra
-        )
+        return sum(n for _, _, n in self.blocks)
 
-    def slices(self) -> dict[str, slice]:
-        out: dict[str, slice] = {}
-        pos = 0
-        for name, n in [("gamma", self.n_gamma), ("q", self.n_q), ("r", self.n_r)]:
-            out[name] = slice(pos, pos + n)
-            pos += n
-        for group, classes, sizes in (
-            ("alpha", self.alpha_classes, self.alpha_sizes),
-            ("beta", self.beta_classes, self.beta_sizes),
-        ):
-            for cls_edges, n in zip(classes, sizes):
-                out[f"{group}:{cls_edges[0]}"] = slice(pos, pos + n)
-                pos += n
-        out["extra"] = slice(pos, pos + self.n_extra)
-        return out
+    @cached_property
+    def spans(self) -> tuple[slice, ...]:
+        """The free-vector slice of each block."""
+        stops = list(accumulate(n for _, _, n in self.blocks))
+        return tuple(slice(stop - n, stop) for (_, _, n), stop in zip(self.blocks, stops))
+
+    @cached_property
+    def _index(self) -> dict[tuple[str, Edge | None], slice]:
+        index = {}
+        for (group, edges, _), span in zip(self.blocks, self.spans):
+            for e in edges or (None,):
+                index[group, e] = span
+        return index
+
+    def group_slice(self, group: str, part: slice | None = None) -> slice:
+        """Free-vector slice of the gamma, q, r or extra block, or of ``part``
+        of it (a slice within the block)."""
+        span = self._index[group, None]
+        return span if part is None else slice(span.start + part.start, span.start + part.stop)
 
     def edge_slice(self, group: str, edge: Edge) -> slice:
         """Free-vector slice feeding the (group, edge) slot."""
-        classes = self.alpha_classes if group == "alpha" else self.beta_classes
-        slices = self.slices()
-        for cls_edges in classes:
-            if edge in cls_edges:
-                return slices[f"{group}:{cls_edges[0]}"]
-        raise KeyError(f"edge {edge} not in layout")
+        try:
+            return self._index[group, edge]
+        except KeyError:
+            raise KeyError(f"edge {edge} not in layout") from None
 
     def names(self) -> list[str]:
         """One display name per free scalar."""
-        out = [f"gamma[{i}]" for i in range(self.n_gamma)]
-        out += [f"q[{i}]" for i in range(self.n_q)]
-        out += [f"r[{i}]" for i in range(self.n_r)]
-        for group, classes, sizes in (
-            ("alpha", self.alpha_classes, self.alpha_sizes),
-            ("beta", self.beta_classes, self.beta_sizes),
-        ):
-            for cls_edges, n in zip(classes, sizes):
-                tag = "+".join(f"{k}->{kp}" for k, kp in cls_edges)
-                out += [f"{group}({tag})[{i}]" for i in range(n)]
-        out += [f"extra[{i}]" for i in range(self.n_extra)]
+        out = []
+        for group, edges, n in self.blocks:
+            tag = f"{group}({'+'.join(f'{k}->{kp}' for k, kp in edges)})" if edges else group
+            out += [f"{tag}[{i}]" for i in range(n)]
         return out
+
+
+def _block_values(params: ModelParams, group: str, edges: tuple[Edge, ...]) -> np.ndarray:
+    if edges:
+        return getattr(params, group)[edges[0]]
+    if group in ("q", "r"):
+        return getattr(params, f"{group}_repr").values
+    return getattr(params, group)
 
 
 def flatten(params: ModelParams) -> np.ndarray:
     """Free parameter vector; tied slots emit one scalar block per class."""
-    layout = params.layout()
-    parts = [params.gamma, params.q_repr.values, params.r_repr.values]
-    parts += [params.alpha[c[0]] for c in layout.alpha_classes]
-    parts += [params.beta[c[0]] for c in layout.beta_classes]
-    parts.append(params.extra)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate([_block_values(params, group, edges) for group, edges, _ in params.layout().blocks])
 
 
 def unflatten(vector: np.ndarray, template: ModelParams) -> ModelParams:
@@ -368,23 +351,19 @@ def unflatten(vector: np.ndarray, template: ModelParams) -> ModelParams:
     layout = template.layout()
     if vector.shape != (layout.size,):
         raise ValueError(f"expected a vector of length {layout.size}, got {vector.shape}")
-    sl = layout.slices()
-    alpha: dict[Edge, np.ndarray] = {}
-    for cls_edges in layout.alpha_classes:
-        val = vector[sl[f"alpha:{cls_edges[0]}"]].copy()
-        for e in cls_edges:
-            alpha[e] = val
-    beta: dict[Edge, np.ndarray] = {}
-    for cls_edges in layout.beta_classes:
-        val = vector[sl[f"beta:{cls_edges[0]}"]].copy()
-        for e in cls_edges:
-            beta[e] = val
+    values: dict = {"alpha": {}, "beta": {}}
+    for (group, edges, _), span in zip(layout.blocks, layout.spans):
+        value = vector[span].copy()
+        if edges:
+            values[group].update(dict.fromkeys(edges, value))
+        else:
+            values[group] = value
     return ModelParams(
-        gamma=vector[sl["gamma"]].copy(),
-        q_repr=PrecisionRepr(template.q_repr.method, template.q_repr.dim, vector[sl["q"]].copy()),
-        r_repr=PrecisionRepr(template.r_repr.method, template.r_repr.dim, vector[sl["r"]].copy()),
-        alpha=alpha,
-        beta=beta,
+        gamma=values["gamma"],
+        q_repr=PrecisionRepr(template.q_repr.method, template.q_repr.dim, values["q"]),
+        r_repr=PrecisionRepr(template.r_repr.method, template.r_repr.dim, values["r"]),
+        alpha=values["alpha"],
+        beta=values["beta"],
         sharing=template.sharing,
-        extra=vector[sl["extra"]].copy(),
+        extra=values["extra"],
     )

@@ -441,6 +441,32 @@ def test_predict_requires_truncations(config_file, tmp_path):
     assert rc == 2
 
 
+def test_sampler_config_error_exits_2(config_file, tmp_path, capsys):
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
+    cfg = study_config()
+    cfg["sampler"]["rm_decay"] = 0.3
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["fit", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "config.sampler: rm_decay" in capsys.readouterr().err
+
+
+def test_predict_thin_error_exits_2(config_file, tmp_path, capsys):
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
+    cfg = study_config()
+    cfg["predict"]["thin"] = 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
+    rc = main([
+        "predict", "--config", str(path), "--data", str(tmp_path / "data"),
+        "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / "pred"),
+    ])
+    assert rc == 2
+    assert "config.predict: thin" in capsys.readouterr().err
+
+
 def test_unknown_individual_ids_error(config_file, tmp_path):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
     traj = tmp_path / "data" / "trajectories.csv"

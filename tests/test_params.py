@@ -142,6 +142,41 @@ def test_flatten_unflatten_identity():
     np.testing.assert_array_equal(flatten(unflatten(w, p)), w)
 
 
+def test_flatten_order_and_names_are_pinned():
+    # the order of history.csv columns and of fim.csv / stderr.csv rows
+    p = ModelParams(
+        gamma=[1.0, 2.0],
+        q_repr=PrecisionRepr("full", 2, [3.0, 4.0, 5.0]),
+        r_repr=PrecisionRepr("ball", 1, [6.0]),
+        alpha={(0, 1): [7.0, 8.0], (0, 2): [9.0, 10.0], (1, 2): [9.0, 10.0]},
+        beta={(0, 1): [11.0], (0, 2): [12.0], (1, 2): [11.0]},
+        sharing=Sharing(alpha=(((0, 2), (1, 2)),), beta=(((1, 2), (0, 1)),)),
+        extra=[13.0, 14.0, 15.0],  # one exponential and one Weibull baseline
+    )
+    layout = p.layout()
+    assert layout.names() == [
+        "gamma[0]", "gamma[1]", "q[0]", "q[1]", "q[2]", "r[0]",
+        "alpha(0->1)[0]", "alpha(0->1)[1]", "alpha(0->2+1->2)[0]", "alpha(0->2+1->2)[1]",
+        "beta(1->2+0->1)[0]", "beta(0->2)[0]",
+        "extra[0]", "extra[1]", "extra[2]",
+    ]
+    np.testing.assert_array_equal(flatten(p), np.arange(1.0, 16.0))
+    back = unflatten(flatten(p), p)
+    for name in ("gamma", "extra"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(p, name))
+    for name in ("q_repr", "r_repr"):
+        assert (getattr(back, name).method, getattr(back, name).dim) == (getattr(p, name).method, getattr(p, name).dim)
+        np.testing.assert_array_equal(getattr(back, name).values, getattr(p, name).values)
+    for group in ("alpha", "beta"):
+        assert getattr(back, group).keys() == getattr(p, group).keys()
+        for e, v in getattr(p, group).items():
+            np.testing.assert_array_equal(getattr(back, group)[e], v)
+    assert back.sharing == p.sharing
+    assert layout.edge_slice("alpha", (0, 2)) == layout.edge_slice("alpha", (1, 2)) == slice(8, 10)
+    assert layout.edge_slice("beta", (0, 1)) == layout.edge_slice("beta", (1, 2)) == slice(10, 11)
+    assert layout.edge_slice("beta", (0, 2)) == slice(11, 12)
+
+
 def test_shared_beta_counts_once():
     edges = [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3)]
     sharing = Sharing(beta=(tuple(edges),))
