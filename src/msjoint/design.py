@@ -1,5 +1,10 @@
 """Model design: effects map, regression, per-edge hazard/link table,
-transition intensities and Gauss-Legendre cumulative intensities."""
+transition intensities and Gauss-Legendre cumulative intensities.
+
+Every hazard integral (the simulator's, the reference likelihoods', the
+engine's and the cumulative link's) lays out its nodes through
+:func:`split_nodes`: two Gauss-Legendre pieces per row, split at a
+breakpoint of the integrand when one lies inside the interval."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import numpy as np
 from .graph import Edge, TransitionGraph
 from .params import ModelParams
 
-DEFAULT_QUAD_NODES = 32
+DEFAULT_QUAD_NODES = 16
 
 _QUAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -32,13 +37,28 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def map_nodes(nodes: np.ndarray, weights: np.ndarray, a, b):
-    """Affine map of reference nodes/weights to [a, b]; a, b broadcast."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half[..., None] * nodes + mid[..., None], half[..., None] * weights
+def check_node_count(n: int, what: str = "n_quad") -> int:
+    """A total node count of a split rule: positive and even, as the two
+    pieces take half each."""
+    if n < 2 or n % 2:
+        raise ValueError(f"{what} must be a positive even number (two pieces of {what}/2 nodes), got {n}")
+    return int(n)
+
+
+def split_nodes(family, n: int, a, b):
+    """Nodes and weights of the split Gauss-Legendre rule on [a, b], each
+    (..., n) for a, b broadcast to (...): two n/2-node pieces, split at the
+    first of the family's ``breakpoints`` that lies strictly inside (a, b),
+    or else at the midpoint. A family without the attribute has none."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    split = 0.5 * (a + b)
+    for tau in sorted(getattr(family, "breakpoints", ()), reverse=True):
+        split = np.where((a < tau) & (tau < b), tau, split)
+    nodes, weights = gauss_legendre(n // 2)
+    start = np.stack([a, split], axis=-1)[..., None]
+    width = np.stack([split - a, b - split], axis=-1)[..., None]
+    t = start + width * (0.5 * (nodes + 1.0))
+    return t.reshape(a.shape + (n,)), (width * (0.5 * weights)).reshape(a.shape + (n,))
 
 
 @dataclass
@@ -56,6 +76,7 @@ class ModelDesign:
     _extra_slices: dict[Edge, slice] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.n_quad = check_node_count(self.n_quad)
         self.edge_specs = {tuple(e): (h, l) for e, (h, l) in self.edge_specs.items()}
         slices: dict[Edge, slice] = {}
         pos = 0
@@ -135,15 +156,19 @@ class ModelDesign:
 def transition_log_intensity(
     design: ModelDesign, params: ModelParams, edge: Edge, t, t_entry, x, psi
 ):
-    """log lambda = log lambda_0(clock) + alpha . g(t, x, psi) + beta . x."""
+    """log lambda = log lambda_0(clock) + alpha . g(t, x, psi) + beta . x.
+
+    The dot products are elementwise products summed over the last axis, not
+    matrix products, whose BLAS kernels round differently with the number of
+    rows: each row's value does not depend on the rows beside it."""
     edge = tuple(edge)
     hazard = design.hazard(edge)
     values = design.hazard_values(edge, params)
     u = design.clock_time(edge, t, t_entry)
     out = hazard.log_hazard(u, values)
     g = design.link(edge).value(t, x, psi)
-    out = out + g @ params.alpha[edge]
-    out = out + np.asarray(x, dtype=float) @ params.beta[edge]
+    out = out + (g * params.alpha[edge]).sum(axis=-1)
+    out = out + (np.asarray(x, dtype=float) * params.beta[edge]).sum(axis=-1)
     return out
 
 
@@ -157,9 +182,9 @@ def cumulative_intensity(
     psi,
     lower=None,
 ) -> np.ndarray:
-    """Gauss-Legendre approximation (``design.n_quad`` nodes) of the
-    integrated intensity on [t0, t1] (or [lower, t1] when conditioning past
-    the entry time t0).
+    """Split Gauss-Legendre approximation (``design.n_quad`` nodes, see
+    :func:`split_nodes`) of the integrated intensity on [t0, t1] (or
+    [lower, t1] when conditioning past the entry time t0).
 
     Positive weights and a positive integrand keep the result >= 0.
     """
@@ -169,8 +194,7 @@ def cumulative_intensity(
     a = t0 if lower is None else np.asarray(lower, dtype=float)
     if np.any(t1 < a):
         raise ValueError("upper integration bound precedes the lower bound")
-    nodes, weights = gauss_legendre(design.n_quad)
-    w, ww = map_nodes(nodes, weights, a, t1)
+    w, ww = split_nodes(design.link(edge), design.n_quad, a, t1)
     psi_q = np.asarray(psi)[..., None, :] if np.ndim(psi) else psi
     x_q = np.asarray(x, dtype=float)[..., None, :] if np.ndim(x) else x
     log_lam = transition_log_intensity(
@@ -226,13 +250,14 @@ def _fd(fun, z, h=1e-6):
 
 def _breakpoint_points(family, t, psi, x=None):
     """For a family declaring ``linear_in_psi``, the random check points plus
-    one on either side of the breakpoint ``tau`` of the family (or of its
-    regression), if it has one."""
-    tau = getattr(getattr(family, "regression", family), "tau", None)
-    if tau is None or not getattr(family, "linear_in_psi", False):
+    one on either side of each of its ``breakpoints``."""
+    breakpoints = getattr(family, "breakpoints", ())
+    if not breakpoints or not getattr(family, "linear_in_psi", False):
         return t, psi, x
-    more = (np.concatenate([t, [tau - 0.5, tau + 0.5]]), np.concatenate([psi, psi[:2]]))
-    return more + (None if x is None else np.concatenate([x, x[:2]]),)
+    extra = [tau + side for tau in breakpoints for side in (-0.5, 0.5)]
+    rows = [k % len(psi) for k in range(len(extra))]
+    more = (np.concatenate([t, extra]), np.concatenate([psi, psi[rows]]))
+    return more + (None if x is None else np.concatenate([x, x[rows]]),)
 
 
 def _check_linearity(family, jac, t, psi, x=None) -> None:

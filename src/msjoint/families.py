@@ -12,6 +12,11 @@ independent of psi, declares ``linear_in_psi = True``; the likelihood engine
 then evaluates J once at fixed times and reuses it. Links built on a
 regression inherit the declaration from it.
 
+A family declares the times where its value or slope may jump or kink as
+``breakpoints`` (``PiecewiseAffine`` its tau, the other built-ins none);
+hazard integrals split their quadrature there (:func:`msjoint.design.split_nodes`).
+Links built on a regression take the regression's breakpoints.
+
 Custom families are plain objects exposing the same methods; they must pass
 the finite-difference self-check in :mod:`msjoint.design` before use, which
 also verifies a declared linearity.
@@ -23,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import gauss_legendre, map_nodes
+from .design import DEFAULT_QUAD_NODES, check_node_count, split_nodes
 
 
 def _bshape(t, psi) -> tuple[int, ...]:
@@ -166,6 +171,7 @@ class Polynomial:
     name = "polynomial"
     dim = 1
     linear_in_psi = True
+    breakpoints = ()
 
     def __init__(self, degree: int):
         self.degree = int(degree)
@@ -215,6 +221,10 @@ class PiecewiseAffine:
     def __init__(self, breakpoint: float):
         self.tau = float(breakpoint)
 
+    @property
+    def breakpoints(self) -> tuple[float]:
+        return (self.tau,)
+
     def value(self, t, psi):
         shape = _bshape(t, psi)
         t = np.broadcast_to(np.asarray(t, dtype=float), shape)
@@ -250,6 +260,7 @@ class ExponentialDecay:
     name = "exponential_decay"
     dim = 1
     n_psi = 2
+    breakpoints = ()
 
     def value(self, t, psi):
         shape = _bshape(t, psi)
@@ -286,6 +297,7 @@ class ShiftedTanh:
     name = "shifted_tanh"
     dim = 1
     n_psi = 3
+    breakpoints = ()
 
     def _parts(self, t, psi):
         shape = _bshape(t, psi)
@@ -355,11 +367,16 @@ class CustomRegression:
 
 
 class _RegressionLink:
-    """A link computed from a regression family, linear in psi when it is."""
+    """A link computed from a regression family, linear in psi when it is,
+    with the regression's breakpoints."""
 
     @property
     def linear_in_psi(self) -> bool:
         return getattr(self.regression, "linear_in_psi", False)
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(getattr(self.regression, "breakpoints", ()))
 
 
 class ValueLink(_RegressionLink):
@@ -416,20 +433,21 @@ class ValueSlopeLink(_RegressionLink):
 
 
 class CumulativeLink(_RegressionLink):
-    """g = integral of h from a finite lower bound to t, via Gauss-Legendre."""
+    """g = integral of h from a finite lower bound to t, by the split
+    Gauss-Legendre rule of ``n_nodes`` nodes in all."""
 
     name = "cumulative"
 
-    def __init__(self, regression, lower: float = 0.0, n_nodes: int = 32):
+    def __init__(self, regression, lower: float = 0.0, n_nodes: int = DEFAULT_QUAD_NODES):
         if not np.isfinite(lower):
             raise ValueError("cumulative link requires a finite lower bound")
         self.regression = regression
         self.lower = float(lower)
-        self.n_nodes = int(n_nodes)
+        self.n_nodes = check_node_count(n_nodes, "n_nodes")
         self.dim = regression.dim
 
     def _nodes(self, t):
-        return map_nodes(*gauss_legendre(self.n_nodes), self.lower, t)
+        return split_nodes(self, self.n_nodes, self.lower, t)
 
     def value(self, t, x, psi):
         w, ww = self._nodes(t)
@@ -448,6 +466,7 @@ class EmptyLink:
     name = "none"
     dim = 0
     linear_in_psi = True
+    breakpoints = ()
 
     def value(self, t, x, psi):
         return np.zeros(_bshape(t, psi) + (0,))

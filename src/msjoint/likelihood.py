@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, validate_cohort
-from .design import ModelDesign, cumulative_intensity, gauss_legendre, map_nodes, transition_log_intensity
+from .design import ModelDesign, cumulative_intensity, split_nodes, transition_log_intensity
 from .graph import Edge, TransitionGraph
 from .params import ModelParams, ParamLayout, PrecisionRepr, quad_form
 
@@ -338,7 +338,6 @@ class LikelihoodEngine:
         self._build_edge_blocks(n_psi)
 
     def _build_edge_blocks(self, n_psi) -> None:
-        nodes, weights = gauss_legendre(self.design.n_quad)
         # Per edge, (individual, entry, exit) of each observed transition and
         # of each sojourn interval at risk: every stay in a state exposes all
         # of its outgoing edges from the entry time to the exit or censoring
@@ -366,7 +365,7 @@ class LikelihoodEngine:
             hazard, lnk = self.design.hazard(edge), self.design.link(edge)
             ev = np.array(events[edge], dtype=float).reshape(-1, 3)
             sj = np.array(risk[edge], dtype=float).reshape(-1, 3)
-            nd_t, nd_w = map_nodes(nodes, weights, sj[:, 1], sj[:, 2])
+            nd_t, nd_w = split_nodes(lnk, self.design.n_quad, sj[:, 1], sj[:, 2])
             layouts = (
                 (True, ev[:, 0], ev[:, 2:], np.ones((len(ev), 1)), ev[:, 1]),
                 (False, sj[:, 0], nd_t, -nd_w, sj[:, 1]),

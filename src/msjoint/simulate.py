@@ -2,9 +2,10 @@
 
 Event times come from inverse-transform sampling: an Exp(1) threshold is
 drawn per competing edge and the cumulative intensity is inverted by
-bisection (bracketing by doubling when the censoring cap is infinite). The
-inversion integrates through ``design.cumulative_intensity``, the function
-the reference likelihood uses, so the hazard integral exists once.
+safeguarded Newton steps inside a bracket (bracketing by doubling when the
+censoring cap is infinite). The inversion integrates through
+``design.cumulative_intensity``, the function the reference likelihood
+uses, so the hazard integral exists once.
 One loop, :func:`extend_paths`, steps trajectories: each step draws one
 candidate time per successor edge and keeps the minimum, and a survival
 condition raises the integration lower bound of the first step only. Its
@@ -20,12 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, Trajectory
-from .design import ModelDesign, cumulative_intensity
+from .design import ModelDesign, cumulative_intensity, transition_log_intensity
 from .params import ModelParams
 
 BISECT_TOL = 1e-9
 MAX_BRACKET_DOUBLINGS = 200
-MAX_BISECT_ITERS = 200
+MAX_NEWTON_PASSES = 200
 MAX_REJECTION_ROUNDS = 100
 
 
@@ -54,29 +55,43 @@ def invert_cumulative_hazard(
     lower: np.ndarray,
     cap: np.ndarray,
     thresholds: np.ndarray,
+    *,
+    rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Vectorized smallest t with Lambda(lower, t) = threshold.
 
-    ``cumulative(idx, a, b)`` returns Lambda of rows ``idx`` over [a, b].
+    ``cumulative(idx, a, b)`` returns Lambda of rows ``idx`` over [a, b], and
+    ``rate(idx, t)`` their intensity at t, the derivative of Lambda in t.
     A finite cap is probed once; an infinite one is bracketed by doubling
     from max(1, |lower|). Entries whose threshold is not reached below the
     cap (or within the doubling bracket) come back as +inf, meaning
     censored; so do rows whose finite cap is at or below their lower bound,
     which are never integrated.
+
+    A bracketed row is solved by safeguarded Newton (``rtsafe`` of Press et
+    al., *Numerical Recipes*, section 9.4) from the regula-falsi point of
+    its bracket. Each pass integrates only the new segment [lo, t] onto the
+    carried Lambda(lower, lo) and narrows the bracket (lo, hi) at t. A step
+    that is not finite or leaves the bracket is replaced by the bracket's
+    midpoint; a step shorter than ``BISECT_TOL / 2`` is lengthened by that
+    much, to land across the root and close the bracket. A row stops when
+    its own bracket is at most ``BISECT_TOL`` wide and returns the
+    bracket's midpoint, so its result does not depend on the batch.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     cap = np.broadcast_to(np.asarray(cap, dtype=float), lower.shape)
     thresholds = np.broadcast_to(np.asarray(thresholds, dtype=float), lower.shape)
     out = np.full(lower.shape, np.inf)
 
-    def lam(idx, upper):
-        got = cumulative(idx, lower[idx], upper)
+    def lam(idx, a, b):
+        got = cumulative(idx, a, b)
         if np.any(got < 0):
             raise RuntimeError("cumulative hazard evaluated negative; hazards must be nonnegative")
         return got
 
     finite = np.isfinite(cap)
     hi = np.where(finite, cap, lower)
+    f_hi = np.zeros(lower.shape)
     width = np.maximum(1.0, np.abs(lower))
     solvable = np.zeros(lower.shape, dtype=bool)
     active = ~finite | (cap > lower)
@@ -85,8 +100,10 @@ def invert_cumulative_hazard(
         if idx.size == 0:
             break
         probe = np.where(finite[idx], cap[idx], lower[idx] + width[idx])
-        reached = lam(idx, probe) >= thresholds[idx]
+        f_probe = lam(idx, lower[idx], probe)
+        reached = f_probe >= thresholds[idx]
         hi[idx[reached]] = probe[reached]
+        f_hi[idx[reached]] = f_probe[reached]
         solvable[idx[reached]] = True
         active[idx] = ~(finite[idx] | reached)
         width *= 2.0
@@ -94,18 +111,35 @@ def invert_cumulative_hazard(
     idx = np.nonzero(solvable)[0]
     if idx.size == 0:
         return out
-    lo = lower[idx]
-    hi_s = hi[idx]
-    thr = thresholds[idx]
-    for _ in range(MAX_BISECT_ITERS):
-        if np.max(hi_s - lo) <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi_s)
-        below = lam(idx, mid) < thr
-        lo = np.where(below, mid, lo)
-        hi_s = np.where(below, hi_s, mid)
-    # keep the solved time strictly past the lower bound at float resolution
-    out[idx] = np.maximum(0.5 * (lo + hi_s), np.nextafter(lower[idx], np.inf))
+    lo, f_lo = lower[idx], np.zeros(idx.size)
+    hi, thr = hi[idx], thresholds[idx]
+    # a zero or infinite Lambda(lower, hi) or rate gives a non-finite point,
+    # which the bracket check replaces
+    quiet = dict(divide="ignore", invalid="ignore", over="ignore")
+    with np.errstate(**quiet):
+        t = lo + (thr / f_hi[idx]) * (hi - lo)
+    for _ in range(MAX_NEWTON_PASSES):
+        t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
+        f = f_lo + lam(idx, lo, t)
+        below = f < thr
+        lo, f_lo, hi = np.where(below, t, lo), np.where(below, f, f_lo), np.where(below, hi, t)
+        done = hi - lo <= BISECT_TOL
+        if done.any():
+            out[idx[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            idx, lo, f_lo, hi, thr, t, f, below = (v[keep] for v in (idx, lo, f_lo, hi, thr, t, f, below))
+            if idx.size == 0:
+                break
+        lam_t = rate(idx, t)
+        with np.errstate(**quiet):
+            step = (thr - f) / lam_t
+        short = np.abs(step) < 0.5 * BISECT_TOL
+        step[short] += np.where(below[short], 0.5, -0.5) * BISECT_TOL
+        t = t + step
+    out[idx] = 0.5 * (lo + hi)  # rows still open after MAX_NEWTON_PASSES passes
+    # keep each solved time strictly past its lower bound at float resolution
+    solved = np.isfinite(out)
+    out[solved] = np.maximum(out[solved], np.nextafter(lower[solved], np.inf))
     return out
 
 
@@ -121,6 +155,16 @@ def _edge_cumulative(design, params, edge, x, psi, entry):
         return cumulative_intensity(design, params, edge, entry[idx], b, x[idx], psi[idx], lower=a)
 
     return cumulative
+
+
+def _edge_rate(design, params, edge, x, psi, entry):
+    """Intensity of one edge for rows of (x, psi, entry): the returned
+    callable maps (row index, t) to lambda at t."""
+
+    def rate(idx, t):
+        return np.exp(transition_log_intensity(design, params, edge, t, entry[idx], x[idx], psi[idx]))
+
+    return rate
 
 
 def step_transitions(
@@ -150,10 +194,11 @@ def step_transitions(
         cand = np.full((len(succ), rows.size), np.inf)
         for j, s in enumerate(succ):
             thresholds = np.array([rngs[i].standard_exponential() for i in rows])
-            cumulative = _edge_cumulative(
-                design, params, (int(state), int(s)), x[rows], psi[rows], cur_t[rows]
+            edge, args = (int(state), int(s)), (x[rows], psi[rows], cur_t[rows])
+            cand[j] = invert_cumulative_hazard(
+                _edge_cumulative(design, params, edge, *args), lower[rows], cap[rows], thresholds,
+                rate=_edge_rate(design, params, edge, *args),
             )
-            cand[j] = invert_cumulative_hazard(cumulative, lower[rows], cap[rows], thresholds)
         best = np.argmin(cand, axis=0)  # first minimum = lowest successor index
         t_best = cand[best, np.arange(rows.size)]
         t_new[rows] = t_best
@@ -227,10 +272,8 @@ def sample_trajectories(
     exceeding the max-transitions guard raises TrajectoryLimitError.
 
     Randomness is consumed from one independent stream per row (spawned from
-    ``rng`` unless ``rngs`` is given), so each row draws the same variates
-    whatever the batch. Its event times agree across batches only to
-    ``BISECT_TOL``: bisection runs until the widest bracket in the batch is
-    that narrow, so a row batched with slower rows is bisected further.
+    ``rng`` unless ``rngs`` is given), and the inversion stops each row on
+    its own bracket, so a row's trajectory is the same whatever the batch.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)

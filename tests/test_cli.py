@@ -14,6 +14,7 @@ from msjoint.families import EFFECTS_FAMILIES, LINK_FAMILIES, REGRESSION_FAMILIE
 from msjoint.hazards import HAZARD_FAMILIES
 from msjoint.io import (
     ConfigError,
+    build_design_from_config,
     fmt,
     load_config,
     params_from_dict,
@@ -465,6 +466,17 @@ def test_predict_thin_error_exits_2(config_file, tmp_path, capsys):
     ])
     assert rc == 2
     assert "config.predict: thin" in capsys.readouterr().err
+
+
+def test_odd_n_quad_is_a_config_error(tmp_path, capsys):
+    cfg = study_config()
+    cfg["design"]["n_quad"] = 15
+    with pytest.raises(ConfigError, match="config.design: n_quad must be a positive even number"):
+        build_design_from_config(cfg)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+    assert "config.design: n_quad" in capsys.readouterr().err
 
 
 def test_unknown_individual_ids_error(config_file, tmp_path):

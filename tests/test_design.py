@@ -21,6 +21,7 @@ from msjoint.design import (
 from msjoint.families import (
     BOnly,
     CumulativeLink,
+    EmptyLink,
     ExponentialDecay,
     GammaPlusB,
     GammaXPlusB,
@@ -282,13 +283,14 @@ def test_cumulative_intensity_linear_hazard_exact():
 
 
 def test_chasles_additivity(study_design, study_params):
-    # intervals on one side of the regression breakpoint, where the
-    # integrand is smooth and 32-node quadrature is sharp
+    # the split rule puts its pieces on either side of the regression
+    # breakpoint, where the integrand is smooth, so it is sharp on intervals
+    # on one side of it and on intervals that cross it
     rng = np.random.default_rng(4)
     x = rng.normal(size=1)
     psi = rng.normal(size=3)
     for edge in study_design.edges:
-        for a, b, c in [(1.0, 3.7, 5.9), (6.05, 8.0, 13.0)]:
+        for a, b, c in [(1.0, 3.7, 5.9), (6.05, 8.0, 13.0), (2.0, 7.5, 12.0)]:
             whole = cumulative_intensity(study_design, study_params, edge, a, c, x, psi)
             left = cumulative_intensity(study_design, study_params, edge, a, b, x, psi)
             # conditioning past the entry keeps the clock anchored at a
@@ -397,3 +399,126 @@ def test_trainable_hazards_define_extra_layout():
     init = design.initial_extra()
     assert init[0] == pytest.approx(np.log(0.3))
     np.testing.assert_allclose(init[1:], np.log([2.0, 1.0]))
+
+
+# -- split quadrature ------------------------------------------------------------------
+
+
+def reference_cumulative(design, params, edge, t0, a, b, x, psi):
+    """Split 64-node reference of Lambda over [a, b]: 32 Gauss-Legendre nodes
+    on either side of the first link breakpoint inside (a, b), else of the
+    midpoint."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    cut = [tau for tau in sorted(design.link(edge).breakpoints) if a < tau < b][:1] or [0.5 * (a + b)]
+    ends = [a, *cut, b]
+    total = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        total += 0.5 * (hi - lo) * np.exp(transition_log_intensity(design, params, edge, t, t0, x, psi)) @ weights
+    return total
+
+
+STUDY_PSI = [2.5, -1.3, 0.2]
+
+
+# (regression, link class, psi, stated relative tolerance of the 16-node rule)
+@pytest.mark.parametrize(
+    "regression, link_cls, psi, rtol",
+    [
+        (Polynomial(2), ValueLink, [0.5, -0.3, 0.02], 1e-11),
+        (PiecewiseAffine(6.0), ValueLink, STUDY_PSI, 1e-11),
+        (PiecewiseAffine(6.0), SlopeLink, STUDY_PSI, 1e-11),
+        (PiecewiseAffine(6.0), ValueSlopeLink, STUDY_PSI, 1e-11),
+        (ExponentialDecay(), ValueSlopeLink, [1.0, 0.3], 1e-11),
+        # a C1 kink at tau inside the exponent of a quadratic
+        (PiecewiseAffine(6.0), CumulativeLink, STUDY_PSI, 1e-6),
+        (ExponentialDecay(), CumulativeLink, [1.0, 0.3], 1e-9),
+        # smooth, split at the midpoint: a slope peak of width ~1.5 at t = 5
+        # costs accuracy over long intervals (3.0e-3 measured; 1.3e-5 at n_quad=32)
+        (ShiftedTanh(), ValueSlopeLink, [1.0, 1.5, 5.0], 5e-3),
+        (PiecewiseAffine(6.0), lambda reg: EmptyLink(), STUDY_PSI, 1e-11),
+    ],
+)
+def test_cumulative_intensity_matches_split_reference(regression, link_cls, psi, rtol):
+    link = link_cls(regression)
+    alpha = {0: [], 1: [-0.5], 2: [-0.5, -3.0]}[link.dim]
+    psi, x = np.array(psi), np.array([0.3])
+    params = ModelParams(
+        gamma=np.zeros(psi.size),
+        q_repr=repr_from_cov(np.eye(psi.size), "diag"),
+        r_repr=repr_from_cov(np.eye(1), "ball"),
+        alpha={(0, 1): alpha},
+        beta={(0, 1): [0.4]},
+    )
+    # (entry, a, b): across tau, ending at tau, starting at tau, around it,
+    # past the entry, long, and a sliver at tau
+    intervals = [(0.0, 0.0, 10.0), (0.0, 2.0, 6.0), (0.0, 6.0, 12.0), (0.0, 5.9, 6.5),
+                 (1.0, 3.0, 9.0), (0.5, 0.5, 14.5), (0.0, 6.0, 6.001)]
+    hazards = [ExponentialHazard(0.1), WeibullHazard(2.0, 3.0), WeibullHazard(3.0, 8.0, clock="forward")]
+    for hazard in hazards:
+        design = ModelDesign(GammaPlusB(), regression, {(0, 1): (hazard, link)})
+        assert design.n_quad == 16
+        for t0, a, b in intervals:
+            got = cumulative_intensity(design, params, (0, 1), t0, b, x, psi, lower=a)
+            want = reference_cumulative(design, params, (0, 1), t0, a, b, x, psi)
+            assert abs(got - want) <= rtol * want, (hazard.name, a, b)
+
+
+def test_families_declare_breakpoints():
+    reg = PiecewiseAffine(6.0)
+    assert reg.breakpoints == (6.0,)
+    for link in (ValueLink(reg), SlopeLink(reg), ValueSlopeLink(reg), CumulativeLink(reg)):
+        assert link.breakpoints == (6.0,)
+    for family in (Polynomial(1), ExponentialDecay(), ShiftedTanh(), EmptyLink(), ValueLink(ShiftedTanh())):
+        assert family.breakpoints == ()
+
+
+def test_split_nodes_split_at_breakpoint_inside_else_midpoint():
+    reg = PiecewiseAffine(6.0)
+    t, w = design_mod.split_nodes(reg, 4, np.array([0.0, 6.0, 7.0]), np.array([10.0, 8.0, 9.0]))
+    # two nodes on each piece: [0, 6] and [6, 10]; [6, 7] and [7, 8]; [7, 8] and [8, 9]
+    np.testing.assert_allclose(w.sum(axis=-1), [10.0, 2.0, 2.0])
+    np.testing.assert_allclose(w[:, :2].sum(axis=-1), [6.0, 1.0, 1.0])
+    assert (t[0, :2] < 6.0).all() and (t[0, 2:] > 6.0).all()
+    # a family without the attribute splits at the midpoint
+    t, w = design_mod.split_nodes(object(), 4, 0.0, 10.0)
+    np.testing.assert_allclose(w[:2].sum(), 5.0)
+
+
+def test_cumulative_link_integrates_across_the_breakpoint():
+    # h is affine on either side of tau, so each 8-node piece is exact
+    link = CumulativeLink(PiecewiseAffine(6.0), lower=1.0)
+    psi = np.array(STUDY_PSI)
+    t = np.array([3.0, 6.0, 8.0, 14.0])
+
+    def closed(t):  # integral of h from 0 to t
+        after = np.clip(t - 6.0, 0.0, None)
+        return psi[0] * t + psi[1] * t**2 / 2 + (psi[2] - psi[1]) * after**2 / 2
+
+    np.testing.assert_allclose(link.value(t, None, psi)[:, 0], closed(t) - closed(1.0), rtol=1e-13)
+
+
+@pytest.mark.parametrize("n_quad", [15, 1, 0])
+def test_design_rejects_odd_or_empty_node_count(n_quad):
+    reg = Polynomial(0)
+    with pytest.raises(ValueError, match="n_quad must be a positive even number"):
+        ModelDesign(BOnly(), reg, {(0, 1): (ExponentialHazard(0.1), ValueLink(reg))}, n_quad=n_quad)
+
+
+def test_cumulative_link_rejects_odd_node_count():
+    with pytest.raises(ValueError, match="n_nodes must be a positive even number"):
+        CumulativeLink(Polynomial(1), n_nodes=15)
+
+
+def test_study_cumulative_hazard_is_monotone(study_design, study_params):
+    # Lambda(0, t) of edge (0, 1) is nondecreasing in t for study rows; the
+    # unsplit 32-node rule broke this for 1954 of these 2000 rows
+    rng = np.random.default_rng(0)
+    n = 2000
+    x = rng.standard_normal((n, 1))
+    psi = study_params.gamma + rng.standard_normal((n, 3)) * np.sqrt(study_params.q_repr.covariance().diagonal())
+    lam = np.stack([
+        cumulative_intensity(study_design, study_params, (0, 1), np.zeros(n), np.full(n, t), x, psi)
+        for t in np.linspace(5.5, 15.0, 381)
+    ], axis=1)
+    assert (np.diff(lam, axis=1) >= 0).all()

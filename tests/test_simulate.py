@@ -4,9 +4,10 @@ from scipy import stats
 
 from msjoint import ModelDesign, ModelParams, build_buckets, build_graph, repr_from_cov, validate_cohort
 from msjoint.design import transition_state_probs
-from msjoint.families import BOnly, Polynomial, ValueLink
+from msjoint.families import BOnly, GammaPlusB, PiecewiseAffine, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
+    BISECT_TOL,
     MAX_REJECTION_ROUNDS,
     SimConfig,
     TrajectoryLimitError,
@@ -16,6 +17,8 @@ from msjoint.simulate import (
     random_far_apart,
     sample_trajectories,
     sample_trajectory,
+    _edge_cumulative,
+    _edge_rate,
 )
 
 KS_CRIT_1PCT = 1.63  # Kolmogorov critical value: D * sqrt(n) at alpha = 0.01
@@ -26,14 +29,22 @@ def constant_cumulative(level):
     return lambda idx, a, b: level * (b - a)
 
 
+def constant_rate(level):
+    return lambda idx, t: np.full(np.shape(t), float(level))
+
+
 def quadratic_cumulative(idx, a, b):
     """Lambda(a, b) = b^2 - a^2: Weibull shape 2, scale 1."""
     return b**2 - a**2
 
 
-def sample_event_times(cumulative, n, rng):
+def quadratic_rate(idx, t):
+    return 2.0 * t
+
+
+def sample_event_times(cumulative, rate, n, rng):
     """Batched draws from 0 with no cap; censored draws come back as +inf."""
-    return invert_cumulative_hazard(cumulative, np.zeros(n), np.inf, rng.standard_exponential(n))
+    return invert_cumulative_hazard(cumulative, np.zeros(n), np.inf, rng.standard_exponential(n), rate=rate)
 
 
 def two_state_model(rates, link_dim=0):
@@ -61,21 +72,21 @@ def two_state_model(rates, link_dim=0):
 
 def test_invert_constant_hazard_exact():
     t = invert_cumulative_hazard(
-        constant_cumulative(0.5), np.array([0.0]), np.array([np.inf]), np.array([1.0])
+        constant_cumulative(0.5), np.array([0.0]), np.array([np.inf]), np.array([1.0]), rate=constant_rate(0.5)
     )
     assert t[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_invert_censors_below_threshold():
     t = invert_cumulative_hazard(
-        constant_cumulative(0.1), np.array([0.0]), np.array([4.0]), np.array([1.0])
+        constant_cumulative(0.1), np.array([0.0]), np.array([4.0]), np.array([1.0]), rate=constant_rate(0.1)
     )
     assert np.isinf(t[0])  # Lambda(0, 4) = 0.4 < 1
 
 
 def test_invert_respects_nonzero_lower():
     t = invert_cumulative_hazard(
-        constant_cumulative(0.5), np.array([3.0]), np.array([np.inf]), np.array([1.0])
+        constant_cumulative(0.5), np.array([3.0]), np.array([np.inf]), np.array([1.0]), rate=constant_rate(0.5)
     )
     assert t[0] == pytest.approx(5.0, abs=1e-8)
 
@@ -90,7 +101,8 @@ def test_invert_censors_cap_at_or_below_lower_without_integrating():
         return 0.5 * (b - a)
 
     t = invert_cumulative_hazard(
-        cumulative, np.array([0.0, 5.0, 3.0]), np.array([np.inf, 3.0, 3.0]), np.array([1.0, 1.0, 0.0])
+        cumulative, np.array([0.0, 5.0, 3.0]), np.array([np.inf, 3.0, 3.0]), np.array([1.0, 1.0, 0.0]),
+        rate=constant_rate(0.5),
     )
     assert t[0] == pytest.approx(2.0, abs=1e-8)
     assert np.isinf(t[1:]).all()
@@ -100,13 +112,13 @@ def test_invert_censors_cap_at_or_below_lower_without_integrating():
 def test_negative_intensity_raises():
     with pytest.raises(RuntimeError, match="nonnegative"):
         invert_cumulative_hazard(
-            constant_cumulative(-0.1), np.array([0.0]), np.array([10.0]), np.array([1.0])
+            constant_cumulative(-0.1), np.array([0.0]), np.array([10.0]), np.array([1.0]), rate=constant_rate(-0.1)
         )
 
 
 def test_event_times_follow_exponential_law():
     rng = np.random.default_rng(1)
-    draws = sample_event_times(constant_cumulative(0.1), 100_000, rng)
+    draws = sample_event_times(constant_cumulative(0.1), constant_rate(0.1), 100_000, rng)
     assert np.isfinite(draws).all()
     assert abs(draws.mean() - 10.0) < 3 * 10.0 / np.sqrt(draws.size)
     d = stats.kstest(draws, "expon", args=(0, 10.0)).statistic
@@ -116,9 +128,86 @@ def test_event_times_follow_exponential_law():
 def test_event_times_nonconstant_hazard_law():
     # Weibull shape 2 scale 1: Lambda(t) = t^2, inverse sqrt(E)
     rng = np.random.default_rng(2)
-    draws = sample_event_times(quadratic_cumulative, 50_000, rng)
+    draws = sample_event_times(quadratic_cumulative, quadratic_rate, 50_000, rng)
     d = stats.kstest(draws, lambda x: 1 - np.exp(-(x**2))).statistic
     assert d * np.sqrt(draws.size) < KS_CRIT_1PCT
+
+
+def recurrent_model(study_params):
+    """Recurrent 0 <-> 1 with absorbing 2: Weibull clock-reset baselines and
+    a value link on the study's marker."""
+    weibull = {(0, 1): (2.0, 2.2), (1, 0): (2.0, 1.5), (0, 2): (1.0, 60.0), (1, 2): (1.0, 30.0)}
+    reg = PiecewiseAffine(6.0)
+    design = ModelDesign(GammaPlusB(), reg, {e: (WeibullHazard(k, s), ValueLink(reg)) for e, (k, s) in weibull.items()})
+    params = ModelParams(
+        gamma=study_params.gamma, q_repr=study_params.q_repr, r_repr=study_params.r_repr,
+        alpha={(0, 1): [-0.1], (1, 0): [0.1], (0, 2): [-0.2], (1, 2): [-0.2]},
+        beta={(0, 1): [0.3], (1, 0): [-0.3], (0, 2): [0.2], (1, 2): [0.2]},
+    )
+    return design, params
+
+
+@pytest.mark.parametrize("model", ["study", "recurrent"])
+def test_inverted_times_are_exact_to_the_tolerance(model, study_design, study_params):
+    # Lambda(lower, t - tol) < E <= Lambda(lower, t + tol) for every solved row,
+    # and Lambda(lower, cap) < E for every row censored at a finite cap
+    design, params = (study_design, study_params) if model == "study" else recurrent_model(study_params)
+    rng = np.random.default_rng(23)
+    n = 400
+    x = rng.standard_normal((n, 1))
+    psi = params.gamma + rng.standard_normal((n, 3)) * np.sqrt([0.6, 0.2, 0.3])
+    entry = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 8.0, n))
+    lower = entry + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    cap = np.where(rng.random(n) < 0.2, np.inf, lower + rng.uniform(2.0, 12.0, n))
+    thr = rng.standard_exponential(n)
+    for edge in design.edges:
+        cumulative = _edge_cumulative(design, params, edge, x, psi, entry)
+        t = invert_cumulative_hazard(
+            cumulative, lower, cap, thr, rate=_edge_rate(design, params, edge, x, psi, entry)
+        )
+        idx = np.nonzero(np.isfinite(t))[0]
+        assert idx.size >= 20, edge
+        assert (t[idx] > lower[idx]).all()
+        assert (cumulative(idx, lower[idx], np.maximum(t[idx] - BISECT_TOL, lower[idx])) < thr[idx]).all(), edge
+        assert (cumulative(idx, lower[idx], t[idx] + BISECT_TOL) >= thr[idx]).all(), edge
+        cut = np.nonzero(~np.isfinite(t) & np.isfinite(cap))[0]
+        assert (cumulative(cut, lower[cut], cap[cut]) < thr[cut]).all(), edge
+
+
+def test_constant_hazard_takes_two_newton_passes():
+    calls = []
+
+    def cumulative(idx, a, b):
+        calls.append(idx.size)
+        return 0.7 * (b - a)
+
+    rng = np.random.default_rng(24)
+    lower, thr = rng.uniform(0.0, 5.0, 200), rng.standard_exponential(200)
+    t = invert_cumulative_hazard(cumulative, lower, lower + 50.0, thr, rate=constant_rate(0.7))
+    assert len(calls) <= 1 + 2  # the probe at the cap, then at most two passes
+    np.testing.assert_allclose(t, lower + thr / 0.7, rtol=0.0, atol=BISECT_TOL)
+
+
+def test_vanishing_hazard_falls_back_to_bisection():
+    # lambda = 0 on [1, 3] and 1 elsewhere: Lambda(a, b) = |[a, b] outside [1, 3]|
+    def cumulative(idx, a, b):
+        return (b - a) - np.clip(np.minimum(b, 3.0) - np.maximum(a, 1.0), 0.0, None)
+
+    zero_rates = []
+
+    def rate(idx, t):
+        lam = np.where((t >= 1.0) & (t <= 3.0), 0.0, 1.0)
+        zero_rates.append(int((lam == 0.0).sum()))
+        return lam
+
+    thr = np.array([0.5, 1.0, 1.5, 2.5])
+    lower = np.zeros(4)
+    t = invert_cumulative_hazard(cumulative, lower, 10.0, thr, rate=rate)
+    assert sum(zero_rates) > 0
+    # the smallest roots; E = 1 is reached at 1 and held on all of [1, 3]
+    np.testing.assert_allclose(t, [0.5, 1.0, 3.5, 4.5], rtol=0.0, atol=BISECT_TOL)
+    assert (cumulative(None, lower, t - BISECT_TOL) < thr).all()
+    assert (cumulative(None, lower, t + BISECT_TOL) >= thr).all()
 
 
 # -- trajectory sampling -----------------------------------------------------------
@@ -208,6 +297,23 @@ def test_max_transitions_guard_fires_on_cycles():
             design, params, np.zeros((3, 1)), np.zeros((3, 1)), (0.0, 0), cfg,
             rng=np.random.default_rng(7),
         )
+
+
+def test_event_times_do_not_depend_on_the_batch(study_design, study_params):
+    cohort, latent = generate_cohort(study_design, study_params, 200, 20, seed=5)
+    x = np.array([rec.covariates for rec in cohort])
+    psi, cens = latent["psi"], cohort.censoring_times()
+    whole = sample_trajectories(
+        study_design, study_params, x, psi, (0.0, 0), SimConfig(censoring=cens),
+        rngs=np.random.default_rng(7).spawn(200),
+    )
+    rngs = np.random.default_rng(7).spawn(200)
+    for i in range(200):
+        one = sample_trajectories(
+            study_design, study_params, x[i:i + 1], psi[i:i + 1], (0.0, 0), SimConfig(censoring=cens[i]),
+            rngs=[rngs[i]],
+        )
+        assert one[0].pairs == whole[i].pairs, i
 
 
 # -- survival-conditioned simulation ---------------------------------------------
