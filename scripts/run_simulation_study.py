@@ -18,47 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from msjoint import ModelDesign, ModelParams, build_buckets, build_graph, repr_from_cov
-from msjoint.families import GammaPlusB, PiecewiseAffine, ValueSlopeLink
-from msjoint.hazards import ExponentialHazard
+from msjoint import build_buckets
 from msjoint.inference import FitConfig, StopRule, compute_fim, fit, stderr
 from msjoint.io import write_cohort, write_params
 from msjoint.params import flatten
 from msjoint.predict import accuracy, predict_cohort_grid
 from msjoint.sampler import SamplerConfig
 from msjoint.simulate import generate_cohort
-
-TRUE_GAMMA = np.array([2.5, -1.3, 0.2])
-TRUE_Q = np.diag([0.6, 0.2, 0.3])
-TRUE_R = np.array([[1.7]])
-TRUE_ALPHA = {(0, 1): [-0.5, -3.0], (0, 2): [-1.0, -5.0], (1, 2): [0.0, -1.2]}
-TRUE_BETA = {(0, 1): [-1.3], (0, 2): [-0.9], (1, 2): [-0.7]}
-RATES = {(0, 1): 0.1, (0, 2): 0.01, (1, 2): 0.2}
-
-
-def build_model():
-    graph = build_graph(3, sorted(RATES), labels=["healthy", "sick", "terminal"])
-    regression = PiecewiseAffine(6.0)
-    link = ValueSlopeLink(regression)
-    design = ModelDesign(
-        GammaPlusB(), regression,
-        {edge: (ExponentialHazard(rate), link) for edge, rate in RATES.items()},
-    )
-    truth = ModelParams(
-        gamma=TRUE_GAMMA,
-        q_repr=repr_from_cov(TRUE_Q, "diag"),
-        r_repr=repr_from_cov(TRUE_R, "ball"),
-        alpha=TRUE_ALPHA,
-        beta=TRUE_BETA,
-    )
-    init = ModelParams(
-        gamma=np.zeros(3),
-        q_repr=repr_from_cov(np.eye(3), "diag"),
-        r_repr=repr_from_cov(np.eye(1), "ball"),
-        alpha={e: np.zeros(2) for e in RATES},
-        beta={e: np.zeros(1) for e in RATES},
-    )
-    return graph, design, truth, init
+from msjoint.study import study_model
 
 
 def main():
@@ -72,7 +39,7 @@ def main():
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    graph, design, truth, init = build_model()
+    graph, design, truth, init = study_model()
 
     print(f"simulating n={args.n}, m={args.m}, seed={args.seed} ...")
     cohort, latent = generate_cohort(design, truth, args.n, args.m, seed=args.seed)

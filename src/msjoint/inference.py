@@ -36,6 +36,8 @@ class FitConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
+        if self.minibatch is not None and self.minibatch < 1:
+            raise ValueError("minibatch must be >= 1 (or null for the full cohort)")
         if self.schedule_decay is not None and not 0.5 < self.schedule_decay <= 1.0:
             raise ValueError(
                 "the power schedule needs 0.5 < kappa <= 1 so that "

@@ -26,6 +26,8 @@ class SamplerConfig:
     thin: int = 1
 
     def __post_init__(self):
+        if self.n_chains < 1:
+            raise ValueError("n_chains must be >= 1")
         if not 0.5 < self.rm_decay <= 1.0:
             raise ValueError("rm_decay must lie in (1/2, 1] for Robbins-Monro convergence")
         if self.thin < 1:

@@ -7,25 +7,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from msjoint import (
-    Cohort,
-    IndividualRecord,
-    ModelDesign,
-    ModelParams,
-    Trajectory,
-    build_graph,
-    repr_from_cov,
-)
-from msjoint.families import GammaPlusB, PiecewiseAffine, ValueSlopeLink
-from msjoint.hazards import ExponentialHazard
+from msjoint import Cohort, IndividualRecord, Trajectory
 from msjoint.simulate import generate_cohort
-
-STUDY_GAMMA = np.array([2.5, -1.3, 0.2])
-STUDY_Q_DIAG = np.array([0.6, 0.2, 0.3])
-STUDY_R = np.array([[1.7]])
-STUDY_ALPHA = {(0, 1): [-0.5, -3.0], (0, 2): [-1.0, -5.0], (1, 2): [0.0, -1.2]}
-STUDY_BETA = {(0, 1): [-1.3], (0, 2): [-0.9], (1, 2): [-0.7]}
-STUDY_RATES = {(0, 1): 0.1, (0, 2): 0.01, (1, 2): 0.2}
+from msjoint.study import (  # tests/test_acceptance.py imports the STUDY_* names from here
+    ALPHA as STUDY_ALPHA,
+    BETA as STUDY_BETA,
+    GAMMA as STUDY_GAMMA,
+    Q_DIAG as STUDY_Q_DIAG,
+    R as STUDY_R,
+    RATES as STUDY_RATES,
+    study_model,
+)
 
 # reference single-run statistics for the three-state study (mean, standard
 # error and RMSE per free coordinate, in flatten order)
@@ -48,41 +40,29 @@ TRANSITION_COUNTS = {(0, 1): 613, (0, 2): 375, (1, 2): 592}
 
 
 @pytest.fixture(scope="session")
-def study_graph():
-    return build_graph(3, [(0, 1), (0, 2), (1, 2)], labels=["healthy", "sick", "terminal"])
+def study():
+    """(graph, design, truth, init) of the paper's study."""
+    return study_model()
 
 
 @pytest.fixture(scope="session")
-def study_design():
-    regression = PiecewiseAffine(6.0)
-    link = ValueSlopeLink(regression)
-    return ModelDesign(
-        GammaPlusB(),
-        regression,
-        {e: (ExponentialHazard(rate), link) for e, rate in STUDY_RATES.items()},
-    )
+def study_graph(study):
+    return study[0]
 
 
 @pytest.fixture(scope="session")
-def study_params():
-    return ModelParams(
-        gamma=STUDY_GAMMA,
-        q_repr=repr_from_cov(np.diag(STUDY_Q_DIAG), "diag"),
-        r_repr=repr_from_cov(STUDY_R, "ball"),
-        alpha=STUDY_ALPHA,
-        beta=STUDY_BETA,
-    )
+def study_design(study):
+    return study[1]
 
 
 @pytest.fixture(scope="session")
-def study_init_params(study_graph):
-    return ModelParams(
-        gamma=np.zeros(3),
-        q_repr=repr_from_cov(np.eye(3), "diag"),
-        r_repr=repr_from_cov(np.eye(1), "ball"),
-        alpha={e: np.zeros(2) for e in study_graph.sorted_edges()},
-        beta={e: np.zeros(1) for e in study_graph.sorted_edges()},
-    )
+def study_params(study):
+    return study[2]
+
+
+@pytest.fixture(scope="session")
+def study_init_params(study):
+    return study[3]
 
 
 @pytest.fixture(scope="session")

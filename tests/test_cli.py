@@ -442,15 +442,25 @@ def test_predict_requires_truncations(config_file, tmp_path):
     assert rc == 2
 
 
-def test_sampler_config_error_exits_2(config_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("sampler", "rm_decay", 0.3, "config.sampler: rm_decay"),
+        ("sampler", "n_chains", 0, "config.sampler: n_chains"),
+        ("fit", "minibatch", 0, "config.fit: minibatch"),
+        ("fit", "minibatch", -3, "config.fit: minibatch"),
+    ],
+    ids=["rm_decay", "n_chains", "minibatch_zero", "minibatch_negative"],
+)
+def test_sampler_config_error_exits_2(config_file, tmp_path, capsys, section, key, value, message):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
     cfg = study_config()
-    cfg["sampler"]["rm_decay"] = 0.3
+    cfg[section][key] = value
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     rc = main(["fit", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")])
     assert rc == 2
-    assert "config.sampler: rm_decay" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_predict_thin_error_exits_2(config_file, tmp_path, capsys):

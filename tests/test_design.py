@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -323,13 +325,9 @@ def test_design_validates_edge_set(study_design):
 
 
 def test_design_validates_alpha_lengths(study_design, study_params):
-    bad = ModelParams(
-        gamma=study_params.gamma,
-        q_repr=study_params.q_repr,
-        r_repr=study_params.r_repr,
-        alpha={e: np.zeros(1) for e in study_design.edges},  # needs length 2
-        beta={e: np.zeros(1) for e in study_design.edges},
-    )
+    edges = study_design.edges
+    # alpha needs length 2
+    bad = replace(study_params, alpha={e: np.zeros(1) for e in edges}, beta={e: np.zeros(1) for e in edges})
     with pytest.raises(ValueError, match="alpha"):
         study_design.validate_params(bad)
 

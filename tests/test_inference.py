@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from msjoint.inference import (
     stderr,
     stop_check,
 )
-from msjoint.params import PrecisionRepr, flatten
+from msjoint.params import PrecisionRepr, Sharing, flatten
 from msjoint.sampler import SamplerConfig
 
 
@@ -330,23 +332,16 @@ def test_fim_is_symmetric(small_cohort, study_design, study_graph, study_params)
     np.testing.assert_array_equal(estimate.matrix, estimate.matrix.T)
 
 
-def test_fim_tied_slots_accumulate(small_cohort, study_design, study_graph):
-    from msjoint.params import Sharing
-
+def test_fim_tied_slots_accumulate(small_cohort, study_design, study_graph, study_params):
     cohort, latent = small_cohort
     edges = study_graph.sorted_edges()
-    shared = ModelParams(
-        gamma=np.array([2.5, -1.3, 0.2]),
-        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"),
-        r_repr=repr_from_cov([[1.7]], "ball"),
+    shared = replace(
+        study_params,
         alpha={e: np.array([-0.3, -1.0]) for e in edges},
         beta={e: np.array([-0.5]) for e in edges},
         sharing=Sharing(beta=(tuple(edges),)),
     )
-    untied = ModelParams(
-        gamma=shared.gamma, q_repr=shared.q_repr, r_repr=shared.r_repr,
-        alpha=shared.alpha, beta=dict(shared.beta),
-    )
+    untied = replace(shared, sharing=Sharing())
     engine = LikelihoodEngine(cohort, study_design, study_graph)
     b = latent["b"]
     s_shared = engine.individual_scores(shared, b[None])[0]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,16 +22,15 @@ from msjoint import (
 from msjoint.families import (
     BOnly,
     GammaPlusB,
-    PiecewiseAffine,
     Polynomial,
     ShiftedTanh,
     ValueLink,
-    ValueSlopeLink,
 )
 from msjoint.hazards import ExponentialHazard, PiecewiseConstantHazard, WeibullHazard
 from msjoint.likelihood import _CachedBasis, locate_nonfinite
 from msjoint.params import Sharing, flatten, unflatten
 from msjoint.simulate import generate_cohort
+from msjoint.study import RATES
 
 
 # -- prior term ---------------------------------------------------------------
@@ -59,13 +60,6 @@ def test_prior_loglik_matches_dense_gaussian_oracle():
 
 
 # -- longitudinal term ----------------------------------------------------------
-
-
-def make_design(rates=None, link_cls=ValueSlopeLink):
-    reg = PiecewiseAffine(6.0)
-    link = link_cls(reg)
-    rates = rates or {(0, 1): 0.1, (0, 2): 0.01, (1, 2): 0.2}
-    return ModelDesign(GammaPlusB(), reg, {e: (ExponentialHazard(l), link) for e, l in rates.items()})
 
 
 def test_longitudinal_all_rows_missing_gives_zero(study_design):
@@ -191,20 +185,15 @@ def test_semi_markov_rejects_non_edge():
         semi_markov_loglik(rec, np.zeros(1), params, design, g)
 
 
-def test_hazard_scaling_closed_form(small_cohort, study_graph):
+def test_hazard_scaling_closed_form(small_cohort, study_graph, study_design, study_params):
     # multiplying constant hazards by c shifts the term by N log c - (c-1) * integral
     cohort, latent = small_cohort
-    rates = {(0, 1): 0.1, (0, 2): 0.01, (1, 2): 0.2}
     c = 2.5
-    base = make_design(rates)
-    scaled = make_design({e: c * l for e, l in rates.items()})
-    params = ModelParams(
-        gamma=np.array([2.5, -1.3, 0.2]),
-        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"),
-        r_repr=repr_from_cov([[1.7]], "ball"),
-        alpha={e: np.zeros(2) for e in rates},
-        beta={e: np.zeros(1) for e in rates},
+    base = study_design
+    scaled = replace(
+        base, edge_specs={e: (ExponentialHazard(c * RATES[e]), link) for e, (_, link) in base.edge_specs.items()}
     )
+    params = replace(study_params, alpha={e: np.zeros(2) for e in RATES}, beta={e: np.zeros(1) for e in RATES})
     n_trans = sum(len(r.trajectory) - 1 for r in cohort)
     ll_base = ll_scaled = integral = 0.0
     for i, rec in enumerate(cohort):
@@ -215,10 +204,10 @@ def test_hazard_scaling_closed_form(small_cohort, study_graph):
         pairs = rec.trajectory.pairs
         for (t0, s0), (t1, _) in zip(pairs, pairs[1:]):
             for s in study_graph.successors(s0):
-                integral += rates[(s0, s)] * (t1 - t0)
+                integral += RATES[(s0, s)] * (t1 - t0)
         t_last, s_last = pairs[-1]
         for s in study_graph.successors(s_last):
-            integral += rates[(s_last, s)] * (rec.censoring_time - t_last)
+            integral += RATES[(s_last, s)] * (rec.censoring_time - t_last)
     expected = ll_base + n_trans * np.log(c) - (c - 1) * integral
     assert ll_scaled == pytest.approx(expected, abs=1e-9)
 
@@ -281,27 +270,6 @@ def test_engine_caches_bases_of_linear_families(engine_case, study_graph):
     assert all(isinstance(basis, _CachedBasis) == linear for basis in bases)
 
 
-def trainable_model(hazard):
-    """The study design and truth with a trainable baseline on 0 -> 1, set
-    away from its construction values."""
-    reg = PiecewiseAffine(6.0)
-    link = ValueSlopeLink(reg)
-    design = ModelDesign(
-        GammaPlusB(),
-        reg,
-        {(0, 1): (hazard, link), (0, 2): (ExponentialHazard(0.01), link), (1, 2): (ExponentialHazard(0.2), link)},
-    )
-    params = ModelParams(
-        gamma=np.array([2.5, -1.3, 0.2]),
-        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"),
-        r_repr=repr_from_cov([[1.7]], "ball"),
-        alpha={(0, 1): [-0.5, -3.0], (0, 2): [-1.0, -5.0], (1, 2): [0.0, -1.2]},
-        beta={(0, 1): [-1.3], (0, 2): [-0.9], (1, 2): [-0.7]},
-        extra=design.initial_extra() + 0.1,
-    )
-    return design, params
-
-
 def assert_bound_matches_unbound(engine, params):
     bound = engine.bind(params)
     rng = np.random.default_rng(12)
@@ -326,18 +294,21 @@ def test_bound_params_evaluate_as_unbound(engine_case, study_graph):
     [WeibullHazard(1.5, 6.0, trainable=True), PiecewiseConstantHazard([2.0, 5.0], [0.05, 0.1, 0.2], trainable=True)],
     ids=["weibull", "piecewise"],
 )
-def test_bound_params_with_trainable_baseline_evaluate_as_unbound(hazard, study_graph):
-    design, params = trainable_model(hazard)
+def test_bound_params_with_trainable_baseline_evaluate_as_unbound(
+    hazard, study_graph, study_design, study_params
+):
+    # the study design and truth with a trainable baseline on 0 -> 1, set
+    # away from its construction values
+    edge = (0, 1)
+    design = replace(study_design, edge_specs={**study_design.edge_specs, edge: (hazard, study_design.link(edge))})
+    params = replace(study_params, extra=design.initial_extra() + 0.1)
     cohort, _ = generate_cohort(design, params, n=25, m=6, seed=7)
     assert_bound_matches_unbound(LikelihoodEngine(cohort, design, study_graph), params)
 
 
 def test_bind_validates_like_design(small_cohort, study_design, study_graph, study_params):
     engine = LikelihoodEngine(small_cohort[0], study_design, study_graph)
-    bad = ModelParams(
-        gamma=study_params.gamma, q_repr=study_params.q_repr, r_repr=study_params.r_repr,
-        alpha={**study_params.alpha, (0, 1): np.zeros(3)}, beta=study_params.beta,
-    )
+    bad = replace(study_params, alpha={**study_params.alpha, (0, 1): np.zeros(3)})
     with pytest.raises(ValueError) as want:
         study_design.validate_params(bad)
     with pytest.raises(ValueError) as got:
@@ -422,13 +393,7 @@ def test_prior_gradient_wrt_gamma_is_zero(small_cohort, study_design, study_grap
         )
     )
     engine = LikelihoodEngine(no_data, study_design, study_graph)
-    params = ModelParams(
-        gamma=study_params.gamma,
-        q_repr=repr_from_cov(np.eye(3), "diag"),
-        r_repr=study_params.r_repr,
-        alpha=study_params.alpha,
-        beta=study_params.beta,
-    )
+    params = replace(study_params, q_repr=repr_from_cov(np.eye(3), "diag"))
     grad = engine.grad_theta(params, np.zeros((len(cohort), 3)))
     np.testing.assert_allclose(grad[:3], 0.0, atol=1e-12)
 
@@ -484,19 +449,16 @@ def test_gradient_with_subset_matches_finite_differences(
     assert rel_err(ana, fd).max() < 1e-4
 
 
-def test_shared_slot_gradient_accumulates(small_cohort, study_graph):
+def test_shared_slot_gradient_accumulates(small_cohort, study_graph, study_design, study_params):
     cohort, latent = small_cohort
-    design = make_design()
     edges = study_graph.sorted_edges()
-    shared = ModelParams(
-        gamma=np.array([2.5, -1.3, 0.2]),
-        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"),
-        r_repr=repr_from_cov([[1.7]], "ball"),
+    shared = replace(
+        study_params,
         alpha={e: np.array([-0.3, -1.0]) for e in edges},
         beta={e: np.array([-0.5]) for e in edges},
         sharing=Sharing(beta=(tuple(edges),)),
     )
-    engine = LikelihoodEngine(cohort, design, study_graph)
+    engine = LikelihoodEngine(cohort, study_design, study_graph)
     rng = np.random.default_rng(4)
     b = rng.normal(scale=0.5, size=(len(cohort), 3))
     ana = engine.grad_theta(shared, b)
@@ -504,11 +466,8 @@ def test_shared_slot_gradient_accumulates(small_cohort, study_graph):
     fd = fd_gradient(engine, shared, b)
     assert rel_err(ana, fd).max() < 1e-4
     # the shared coordinate equals the sum of the per-edge untied gradients
-    untied = ModelParams(
-        gamma=shared.gamma, q_repr=shared.q_repr, r_repr=shared.r_repr,
-        alpha=shared.alpha, beta={e: np.array([-0.5]) for e in edges},
-    )
-    engine2 = LikelihoodEngine(cohort, design, study_graph)
+    untied = replace(shared, sharing=Sharing())
+    engine2 = LikelihoodEngine(cohort, study_design, study_graph)
     g_untied = engine2.grad_theta(untied, b)
     layout = untied.layout()
     per_edge = sum(g_untied[layout.edge_slice("beta", e)] for e in edges)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,24 +118,20 @@ def test_log_det_gradient_matches_finite_differences():
 # -- flattening and sharing ---------------------------------------------------
 
 
-def study_like_params(**kwargs):
-    edges = [(0, 1), (0, 2), (1, 2)]
-    return ModelParams(
-        gamma=np.array([2.5, -1.3, 0.2]),
-        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"),
-        r_repr=repr_from_cov([[1.7]], "ball"),
-        alpha={e: np.array([0.1, 0.2]) for e in edges},
-        beta={e: np.array([0.3]) for e in edges},
-        **kwargs,
+@pytest.fixture
+def study_like_params(study_params):
+    edges = study_params.edges
+    return replace(
+        study_params, alpha={e: np.array([0.1, 0.2]) for e in edges}, beta={e: np.array([0.3]) for e in edges}
     )
 
 
-def test_study_model_has_sixteen_free_scalars():
-    assert flatten(study_like_params()).shape == (16,)
+def test_study_model_has_sixteen_free_scalars(study_like_params):
+    assert flatten(study_like_params).shape == (16,)
 
 
-def test_flatten_unflatten_identity():
-    p = study_like_params()
+def test_flatten_unflatten_identity(study_like_params):
+    p = study_like_params
     v = flatten(p)
     v2 = flatten(unflatten(v, p))
     np.testing.assert_array_equal(v, v2)
@@ -236,8 +234,8 @@ def test_empty_params_round_trip():
     assert flatten(unflatten(v, p)).shape == (0,)
 
 
-def test_unflatten_rejects_wrong_length():
-    p = study_like_params()
+def test_unflatten_rejects_wrong_length(study_like_params):
+    p = study_like_params
     with pytest.raises(ValueError, match="length 16"):
         unflatten(np.zeros(15), p)
 

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from msjoint import ModelDesign, ModelParams, build_buckets, build_graph, repr_from_cov, validate_cohort
 from msjoint.design import transition_state_probs
-from msjoint.families import BOnly, GammaPlusB, PiecewiseAffine, Polynomial, ValueLink
+from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
     BISECT_TOL,
@@ -20,6 +22,7 @@ from msjoint.simulate import (
     _edge_cumulative,
     _edge_rate,
 )
+from msjoint.study import Q_DIAG
 
 KS_CRIT_1PCT = 1.63  # Kolmogorov critical value: D * sqrt(n) at alpha = 0.01
 
@@ -133,14 +136,15 @@ def test_event_times_nonconstant_hazard_law():
     assert d * np.sqrt(draws.size) < KS_CRIT_1PCT
 
 
-def recurrent_model(study_params):
+def recurrent_model(study_design, study_params):
     """Recurrent 0 <-> 1 with absorbing 2: Weibull clock-reset baselines and
     a value link on the study's marker."""
     weibull = {(0, 1): (2.0, 2.2), (1, 0): (2.0, 1.5), (0, 2): (1.0, 60.0), (1, 2): (1.0, 30.0)}
-    reg = PiecewiseAffine(6.0)
-    design = ModelDesign(GammaPlusB(), reg, {e: (WeibullHazard(k, s), ValueLink(reg)) for e, (k, s) in weibull.items()})
-    params = ModelParams(
-        gamma=study_params.gamma, q_repr=study_params.q_repr, r_repr=study_params.r_repr,
+    reg = study_design.regression
+    hazards = {e: (WeibullHazard(k, s), ValueLink(reg)) for e, (k, s) in weibull.items()}
+    design = ModelDesign(study_design.effects, reg, hazards)
+    params = replace(
+        study_params,
         alpha={(0, 1): [-0.1], (1, 0): [0.1], (0, 2): [-0.2], (1, 2): [-0.2]},
         beta={(0, 1): [0.3], (1, 0): [-0.3], (0, 2): [0.2], (1, 2): [0.2]},
     )
@@ -151,11 +155,11 @@ def recurrent_model(study_params):
 def test_inverted_times_are_exact_to_the_tolerance(model, study_design, study_params):
     # Lambda(lower, t - tol) < E <= Lambda(lower, t + tol) for every solved row,
     # and Lambda(lower, cap) < E for every row censored at a finite cap
-    design, params = (study_design, study_params) if model == "study" else recurrent_model(study_params)
+    design, params = (study_design, study_params) if model == "study" else recurrent_model(study_design, study_params)
     rng = np.random.default_rng(23)
     n = 400
     x = rng.standard_normal((n, 1))
-    psi = params.gamma + rng.standard_normal((n, 3)) * np.sqrt([0.6, 0.2, 0.3])
+    psi = params.gamma + rng.standard_normal((n, 3)) * np.sqrt(Q_DIAG)
     entry = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 8.0, n))
     lower = entry + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
     cap = np.where(rng.random(n) < 0.2, np.inf, lower + rng.uniform(2.0, 12.0, n))
@@ -499,13 +503,13 @@ def test_generate_cohort_grid_size_leaves_the_rest_unchanged(study_design, study
         assert ra.censoring_time == rb.censoring_time
 
 
-def test_generate_cohort_zero_noise_limit(study_design, study_graph):
-    params = ModelParams(
-        gamma=np.array([2.5, -1.3, 0.2]),
-        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"),
+def test_generate_cohort_zero_noise_limit(study_design, study_graph, study_params):
+    edges = study_graph.sorted_edges()
+    params = replace(
+        study_params,
         r_repr=repr_from_cov(1e-20 * np.eye(1), "ball"),
-        alpha={e: np.array([-0.5, -3.0]) for e in study_graph.sorted_edges()},
-        beta={e: np.array([-1.3]) for e in study_graph.sorted_edges()},
+        alpha={e: np.array([-0.5, -3.0]) for e in edges},
+        beta={e: np.array([-1.3]) for e in edges},
     )
     cohort, latent = generate_cohort(study_design, params, 20, 5, seed=13)
     for i, rec in enumerate(cohort):
