@@ -3,26 +3,15 @@ semi-Markov event processes on arbitrary directed graphs."""
 
 from .dataset import Cohort, IndividualRecord, Trajectory, validate_cohort
 from .design import ModelDesign, cumulative_intensity, gauss_legendre, transition_log_intensity
-from .graph import TransitionGraph, build_buckets, build_graph, is_absorbing, reaches
+from .graph import TransitionGraph, build_buckets, build_graph, reaches
 from .likelihood import (
     LikelihoodEngine,
     LogLikTerms,
-    complete_loglik,
-    grad_complete_loglik,
     longitudinal_loglik,
     prior_loglik,
     semi_markov_loglik,
 )
-from .params import (
-    ModelParams,
-    PrecisionRepr,
-    Sharing,
-    cov_from_repr,
-    flatten,
-    log_det_precision,
-    repr_from_cov,
-    unflatten,
-)
+from .params import ModelParams, PrecisionRepr, Sharing, flatten, repr_from_cov, unflatten
 
 __all__ = [
     "Cohort",
@@ -36,21 +25,16 @@ __all__ = [
     "TransitionGraph",
     "build_buckets",
     "build_graph",
-    "is_absorbing",
     "reaches",
     "LikelihoodEngine",
     "LogLikTerms",
-    "complete_loglik",
-    "grad_complete_loglik",
     "longitudinal_loglik",
     "prior_loglik",
     "semi_markov_loglik",
     "ModelParams",
     "PrecisionRepr",
     "Sharing",
-    "cov_from_repr",
     "flatten",
-    "log_det_precision",
     "repr_from_cov",
     "unflatten",
 ]

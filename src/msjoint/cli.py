@@ -49,6 +49,14 @@ def _section(name: str):
         raise ConfigError(f"config.{name}: {exc}") from exc
 
 
+def _count(spec: dict, key: str, default: int) -> int:
+    """A count setting of a config section, which must be at least 1."""
+    value = int(spec.get(key, default))
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 def _sampler_config(config: dict) -> SamplerConfig:
     with _section("sampler"):
         return SamplerConfig(**(config.get("sampler") or {}))
@@ -134,10 +142,10 @@ def cmd_fim(config: dict, data_dir: Path, params_file: Path, out_dir: Path, seed
     graph, design, cohort = _load_validated_cohort(config, data_dir)
     params = read_params(params_file)
     design.validate_params(params)
-    spec = config.get("fim") or {}
+    with _section("fim"):
+        n_samples = _count(config.get("fim") or {}, "n_samples", 1000)
     estimate = compute_fim(
-        cohort, design, graph, params, _sampler_config(config),
-        n_samples=int(spec.get("n_samples", 1000)), seed=seed,
+        cohort, design, graph, params, _sampler_config(config), n_samples=n_samples, seed=seed
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     names = params.layout().names()
@@ -167,12 +175,11 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
         raise ConfigError("config.predict.truncations: at least one truncation time is required")
     if not horizons:
         raise ConfigError("config.predict.horizons: at least one horizon is required")
-    n_draws = int(spec.get("n_draws", 200))
+    n_chains = _sampler_config(config).n_chains  # the rest of the sampler settings come from predict
     with _section("predict"):
+        n_draws = _count(spec, "n_draws", 200)
         sampler_cfg = SamplerConfig(
-            n_chains=(config.get("sampler") or {}).get("n_chains", 5),
-            warmup=int(spec.get("warmup", 500)),
-            thin=int(spec.get("thin", 5)),
+            n_chains=n_chains, warmup=int(spec.get("warmup", 500)), thin=int(spec.get("thin", 5))
         )
     master = np.random.default_rng(seed)
     out_dir.mkdir(parents=True, exist_ok=True)

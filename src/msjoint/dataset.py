@@ -48,16 +48,8 @@ class Trajectory:
         return np.array([t for t, _ in self.pairs])
 
     @property
-    def states(self) -> np.ndarray:
-        return np.array([s for _, s in self.pairs], dtype=int)
-
-    @property
     def last_time(self) -> float:
         return self.pairs[-1][0]
-
-    @property
-    def last_state(self) -> int:
-        return self.pairs[-1][1]
 
     def __len__(self) -> int:
         return len(self.pairs)

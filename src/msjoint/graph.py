@@ -83,10 +83,6 @@ def build_graph(
     )
 
 
-def is_absorbing(graph: TransitionGraph, state: int) -> bool:
-    return graph.is_absorbing(state)
-
-
 def reaches(graph: TransitionGraph, from_states: set[int], to_states: set[int]) -> bool:
     """True iff a directed path of length >= 0 joins the two sets.
 
@@ -133,9 +129,6 @@ class TransitionBuckets:
 
     def counts(self) -> dict[Edge, int]:
         return {e: len(v) for e, v in self.by_edge.items()}
-
-    def total_transitions(self) -> int:
-        return sum(len(v) for v in self.by_edge.values())
 
 
 def build_buckets(

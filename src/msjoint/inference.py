@@ -30,7 +30,6 @@ class FitConfig:
     n_draws: int | None = None  # posterior draws per iteration; default n_chains
     minibatch: int | None = None  # individuals per step; None = full cohort
     max_iterations: int = 500
-    grad_clip: float | None = None
     schedule_decay: float | None = None  # sgd power schedule eta_0/(t+1)^kappa
 
     def __post_init__(self):
@@ -192,10 +191,6 @@ def fit(
             scale = n / cfg.minibatch
 
         grad = engine.grad_theta(bound, b_draws, subset=subset) * scale
-        if cfg.grad_clip is not None:
-            norm = float(np.linalg.norm(grad))
-            if norm > cfg.grad_clip:
-                grad = grad * (cfg.grad_clip / norm)
 
         ll_est = float(np.mean(chains.log_post.sum(axis=1)))
         prev_theta = theta
@@ -266,7 +261,10 @@ def compute_fim(
 
     ``n_samples`` is the total number of posterior draws (chains times
     sweeps); sampling uses the configured thinning between retained draws.
+    Raises ValueError when ``n_samples`` is below 1.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     sampler_cfg = sampler_config or SamplerConfig()
     design.validate_params(params)
     engine = engine or LikelihoodEngine(cohort, design, graph)

@@ -3,9 +3,11 @@ their sum, and the gradient in the flattened free parameters.
 
 Everything is computed in log space; intensities are exponentiated only
 inside quadrature integrands. The vectorized :class:`LikelihoodEngine`
-batches over (chain, individual) and is the workhorse of the sampler and the
-fitting loop; the module-level functions are the per-individual reference
-forms.
+batches over (chain, individual) and is the one entry point of the sampler,
+the fitting loop and the FIM: its ``complete_loglik`` and ``grad_theta`` sum
+over a ``subset`` of distinct individuals, so that the gradient is the
+gradient of the value. The module-level functions are the per-individual
+reference forms the engine is tested against.
 """
 
 from __future__ import annotations
@@ -94,33 +96,6 @@ def semi_markov_loglik(
                 cumulative_intensity(design, params, (s_last, s), t_last, record.censoring_time, x, psi)
             )
     return total
-
-
-def complete_loglik(
-    cohort: Cohort,
-    b_all: np.ndarray,
-    params: ModelParams,
-    design: ModelDesign,
-    graph: TransitionGraph,
-    subset: np.ndarray | None = None,
-) -> float:
-    """Sum of the three terms over the subset of individuals (all if None)."""
-    engine = LikelihoodEngine(cohort, design, graph)
-    return engine.complete_loglik(params, b_all, subset=subset)
-
-
-def grad_complete_loglik(
-    cohort: Cohort,
-    b_all: np.ndarray,
-    params: ModelParams,
-    design: ModelDesign,
-    graph: TransitionGraph,
-    subset: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of :func:`complete_loglik` in the flattened free parameters;
-    tied slots accumulate their members' contributions."""
-    engine = LikelihoodEngine(cohort, design, graph)
-    return engine.grad_theta(params, b_all, subset=subset)
 
 
 def locate_nonfinite(terms: LogLikTerms) -> str | None:
@@ -362,7 +337,7 @@ class LikelihoodEngine:
 
         self.edge_blocks: list[tuple[Edge, list[_Rows]]] = []
         for edge in self.graph.sorted_edges():
-            hazard, lnk = self.design.hazard(edge), self.design.link(edge)
+            lnk = self.design.link(edge)
             ev = np.array(events[edge], dtype=float).reshape(-1, 3)
             sj = np.array(risk[edge], dtype=float).reshape(-1, 3)
             nd_t, nd_w = split_nodes(lnk, self.design.n_quad, sj[:, 1], sj[:, 2])
@@ -375,7 +350,7 @@ class LikelihoodEngine:
                 if not idx.size:
                     continue
                 idx = idx.astype(int)
-                u = t - entry[:, None] if hazard.clock == "reset" else t
+                u = self.design.clock_time(edge, t, entry[:, None])
                 x = self.x[idx]
                 row_sets.append(_Rows(event, idx, u, w, x, _basis(lnk, n_psi, t, x)))
             self.edge_blocks.append((edge, row_sets))
@@ -402,6 +377,25 @@ class LikelihoodEngine:
         if b.ndim == 3:
             return b, False
         raise ValueError("b must have shape (n, q) or (chains, n, q)")
+
+    def _subset(self, subset) -> np.ndarray | None:
+        """The individuals of a ``subset`` argument as an index array (None
+        for the whole cohort). A subset is 1-D, and its integers are distinct
+        and in [0, n); anything else raises ValueError."""
+        if subset is None:
+            return None
+        idx = np.asarray(subset)
+        if idx.size == 0:
+            return np.zeros(0, dtype=int)
+        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"subset must be a 1-D array of integer indices, got {subset!r}")
+        outside = (idx < 0) | (idx >= self.n)
+        if outside.any():
+            raise ValueError(f"subset index {int(idx[outside][0])} is outside [0, {self.n})")
+        values, counts = np.unique(idx, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"subset index {int(values[counts > 1][0])} is repeated")
+        return idx
 
     def psi(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
         return self.design.effects.psi(params.gamma, self.x, b)
@@ -541,14 +535,15 @@ class LikelihoodEngine:
         return terms.total
 
     def complete_loglik(self, params: ModelParams | _BoundParams, b: np.ndarray, subset=None) -> float | np.ndarray:
-        """Complete-data log-likelihood summed over the subset; returns a
-        scalar for (n, q) input, a per-chain vector for (chains, n, q)."""
+        """Complete-data log-likelihood summed over the subset (distinct
+        indices in [0, n); all individuals if None); returns a scalar for
+        (n, q) input, a per-chain vector for (chains, n, q)."""
         b_arr, squeeze = self._as_chains(b)
+        subset = self._subset(subset)
         terms = self.loglik_terms(params, b_arr)
         total = np.asarray(terms.total)
         if subset is not None:
-            subset = np.asarray(subset, dtype=int)
-            total = total[:, subset] if subset.size else np.zeros((total.shape[0], 0))
+            total = total[:, subset]
         value = total.sum(axis=-1)
         return float(value[0]) if squeeze else value
 
@@ -562,10 +557,13 @@ class LikelihoodEngine:
     def grad_theta(self, params: ModelParams | _BoundParams, b: np.ndarray, subset=None) -> np.ndarray:
         """Gradient of the summed complete-data log-likelihood with respect to
         the flattened free parameters (tied slots accumulate): the
-        per-individual scores summed over the subset. For chained input the
-        per-chain gradients are averaged."""
+        per-individual scores summed over the subset, which follows the rule
+        of :meth:`complete_loglik`. For chained input the per-chain gradients
+        are averaged."""
         bound = self._bound(params)
         b, squeeze = self._as_chains(b)
-        sel = None if subset is None else np.unique(np.asarray(subset, dtype=int))
+        sel = self._subset(subset)
+        if sel is not None:
+            sel = np.sort(sel)
         grad = self._evaluate(bound, b, sel, scores=True)[3].sum(axis=(1, 2))
         return grad if squeeze else grad / b.shape[0]

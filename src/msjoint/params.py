@@ -173,14 +173,6 @@ def repr_from_cov(cov: np.ndarray, method: str) -> PrecisionRepr:
     return PrecisionRepr("full", q, tri[np.tril_indices(q)])
 
 
-def cov_from_repr(repr_: PrecisionRepr) -> np.ndarray:
-    return repr_.covariance()
-
-
-def log_det_precision(repr_: PrecisionRepr) -> float:
-    return repr_.log_det_precision()
-
-
 # --------------------------------------------------------------------------
 # Parameter container and flattening
 

@@ -11,6 +11,12 @@ candidate time per successor edge and keeps the minimum, and a survival
 condition raises the integration lower bound of the first step only. Its
 two callers are :func:`sample_trajectories` (cohort generation) and
 ``predict``, which continues an observed prefix past the truncation time.
+
+Randomness: :func:`sample_trajectories` takes one generator, ``rng``, and
+spawns one stream per row from it. :func:`extend_paths` and
+:func:`step_transitions` take those per-row streams; a row draws its
+thresholds from its own stream only, and the inversion stops each row on its
+own bracket, so its event times do not depend on the batch it is stepped in.
 """
 
 from __future__ import annotations
@@ -33,12 +39,11 @@ MAX_REJECTION_ROUNDS = 100
 @dataclass
 class SimConfig:
     """Per-cohort simulation settings: censoring times (finite or +inf),
-    optional survival conditions (default -inf), master seed, and the
-    max-transitions guard against runaway cyclic graphs."""
+    optional survival conditions (default -inf), and the max-transitions
+    guard against runaway cyclic graphs."""
 
     censoring: np.ndarray | float = np.inf
     t_surv: np.ndarray | float = -np.inf
-    seed: int = 0
     max_transitions: int = 10_000
 
     def __post_init__(self):
@@ -261,8 +266,7 @@ def sample_trajectories(
     psi: np.ndarray,
     initial: Sequence[tuple[float, int]] | tuple[float, int],
     sim_config: SimConfig,
-    rng: np.random.Generator | None = None,
-    rngs: Sequence[np.random.Generator] | None = None,
+    rng: np.random.Generator,
 ) -> list[Trajectory]:
     """Simulate one trajectory per row of (x, psi) from its initial pair.
 
@@ -271,24 +275,19 @@ def sample_trajectories(
     transition only. Transitions stop at censoring or in absorbing states;
     exceeding the max-transitions guard raises TrajectoryLimitError.
 
-    Randomness is consumed from one independent stream per row (spawned from
-    ``rng`` unless ``rngs`` is given), and the inversion stops each row on
-    its own bracket, so a row's trajectory is the same whatever the batch.
+    ``rng`` is the call's one source of randomness: row i draws only from
+    the i-th stream of ``rng.spawn(n)``. :func:`extend_paths` takes such
+    per-row streams and stops each row's inversion on its own bracket, so a
+    row's trajectory depends on its stream alone, not on the batch.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)
     n = psi.shape[0]
-    if rngs is None:
-        master = rng if rng is not None else np.random.default_rng(sim_config.seed)
-        rngs = master.spawn(n)
-    if len(rngs) != n:
-        raise ValueError("one RNG stream per simulated row is required")
-
     if isinstance(initial, tuple) and np.isscalar(initial[0]):
         initial = [initial] * n
     paths = [[(float(t0), int(s0))] for t0, s0 in initial]
     running = extend_paths(
-        design, params, x, psi, paths, sim_config.censoring, rngs,
+        design, params, x, psi, paths, sim_config.censoring, rng.spawn(n),
         t_surv=sim_config.t_surv, max_transitions=sim_config.max_transitions,
     )
     if running.any():
@@ -297,21 +296,6 @@ def sample_trajectories(
             f"{sim_config.max_transitions}-transition guard"
         )
     return [Trajectory(tuple(p)) for p in paths]
-
-
-def sample_trajectory(
-    design: ModelDesign,
-    params: ModelParams,
-    x: np.ndarray,
-    psi: np.ndarray,
-    initial: tuple[float, int],
-    sim_config: SimConfig,
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Single-path convenience wrapper around :func:`sample_trajectories`."""
-    return sample_trajectories(
-        design, params, np.atleast_2d(x), np.atleast_2d(psi), [initial], sim_config, rngs=[rng]
-    )[0]
 
 
 def conditioned_equals_rejection(
@@ -338,7 +322,7 @@ def conditioned_equals_rejection(
     def first_transitions(cfg, m, rng):
         xs = np.repeat(x, m, axis=0)
         psis = np.repeat(psi, m, axis=0)
-        trajs = sample_trajectories(design, params, xs, psis, initial, cfg, rng=rng)
+        trajs = sample_trajectories(design, params, xs, psis, initial, cfg, rng)
         times = np.array([tr.pairs[1][0] if len(tr) > 1 else np.inf for tr in trajs])
         states = np.array([tr.pairs[1][1] if len(tr) > 1 else -1 for tr in trajs])
         return times, states
@@ -463,8 +447,8 @@ def generate_cohort(
     y = y + rng.standard_normal((n, m, d)) @ chol_r.T
     y[t_grid > c[:, None]] = np.nan
 
-    cfg = SimConfig(censoring=c, seed=seed, max_transitions=max_transitions)
-    trajectories = sample_trajectories(design, params, x, psi, initial, cfg, rng=rng)
+    cfg = SimConfig(censoring=c, max_transitions=max_transitions)
+    trajectories = sample_trajectories(design, params, x, psi, initial, cfg, rng)
 
     records = []
     for i in range(n):

@@ -478,6 +478,30 @@ def test_predict_thin_error_exits_2(config_file, tmp_path, capsys):
     assert "config.predict: thin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        ("fim", "fim", "n_samples", 0, "config.fim: n_samples must be >= 1"),
+        ("predict", "predict", "n_draws", 0, "config.predict: n_draws must be >= 1"),
+        ("predict", "sampler", "n_chains", 0, "config.sampler: n_chains must be >= 1"),
+    ],
+    ids=["fim_n_samples", "predict_n_draws", "predict_n_chains"],
+)
+def test_zero_count_exits_2(config_file, tmp_path, capsys, command, section, key, value, message):
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
+    cfg = study_config()
+    cfg[section][key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
+    rc = main([
+        command, "--config", str(path), "--data", str(tmp_path / "data"),
+        "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_odd_n_quad_is_a_config_error(tmp_path, capsys):
     cfg = study_config()
     cfg["design"]["n_quad"] = 15

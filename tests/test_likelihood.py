@@ -12,8 +12,6 @@ from msjoint import (
     ModelParams,
     Trajectory,
     build_graph,
-    complete_loglik,
-    grad_complete_loglik,
     longitudinal_loglik,
     prior_loglik,
     repr_from_cov,
@@ -322,36 +320,56 @@ def test_bind_validates_like_design(small_cohort, study_design, study_graph, stu
 
 def test_complete_loglik_empty_subset(small_cohort, study_design, study_graph, study_params):
     cohort, latent = small_cohort
-    got = complete_loglik(cohort, latent["b"], study_params, study_design, study_graph, subset=[])
+    got = LikelihoodEngine(cohort, study_design, study_graph).complete_loglik(study_params, latent["b"], subset=[])
     assert got == 0.0
+
+
+@pytest.mark.parametrize("method", ["complete_loglik", "grad_theta"])
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ([3, 3], "subset index 3 is repeated"),
+        ([-1], "subset index -1 is outside"),
+        ([25], "subset index 25 is outside"),
+    ],
+    ids=["repeated", "negative", "n"],
+)
+def test_subset_is_distinct_indices_in_range(
+    small_cohort, study_design, study_graph, study_params, method, subset, message
+):
+    # a repeated individual would count twice in the value but once in the
+    # gradient, and -1 would mean the last individual
+    cohort, latent = small_cohort
+    engine = LikelihoodEngine(cohort, study_design, study_graph)
+    with pytest.raises(ValueError, match=message):
+        getattr(engine, method)(study_params, latent["b"], subset=subset)
 
 
 def test_complete_loglik_matches_per_individual_sum(engine_case, study_graph):
     cohort, latent, design, params, _ = engine_case
-    total = complete_loglik(cohort, latent["b"], params, design, study_graph)
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    total = engine.complete_loglik(params, latent["b"])
     ref = sum(
         reference_loglik(rec, latent["b"][i], params, design, study_graph) for i, rec in enumerate(cohort)
     )
     assert total == pytest.approx(ref, abs=1e-9)
-    single = complete_loglik(cohort, latent["b"], params, design, study_graph, subset=[3])
+    single = engine.complete_loglik(params, latent["b"], subset=[3])
     ref3 = reference_loglik(cohort[3], latent["b"][3], params, design, study_graph)
     assert single == pytest.approx(ref3, abs=1e-9)
 
 
 def test_additivity_over_partition(small_cohort, study_design, study_graph, study_params):
     cohort, latent = small_cohort
-    full = complete_loglik(cohort, latent["b"], study_params, study_design, study_graph)
+    engine = LikelihoodEngine(cohort, study_design, study_graph)
+    full = engine.complete_loglik(study_params, latent["b"])
     idx = np.arange(len(cohort))
-    part = sum(
-        complete_loglik(cohort, latent["b"], study_params, study_design, study_graph, subset=chunk)
-        for chunk in np.array_split(idx, 4)
-    )
+    part = sum(engine.complete_loglik(study_params, latent["b"], subset=chunk) for chunk in np.array_split(idx, 4))
     assert part == pytest.approx(full, abs=1e-9)
 
 
 def test_finite_value_at_truth(small_cohort, study_design, study_graph, study_params):
     cohort, latent = small_cohort
-    value = complete_loglik(cohort, latent["b"], study_params, study_design, study_graph)
+    value = LikelihoodEngine(cohort, study_design, study_graph).complete_loglik(study_params, latent["b"])
     assert np.isfinite(value)
 
 
@@ -473,16 +491,6 @@ def test_shared_slot_gradient_accumulates(small_cohort, study_graph, study_desig
     per_edge = sum(g_untied[layout.edge_slice("beta", e)] for e in edges)
     shared_slice = shared.layout().edge_slice("beta", edges[0])
     np.testing.assert_allclose(ana[shared_slice], per_edge, rtol=1e-9, atol=1e-9)
-
-
-def test_gradient_of_complete_loglik_module_level(
-    small_cohort, study_design, study_graph, study_params
-):
-    cohort, latent = small_cohort
-    g1 = grad_complete_loglik(cohort, latent["b"], study_params, study_design, study_graph)
-    engine = LikelihoodEngine(cohort, study_design, study_graph)
-    g2 = engine.grad_theta(study_params, latent["b"])
-    np.testing.assert_allclose(g1, g2, rtol=0, atol=0)
 
 
 def test_linear_gaussian_posterior_mode_matches_conjugate_oracle():

@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msjoint import (
-    ModelParams,
-    PrecisionRepr,
-    Sharing,
-    cov_from_repr,
-    flatten,
-    log_det_precision,
-    repr_from_cov,
-    unflatten,
-)
+from msjoint import ModelParams, PrecisionRepr, Sharing, flatten, repr_from_cov, unflatten
 
 
 def random_spd(rng, q):
@@ -53,7 +44,7 @@ def test_round_trip_reconstruction(method):
         else:
             cov = rng.uniform(0.1, 3.0) * np.eye(q)
         rep = repr_from_cov(cov, method)
-        back = cov_from_repr(rep)
+        back = rep.covariance()
         err = np.linalg.norm(back - cov) / np.linalg.norm(cov)
         assert err < 1e-8, (method, q, err)
 
@@ -70,16 +61,16 @@ def test_repr_from_cov_rejects_bad_inputs():
 
 
 def test_log_det_precision_values():
-    assert log_det_precision(repr_from_cov(np.eye(4), "full")) == pytest.approx(0.0, abs=1e-12)
+    assert repr_from_cov(np.eye(4), "full").log_det_precision() == pytest.approx(0.0, abs=1e-12)
     # dense oracle: materialize P and take its log-determinant
     rep = PrecisionRepr("diag", 3, np.array([0.2554, 0.8047, 0.6020]))
     _, ref = np.linalg.slogdet(rep.precision())
-    assert log_det_precision(rep) == pytest.approx(ref, rel=1e-10)
-    assert log_det_precision(rep) == pytest.approx(3.3242, abs=5e-4)
+    assert rep.log_det_precision() == pytest.approx(ref, rel=1e-10)
+    assert rep.log_det_precision() == pytest.approx(3.3242, abs=5e-4)
     ball = PrecisionRepr("ball", 1, np.array([-0.2653]))
     _, ref = np.linalg.slogdet(ball.precision())
-    assert log_det_precision(ball) == pytest.approx(ref, rel=1e-10)
-    assert log_det_precision(ball) == pytest.approx(-0.5306, abs=1e-4)
+    assert ball.log_det_precision() == pytest.approx(ref, rel=1e-10)
+    assert ball.log_det_precision() == pytest.approx(-0.5306, abs=1e-4)
 
 
 def test_quad_form_matches_materialized_precision():
@@ -246,5 +237,5 @@ def test_round_trip_property_full(q, seed):
     rng = np.random.default_rng(seed)
     cov = random_spd(rng, q)
     rep = repr_from_cov(cov, "full")
-    err = np.linalg.norm(cov_from_repr(rep) - cov) / np.linalg.norm(cov)
+    err = np.linalg.norm(rep.covariance() - cov) / np.linalg.norm(cov)
     assert err < 1e-8

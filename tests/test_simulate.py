@@ -14,11 +14,11 @@ from msjoint.simulate import (
     SimConfig,
     TrajectoryLimitError,
     conditioned_equals_rejection,
+    extend_paths,
     generate_cohort,
     invert_cumulative_hazard,
     random_far_apart,
     sample_trajectories,
-    sample_trajectory,
     _edge_cumulative,
     _edge_rate,
 )
@@ -220,8 +220,8 @@ def test_vanishing_hazard_falls_back_to_bisection():
 def test_absorbing_initial_state_yields_single_pair():
     g, design, params = two_state_model({(0, 1): 0.3})
     cfg = SimConfig(censoring=np.inf)
-    traj = sample_trajectory(
-        design, params, np.zeros(1), np.zeros(1), (0.0, 1), cfg, np.random.default_rng(3)
+    [traj] = sample_trajectories(
+        design, params, np.zeros((1, 1)), np.zeros((1, 1)), (0.0, 1), cfg, np.random.default_rng(3)
     )
     assert traj.pairs == ((0.0, 1),)
 
@@ -307,17 +307,13 @@ def test_event_times_do_not_depend_on_the_batch(study_design, study_params):
     cohort, latent = generate_cohort(study_design, study_params, 200, 20, seed=5)
     x = np.array([rec.covariates for rec in cohort])
     psi, cens = latent["psi"], cohort.censoring_times()
-    whole = sample_trajectories(
-        study_design, study_params, x, psi, (0.0, 0), SimConfig(censoring=cens),
-        rngs=np.random.default_rng(7).spawn(200),
-    )
+    whole = [[(0.0, 0)] for _ in range(200)]
+    extend_paths(study_design, study_params, x, psi, whole, cens, np.random.default_rng(7).spawn(200))
     rngs = np.random.default_rng(7).spawn(200)
     for i in range(200):
-        one = sample_trajectories(
-            study_design, study_params, x[i:i + 1], psi[i:i + 1], (0.0, 0), SimConfig(censoring=cens[i]),
-            rngs=[rngs[i]],
-        )
-        assert one[0].pairs == whole[i].pairs, i
+        one = [[(0.0, 0)]]
+        extend_paths(study_design, study_params, x[i:i + 1], psi[i:i + 1], one, cens[i], [rngs[i]])
+        assert one[0] == whole[i], i
 
 
 # -- survival-conditioned simulation ---------------------------------------------
@@ -350,10 +346,14 @@ def test_conditioned_matches_rejection_sampling():
 
 def test_no_condition_reduces_to_plain_sampler():
     _, design, params = two_state_model({(0, 1): 0.3})
-    cfg_plain = SimConfig(censoring=np.inf, t_surv=-np.inf, seed=9)
-    cfg_cond = SimConfig(censoring=np.inf, t_surv=-np.inf, seed=9)
-    a = sample_trajectories(design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), cfg_plain)
-    b = sample_trajectories(design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), cfg_cond)
+    cfg_plain = SimConfig(censoring=np.inf, t_surv=-np.inf)
+    cfg_cond = SimConfig(censoring=np.inf, t_surv=-np.inf)
+    a = sample_trajectories(
+        design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), cfg_plain, np.random.default_rng(9)
+    )
+    b = sample_trajectories(
+        design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), cfg_cond, np.random.default_rng(9)
+    )
     assert [x.pairs for x in a] == [y.pairs for y in b]
 
 
@@ -368,8 +368,10 @@ def test_rejection_stops_at_round_limit():
 
 def test_survival_beyond_censoring_leaves_initial_pair_only():
     _, design, params = two_state_model({(0, 1): 0.3, (0, 2): 0.2})
-    cfg = SimConfig(censoring=3.0, t_surv=5.0, seed=10)
-    trajs = sample_trajectories(design, params, np.zeros((20, 1)), np.zeros((20, 1)), (0.0, 0), cfg)
+    cfg = SimConfig(censoring=3.0, t_surv=5.0)
+    trajs = sample_trajectories(
+        design, params, np.zeros((20, 1)), np.zeros((20, 1)), (0.0, 0), cfg, np.random.default_rng(10)
+    )
     assert [tr.pairs for tr in trajs] == [((0.0, 0),)] * 20
 
 
