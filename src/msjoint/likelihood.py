@@ -204,15 +204,73 @@ class _Rows:
     """One edge's event rows (one node at the event time) or sojourn-at-risk
     rows (quadrature nodes, with the quadrature weights negated): the
     individual of each row, clock times, node weights, covariates and the
-    link basis at the node times."""
+    link basis at the node times. ``span`` locates the rows in their
+    :class:`_Block`, whose ``idx`` and ``w`` they view (None for a subset
+    taken from them)."""
 
-    __slots__ = ("event", "idx", "u", "w", "x", "basis")
+    __slots__ = ("event", "idx", "u", "w", "x", "basis", "span")
 
     def __init__(self, event, idx, u, w, x, basis):
         self.event, self.idx, self.u, self.w, self.x, self.basis = event, idx, u, w, x, basis
+        self.span = None
 
     def take(self, keep) -> "_Rows":
         return _Rows(self.event, self.idx[keep], self.u[keep], self.w[keep], self.x[keep], self.basis.take(keep))
+
+
+class _Block:
+    """All event rows (one node each) or all risk rows of an engine, stacked
+    edge after edge with the cached-basis edges first: the individual ``idx``
+    and the node weights ``w`` of every row, and per edge its :class:`_Rows`
+    (``parts``), which view their ``span`` of these arrays. The log-density
+    of the block is a fixed number of numpy calls, whatever the number of
+    edges: one product of the cached rows' psi with their bound link weights
+    (a family-basis edge writes alpha . value into its own span), the bound
+    offsets, for risk rows the weighted sum of the intensities over the
+    nodes, and one bincount into the individuals."""
+
+    def __init__(self, event: bool, parts: list[tuple[Edge, _Rows]], n: int):
+        parts = sorted(parts, key=lambda part: not isinstance(part[1].basis, _CachedBasis))
+        self.event, self.parts, self.n = event, parts, n
+        self.idx = np.concatenate([rows.idx for _, rows in parts])
+        self.w = np.concatenate([rows.w for _, rows in parts])
+        start = 0
+        for _, rows in parts:
+            rows.span = slice(start, start + rows.idx.size)
+            rows.idx, rows.w = self.idx[rows.span], self.w[rows.span]
+            start = rows.span.stop
+        self.family = [(edge, rows) for edge, rows in parts if not isinstance(rows.basis, _CachedBasis)]
+        self.n_cached = self.idx.size - sum(rows.idx.size for _, rows in self.family)
+        self._flat: dict[int, np.ndarray] = {}
+
+    def flat(self, C: int) -> np.ndarray:
+        """Position of each (row, chain) value among the (chain, individual)
+        sums, cached per chain count."""
+        index = self._flat.get(C)
+        if index is None:
+            index = self._flat[C] = (self.idx[:, None] + self.n * np.arange(C)).ravel()
+        return index
+
+    def log_density(self, psi_rows, alpha, W, offset) -> np.ndarray:
+        """This block's semi-Markov terms summed per (chain, individual),
+        flattened to (C * n,), from psi per individual (n, C, s) and the
+        bound link weights W and offsets of :meth:`_BoundParams.stack`."""
+        C = psi_rows.shape[1]
+        if not self.family:
+            log_lam = psi_rows[self.idx] @ W
+        else:
+            log_lam = np.empty((self.idx.size, C, self.w.shape[-1]))
+            if self.n_cached:
+                np.matmul(psi_rows[self.idx[:self.n_cached]], W, out=log_lam[:self.n_cached])
+            for edge, rows in self.family:
+                log_lam[rows.span] = rows.basis.value(psi_rows[rows.idx]) @ alpha[edge]
+        log_lam += offset
+        if not self.event:
+            # node weights carry the minus sign of the cumulative hazard
+            np.exp(log_lam, out=log_lam)
+            log_lam *= self.w[:, None, :]
+            log_lam = log_lam.sum(axis=-1)
+        return np.bincount(self.flat(C), weights=log_lam.ravel(), minlength=C * self.n)
 
 
 def _row_index(idx: np.ndarray, n: int, C: int, m: int) -> np.ndarray:
@@ -231,8 +289,10 @@ def _add_rows(flat: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 class _BoundParams:
     """One parameter value bound to one engine (:meth:`LikelihoodEngine.bind`):
     the validated params and every quantity of the evaluation that depends on
-    them alone. ``edges`` follows ``engine.edge_blocks``: per edge, one
-    (link weights, offset) pair per row set, from :meth:`row_consts`."""
+    them alone. ``blocks`` follows ``engine.blocks``: per block, the link
+    weights of its cached rows and every row's offset (:meth:`stack`).
+    ``edges`` follows ``engine.edge_blocks``: per edge, one (link weights,
+    offset) pair per row set, each a view of its span of ``blocks``."""
 
     def __init__(self, engine: LikelihoodEngine, params: ModelParams):
         engine.design.validate_params(params)
@@ -243,7 +303,29 @@ class _BoundParams:
         const = -0.5 * engine.d * LOG_2PI + 0.5 * r_repr.log_det_precision()
         self.longit_const = engine.obs_counts[:, None] * const
         self.L_r = r_repr.chol_factor()
-        self.edges = [[self.row_consts(edge, rows) for rows in row_sets] for edge, row_sets in engine.edge_blocks]
+        self.blocks = [self.stack(block) for block in engine.blocks]
+        stacked = {block.event: consts for block, consts in zip(engine.blocks, self.blocks)}
+
+        def view(rows):
+            W, offset = stacked[rows.event]
+            cached = isinstance(rows.basis, _CachedBasis)
+            return (W[rows.span] if cached else None), offset[rows.span]
+
+        self.edges = [[view(rows) for rows in row_sets] for _, row_sets in engine.edge_blocks]
+
+    def stack(self, block: _Block) -> tuple[np.ndarray | None, np.ndarray]:
+        """The link weights of the block's cached rows, (n_cached, s, nodes)
+        (None without cached rows), and the offsets of all its rows, (rows,
+        1, nodes), filled edge by edge from :meth:`row_consts`."""
+        W = None
+        offset = np.empty((block.idx.size, 1, block.w.shape[-1]))
+        for edge, rows in block.parts:
+            w, offset[rows.span] = self.row_consts(edge, rows)
+            if w is not None:
+                if W is None:
+                    W = np.empty((block.n_cached,) + w.shape[1:])
+                W[rows.span] = w
+        return W, offset
 
     def row_consts(self, edge: Edge, rows: _Rows) -> tuple[np.ndarray | None, np.ndarray]:
         """The link weights of a cached basis (None for a family basis) and
@@ -270,6 +352,12 @@ class LikelihoodEngine:
     each row's log baseline hazard plus x . beta. Every method takes either
     ``ModelParams``, bound on the fly, or such a bound value, which callers
     that evaluate many ``b`` at one theta (MH sweeps, the FIM) pass instead.
+
+    The event rows of all edges form one :class:`_Block` and the risk rows
+    another, so the log-density (:meth:`loglik_terms` and the methods built
+    on it) costs a fixed number of numpy calls whatever the number of
+    edges. The scores (:meth:`grad_theta`, :meth:`individual_scores`) run
+    edge by edge over views of the same rows and bound constants.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
@@ -302,9 +390,6 @@ class LikelihoodEngine:
             self.y_obs[i, :m] = rows
 
         self.obs_counts = self.obs_mask.sum(axis=1)
-        # bincount index of each edge's rows per chain count, for the
-        # one-column log-density of the whole cohort
-        self._density_index: dict[int, list[np.ndarray]] = {}
 
         n_psi = getattr(design.regression, "n_psi", None)
         self.marker = None
@@ -355,6 +440,12 @@ class LikelihoodEngine:
                 row_sets.append(_Rows(event, idx, u, w, x, _basis(lnk, n_psi, t, x)))
             self.edge_blocks.append((edge, row_sets))
 
+        self.blocks: list[_Block] = []
+        for event in (True, False):
+            parts = [(edge, rows) for edge, row_sets in self.edge_blocks for rows in row_sets if rows.event == event]
+            if parts:
+                self.blocks.append(_Block(event, parts, self.n))
+
     # -- evaluation ---------------------------------------------------------
 
     def bind(self, params: ModelParams) -> _BoundParams:
@@ -400,24 +491,34 @@ class LikelihoodEngine:
     def psi(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
         return self.design.effects.psi(params.gamma, self.x, b)
 
-    def _density_rows(self, C: int) -> list[np.ndarray]:
-        """Per edge, the :func:`_row_index` of its row sets' individuals for
-        one column and C chains over the whole cohort."""
-        index = self._density_index.get(C)
-        if index is None:
-            index = self._density_index[C] = [
-                _row_index(np.concatenate([rows.idx for rows in row_sets]), self.n, C, 1) if row_sets else None
-                for _, row_sets in self.edge_blocks
-            ]
-        return index
+    def _residuals(self, marker, psi_m, keep) -> np.ndarray:
+        """Marker residuals y - h(psi) of the individuals ``keep``, zero at
+        unobserved rows, (n_sel, C, j, d)."""
+        return (self.y_obs[keep][:, None] - marker.value(psi_m)) * self.obs_mask[keep][:, None, :, None]
 
-    def _evaluate(self, bound: _BoundParams, b: np.ndarray, sel=None, scores: bool = False):
-        """Prior, longitudinal and semi-Markov terms per (chain, individual) of
-        the selected individuals (all when ``sel`` is None, else a sorted index
-        array), each (C, n_sel); with ``scores`` also the complete-data scores
-        (n_free, C, n_sel), else None. Rows of other individuals are dropped
-        before any node work, and their parameter-only quantities are formed
-        from the kept rows."""
+    def _terms(self, bound: _BoundParams, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Prior, longitudinal and semi-Markov terms per (chain, individual),
+        each (C, n). The semi-Markov term is one pass over each stacked
+        :class:`_Block`, whatever the number of edges."""
+        params = bound.params
+        C = b.shape[0]
+        psi_rows = np.ascontiguousarray(self.psi(params, b).transpose(1, 0, 2))
+        prior = bound.prior_const - 0.5 * quad_form(bound.L_q, b)
+        longit = np.zeros((C, self.n))
+        if self.marker is not None:
+            r = self._residuals(self.marker, psi_rows, slice(None))
+            longit = (bound.longit_const - 0.5 * quad_form(bound.L_r, r).sum(axis=-1)).T
+        sm = np.zeros(C * self.n)
+        for block, (W, offset) in zip(self.blocks, bound.blocks):
+            sm += block.log_density(psi_rows, params.alpha, W, offset)
+        return prior, longit, sm.reshape(C, self.n)
+
+    def _scores(self, bound: _BoundParams, b: np.ndarray, sel=None) -> np.ndarray:
+        """Complete-data scores per (chain, individual) of the selected
+        individuals (all when ``sel`` is None, else a sorted index array),
+        (n_free, C, n_sel). The semi-Markov part runs edge by edge. Rows of
+        other individuals are dropped before any node work, and their
+        parameter-only quantities are formed from the kept rows."""
         params = bound.params
         C = b.shape[0]
         keep = slice(None) if sel is None else sel
@@ -428,38 +529,29 @@ class LikelihoodEngine:
             pos[sel] = np.arange(n)
         psi = self.psi(params, b)
         psi_rows = np.ascontiguousarray(psi.transpose(1, 0, 2))
-        acc = None
-        if scores:
-            layout = params.layout()
-            P = layout.size
-            # one (C, n) score plane per free parameter, then d/dpsi planes
-            # that are pulled back to gamma last
-            acc = np.zeros((P + psi.shape[-1], C, n))
+        layout = params.layout()
+        P = layout.size
+        # one (C, n) score plane per free parameter, then d/dpsi planes that
+        # are pulled back to gamma last
+        acc = np.zeros((P + psi.shape[-1], C, n))
 
         q_repr, r_repr = params.q_repr, params.r_repr
         b_sel = b[:, keep]
-        prior = bound.prior_const - 0.5 * quad_form(bound.L_q, b_sel)
-        if scores and q_repr.dim:
+        if q_repr.dim:
             outer = np.einsum("cnq,cnr->cnqr", b_sel, b_sel)
             acc[layout.group_slice("q")] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
 
-        longit = np.zeros((C, n))
         if self.marker is not None:
-            obs = self.obs_mask[keep]
             marker, psi_m = self.marker.take(keep), psi_rows[keep]
-            r = (self.y_obs[keep][:, None] - marker.value(psi_m)) * obs[:, None, :, None]
-            longit = (bound.longit_const[keep] - 0.5 * quad_form(bound.L_r, r).sum(axis=-1)).T
-            if scores:
-                if r_repr.n_free:
-                    outer = np.einsum("ncjd,ncje->cnde", r, r)
-                    acc[layout.group_slice("r")] = np.moveaxis(r_repr.grad_values(outer, self.obs_counts[keep]), -1, 0)
-                # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
-                pr = (r.reshape(-1, self.d) @ r_repr.precision()).reshape(r.shape)
-                acc[P:] += marker.vjp(pr, psi_m).transpose(2, 1, 0)
+            r = self._residuals(marker, psi_m, keep)
+            if r_repr.n_free:
+                outer = np.einsum("ncjd,ncje->cnde", r, r)
+                acc[layout.group_slice("r")] = np.moveaxis(r_repr.grad_values(outer, self.obs_counts[keep]), -1, 0)
+            # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
+            pr = (r.reshape(-1, self.d) @ r_repr.precision()).reshape(r.shape)
+            acc[P:] += marker.vjp(pr, psi_m).transpose(2, 1, 0)
 
-        sm = np.zeros((C, n))
-        density_rows = self._density_rows(C) if sel is None and not scores else None
-        for e, ((edge, row_sets), consts) in enumerate(zip(self.edge_blocks, bound.edges)):
+        for (edge, row_sets), consts in zip(self.edge_blocks, bound.edges):
             if not row_sets:
                 continue
             hazard = self.design.hazard(edge)
@@ -473,43 +565,33 @@ class LikelihoodEngine:
                 log_lam, pullback = rows.basis.contract(psi_rows[rows.idx], alpha, w)
                 log_lam += offset
                 if rows.event:
-                    term, wt = log_lam[..., 0], np.ones_like(log_lam)
-                    wsum = np.ones_like(term)
+                    wt = np.ones_like(log_lam)
+                    wsum = wt[..., 0]
                 else:
                     # node weights carry the minus sign of the cumulative hazard
                     wt = np.exp(log_lam, out=log_lam)
                     wt *= rows.w[:, None, :]
-                    term = wsum = wt.sum(axis=-1)
-                cols = [term[..., None]]
-                if scores:
-                    # per-row scores: alpha, beta, trainable hazard values, psi
-                    g_score, psi_score = pullback(wt)
-                    cols += [g_score, wsum[..., None] * rows.x[:, None, :]]
-                    if trainable:
-                        cols.append(wt @ hazard.dlog_dparams(rows.u, self.design.hazard_values(edge, params)))
-                    cols.append(psi_score)
+                    wsum = wt.sum(axis=-1)
+                # per-row scores: alpha, beta, trainable hazard values, psi
+                g_score, psi_score = pullback(wt)
+                cols = [g_score, wsum[..., None] * rows.x[:, None, :]]
+                if trainable:
+                    cols.append(wt @ hazard.dlog_dparams(rows.u, self.design.hazard_values(edge, params)))
+                cols.append(psi_score)
                 where.append(pos[rows.idx])
                 parts.append(np.concatenate(cols, axis=-1))
             vals = np.concatenate(parts)
-            if density_rows is None:
-                flat = _row_index(np.concatenate(where), n, C, vals.shape[-1])
-            else:
-                flat = density_rows[e]
-            sums = _add_rows(flat, vals, n)
-            sm += sums[0]
-            if scores:
-                col = 1
-                for target in self._edge_slices(layout, edge, P, psi.shape[-1]):
-                    width = target.stop - target.start
-                    acc[target] += sums[col:col + width]
-                    col += width
+            sums = _add_rows(_row_index(np.concatenate(where), n, C, vals.shape[-1]), vals, n)
+            col = 0
+            for target in self._edge_slices(layout, edge, P, psi.shape[-1]):
+                width = target.stop - target.start
+                acc[target] += sums[col:col + width]
+                col += width
 
-        if scores:
-            if params.gamma.size:
-                jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)[:, keep]
-                acc[layout.group_slice("gamma")] += np.einsum("scn,cnsg->gcn", acc[P:], jpg)
-            acc = acc[:P]
-        return prior, longit, sm, acc
+        if params.gamma.size:
+            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)[:, keep]
+            acc[layout.group_slice("gamma")] += np.einsum("scn,cnsg->gcn", acc[P:], jpg)
+        return acc[:P]
 
     def _edge_slices(self, layout: ParamLayout, edge: Edge, n_free: int, n_psi: int) -> list[slice]:
         """Accumulator columns of an edge's row scores, in order: alpha, beta,
@@ -523,7 +605,7 @@ class LikelihoodEngine:
     def loglik_terms(self, params: ModelParams | _BoundParams, b: np.ndarray) -> LogLikTerms:
         """Per-(chain, individual) prior, longitudinal and semi-Markov terms."""
         b, squeeze = self._as_chains(b)
-        prior, longit, sm, _ = self._evaluate(self._bound(params), b)
+        prior, longit, sm = self._terms(self._bound(params), b)
         if squeeze:
             return LogLikTerms(prior[0], longit[0], sm[0])
         return LogLikTerms(prior, longit, sm)
@@ -551,7 +633,7 @@ class LikelihoodEngine:
 
     def individual_scores(self, params: ModelParams | _BoundParams, b: np.ndarray) -> np.ndarray:
         """Per-individual complete-data scores, shape (chains, n, n_free)."""
-        scores = self._evaluate(self._bound(params), self._as_chains(b)[0], scores=True)[3]
+        scores = self._scores(self._bound(params), self._as_chains(b)[0])
         return np.ascontiguousarray(np.moveaxis(scores, 0, -1))
 
     def grad_theta(self, params: ModelParams | _BoundParams, b: np.ndarray, subset=None) -> np.ndarray:
@@ -565,5 +647,5 @@ class LikelihoodEngine:
         sel = self._subset(subset)
         if sel is not None:
             sel = np.sort(sel)
-        grad = self._evaluate(bound, b, sel, scores=True)[3].sum(axis=(1, 2))
+        grad = self._scores(bound, b, sel).sum(axis=(1, 2))
         return grad if squeeze else grad / b.shape[0]

@@ -1,6 +1,12 @@
 """Adaptive random-walk Metropolis-Hastings over random effects, per
 individual, with parallel chains and Robbins-Monro step-size adaptation
-toward the 0.234 acceptance target."""
+toward the 0.234 acceptance target.
+
+A :class:`ChainState` draws from one random stream, spawned from the seed
+of :func:`init_chains`: each sweep takes the proposals and the acceptance
+uniforms of all chains from it at once. A fixed seed reproduces every draw,
+and the chains are independent in law, because each chain's draws are
+disjoint parts of one stream of independent variates."""
 
 from __future__ import annotations
 
@@ -40,14 +46,15 @@ class ChainState:
 
     ``b`` has shape (chains, n, q); ``step_scale`` and the acceptance
     statistics are per individual (shared across chains, as adaptation acts
-    at the individual level). Each chain owns an independent RNG stream.
+    at the individual level). ``rng`` is the one stream every sweep of
+    every chain draws from; ``b`` and ``log_post`` are updated in place.
     """
 
     b: np.ndarray
     log_post: np.ndarray
     step_scale: np.ndarray
     accept_stat: np.ndarray
-    rngs: list[np.random.Generator]
+    rng: np.random.Generator
     config: SamplerConfig
     sweeps: int = 0
     adapt_steps: int = 0
@@ -74,7 +81,7 @@ class ChainState:
 
     def refresh(self, log_density: LogDensity) -> None:
         """Recompute the cached log-density (needed after parameter updates)."""
-        self.log_post = np.asarray(log_density(self.b))
+        self.log_post = np.array(log_density(self.b), dtype=float)
 
 
 def init_chains(
@@ -84,17 +91,18 @@ def init_chains(
     config: SamplerConfig | None = None,
     seed: int | np.random.Generator = 0,
 ) -> ChainState:
-    """Chains initialized at b = 0 (the prior mode) with unit scales."""
+    """Chains initialized at b = 0 (the prior mode) with unit scales, drawing
+    from one stream spawned from ``seed`` (an integer or a generator): the
+    same seed gives the same draws, and the chains are independent in law."""
     config = config or SamplerConfig()
     master = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    rngs = master.spawn(config.n_chains)
     b = np.zeros((config.n_chains, n_individuals, n_effects))
     return ChainState(
         b=b,
-        log_post=np.asarray(log_density(b)),
+        log_post=np.array(log_density(b), dtype=float),
         step_scale=np.full(n_individuals, float(config.init_scale)),
         accept_stat=np.zeros(n_individuals),
-        rngs=rngs,
+        rng=master.spawn(1)[0],
         config=config,
     )
 
@@ -110,22 +118,20 @@ def mh_step(chains: ChainState, log_density: LogDensity) -> np.ndarray:
 
     Proposals are isotropic, b' = b + s_i * eps; acceptance uses the
     complete-data log-density as a function of b_i with parameters fixed.
-    Non-finite proposal densities are auto-rejected.
+    Non-finite proposal densities are auto-rejected. The proposals and
+    acceptance uniforms of all chains are two draws from ``chains.rng``,
+    and accepted proposals are copied into ``chains.b`` and
+    ``chains.log_post`` in place.
 
     Returns the (chains, n) array of acceptance indicators.
     """
-    C, n, q = chains.b.shape
-    eps = np.empty((C, n, q))
-    log_u = np.empty((C, n))
-    for c, rng in enumerate(chains.rngs):
-        eps[c] = rng.standard_normal((n, q))
-        log_u[c] = np.log(rng.random(n))
+    eps = chains.rng.standard_normal(chains.b.shape)
+    log_u = np.log(chains.rng.random(chains.b.shape[:2]))
     proposal = chains.b + chains.step_scale[:, None] * eps
     lp_prop = np.asarray(log_density(proposal))
-    delta = lp_prop - chains.log_post
-    accepted = (log_u < delta) & np.isfinite(lp_prop)
-    chains.b = np.where(accepted[..., None], proposal, chains.b)
-    chains.log_post = np.where(accepted, lp_prop, chains.log_post)
+    accepted = (log_u < lp_prop - chains.log_post) & np.isfinite(lp_prop)
+    np.copyto(chains.b, proposal, where=accepted[..., None])
+    np.copyto(chains.log_post, lp_prop, where=accepted)
     chains.accept_stat = _rate(accepted)
     return accepted
 

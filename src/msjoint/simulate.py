@@ -274,6 +274,8 @@ def sample_trajectories(
     survival condition raises the integration lower bound of the first
     transition only. Transitions stop at censoring or in absorbing states;
     exceeding the max-transitions guard raises TrajectoryLimitError.
+    ``initial`` is one (time, state) pair for every row, or a list of one
+    pair per row; a list of another length raises ValueError.
 
     ``rng`` is the call's one source of randomness: row i draws only from
     the i-th stream of ``rng.spawn(n)``. :func:`extend_paths` takes such
@@ -285,6 +287,8 @@ def sample_trajectories(
     n = psi.shape[0]
     if isinstance(initial, tuple) and np.isscalar(initial[0]):
         initial = [initial] * n
+    if len(initial) != n:
+        raise ValueError(f"{len(initial)} initial pairs for {n} rows of (x, psi)")
     paths = [[(float(t0), int(s0))] for t0, s0 in initial]
     running = extend_paths(
         design, params, x, psi, paths, sim_config.censoring, rng.spawn(n),

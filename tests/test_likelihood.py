@@ -261,6 +261,76 @@ def reference_loglik(rec, b, params, design, graph):
     )
 
 
+def truncated_study_record(small_cohort, event: bool):
+    """One study record truncated after its first transition (event and risk
+    rows) or before it (risk rows only)."""
+    cohort, latent = small_cohort
+    for i, rec in enumerate(cohort):
+        pairs = rec.trajectory.pairs
+        if len(pairs) > 1:
+            t1 = pairs[1][0]
+            t = 0.5 * (t1 + (pairs[2][0] if len(pairs) > 2 else rec.censoring_time)) if event else 0.5 * t1
+            return Cohort((rec.truncated(t),)), latent["b"][i:i + 1]
+    raise AssertionError("no record with a transition")
+
+
+def mixed_model(study_design, study_params):
+    """The study design with a value link on a shifted tanh, which is not
+    linear in psi, on the edge 1 -> 2: one edge of the engine's stacked blocks
+    goes through the family methods, the other two through cached bases."""
+    edge = (1, 2)
+    hazard, _ = study_design.edge_specs[edge]
+    design = replace(study_design, edge_specs={**study_design.edge_specs, edge: (hazard, ValueLink(ShiftedTanh()))})
+    return design, replace(study_params, alpha={**study_params.alpha, edge: np.array([0.5])})
+
+
+def trainable_model(study_design, study_params, hazard=WeibullHazard(1.5, 6.0, trainable=True)):
+    """The study design and truth with a trainable baseline on 0 -> 1, set
+    away from its construction values."""
+    edge = (0, 1)
+    design = replace(study_design, edge_specs={**study_design.edge_specs, edge: (hazard, study_design.link(edge))})
+    return design, replace(study_params, extra=design.initial_extra() + 0.1)
+
+
+@pytest.mark.parametrize("case", ["truncated_event", "truncated_state0", "mixed", "trainable"])
+def test_stacked_terms_match_reference_terms(case, small_cohort, study_design, study_params, study_graph):
+    design, params = study_design, study_params
+    if case.startswith("truncated"):
+        cohort, b0 = truncated_study_record(small_cohort, event=case == "truncated_event")
+    else:
+        design, params = (mixed_model if case == "mixed" else trainable_model)(study_design, study_params)
+        cohort, latent = generate_cohort(design, params, n=25, m=6, seed=7)
+        b0 = latent["b"]
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    assert [block.event for block in engine.blocks] == ([False] if case == "truncated_state0" else [True, False])
+    b = b0 + np.random.default_rng(3).normal(scale=0.3, size=(3,) + b0.shape)
+    terms = engine.loglik_terms(params, b)
+    for c in range(b.shape[0]):
+        for i, rec in enumerate(cohort):
+            psi = design.effects.psi(params.gamma, rec.covariates, b[c, i])
+            want = (
+                prior_loglik(b[c, i], params.q_repr),
+                longitudinal_loglik(rec, psi, params.r_repr, design),
+                semi_markov_loglik(rec, psi, params, design, study_graph),
+            )
+            got = (terms.prior[c, i], terms.longitudinal[c, i], terms.semi_markov[c, i])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    # the per-edge constants of the score path are views of the stacked ones
+    family = {e for e, row_sets in engine.edge_blocks for rows in row_sets if not isinstance(rows.basis, _CachedBasis)}
+    assert family == ({(1, 2)} if case == "mixed" else set())
+    bound = engine.bind(params)
+    stacked = {block.event: consts for block, consts in zip(engine.blocks, bound.blocks)}
+    for (edge, row_sets), consts in zip(engine.edge_blocks, bound.edges):
+        for rows, (w, offset) in zip(row_sets, consts):
+            W, offsets = stacked[rows.event]
+            assert np.shares_memory(offset, offsets)
+            if edge in family:
+                assert w is None
+            else:
+                assert np.shares_memory(w, W)
+
+
 def test_engine_caches_bases_of_linear_families(engine_case, study_graph):
     cohort, _, design, _, linear = engine_case
     engine = LikelihoodEngine(cohort, design, study_graph)
@@ -295,11 +365,7 @@ def test_bound_params_evaluate_as_unbound(engine_case, study_graph):
 def test_bound_params_with_trainable_baseline_evaluate_as_unbound(
     hazard, study_graph, study_design, study_params
 ):
-    # the study design and truth with a trainable baseline on 0 -> 1, set
-    # away from its construction values
-    edge = (0, 1)
-    design = replace(study_design, edge_specs={**study_design.edge_specs, edge: (hazard, study_design.link(edge))})
-    params = replace(study_params, extra=design.initial_extra() + 0.1)
+    design, params = trainable_model(study_design, study_params, hazard)
     cohort, _ = generate_cohort(design, params, n=25, m=6, seed=7)
     assert_bound_matches_unbound(LikelihoodEngine(cohort, design, study_graph), params)
 

@@ -496,6 +496,31 @@ def test_predict_cohort_grid_of_empty_cohort(study_design, study_params, study_g
     assert capped.shape == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "entry", ["condition_cohort", "predict_functional", "predict_state_grid", "predict_cohort_grid"]
+)
+def test_prediction_rejects_fewer_than_one_draw(entry, study_design, study_params, study_graph):
+    # zero draws used to give all-zero probabilities and modal state 0
+    cohort, _ = generate_cohort(study_design, study_params, n=2, m=5, seed=8)
+    cfg = SamplerConfig(n_chains=2, warmup=5)
+    common = (study_design, study_params, study_graph)
+    spec, xi = state_at_time(study_graph, 4.0)
+    calls = {
+        "condition_cohort": lambda: condition_cohort(cohort, 2.0, *common, cfg, n_draws=0),
+        "predict_functional": lambda: predict_functional(
+            cohort[0], 2.0, spec, xi, *common, n_draws=0, sampler_config=cfg
+        ),
+        "predict_state_grid": lambda: predict_state_grid(
+            cohort[0], 2.0, [4.0, 6.0], *common, n_draws=0, sampler_config=cfg
+        ),
+        "predict_cohort_grid": lambda: predict_cohort_grid(
+            cohort, 2.0, [4.0, 6.0], *common, cfg, 0, np.random.default_rng(4)
+        ),
+    }
+    with pytest.raises(ValueError, match="n_draws must be >= 1, got 0"):
+        calls[entry]()
+
+
 # -- accuracy metric ------------------------------------------------------------
 
 

@@ -226,6 +226,17 @@ def test_absorbing_initial_state_yields_single_pair():
     assert traj.pairs == ((0.0, 1),)
 
 
+def test_initial_pairs_must_match_the_rows(study_design, study_params):
+    # two pairs for three rows used to drop the third row silently
+    x = np.zeros((3, 1))
+    psi = np.tile(study_params.gamma, (3, 1))
+    with pytest.raises(ValueError, match="2 initial pairs for 3 rows"):
+        sample_trajectories(
+            study_design, study_params, x, psi, [(0.0, 0), (0.0, 0)], SimConfig(censoring=10.0),
+            np.random.default_rng(0),
+        )
+
+
 def test_single_edge_sojourn_is_exponential():
     g, design, params = two_state_model({(0, 1): 0.4})
     n = 100_000
