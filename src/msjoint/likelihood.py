@@ -256,21 +256,24 @@ class _Block:
         flattened to (C * n,), from psi per individual (n, C, s) and the
         bound link weights W and offsets of :meth:`_BoundParams.stack`."""
         C = psi_rows.shape[1]
-        if not self.family:
-            log_lam = psi_rows[self.idx] @ W
-        else:
-            log_lam = np.empty((self.idx.size, C, self.w.shape[-1]))
-            if self.n_cached:
-                np.matmul(psi_rows[self.idx[:self.n_cached]], W, out=log_lam[:self.n_cached])
-            for edge, rows in self.family:
-                log_lam[rows.span] = rows.basis.value(psi_rows[rows.idx]) @ alpha[edge]
+        log_lam = np.empty((self.idx.size, C, self.w.shape[-1]))
+        if self.n_cached:
+            np.matmul(psi_rows[self.idx[:self.n_cached]], W, out=log_lam[:self.n_cached])
+        for edge, rows in self.family:
+            log_lam[rows.span] = rows.basis.value(psi_rows[rows.idx]) @ alpha[edge]
         log_lam += offset
         if not self.event:
-            # node weights carry the minus sign of the cumulative hazard
-            np.exp(log_lam, out=log_lam)
-            log_lam *= self.w[:, None, :]
-            log_lam = log_lam.sum(axis=-1)
+            log_lam = _risk_terms(log_lam, self.w).sum(axis=-1)
         return np.bincount(self.flat(C), weights=log_lam.ravel(), minlength=C * self.n)
+
+
+def _risk_terms(log_lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per node of risk rows (rows, C, nodes), exp(log lambda) times the node
+    weights, in place: the node weights carry the minus sign of the
+    cumulative hazard, so the node sum is each row's -Lambda."""
+    np.exp(log_lam, out=log_lam)
+    log_lam *= w[:, None, :]
+    return log_lam
 
 
 def _row_index(idx: np.ndarray, n: int, C: int, m: int) -> np.ndarray:
@@ -568,9 +571,7 @@ class LikelihoodEngine:
                     wt = np.ones_like(log_lam)
                     wsum = wt[..., 0]
                 else:
-                    # node weights carry the minus sign of the cumulative hazard
-                    wt = np.exp(log_lam, out=log_lam)
-                    wt *= rows.w[:, None, :]
+                    wt = _risk_terms(log_lam, rows.w)
                     wsum = wt.sum(axis=-1)
                 # per-row scores: alpha, beta, trainable hazard values, psi
                 g_score, psi_score = pullback(wt)
