@@ -128,15 +128,6 @@ class _CachedBasis:
     def take(self, keep) -> "_CachedBasis":
         return _CachedBasis(self.B[keep])
 
-    def value(self, psi):
-        r, k, s, o = self.B.shape
-        return (psi @ self.B.transpose(0, 2, 1, 3).reshape(r, s, k * o)).reshape(r, psi.shape[1], k, o)
-
-    def vjp(self, cot, psi):
-        """Sum over nodes and outputs of cot . d value / d psi."""
-        r, k, s, o = self.B.shape
-        return cot.reshape(r, cot.shape[1], k * o) @ self.B.transpose(0, 1, 3, 2).reshape(r, k * o, s)
-
     def weights(self, coef):
         """coef . J at every node, laid out (rows, s, nodes): the psi-free
         factor of :meth:`contract`."""
@@ -198,6 +189,95 @@ def _basis(family, n_psi, t, *covariates):
         return _FamilyBasis(family, *args)
     jac = family.jac_psi(*args, np.zeros(t.shape[:1] + (1,) + t.shape[1:] + (n_psi,)))
     return _CachedBasis(np.ascontiguousarray(jac[:, 0].swapaxes(-1, -2)))
+
+
+# A marker is the Gaussian term of every individual's measurements, with
+# residuals r_j = y_j - h(t_j, psi) over the observed rows. Both kinds expose
+# the same three operations, with P = R^-1 the noise precision and psi_rows
+# of shape (n, C, s): ``weigh(r_repr)``, the part that depends on R alone,
+# formed once per bind; ``quad``, sum_j r_j^T P r_j of every individual,
+# (n, C); and ``scores``, sum_j r_j r_j^T, (n_sel, C, d, d), and the
+# psi-score sum_j (P r_j)^T dh_j/dpsi, (n_sel, C, s), of the individuals
+# ``keep`` (a slice or a sorted index array).
+
+
+class _StatsMarker:
+    """A marker whose regression is linear in psi, h_j = J_j psi, reduced at
+    build to per-individual statistics over the observed rows, so that each
+    evaluation costs O(C n s^2) whatever the number of rows j and outputs d.
+
+    Each individual has a centre psi_hat: of its least-squares fits, the one
+    nearest the fit pooled over the cohort, through pinv (a truncated record
+    can have fewer observed rows than s, and its minimum-norm fit can lie
+    far from any psi it is evaluated at). With
+    delta = psi - psi_hat the residual r_j = y_j - J_j psi is Z_j z, where
+    Z_j = [rhat_j, -J_j] (d, 1 + s) holds the residual at the centre and
+    z = (1, delta). So sum_j r_j r_j^T = z^T G z, G = sum_j Z_j (x) Z_j of
+    shape (n, d, d, 1 + s, 1 + s); in blocks G = [[S0, -A], [-A^T, K]] with
+    S0 = sum rhat rhat^T, A = sum rhat (x) J and K = sum J (x) J. The identity
+    is exact for any centre; the centre keeps the large, cancelling terms of
+    y^T y - 2 psi^T J^T y + psi^T J^T J psi out of the sums."""
+
+    def __init__(self, B: np.ndarray, y: np.ndarray, mask: np.ndarray):
+        n, j, s, d = B.shape
+        J = B.swapaxes(-1, -2) * mask[:, :, None, None]  # (n, j, d, s), zero at unobserved rows
+        X, Y = J.reshape(n, j * d, s), y.reshape(n, j * d, 1)
+        pooled = np.linalg.lstsq(X.reshape(-1, s), Y.reshape(-1), rcond=None)[0]
+        self.centre = pooled + (np.linalg.pinv(X) @ (Y - X @ pooled[:, None]))[..., 0]
+        Z = np.empty((n, j, d, 1 + s))
+        Z[..., 0] = y - (X @ self.centre[..., None]).reshape(n, j, d)
+        Z[..., 1:] = -J
+        Z = Z.reshape(n, j, d * (1 + s))
+        G = (Z.transpose(0, 2, 1) @ Z).reshape(n, d, 1 + s, d, 1 + s)
+        self.G = np.ascontiguousarray(G.transpose(0, 1, 3, 2, 4))
+
+    def weigh(self, r_repr: PrecisionRepr) -> np.ndarray:
+        """<P, G>: the (1 + s, 1 + s) quadratic of sum_j r_j^T P r_j in z."""
+        return np.einsum("de,ndeab->nab", r_repr.precision(), self.G)
+
+    def _z(self, psi_rows, keep) -> np.ndarray:
+        psi = psi_rows[keep]
+        z = np.empty(psi.shape[:2] + (1 + psi.shape[2],))
+        z[..., 0] = 1.0
+        np.subtract(psi, self.centre[keep][:, None], out=z[..., 1:])
+        return z
+
+    def quad(self, psi_rows, Gw) -> np.ndarray:
+        z = self._z(psi_rows, slice(None))
+        return np.einsum("nca,nca->nc", z @ Gw, z)
+
+    def scores(self, psi_rows, Gw, keep):
+        z = self._z(psi_rows, keep)
+        G = self.G[keep]
+        n, d, _, a, _ = G.shape
+        Gz = (G.reshape(n, d * d * a, a) @ z.transpose(0, 2, 1)).reshape(n, d, d, a, -1)
+        # d/dpsi of -(1/2) z^T Gw z, Gw symmetric
+        return np.einsum("ndeac,nca->ncde", Gz, z), -(z @ Gw[keep])[..., 1:]
+
+
+class _ResidualMarker:
+    """A marker through its family basis: the residuals y_j - h(t_j, psi),
+    zero at unobserved rows, formed at every evaluation."""
+
+    def __init__(self, basis: _FamilyBasis, y: np.ndarray, mask: np.ndarray):
+        self.basis, self.y, self.mask = basis, y, mask
+
+    def weigh(self, r_repr: PrecisionRepr) -> tuple[np.ndarray, np.ndarray]:
+        """The Cholesky factor and the precision."""
+        return r_repr.chol_factor(), r_repr.precision()
+
+    def _residuals(self, psi_rows, keep) -> np.ndarray:
+        """(n_sel, C, j, d)."""
+        return (self.y[keep][:, None] - self.basis.take(keep).value(psi_rows[keep])) * self.mask[keep][:, None, :, None]
+
+    def quad(self, psi_rows, weights) -> np.ndarray:
+        return quad_form(weights[0], self._residuals(psi_rows, slice(None))).sum(axis=-1)
+
+    def scores(self, psi_rows, weights, keep):
+        r = self._residuals(psi_rows, keep)
+        # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
+        pr = (r.reshape(-1, r.shape[-1]) @ weights[1]).reshape(r.shape)
+        return np.einsum("ncjd,ncje->ncde", r, r), self.basis.take(keep).vjp(pr, psi_rows[keep])
 
 
 class _Rows:
@@ -292,7 +372,8 @@ def _add_rows(flat: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 class _BoundParams:
     """One parameter value bound to one engine (:meth:`LikelihoodEngine.bind`):
     the validated params and every quantity of the evaluation that depends on
-    them alone. ``blocks`` follows ``engine.blocks``: per block, the link
+    them alone. ``marker`` is the engine marker's ``weigh(r_repr)``.
+    ``blocks`` follows ``engine.blocks``: per block, the link
     weights of its cached rows and every row's offset (:meth:`stack`).
     ``edges`` follows ``engine.edge_blocks``: per edge, one (link weights,
     offset) pair per row set, each a view of its span of ``blocks``."""
@@ -305,7 +386,7 @@ class _BoundParams:
         self.L_q = q_repr.chol_factor()
         const = -0.5 * engine.d * LOG_2PI + 0.5 * r_repr.log_det_precision()
         self.longit_const = engine.obs_counts[:, None] * const
-        self.L_r = r_repr.chol_factor()
+        self.marker = None if engine.marker is None else engine.marker.weigh(r_repr)
         self.blocks = [self.stack(block) for block in engine.blocks]
         stacked = {block.event: consts for block, consts in zip(engine.blocks, self.blocks)}
 
@@ -347,12 +428,18 @@ class LikelihoodEngine:
     per-individual outputs follow the leading chain axis. Families declaring
     ``linear_in_psi`` have their psi-Jacobians evaluated once, at the
     observation times and quadrature nodes; the others are called at every
-    evaluation.
+    evaluation. A marker whose regression is linear in psi becomes, at build,
+    per-individual sufficient statistics of its observed rows (a centre and
+    the cross-products of the residual there and of the Jacobians, see
+    :class:`_StatsMarker`), so its term and scores cost O(C n s^2) per call
+    whatever the number of measurements; any other marker forms its
+    residuals at every call.
 
     :meth:`bind` validates a parameter value and evaluates, once, everything
-    that depends on it alone: the prior and longitudinal constants and
-    Cholesky factors, each edge's link weights alpha . J on cached bases, and
-    each row's log baseline hazard plus x . beta. Every method takes either
+    that depends on it alone: the prior and longitudinal constants, the
+    prior's Cholesky factor, the marker statistics weighted by R^-1, each
+    edge's link weights alpha . J on cached bases, and each row's log
+    baseline hazard plus x . beta. Every method takes either
     ``ModelParams``, bound on the fly, or such a bound value, which callers
     that evaluate many ``b`` at one theta (MH sweeps, the FIM) pass instead.
 
@@ -360,7 +447,9 @@ class LikelihoodEngine:
     another, so the log-density (:meth:`loglik_terms` and the methods built
     on it) costs a fixed number of numpy calls whatever the number of
     edges. The scores (:meth:`grad_theta`, :meth:`individual_scores`) run
-    edge by edge over views of the same rows and bound constants.
+    edge by edge over views of the same rows and bound constants; over the
+    whole cohort, each edge's row index into the individuals is cached per
+    chain count.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
@@ -378,26 +467,31 @@ class LikelihoodEngine:
         self.x = np.array([rec.covariates for rec in cohort]).reshape(self.n, self.k)
 
         j_max = max((rec.n_measurements for rec in cohort), default=0) if self.n else 0
-        self.t_obs = np.zeros((self.n, j_max))
-        self.y_obs = np.zeros((self.n, j_max, self.d))
-        self.obs_mask = np.zeros((self.n, j_max), dtype=bool)
+        t_obs = np.zeros((self.n, j_max))
+        y_obs = np.zeros((self.n, j_max, self.d))
+        obs_mask = np.zeros((self.n, j_max), dtype=bool)
         for i, rec in enumerate(cohort):
             m = rec.n_measurements
             if m == 0 or self.d == 0:
                 continue
-            self.t_obs[i, :m] = rec.measurement_times
+            t_obs[i, :m] = rec.measurement_times
             obs = rec.observed_rows
-            self.obs_mask[i, :m] = obs
+            obs_mask[i, :m] = obs
             rows = rec.measurements.copy()
             rows[~obs] = 0.0
-            self.y_obs[i, :m] = rows
+            y_obs[i, :m] = rows
 
-        self.obs_counts = self.obs_mask.sum(axis=1)
+        self.obs_counts = obs_mask.sum(axis=1)
 
         n_psi = getattr(design.regression, "n_psi", None)
         self.marker = None
-        if self.d and j_max and self.obs_mask.any():
-            self.marker = _basis(design.regression, n_psi, self.t_obs)
+        if self.d and j_max and obs_mask.any():
+            basis = _basis(design.regression, n_psi, t_obs)
+            if isinstance(basis, _CachedBasis):
+                self.marker = _StatsMarker(basis.B, y_obs, obs_mask)
+            else:
+                self.marker = _ResidualMarker(basis, y_obs, obs_mask)
+        self._score_index: dict[tuple[Edge, int], np.ndarray] = {}
         self._build_edge_blocks(n_psi)
 
     def _build_edge_blocks(self, n_psi) -> None:
@@ -494,11 +588,6 @@ class LikelihoodEngine:
     def psi(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
         return self.design.effects.psi(params.gamma, self.x, b)
 
-    def _residuals(self, marker, psi_m, keep) -> np.ndarray:
-        """Marker residuals y - h(psi) of the individuals ``keep``, zero at
-        unobserved rows, (n_sel, C, j, d)."""
-        return (self.y_obs[keep][:, None] - marker.value(psi_m)) * self.obs_mask[keep][:, None, :, None]
-
     def _terms(self, bound: _BoundParams, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Prior, longitudinal and semi-Markov terms per (chain, individual),
         each (C, n). The semi-Markov term is one pass over each stacked
@@ -509,8 +598,7 @@ class LikelihoodEngine:
         prior = bound.prior_const - 0.5 * quad_form(bound.L_q, b)
         longit = np.zeros((C, self.n))
         if self.marker is not None:
-            r = self._residuals(self.marker, psi_rows, slice(None))
-            longit = (bound.longit_const - 0.5 * quad_form(bound.L_r, r).sum(axis=-1)).T
+            longit = (bound.longit_const - 0.5 * self.marker.quad(psi_rows, bound.marker)).T
         sm = np.zeros(C * self.n)
         for block, (W, offset) in zip(self.blocks, bound.blocks):
             sm += block.log_density(psi_rows, params.alpha, W, offset)
@@ -545,14 +633,10 @@ class LikelihoodEngine:
             acc[layout.group_slice("q")] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
 
         if self.marker is not None:
-            marker, psi_m = self.marker.take(keep), psi_rows[keep]
-            r = self._residuals(marker, psi_m, keep)
-            if r_repr.n_free:
-                outer = np.einsum("ncjd,ncje->cnde", r, r)
-                acc[layout.group_slice("r")] = np.moveaxis(r_repr.grad_values(outer, self.obs_counts[keep]), -1, 0)
-            # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
-            pr = (r.reshape(-1, self.d) @ r_repr.precision()).reshape(r.shape)
-            acc[P:] += marker.vjp(pr, psi_m).transpose(2, 1, 0)
+            outer, psi_score = self.marker.scores(psi_rows, bound.marker, keep)
+            grad = r_repr.grad_values(outer, self.obs_counts[keep][:, None])
+            acc[layout.group_slice("r")] = grad.transpose(2, 1, 0)
+            acc[P:] += psi_score.transpose(2, 1, 0)
 
         for (edge, row_sets), consts in zip(self.edge_blocks, bound.edges):
             if not row_sets:
@@ -582,7 +666,12 @@ class LikelihoodEngine:
                 where.append(pos[rows.idx])
                 parts.append(np.concatenate(cols, axis=-1))
             vals = np.concatenate(parts)
-            sums = _add_rows(_row_index(np.concatenate(where), n, C, vals.shape[-1]), vals, n)
+            index = self._score_index.get((edge, C)) if sel is None else None
+            if index is None:
+                index = _row_index(np.concatenate(where), n, C, vals.shape[-1])
+                if sel is None:
+                    self._score_index[edge, C] = index
+            sums = _add_rows(index, vals, n)
             col = 0
             for target in self._edge_slices(layout, edge, P, psi.shape[-1]):
                 width = target.stop - target.start

@@ -19,13 +19,14 @@ from msjoint import (
 )
 from msjoint.families import (
     BOnly,
+    CustomRegression,
     GammaPlusB,
     Polynomial,
     ShiftedTanh,
     ValueLink,
 )
 from msjoint.hazards import ExponentialHazard, PiecewiseConstantHazard, WeibullHazard
-from msjoint.likelihood import _CachedBasis, locate_nonfinite
+from msjoint.likelihood import _CachedBasis, _StatsMarker, locate_nonfinite
 from msjoint.params import Sharing, flatten, unflatten
 from msjoint.simulate import generate_cohort
 from msjoint.study import RATES
@@ -334,7 +335,8 @@ def test_stacked_terms_match_reference_terms(case, small_cohort, study_design, s
 def test_engine_caches_bases_of_linear_families(engine_case, study_graph):
     cohort, _, design, _, linear = engine_case
     engine = LikelihoodEngine(cohort, design, study_graph)
-    bases = [engine.marker] + [rows.basis for _, row_sets in engine.edge_blocks for rows in row_sets]
+    assert isinstance(engine.marker, _StatsMarker) == linear
+    bases = [rows.basis for _, row_sets in engine.edge_blocks for rows in row_sets]
     assert all(isinstance(basis, _CachedBasis) == linear for basis in bases)
 
 
@@ -557,6 +559,88 @@ def test_shared_slot_gradient_accumulates(small_cohort, study_graph, study_desig
     per_edge = sum(g_untied[layout.edge_slice("beta", e)] for e in edges)
     shared_slice = shared.layout().edge_slice("beta", edges[0])
     np.testing.assert_allclose(ana[shared_slice], per_edge, rtol=1e-9, atol=1e-9)
+
+
+def two_marker_regression():
+    """h(t, psi) = (psi0 + psi1 t, psi2 + psi3 t + psi0 t / 2): d = 2 outputs
+    that share psi0, declared linear in psi through a custom family."""
+
+    def jac(t, psi):
+        t = np.broadcast_to(np.asarray(t, dtype=float), np.broadcast_shapes(np.shape(t), psi.shape[:-1]))
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        return np.stack([np.stack([one, t, zero, zero], -1), np.stack([0.5 * t, zero, one, t], -1)], -2)
+
+    reg = CustomRegression(lambda t, psi: (jac(t, psi) @ psi[..., None])[..., 0], jac, dim=2, n_psi=4)
+    reg.linear_in_psi = True
+    return reg
+
+
+def marker_model(case):
+    """(cohort, design, params, graph) of a marker-only model (one absorbing
+    state) whose cohort holds a record with six rows, one with a single row
+    (fewer than s, so its sum of J (x) J is singular), one with none and one
+    with two of six rows unobserved. ``offset`` puts the marker near 1e3 with
+    a noise variance near 1e-2, where expanding the squares about psi = 0
+    would cancel to about 1e-7."""
+    spread = 0.02 if case == "offset" else 0.4  # residuals of a few noise SDs
+    if case == "two_markers":
+        reg, gamma, r_cov = two_marker_regression(), np.array([0.5, 0.3, -1.0, 0.2]), [[0.6, 0.2], [0.2, 0.4]]
+    else:
+        reg, gamma, r_cov = Polynomial(1), np.array([1.0, 0.4]), [[0.5]]
+        if case == "offset":
+            gamma, r_cov = np.array([1e3, 0.4]), [[1.2e-2]]
+    design = ModelDesign(GammaPlusB(), reg, {})
+    s, d = gamma.size, reg.dim
+    params = ModelParams(
+        gamma=gamma,
+        q_repr=repr_from_cov(0.2 * np.eye(s), "diag"),
+        r_repr=repr_from_cov(r_cov, "full" if d > 1 else "ball"),
+        alpha={},
+        beta={},
+    )
+    rng = np.random.default_rng(21)
+    records = []
+    for rows in (6, 1, 0, 6):
+        t = np.sort(rng.uniform(0.0, 10.0, rows))
+        psi = gamma + rng.normal(scale=spread, size=s)
+        y = reg.value(t, psi[None, :]) + rng.multivariate_normal(np.zeros(d), r_cov, size=rows)
+        records.append(IndividualRecord(np.zeros(1), t, y.reshape(rows, d), Trajectory(((0.0, 0),))))
+    records[3].measurements[[1, 4]] = np.nan
+    return Cohort(tuple(records)), design, params, build_graph(1, [])
+
+
+@pytest.mark.parametrize("case", ["polynomial", "two_markers", "offset"])
+def test_marker_statistics_match_reference(case):
+    cohort, design, params0, graph = marker_model(case)
+    engine = LikelihoodEngine(cohort, design, graph)
+    assert isinstance(engine.marker, _StatsMarker)
+    rng = np.random.default_rng(22)
+    theta0 = flatten(params0)
+    scale = 0.02 if case == "offset" else 0.3
+    for _ in range(3):
+        params = unflatten(theta0 + rng.normal(scale=scale, size=theta0.size), params0)
+        b = rng.normal(scale=scale, size=(3, len(cohort), params.q_repr.dim))
+        terms = engine.loglik_terms(params, b)
+        for c in range(b.shape[0]):
+            for i, rec in enumerate(cohort):
+                psi = design.effects.psi(params.gamma, rec.covariates, b[c, i])
+                want = longitudinal_loglik(rec, psi, params.r_repr, design)
+                assert abs(terms.longitudinal[c, i] - want) < 1e-10
+        assert rel_err(engine.grad_theta(params, b[0]), fd_gradient(engine, params, b[0])).max() < 1e-4
+
+
+def test_gradient_sums_individual_scores(small_cohort, study_design, study_graph, study_params):
+    cohort, latent = small_cohort
+    records = list(cohort)
+    records[3] = replace(records[3], measurement_times=np.zeros(0), measurements=np.zeros((0, 1)))
+    engine = LikelihoodEngine(Cohort(tuple(records)), study_design, study_graph)
+    b = latent["b"] + np.random.default_rng(9).normal(scale=0.3, size=(2,) + latent["b"].shape)
+    scores = engine.individual_scores(study_params, b)
+    # the whole cohort twice: the second call reads the cached row index
+    for subset in (None, [3], [0, 3, 7, 11], None, np.arange(len(cohort))):
+        grad = engine.grad_theta(study_params, b, subset=subset)
+        want = scores[:, slice(None) if subset is None else subset].sum(axis=1).mean(axis=0)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10)
 
 
 def test_linear_gaussian_posterior_mode_matches_conjugate_oracle():
