@@ -203,8 +203,9 @@ def _basis(family, n_psi, t, *covariates):
 
 class _StatsMarker:
     """A marker whose regression is linear in psi, h_j = J_j psi, reduced at
-    build to per-individual statistics over the observed rows, so that each
-    evaluation costs O(C n s^2) whatever the number of rows j and outputs d.
+    build to per-individual statistics over the observed rows. Per call, the
+    term and the psi-score then cost O(C n s^2) and the R-score O(C n d^2 s^2),
+    whatever the number of rows j.
 
     Each individual has a centre psi_hat: of its least-squares fits, the one
     nearest the fit pooled over the cohort, through pinv (a truncated record
