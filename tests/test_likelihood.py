@@ -581,7 +581,7 @@ def marker_model(case):
     (fewer than s, so its sum of J (x) J is singular), one with none and one
     with two of six rows unobserved. ``offset`` puts the marker near 1e3 with
     a noise variance near 1e-2, where expanding the squares about psi = 0
-    would cancel to about 1e-7."""
+    would lose about 1e-8."""
     spread = 0.02 if case == "offset" else 0.4  # residuals of a few noise SDs
     if case == "two_markers":
         reg, gamma, r_cov = two_marker_regression(), np.array([0.5, 0.3, -1.0, 0.2]), [[0.6, 0.2], [0.2, 0.4]]
@@ -636,7 +636,8 @@ def test_gradient_sums_individual_scores(small_cohort, study_design, study_graph
     engine = LikelihoodEngine(Cohort(tuple(records)), study_design, study_graph)
     b = latent["b"] + np.random.default_rng(9).normal(scale=0.3, size=(2,) + latent["b"].shape)
     scores = engine.individual_scores(study_params, b)
-    # the whole cohort twice: the second call reads the cached row index
+    # individual_scores caches the whole cohort's row index at two chains, so
+    # the whole-cohort calls read it and the subsets build their own
     for subset in (None, [3], [0, 3, 7, 11], None, np.arange(len(cohort))):
         grad = engine.grad_theta(study_params, b, subset=subset)
         want = scores[:, slice(None) if subset is None else subset].sum(axis=1).mean(axis=0)
