@@ -251,7 +251,7 @@ class _StatsMarker:
         z = self._z(psi_rows, keep)
         G = self.G[keep]
         n, d, _, a, _ = G.shape
-        Gz = (G.reshape(n, d * d * a, a) @ z.transpose(0, 2, 1)).reshape(n, d, d, a, -1)
+        Gz = (G.reshape(n, d * d * a, a) @ z.transpose(0, 2, 1)).reshape(n, d, d, a, z.shape[1])
         # d/dpsi of -(1/2) z^T Gw z, Gw symmetric
         return np.einsum("ndeac,nca->ncde", Gz, z), -(z @ Gw[keep])[..., 1:]
 
@@ -289,14 +289,14 @@ class _Rows:
     :class:`_Block`, whose ``idx`` and ``w`` they view (None for a subset
     taken from them)."""
 
-    __slots__ = ("event", "idx", "u", "w", "x", "basis", "span")
+    __slots__ = ("idx", "u", "w", "x", "basis", "span")
 
-    def __init__(self, event, idx, u, w, x, basis):
-        self.event, self.idx, self.u, self.w, self.x, self.basis = event, idx, u, w, x, basis
+    def __init__(self, idx, u, w, x, basis):
+        self.idx, self.u, self.w, self.x, self.basis = idx, u, w, x, basis
         self.span = None
 
     def take(self, keep) -> "_Rows":
-        return _Rows(self.event, self.idx[keep], self.u[keep], self.w[keep], self.x[keep], self.basis.take(keep))
+        return _Rows(self.idx[keep], self.u[keep], self.w[keep], self.x[keep], self.basis.take(keep))
 
 
 class _Block:
@@ -374,10 +374,10 @@ class _BoundParams:
     """One parameter value bound to one engine (:meth:`LikelihoodEngine.bind`):
     the validated params and every quantity of the evaluation that depends on
     them alone. ``marker`` is the engine marker's ``weigh(r_repr)``.
-    ``blocks`` follows ``engine.blocks``: per block, the link
-    weights of its cached rows and every row's offset (:meth:`stack`).
-    ``edges`` follows ``engine.edge_blocks``: per edge, one (link weights,
-    offset) pair per row set, each a view of its span of ``blocks``."""
+    ``blocks`` follows ``engine.blocks``: per block, the link weights of its
+    cached rows and every row's offset (:meth:`stack`), which the
+    log-density reads whole and the scores part by part, at each part's
+    ``span``."""
 
     def __init__(self, engine: LikelihoodEngine, params: ModelParams):
         engine.design.validate_params(params)
@@ -389,36 +389,23 @@ class _BoundParams:
         self.longit_const = engine.obs_counts[:, None] * const
         self.marker = None if engine.marker is None else engine.marker.weigh(r_repr)
         self.blocks = [self.stack(block) for block in engine.blocks]
-        stacked = {block.event: consts for block, consts in zip(engine.blocks, self.blocks)}
-
-        def view(rows):
-            W, offset = stacked[rows.event]
-            cached = isinstance(rows.basis, _CachedBasis)
-            return (W[rows.span] if cached else None), offset[rows.span]
-
-        self.edges = [[view(rows) for rows in row_sets] for _, row_sets in engine.edge_blocks]
 
     def stack(self, block: _Block) -> tuple[np.ndarray | None, np.ndarray]:
-        """The link weights of the block's cached rows, (n_cached, s, nodes)
-        (None without cached rows), and the offsets of all its rows, (rows,
-        1, nodes), filled edge by edge from :meth:`row_consts`."""
+        """The link weights alpha . J of the block's cached rows, (n_cached,
+        s, nodes) (None without cached rows), and the offsets log lambda_0(u)
+        + x . beta of all its rows, (rows, 1, nodes), filled part by part."""
+        design, params = self.engine.design, self.params
         W = None
         offset = np.empty((block.idx.size, 1, block.w.shape[-1]))
         for edge, rows in block.parts:
-            w, offset[rows.span] = self.row_consts(edge, rows)
+            base = design.hazard(edge).log_hazard(rows.u, design.hazard_values(edge, params))
+            offset[rows.span, 0] = base + (rows.x @ params.beta[edge])[:, None]
+            w = rows.basis.weights(params.alpha[edge])
             if w is not None:
                 if W is None:
                     W = np.empty((block.n_cached,) + w.shape[1:])
                 W[rows.span] = w
         return W, offset
-
-    def row_consts(self, edge: Edge, rows: _Rows) -> tuple[np.ndarray | None, np.ndarray]:
-        """The link weights of a cached basis (None for a family basis) and
-        the offset log lambda_0(u) + x . beta, shaped (rows, 1, nodes)."""
-        design, params = self.engine.design, self.params
-        base = design.hazard(edge).log_hazard(rows.u, design.hazard_values(edge, params))
-        offset = (base + (rows.x @ params.beta[edge])[:, None])[:, None, :]
-        return rows.basis.weights(params.alpha[edge]), offset
 
 
 class LikelihoodEngine:
@@ -447,10 +434,10 @@ class LikelihoodEngine:
     The event rows of all edges form one :class:`_Block` and the risk rows
     another, so the log-density (:meth:`loglik_terms` and the methods built
     on it) costs a fixed number of numpy calls whatever the number of
-    edges. The scores (:meth:`grad_theta`, :meth:`individual_scores`) run
-    edge by edge over views of the same rows and bound constants; over the
-    whole cohort, each edge's row index into the individuals is cached per
-    chain count.
+    edges. The scores (:meth:`grad_theta`, :meth:`individual_scores`) walk
+    the same blocks part by part, reading each part's span of the same rows
+    and bound constants; over the whole cohort, each part's row index into
+    the individuals is cached per chain count.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
@@ -492,10 +479,10 @@ class LikelihoodEngine:
                 self.marker = _StatsMarker(basis.B, y_obs, obs_mask)
             else:
                 self.marker = _ResidualMarker(basis, y_obs, obs_mask)
-        self._score_index: dict[tuple[Edge, int], np.ndarray] = {}
-        self._build_edge_blocks(n_psi)
+        self._score_index: dict[tuple[bool, Edge, int], np.ndarray] = {}
+        self._build_blocks(n_psi)
 
-    def _build_edge_blocks(self, n_psi) -> None:
+    def _build_blocks(self, n_psi) -> None:
         # Per edge, (individual, entry, exit) of each observed transition and
         # of each sojourn interval at risk: every stay in a state exposes all
         # of its outgoing edges from the entry time to the exit or censoring
@@ -518,7 +505,7 @@ class LikelihoodEngine:
                 for s in succ:
                     risk[(s_last, s)].append((i, t_last, rec.censoring_time))
 
-        self.edge_blocks: list[tuple[Edge, list[_Rows]]] = []
+        parts: dict[bool, list[tuple[Edge, _Rows]]] = {True: [], False: []}
         for edge in self.graph.sorted_edges():
             lnk = self.design.link(edge)
             ev = np.array(events[edge], dtype=float).reshape(-1, 3)
@@ -528,21 +515,14 @@ class LikelihoodEngine:
                 (True, ev[:, 0], ev[:, 2:], np.ones((len(ev), 1)), ev[:, 1]),
                 (False, sj[:, 0], nd_t, -nd_w, sj[:, 1]),
             )
-            row_sets = []
             for event, idx, t, w, entry in layouts:
                 if not idx.size:
                     continue
                 idx = idx.astype(int)
                 u = self.design.clock_time(edge, t, entry[:, None])
                 x = self.x[idx]
-                row_sets.append(_Rows(event, idx, u, w, x, _basis(lnk, n_psi, t, x)))
-            self.edge_blocks.append((edge, row_sets))
-
-        self.blocks: list[_Block] = []
-        for event in (True, False):
-            parts = [(edge, rows) for edge, row_sets in self.edge_blocks for rows in row_sets if rows.event == event]
-            if parts:
-                self.blocks.append(_Block(event, parts, self.n))
+                parts[event].append((edge, _Rows(idx, u, w, x, _basis(lnk, n_psi, t, x))))
+        self.blocks = [_Block(event, parts[event], self.n) for event in (True, False) if parts[event]]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -608,9 +588,11 @@ class LikelihoodEngine:
     def _scores(self, bound: _BoundParams, b: np.ndarray, sel=None) -> np.ndarray:
         """Complete-data scores per (chain, individual) of the selected
         individuals (all when ``sel`` is None, else a sorted index array),
-        (n_free, C, n_sel). The semi-Markov part runs edge by edge. Rows of
-        other individuals are dropped before any node work, and their
-        parameter-only quantities are formed from the kept rows."""
+        (n_free, C, n_sel). The semi-Markov part walks ``self.blocks`` part
+        by part, reading each part's span of the rows and of the bound link
+        weights and offsets that the log-density uses, with one bincount per
+        part into the individuals. A subset keeps, by a mask on those spans,
+        the rows of its individuals before any node work."""
         params = bound.params
         C = b.shape[0]
         keep = slice(None) if sel is None else sel
@@ -639,20 +621,16 @@ class LikelihoodEngine:
             acc[layout.group_slice("r")] = grad.transpose(2, 1, 0)
             acc[P:] += psi_score.transpose(2, 1, 0)
 
-        for (edge, row_sets), consts in zip(self.edge_blocks, bound.edges):
-            if not row_sets:
-                continue
-            hazard = self.design.hazard(edge)
-            alpha = params.alpha[edge]
-            trainable = self.design.extra_slice(edge) is not None
-            where, parts = [], []
-            for rows, (w, offset) in zip(row_sets, consts):
+        for block, (W, offset) in zip(self.blocks, bound.blocks):
+            for edge, rows in block.parts:
+                at = rows.span
                 if sel is not None:
-                    rows = rows.take(pos[rows.idx] >= 0)
-                    w, offset = bound.row_consts(edge, rows)
-                log_lam, pullback = rows.basis.contract(psi_rows[rows.idx], alpha, w)
-                log_lam += offset
-                if rows.event:
+                    kept = pos[rows.idx] >= 0
+                    rows, at = rows.take(kept), np.arange(at.start, at.stop)[kept]
+                w = W[at] if isinstance(rows.basis, _CachedBasis) else None
+                log_lam, pullback = rows.basis.contract(psi_rows[rows.idx], params.alpha[edge], w)
+                log_lam += offset[at]
+                if block.event:
                     wt = np.ones_like(log_lam)
                     wsum = wt[..., 0]
                 else:
@@ -661,23 +639,23 @@ class LikelihoodEngine:
                 # per-row scores: alpha, beta, trainable hazard values, psi
                 g_score, psi_score = pullback(wt)
                 cols = [g_score, wsum[..., None] * rows.x[:, None, :]]
-                if trainable:
-                    cols.append(wt @ hazard.dlog_dparams(rows.u, self.design.hazard_values(edge, params)))
+                if self.design.extra_slice(edge) is not None:
+                    hazard_values = self.design.hazard_values(edge, params)
+                    cols.append(wt @ self.design.hazard(edge).dlog_dparams(rows.u, hazard_values))
                 cols.append(psi_score)
-                where.append(pos[rows.idx])
-                parts.append(np.concatenate(cols, axis=-1))
-            vals = np.concatenate(parts)
-            index = self._score_index.get((edge, C)) if sel is None else None
-            if index is None:
-                index = _row_index(np.concatenate(where), n, C, vals.shape[-1])
-                if sel is None:
-                    self._score_index[edge, C] = index
-            sums = _add_rows(index, vals, n)
-            col = 0
-            for target in self._edge_slices(layout, edge, P, psi.shape[-1]):
-                width = target.stop - target.start
-                acc[target] += sums[col:col + width]
-                col += width
+                vals = np.concatenate(cols, axis=-1)
+                key = (block.event, edge, C)
+                index = self._score_index.get(key) if sel is None else None
+                if index is None:
+                    index = _row_index(pos[rows.idx], n, C, vals.shape[-1])
+                    if sel is None:
+                        self._score_index[key] = index
+                sums = _add_rows(index, vals, n)
+                col = 0
+                for target in self._edge_slices(layout, edge, P, psi.shape[-1]):
+                    width = target.stop - target.start
+                    acc[target] += sums[col:col + width]
+                    col += width
 
         if params.gamma.size:
             jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)[:, keep]

@@ -317,26 +317,12 @@ def test_stacked_terms_match_reference_terms(case, small_cohort, study_design, s
             got = (terms.prior[c, i], terms.longitudinal[c, i], terms.semi_markov[c, i])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
-    # the per-edge constants of the score path are views of the stacked ones
-    family = {e for e, row_sets in engine.edge_blocks for rows in row_sets if not isinstance(rows.basis, _CachedBasis)}
-    assert family == ({(1, 2)} if case == "mixed" else set())
-    bound = engine.bind(params)
-    stacked = {block.event: consts for block, consts in zip(engine.blocks, bound.blocks)}
-    for (edge, row_sets), consts in zip(engine.edge_blocks, bound.edges):
-        for rows, (w, offset) in zip(row_sets, consts):
-            W, offsets = stacked[rows.event]
-            assert np.shares_memory(offset, offsets)
-            if edge in family:
-                assert w is None
-            else:
-                assert np.shares_memory(w, W)
-
 
 def test_engine_caches_bases_of_linear_families(engine_case, study_graph):
     cohort, _, design, _, linear = engine_case
     engine = LikelihoodEngine(cohort, design, study_graph)
     assert isinstance(engine.marker, _StatsMarker) == linear
-    bases = [rows.basis for _, row_sets in engine.edge_blocks for rows in row_sets]
+    bases = [rows.basis for block in engine.blocks for _, rows in block.parts]
     assert all(isinstance(basis, _CachedBasis) == linear for basis in bases)
 
 
@@ -388,8 +374,10 @@ def test_bind_validates_like_design(small_cohort, study_design, study_graph, stu
 
 def test_complete_loglik_empty_subset(small_cohort, study_design, study_graph, study_params):
     cohort, latent = small_cohort
-    got = LikelihoodEngine(cohort, study_design, study_graph).complete_loglik(study_params, latent["b"], subset=[])
-    assert got == 0.0
+    engine = LikelihoodEngine(cohort, study_design, study_graph)
+    assert engine.complete_loglik(study_params, latent["b"], subset=[]) == 0.0
+    grad = engine.grad_theta(study_params, latent["b"], subset=[])
+    assert grad.shape == (study_params.layout().size,) and not grad.any()
 
 
 @pytest.mark.parametrize("method", ["complete_loglik", "grad_theta"])
@@ -522,16 +510,25 @@ def test_individual_scores_match_reference_finite_differences(engine_case, study
         assert rel_err(scores[c, i], fd).max() < 1e-4
 
 
+@pytest.mark.parametrize(
+    "model", [None, mixed_model, trainable_model], ids=["study", "mixed_model", "trainable_model"]
+)
 def test_gradient_with_subset_matches_finite_differences(
-    small_cohort, study_design, study_graph, study_params
+    model, small_cohort, study_design, study_graph, study_params
 ):
-    cohort, latent = small_cohort
-    engine = LikelihoodEngine(cohort, study_design, study_graph)
+    # a subset masks the rows of every block part: cached-basis spans, the
+    # family-basis span of the mixed model and the trainable hazard's rows
+    design, params = study_design, study_params
+    cohort, _ = small_cohort
+    if model is not None:
+        design, params = model(study_design, study_params)
+        cohort, _ = generate_cohort(design, params, n=25, m=6, seed=7)
+    engine = LikelihoodEngine(cohort, design, study_graph)
     rng = np.random.default_rng(3)
     subset = np.array([0, 4, 7, 11])
     b = rng.normal(scale=0.5, size=(len(cohort), 3))
-    ana = engine.grad_theta(study_params, b, subset=subset)
-    fd = fd_gradient(engine, study_params, b, subset=subset)
+    ana = engine.grad_theta(params, b, subset=subset)
+    fd = fd_gradient(engine, params, b, subset=subset)
     assert rel_err(ana, fd).max() < 1e-4
 
 
