@@ -128,31 +128,31 @@ class _CachedBasis:
     def take(self, keep) -> "_CachedBasis":
         return _CachedBasis(self.B[keep])
 
-    def weights(self, coef):
-        """coef . J at every node, laid out (rows, s, nodes): the psi-free
-        factor of :meth:`contract`."""
+    def weights(self, coef, out: np.ndarray) -> None:
+        """coef . J at every node, written to out of shape (rows, s, nodes):
+        the link weights of the log intensity, linear in psi."""
         r, k, s, o = self.B.shape
-        w = (self.B.reshape(r * k * s, o) @ coef).reshape(r, k, s)
-        return np.ascontiguousarray(w.transpose(0, 2, 1))
+        out[...] = (self.B.reshape(r * k * s, o) @ coef).reshape(r, k, s).transpose(0, 2, 1)
 
-    def contract(self, psi, coef, w):
-        """coef . value(psi), shape (rows, chains, nodes), from w =
-        weights(coef), and the map from node weights wt to
-        (sum_k wt_k value_k, sum_k wt_k coef . jac_k)."""
+    def alpha_rows(self, psi, wt) -> np.ndarray:
+        """sum_k wt_k value_k of every row and chain, (rows, chains, out),
+        from node weights wt of shape (rows, chains, nodes)."""
         r, k, s, o = self.B.shape
-        c = psi.shape[1]
+        pre = (wt @ self.B.reshape(r, k, s * o)).reshape(r, -1, s, o)  # sum_k wt_k J_k
+        return np.einsum("rcso,rcs->rco", pre, psi)
 
-        def pullback(wt):
-            pre = (wt @ self.B.reshape(r, k, s * o)).reshape(r, c, s, o)  # sum_k wt_k J_k
-            return np.einsum("rcso,rcs->rco", pre, psi), (pre.reshape(r * c * s, o) @ coef).reshape(r, c, s)
-
-        return psi @ w, pullback
+    def alpha_sum(self, M) -> np.ndarray:
+        """The same summed over rows and chains, (out,), from M = sum_c
+        psi_c wt_c^T of shape (rows, s, nodes): one product with B."""
+        o = self.B.shape[-1]
+        return np.ascontiguousarray(M.transpose(0, 2, 1)).reshape(-1) @ self.B.reshape(-1, o)
 
 
 class _FamilyBasis:
-    """The same operations through the family's value and jac_psi, called at
-    every evaluation. ``args`` are the family's leading arguments (times, and
-    covariates for a link), shaped to broadcast against (rows, chains, nodes)."""
+    """A family that is not cached: its value and the vector-Jacobian
+    product of jac_psi, called at every evaluation. ``args`` are the family's
+    leading arguments (times, and covariates for a link), shaped to broadcast
+    against (rows, chains, nodes)."""
 
     def __init__(self, family, *args):
         self.family = family
@@ -166,17 +166,6 @@ class _FamilyBasis:
 
     def vjp(self, cot, psi):
         return np.einsum("rcko,rckos->rcs", cot, self.family.jac_psi(*self.args, psi[:, :, None, :]))
-
-    def weights(self, coef):
-        return None  # not linear in psi: contract applies coef to each value
-
-    def contract(self, psi, coef, w):
-        g = self.value(psi)
-
-        def pullback(wt):
-            return np.einsum("rck,rcko->rco", wt, g), self.vjp(wt[..., None] * coef, psi)
-
-        return g @ coef, pullback
 
 
 def _basis(family, n_psi, t, *covariates):
@@ -283,45 +272,50 @@ class _ResidualMarker:
 
 class _Rows:
     """One edge's event rows (one node at the event time) or sojourn-at-risk
-    rows (quadrature nodes, with the quadrature weights negated): the
-    individual of each row, clock times, node weights, covariates and the
-    link basis at the node times. ``span`` locates the rows in their
-    :class:`_Block`, whose ``idx`` and ``w`` they view (None for a subset
-    taken from them)."""
+    rows (quadrature nodes): the individual of each row, clock times, the
+    logs of the node weights (0 at an event; the log of each quadrature
+    weight, whose minus sign the risk block carries), covariates and the link
+    basis at the node times. ``span`` locates the rows in their
+    :class:`_Block`, whose ``idx`` they view (None for a subset taken from
+    them)."""
 
-    __slots__ = ("idx", "u", "w", "x", "basis", "span")
+    __slots__ = ("idx", "u", "log_w", "x", "basis", "span")
 
-    def __init__(self, idx, u, w, x, basis):
-        self.idx, self.u, self.w, self.x, self.basis = idx, u, w, x, basis
+    def __init__(self, idx, u, log_w, x, basis):
+        self.idx, self.u, self.log_w, self.x, self.basis = idx, u, log_w, x, basis
         self.span = None
 
     def take(self, keep) -> "_Rows":
-        return _Rows(self.idx[keep], self.u[keep], self.w[keep], self.x[keep], self.basis.take(keep))
+        return _Rows(self.idx[keep], self.u[keep], self.log_w[keep], self.x[keep], self.basis.take(keep))
 
 
 class _Block:
     """All event rows (one node each) or all risk rows of an engine, stacked
     edge after edge with the cached-basis edges first: the individual ``idx``
-    and the node weights ``w`` of every row, and per edge its :class:`_Rows`
-    (``parts``), which view their ``span`` of these arrays. The log-density
-    of the block is a fixed number of numpy calls, whatever the number of
-    edges: one product of the cached rows' psi with their bound link weights
-    (a family-basis edge writes alpha . value into its own span), the bound
-    offsets, for risk rows the weighted sum of the intensities over the
-    nodes, and one bincount into the individuals."""
+    of every row, and per edge its :class:`_Rows` (``parts``), which view
+    their ``span`` of it.
+
+    A row's log intensity, plus the log of its node weight, is affine in psi:
+    with psi1 = (psi, 1) it is psi1 . W, where the bound weights W of a cached
+    row hold alpha . J over the offset log lambda_0(u) + x . beta + log|w|
+    (:meth:`_BoundParams.stack`). The log-density of the block is then a fixed
+    number of numpy calls, whatever the number of edges: one product of the
+    cached rows' psi1 with W (a family-basis edge writes alpha . value +
+    offset into its own span), for risk rows the exponential and one
+    matrix-vector product with ones over the nodes, and one bincount into the
+    individuals. Risk rows enter with a minus sign, applied to the sums."""
 
     def __init__(self, event: bool, parts: list[tuple[Edge, _Rows]], n: int):
         parts = sorted(parts, key=lambda part: not isinstance(part[1].basis, _CachedBasis))
         self.event, self.parts, self.n = event, parts, n
+        self.nodes = parts[0][1].log_w.shape[-1]
         self.idx = np.concatenate([rows.idx for _, rows in parts])
-        self.w = np.concatenate([rows.w for _, rows in parts])
         start = 0
         for _, rows in parts:
             rows.span = slice(start, start + rows.idx.size)
-            rows.idx, rows.w = self.idx[rows.span], self.w[rows.span]
+            rows.idx = self.idx[rows.span]
             start = rows.span.stop
-        self.family = [(edge, rows) for edge, rows in parts if not isinstance(rows.basis, _CachedBasis)]
-        self.n_cached = self.idx.size - sum(rows.idx.size for _, rows in self.family)
+        self.n_cached = sum(rows.idx.size for _, rows in parts if isinstance(rows.basis, _CachedBasis))
         self._flat: dict[int, np.ndarray] = {}
 
     def flat(self, C: int) -> np.ndarray:
@@ -332,29 +326,22 @@ class _Block:
             index = self._flat[C] = (self.idx[:, None] + self.n * np.arange(C)).ravel()
         return index
 
-    def log_density(self, psi_rows, alpha, W, offset) -> np.ndarray:
+    def log_density(self, psi1, alpha, W, consts) -> np.ndarray:
         """This block's semi-Markov terms summed per (chain, individual),
-        flattened to (C * n,), from psi per individual (n, C, s) and the
-        bound link weights W and offsets of :meth:`_BoundParams.stack`."""
-        C = psi_rows.shape[1]
-        log_lam = np.empty((self.idx.size, C, self.w.shape[-1]))
+        flattened to (C * n,), from psi1 per individual (n, C, s + 1) and the
+        bound weights W and per-part constants of :meth:`_BoundParams.stack`."""
+        C = psi1.shape[1]
+        log_lam = np.empty((self.idx.size, C, self.nodes))
         if self.n_cached:
-            np.matmul(psi_rows[self.idx[:self.n_cached]], W, out=log_lam[:self.n_cached])
-        for edge, rows in self.family:
-            log_lam[rows.span] = rows.basis.value(psi_rows[rows.idx]) @ alpha[edge]
-        log_lam += offset
-        if not self.event:
-            log_lam = _risk_terms(log_lam, self.w).sum(axis=-1)
-        return np.bincount(self.flat(C), weights=log_lam.ravel(), minlength=C * self.n)
-
-
-def _risk_terms(log_lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per node of risk rows (rows, C, nodes), exp(log lambda) times the node
-    weights, in place: the node weights carry the minus sign of the
-    cumulative hazard, so the node sum is each row's -Lambda."""
-    np.exp(log_lam, out=log_lam)
-    log_lam *= w[:, None, :]
-    return log_lam
+            np.matmul(psi1[self.idx[:self.n_cached]], W, out=log_lam[:self.n_cached])
+        for (edge, rows), const in zip(self.parts, consts):
+            if not isinstance(rows.basis, _CachedBasis):
+                np.add(rows.basis.value(psi1[rows.idx, :, :-1]) @ alpha[edge], const, out=log_lam[rows.span])
+        if self.event:
+            return np.bincount(self.flat(C), weights=log_lam.ravel(), minlength=C * self.n)
+        np.exp(log_lam, out=log_lam)
+        hazard = log_lam.reshape(-1, self.nodes) @ np.ones(self.nodes)
+        return -np.bincount(self.flat(C), weights=hazard, minlength=C * self.n)
 
 
 def _row_index(idx: np.ndarray, n: int, C: int, m: int) -> np.ndarray:
@@ -374,10 +361,9 @@ class _BoundParams:
     """One parameter value bound to one engine (:meth:`LikelihoodEngine.bind`):
     the validated params and every quantity of the evaluation that depends on
     them alone. ``marker`` is the engine marker's ``weigh(r_repr)``.
-    ``blocks`` follows ``engine.blocks``: per block, the link weights of its
-    cached rows and every row's offset (:meth:`stack`), which the
-    log-density reads whole and the scores part by part, at each part's
-    ``span``."""
+    ``blocks`` follows ``engine.blocks``: per block, the bound weights of its
+    cached rows and one constant per part (:meth:`stack`); the log-density
+    reads the weights whole and the scores read them part by part."""
 
     def __init__(self, engine: LikelihoodEngine, params: ModelParams):
         engine.design.validate_params(params)
@@ -390,30 +376,38 @@ class _BoundParams:
         self.marker = None if engine.marker is None else engine.marker.weigh(r_repr)
         self.blocks = [self.stack(block) for block in engine.blocks]
 
-    def stack(self, block: _Block) -> tuple[np.ndarray | None, np.ndarray]:
-        """The link weights alpha . J of the block's cached rows, (n_cached,
-        s, nodes) (None without cached rows), and the offsets log lambda_0(u)
-        + x . beta of all its rows, (rows, 1, nodes), filled part by part."""
+    def stack(self, block: _Block) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """The affine rows of the block's cached rows, W of shape (n_cached,
+        s + 1, nodes) (None without cached rows): the link weights alpha . J,
+        then, as one more row, the offset log lambda_0(u) + x . beta + log|w|,
+        so that psi1 . W is log lambda plus the log node weight. Also one
+        constant per part, in ``block.parts`` order: a cached part's view of
+        W, and a family-basis part's offsets, (rows, 1, nodes)."""
         design, params = self.engine.design, self.params
         W = None
-        offset = np.empty((block.idx.size, 1, block.w.shape[-1]))
+        consts = []
         for edge, rows in block.parts:
             base = design.hazard(edge).log_hazard(rows.u, design.hazard_values(edge, params))
-            offset[rows.span, 0] = base + (rows.x @ params.beta[edge])[:, None]
-            w = rows.basis.weights(params.alpha[edge])
-            if w is not None:
+            offset = base + (rows.x @ params.beta[edge])[:, None] + rows.log_w
+            if isinstance(rows.basis, _CachedBasis):
                 if W is None:
-                    W = np.empty((block.n_cached,) + w.shape[1:])
-                W[rows.span] = w
-        return W, offset
+                    W = np.empty((block.n_cached, rows.basis.B.shape[2] + 1, block.nodes))
+                const = W[rows.span]
+                rows.basis.weights(params.alpha[edge], const[:, :-1])
+                const[:, -1] = offset
+            else:
+                const = offset[:, None, :]
+            consts.append(const)
+        return W, consts
 
 
 class LikelihoodEngine:
     """Batched complete-data log-likelihood, gradient and per-individual
     scores for a fixed cohort, design and graph.
 
-    Random effects ``b`` are accepted with shape (n, q) or (chains, n, q);
-    per-individual outputs follow the leading chain axis. Families declaring
+    Random effects ``b`` are accepted with shape (n, q) or (chains, n, q),
+    with at least one chain; any other shape raises ValueError.
+    Per-individual outputs follow the leading chain axis. Families declaring
     ``linear_in_psi`` have their psi-Jacobians evaluated once, at the
     observation times and quadrature nodes; the others are called at every
     evaluation. A marker whose regression is linear in psi becomes, at build,
@@ -425,19 +419,23 @@ class LikelihoodEngine:
 
     :meth:`bind` validates a parameter value and evaluates, once, everything
     that depends on it alone: the prior and longitudinal constants, the
-    prior's Cholesky factor, the marker statistics weighted by R^-1, each
-    edge's link weights alpha . J on cached bases, and each row's log
-    baseline hazard plus x . beta. Every method takes either
+    prior's Cholesky factor, the marker statistics weighted by R^-1 and, per
+    row on a cached basis, its affine row (:meth:`_BoundParams.stack`): the
+    link weights alpha . J with, as one more row, the offset log lambda_0(u)
+    + x . beta + log|w|, w the row's node weight. Every method takes either
     ``ModelParams``, bound on the fly, or such a bound value, which callers
     that evaluate many ``b`` at one theta (MH sweeps, the FIM) pass instead.
 
     The event rows of all edges form one :class:`_Block` and the risk rows
-    another, so the log-density (:meth:`loglik_terms` and the methods built
-    on it) costs a fixed number of numpy calls whatever the number of
-    edges. The scores (:meth:`grad_theta`, :meth:`individual_scores`) walk
-    the same blocks part by part, reading each part's span of the same rows
-    and bound constants; over the whole cohort, each part's row index into
-    the individuals is cached per chain count.
+    another. With psi given a trailing 1, log lambda of a block's cached rows
+    is one product, so the log-density (:meth:`loglik_terms` and the methods
+    built on it) costs a fixed number of numpy calls whatever the number of
+    edges. The scores walk the same rows part by part (:meth:`_row_pass`).
+    :meth:`grad_theta` contracts them straight into theta and scatters only
+    the psi-score into the individuals, for the gamma pullback;
+    :meth:`individual_scores` sums every column into the individuals. Over
+    the whole cohort, each part's row index into the individuals is cached
+    per chain count and number of columns.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
@@ -479,7 +477,7 @@ class LikelihoodEngine:
                 self.marker = _StatsMarker(basis.B, y_obs, obs_mask)
             else:
                 self.marker = _ResidualMarker(basis, y_obs, obs_mask)
-        self._score_index: dict[tuple[bool, Edge, int], np.ndarray] = {}
+        self._score_index: dict[tuple[bool, Edge, int, int], np.ndarray] = {}
         self._build_blocks(n_psi)
 
     def _build_blocks(self, n_psi) -> None:
@@ -512,16 +510,16 @@ class LikelihoodEngine:
             sj = np.array(risk[edge], dtype=float).reshape(-1, 3)
             nd_t, nd_w = split_nodes(lnk, self.design.n_quad, sj[:, 1], sj[:, 2])
             layouts = (
-                (True, ev[:, 0], ev[:, 2:], np.ones((len(ev), 1)), ev[:, 1]),
-                (False, sj[:, 0], nd_t, -nd_w, sj[:, 1]),
+                (True, ev[:, 0], ev[:, 2:], np.zeros((len(ev), 1)), ev[:, 1]),
+                (False, sj[:, 0], nd_t, np.log(nd_w), sj[:, 1]),
             )
-            for event, idx, t, w, entry in layouts:
+            for event, idx, t, log_w, entry in layouts:
                 if not idx.size:
                     continue
                 idx = idx.astype(int)
                 u = self.design.clock_time(edge, t, entry[:, None])
                 x = self.x[idx]
-                parts[event].append((edge, _Rows(idx, u, w, x, _basis(lnk, n_psi, t, x))))
+                parts[event].append((edge, _Rows(idx, u, log_w, x, _basis(lnk, n_psi, t, x))))
         self.blocks = [_Block(event, parts[event], self.n) for event in (True, False) if parts[event]]
 
     # -- evaluation ---------------------------------------------------------
@@ -538,14 +536,19 @@ class LikelihoodEngine:
             raise ValueError("parameters were bound by another engine")
         return params
 
-    @staticmethod
-    def _as_chains(b: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _as_chains(self, b: np.ndarray, q: int) -> tuple[np.ndarray, bool]:
+        """b as (chains, n, q) and whether it came as (n, q); any other shape,
+        or no chain, raises ValueError."""
         b = np.asarray(b, dtype=float)
-        if b.ndim == 2:
-            return b[None], True
-        if b.ndim == 3:
-            return b, False
-        raise ValueError("b must have shape (n, q) or (chains, n, q)")
+        squeeze = b.ndim == 2
+        if squeeze:
+            b = b[None]
+        if b.ndim != 3 or b.shape[1:] != (self.n, q) or not b.shape[0]:
+            raise ValueError(
+                f"b must have shape (n, q) or (chains, n, q) with n = {self.n}, q = {q} "
+                f"and chains >= 1, got {np.shape(b)[1:] if squeeze else np.shape(b)}"
+            )
+        return b, squeeze
 
     def _subset(self, subset) -> np.ndarray | None:
         """The individuals of a ``subset`` argument as an index array (None
@@ -569,96 +572,171 @@ class LikelihoodEngine:
     def psi(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
         return self.design.effects.psi(params.gamma, self.x, b)
 
+    def _psi1(self, params: ModelParams, b: np.ndarray) -> np.ndarray:
+        """psi per individual with a trailing 1, (n, C, s + 1): the factor of
+        the affine rows of :meth:`_BoundParams.stack`."""
+        psi = self.psi(params, b)
+        psi1 = np.empty((self.n, b.shape[0], psi.shape[-1] + 1))
+        psi1[..., :-1] = psi.transpose(1, 0, 2)
+        psi1[..., -1] = 1.0
+        return psi1
+
     def _terms(self, bound: _BoundParams, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Prior, longitudinal and semi-Markov terms per (chain, individual),
         each (C, n). The semi-Markov term is one pass over each stacked
         :class:`_Block`, whatever the number of edges."""
         params = bound.params
         C = b.shape[0]
-        psi_rows = np.ascontiguousarray(self.psi(params, b).transpose(1, 0, 2))
+        psi1 = self._psi1(params, b)
         prior = bound.prior_const - 0.5 * quad_form(bound.L_q, b)
         longit = np.zeros((C, self.n))
         if self.marker is not None:
-            longit = (bound.longit_const - 0.5 * self.marker.quad(psi_rows, bound.marker)).T
+            longit = (bound.longit_const - 0.5 * self.marker.quad(psi1[..., :-1], bound.marker)).T
         sm = np.zeros(C * self.n)
-        for block, (W, offset) in zip(self.blocks, bound.blocks):
-            sm += block.log_density(psi_rows, params.alpha, W, offset)
+        for block, (W, consts) in zip(self.blocks, bound.blocks):
+            sm += block.log_density(psi1, params.alpha, W, consts)
         return prior, longit, sm.reshape(C, self.n)
 
-    def _scores(self, bound: _BoundParams, b: np.ndarray, sel=None) -> np.ndarray:
-        """Complete-data scores per (chain, individual) of the selected
+    def _row_pass(self, bound: _BoundParams, psi1: np.ndarray, sel=None):
+        """The semi-Markov rows part by part, as the log-density lays them
+        out, keeping those of the selected individuals (all when ``sel`` is
+        None). Yields (event, edge, rows, p, g, wt, dpsi): p is the rows'
+        psi1 (rows, C, s + 1); g the link values on a family basis, None on
+        a cached one; wt the derivative of the part's term in log lambda per
+        node without the risk sign: ones on event rows, lambda |w| on risk
+        rows, whose term is minus their sum; and dpsi = sum_k wt_k
+        dlog lambda_k / dpsi, (rows, C, s)."""
+        alpha = bound.params.alpha
+        chosen = None
+        if sel is not None:
+            chosen = np.zeros(self.n, dtype=bool)
+            chosen[sel] = True
+        for block, (_, consts) in zip(self.blocks, bound.blocks):
+            for (edge, rows), const in zip(block.parts, consts):
+                if chosen is not None:
+                    kept = chosen[rows.idx]
+                    rows, const = rows.take(kept), const[kept]
+                p = psi1[rows.idx]
+                g = None if isinstance(rows.basis, _CachedBasis) else rows.basis.value(p[..., :-1])
+                if block.event:
+                    wt = np.ones(p.shape[:2] + (1,))
+                else:
+                    wt = p @ const if g is None else g @ alpha[edge] + const
+                    np.exp(wt, out=wt)
+                if g is None:
+                    dpsi = wt @ const[:, :-1].transpose(0, 2, 1)
+                else:
+                    dpsi = rows.basis.vjp(wt[..., None] * alpha[edge], p[..., :-1])
+                yield block.event, edge, rows, p, g, wt, dpsi
+
+    def _index(self, event: bool, edge: Edge, rows: _Rows, C: int, m: int) -> np.ndarray:
+        """:func:`_row_index` of a part's rows over the whole cohort, cached
+        per (event, edge, C, m)."""
+        key = (event, edge, C, m)
+        index = self._score_index.get(key)
+        if index is None:
+            index = self._score_index[key] = _row_index(rows.idx, self.n, C, m)
+        return index
+
+    def _gradient(self, bound: _BoundParams, b: np.ndarray, sel=None) -> np.ndarray:
+        """Complete-data scores summed over the chains and the selected
         individuals (all when ``sel`` is None, else a sorted index array),
-        (n_free, C, n_sel). The semi-Markov part walks ``self.blocks`` part
-        by part, reading each part's span of the rows and of the bound link
-        weights and offsets that the log-density uses, with one bincount per
-        part into the individuals. A subset keeps, by a mask on those spans,
-        the rows of its individuals before any node work."""
+        (n_free,). Each part's rows are contracted straight into theta:
+        with M = sum_c psi1_c wt_c^T per row, alpha is M . B summed over
+        rows (or sum wt . value on a family basis), beta is x weighted by
+        each row's total wt (the last row of M), and the trainable hazard
+        values are that total against dlog_dparams. Only the psi-score goes
+        per (chain, individual), because the gamma pullback needs it there.
+        The prior's and the noise's sums of outer products are summed before
+        ``grad_values``, which is linear in them."""
         params = bound.params
+        layout = params.layout()
         C = b.shape[0]
         keep = slice(None) if sel is None else sel
         n = self.n if sel is None else sel.size
-        pos = np.arange(self.n)
-        if sel is not None:
-            pos = np.full(self.n, -1)
-            pos[sel] = np.arange(n)
-        psi = self.psi(params, b)
-        psi_rows = np.ascontiguousarray(psi.transpose(1, 0, 2))
-        layout = params.layout()
-        P = layout.size
-        # one (C, n) score plane per free parameter, then d/dpsi planes that
-        # are pulled back to gamma last
-        acc = np.zeros((P + psi.shape[-1], C, n))
+        psi1 = self._psi1(params, b)
+        s = psi1.shape[-1] - 1
+        grad = np.zeros(layout.size)
+        dpsi = np.zeros((s, C, n))
 
         q_repr, r_repr = params.q_repr, params.r_repr
         b_sel = b[:, keep]
         if q_repr.dim:
-            outer = np.einsum("cnq,cnr->cnqr", b_sel, b_sel)
-            acc[layout.group_slice("q")] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
-
+            outer = np.einsum("cnq,cnr->qr", b_sel, b_sel)
+            grad[layout.group_slice("q")] = q_repr.grad_values(outer, C * n)
         if self.marker is not None:
-            outer, psi_score = self.marker.scores(psi_rows, bound.marker, keep)
-            grad = r_repr.grad_values(outer, self.obs_counts[keep][:, None])
-            acc[layout.group_slice("r")] = grad.transpose(2, 1, 0)
-            acc[P:] += psi_score.transpose(2, 1, 0)
+            outer, psi_score = self.marker.scores(psi1[..., :-1], bound.marker, keep)
+            count = C * self.obs_counts[keep].sum()
+            grad[layout.group_slice("r")] = r_repr.grad_values(outer.sum(axis=(0, 1)), count)
+            dpsi += psi_score.transpose(2, 1, 0)
 
-        for block, (W, offset) in zip(self.blocks, bound.blocks):
-            for edge, rows in block.parts:
-                at = rows.span
-                if sel is not None:
-                    kept = pos[rows.idx] >= 0
-                    rows, at = rows.take(kept), np.arange(at.start, at.stop)[kept]
-                w = W[at] if isinstance(rows.basis, _CachedBasis) else None
-                log_lam, pullback = rows.basis.contract(psi_rows[rows.idx], params.alpha[edge], w)
-                log_lam += offset[at]
-                if block.event:
-                    wt = np.ones_like(log_lam)
-                    wsum = wt[..., 0]
-                else:
-                    wt = _risk_terms(log_lam, rows.w)
-                    wsum = wt.sum(axis=-1)
-                # per-row scores: alpha, beta, trainable hazard values, psi
-                g_score, psi_score = pullback(wt)
-                cols = [g_score, wsum[..., None] * rows.x[:, None, :]]
-                if self.design.extra_slice(edge) is not None:
-                    hazard_values = self.design.hazard_values(edge, params)
-                    cols.append(wt @ self.design.hazard(edge).dlog_dparams(rows.u, hazard_values))
-                cols.append(psi_score)
-                vals = np.concatenate(cols, axis=-1)
-                key = (block.event, edge, C)
-                index = self._score_index.get(key) if sel is None else None
-                if index is None:
-                    index = _row_index(pos[rows.idx], n, C, vals.shape[-1])
-                    if sel is None:
-                        self._score_index[key] = index
-                sums = _add_rows(index, vals, n)
-                col = 0
-                for target in self._edge_slices(layout, edge, P, psi.shape[-1]):
-                    width = target.stop - target.start
-                    acc[target] += sums[col:col + width]
-                    col += width
+        pos = None
+        if sel is not None:
+            pos = np.full(self.n, -1)
+            pos[sel] = np.arange(n)
+        for event, edge, rows, p, g, wt, d in self._row_pass(bound, psi1, sel):
+            sign = 1.0 if event else -1.0
+            M = p.transpose(0, 2, 1) @ wt
+            total = M[:, -1]
+            a = rows.basis.alpha_sum(M[:, :-1]) if g is None else np.einsum("rck,rcko->o", wt, g)
+            grad[layout.edge_slice("alpha", edge)] += sign * a
+            grad[layout.edge_slice("beta", edge)] += sign * (total.sum(axis=-1) @ rows.x)
+            local = self.design.extra_slice(edge)
+            if local is not None:
+                dlog = self.design.hazard(edge).dlog_dparams(rows.u, self.design.hazard_values(edge, params))
+                grad[layout.group_slice("extra", local)] += sign * np.einsum("rk,rke->e", total, dlog)
+            index = self._index(event, edge, rows, C, s) if sel is None else _row_index(pos[rows.idx], n, C, s)
+            dpsi += sign * _add_rows(index, d, n)
 
         if params.gamma.size:
             jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)[:, keep]
+            grad[layout.group_slice("gamma")] += np.einsum("scn,cnsg->g", dpsi, jpg)
+        return grad
+
+    def _scores(self, bound: _BoundParams, b: np.ndarray) -> np.ndarray:
+        """Complete-data scores per (chain, individual), (n_free, C, n): the
+        rows of :meth:`_row_pass`, each part's columns summed into the
+        individuals with one bincount over its cached row index."""
+        params = bound.params
+        C = b.shape[0]
+        psi1 = self._psi1(params, b)
+        layout = params.layout()
+        P = layout.size
+        s = psi1.shape[-1] - 1
+        # one (C, n) score plane per free parameter, then d/dpsi planes that
+        # are pulled back to gamma last
+        acc = np.zeros((P + s, C, self.n))
+
+        q_repr, r_repr = params.q_repr, params.r_repr
+        if q_repr.dim:
+            outer = np.einsum("cnq,cnr->cnqr", b, b)
+            acc[layout.group_slice("q")] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
+        if self.marker is not None:
+            outer, psi_score = self.marker.scores(psi1[..., :-1], bound.marker, slice(None))
+            grad = r_repr.grad_values(outer, self.obs_counts[:, None])
+            acc[layout.group_slice("r")] = grad.transpose(2, 1, 0)
+            acc[P:] += psi_score.transpose(2, 1, 0)
+
+        for event, edge, rows, p, g, wt, d in self._row_pass(bound, psi1):
+            # per-row scores: alpha, beta, trainable hazard values, psi
+            a = rows.basis.alpha_rows(p[..., :-1], wt) if g is None else np.einsum("rck,rcko->rco", wt, g)
+            cols = [a, wt.sum(axis=-1)[..., None] * rows.x[:, None, :]]
+            if self.design.extra_slice(edge) is not None:
+                hazard_values = self.design.hazard_values(edge, params)
+                cols.append(wt @ self.design.hazard(edge).dlog_dparams(rows.u, hazard_values))
+            cols.append(d)
+            vals = np.concatenate(cols, axis=-1)
+            sums = _add_rows(self._index(event, edge, rows, C, vals.shape[-1]), vals, self.n)
+            if not event:
+                np.negative(sums, out=sums)
+            col = 0
+            for target in self._edge_slices(layout, edge, P, s):
+                width = target.stop - target.start
+                acc[target] += sums[col:col + width]
+                col += width
+
+        if params.gamma.size:
+            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)
             acc[layout.group_slice("gamma")] += np.einsum("scn,cnsg->gcn", acc[P:], jpg)
         return acc[:P]
 
@@ -673,8 +751,9 @@ class LikelihoodEngine:
 
     def loglik_terms(self, params: ModelParams | _BoundParams, b: np.ndarray) -> LogLikTerms:
         """Per-(chain, individual) prior, longitudinal and semi-Markov terms."""
-        b, squeeze = self._as_chains(b)
-        prior, longit, sm = self._terms(self._bound(params), b)
+        bound = self._bound(params)
+        b, squeeze = self._as_chains(b, bound.params.q_repr.dim)
+        prior, longit, sm = self._terms(bound, b)
         if squeeze:
             return LogLikTerms(prior[0], longit[0], sm[0])
         return LogLikTerms(prior, longit, sm)
@@ -689,10 +768,10 @@ class LikelihoodEngine:
         """Complete-data log-likelihood summed over the subset (distinct
         indices in [0, n); all individuals if None); returns a scalar for
         (n, q) input, a per-chain vector for (chains, n, q)."""
-        b_arr, squeeze = self._as_chains(b)
+        bound = self._bound(params)
+        b_arr, squeeze = self._as_chains(b, bound.params.q_repr.dim)
         subset = self._subset(subset)
-        terms = self.loglik_terms(params, b_arr)
-        total = np.asarray(terms.total)
+        total = np.asarray(self.loglik_terms(bound, b_arr).total)
         if subset is not None:
             total = total[:, subset]
         value = total.sum(axis=-1)
@@ -702,7 +781,8 @@ class LikelihoodEngine:
 
     def individual_scores(self, params: ModelParams | _BoundParams, b: np.ndarray) -> np.ndarray:
         """Per-individual complete-data scores, shape (chains, n, n_free)."""
-        scores = self._scores(self._bound(params), self._as_chains(b)[0])
+        bound = self._bound(params)
+        scores = self._scores(bound, self._as_chains(b, bound.params.q_repr.dim)[0])
         return np.ascontiguousarray(np.moveaxis(scores, 0, -1))
 
     def grad_theta(self, params: ModelParams | _BoundParams, b: np.ndarray, subset=None) -> np.ndarray:
@@ -712,9 +792,9 @@ class LikelihoodEngine:
         of :meth:`complete_loglik`. For chained input the per-chain gradients
         are averaged."""
         bound = self._bound(params)
-        b, squeeze = self._as_chains(b)
+        b, squeeze = self._as_chains(b, bound.params.q_repr.dim)
         sel = self._subset(subset)
         if sel is not None:
             sel = np.sort(sel)
-        grad = self._scores(bound, b, sel).sum(axis=(1, 2))
+        grad = self._gradient(bound, b, sel)
         return grad if squeeze else grad / b.shape[0]

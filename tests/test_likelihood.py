@@ -21,6 +21,7 @@ from msjoint.families import (
     BOnly,
     CustomRegression,
     GammaPlusB,
+    GammaXPlusB,
     Polynomial,
     ShiftedTanh,
     ValueLink,
@@ -293,6 +294,14 @@ def trainable_model(study_design, study_params, hazard=WeibullHazard(1.5, 6.0, t
     return design, replace(study_params, extra=design.initial_extra() + 0.1)
 
 
+def gamma_x_model(study_design, study_params):
+    """The study design with psi = Gamma x + b, whose gamma Jacobian depends
+    on the covariate, and a full prior precision with off-diagonal terms."""
+    design = replace(study_design, effects=GammaXPlusB(3, 1))
+    cov = np.array([[0.6, 0.1, 0.05], [0.1, 0.2, -0.03], [0.05, -0.03, 0.3]])
+    return design, replace(study_params, q_repr=repr_from_cov(cov, "full"))
+
+
 @pytest.mark.parametrize("case", ["truncated_event", "truncated_state0", "mixed", "trainable"])
 def test_stacked_terms_match_reference_terms(case, small_cohort, study_design, study_params, study_graph):
     design, params = study_design, study_params
@@ -370,6 +379,19 @@ def test_bind_validates_like_design(small_cohort, study_design, study_graph, stu
         LikelihoodEngine(small_cohort[0], study_design, study_graph).posterior_logdensity(
             engine.bind(study_params), small_cohort[1]["b"]
         )
+
+
+@pytest.mark.parametrize("method", ["posterior_logdensity", "complete_loglik", "grad_theta", "individual_scores"])
+@pytest.mark.parametrize(
+    "shape", [(1, 3), (26, 3), (25, 2), (0, 25, 3)], ids=["one_row", "n_plus_1", "q_minus_1", "no_chain"]
+)
+def test_engine_rejects_b_of_wrong_shape(method, shape, small_cohort, study_design, study_graph, study_params):
+    # a (1, q) b would otherwise broadcast over every individual, and no chain
+    # would average the gradient over zero chains
+    engine = LikelihoodEngine(small_cohort[0], study_design, study_graph)
+    message = r"b must have shape \(n, q\) or \(chains, n, q\) with n = 25, q = 3 and chains >= 1"
+    with pytest.raises(ValueError, match=message):
+        getattr(engine, method)(study_params, np.zeros(shape))
 
 
 def test_complete_loglik_empty_subset(small_cohort, study_design, study_graph, study_params):
@@ -626,17 +648,29 @@ def test_marker_statistics_match_reference(case):
         assert rel_err(engine.grad_theta(params, b[0]), fd_gradient(engine, params, b[0])).max() < 1e-4
 
 
-def test_gradient_sums_individual_scores(small_cohort, study_design, study_graph, study_params):
+@pytest.mark.parametrize(
+    "model",
+    [None, mixed_model, trainable_model, gamma_x_model],
+    ids=["study", "mixed_model", "trainable_model", "gamma_x_model"],
+)
+def test_gradient_sums_individual_scores(model, small_cohort, study_design, study_graph, study_params):
+    # the gradient contracts rows straight into theta and the scores sum them
+    # per individual: family-basis spans, dlog_dparams rows, an x-dependent
+    # jac_gamma and a summed full-Q prior term must agree between the two
+    design, params = study_design, study_params
     cohort, latent = small_cohort
+    if model is not None:
+        design, params = model(study_design, study_params)
+        cohort, latent = generate_cohort(design, params, n=25, m=6, seed=7)
     records = list(cohort)
     records[3] = replace(records[3], measurement_times=np.zeros(0), measurements=np.zeros((0, 1)))
-    engine = LikelihoodEngine(Cohort(tuple(records)), study_design, study_graph)
+    engine = LikelihoodEngine(Cohort(tuple(records)), design, study_graph)
     b = latent["b"] + np.random.default_rng(9).normal(scale=0.3, size=(2,) + latent["b"].shape)
-    scores = engine.individual_scores(study_params, b)
-    # individual_scores caches the whole cohort's row index at two chains, so
-    # the whole-cohort calls read it and the subsets build their own
+    scores = engine.individual_scores(params, b)
+    # the whole-cohort gradient caches its psi-score row index at its first
+    # call and reads it at the second; the subsets build their own
     for subset in (None, [3], [0, 3, 7, 11], None, np.arange(len(cohort))):
-        grad = engine.grad_theta(study_params, b, subset=subset)
+        grad = engine.grad_theta(params, b, subset=subset)
         want = scores[:, slice(None) if subset is None else subset].sum(axis=1).mean(axis=0)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10)
 
