@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Check that this checkout computes byte for byte what another one does.
+
+    python scripts/identity_check.py --parent DIR
+
+For this checkout and for DIR in turn, one subprocess with
+``PYTHONPATH=<tree>/src`` and ``OMP_NUM_THREADS=1`` runs the same hashing
+pass and reports the SHA-256 of every item:
+
+- each file written by ``msjoint simulate``, ``fit``, ``fim`` and
+  ``predict`` for ``study_config(n=60, m=6)`` of ``tests/test_cli.py``, with
+  seeds 11, 5, 6 and 8;
+- on the seed-42 n=1000 study cohort: the records of ``generate_cohort``,
+  ``posterior_logdensity`` at C=5, ``grad_theta`` at C=15 for the whole
+  cohort and for 100 individuals, ``individual_scores`` at C=5, the
+  ``theta_history`` and ``loglik_history`` of a 20-iteration ``fit``, a
+  50-draw ``compute_fim`` and ten ``predict_state_grid`` requests.
+
+Every item is listed as equal or different; the script exits 1 on any
+difference, and 0 when every item is equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def hash_items(work: Path) -> dict[str, str]:
+    """The hashing pass, run in the tree whose ``msjoint`` is importable;
+    CLI outputs are written under ``work``."""
+    from msjoint.cli import main
+    from msjoint.inference import FitConfig, compute_fim, fit
+    from msjoint.likelihood import LikelihoodEngine
+    from msjoint.predict import predict_state_grid
+    from msjoint.sampler import SamplerConfig
+    from msjoint.simulate import generate_cohort
+    from msjoint.study import study_model
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_cli import study_config
+
+    out: dict[str, str] = {}
+    config = work / "config.json"
+    config.write_text(json.dumps(study_config(n=60, m=6)))
+    common = ["--config", str(config), "--threads", "1"]
+    data, fitted = ["--data", str(work / "data")], ["--params", str(work / "fit" / "params.json")]
+    for command, seed, extra in (
+        ("simulate", 11, []), ("fit", 5, data), ("fim", 6, data + fitted), ("predict", 8, data + fitted),
+    ):
+        out_dir = work / ("data" if command == "simulate" else command)
+        if main([command, *common, *extra, "--out", str(out_dir), "--seed", str(seed)]) != 0:
+            raise RuntimeError(f"msjoint {command} failed")
+        for path in sorted(out_dir.iterdir()):
+            out[f"cli {command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    graph, design, truth, init = study_model()
+    cohort, latent = generate_cohort(design, truth, n=1000, m=20, seed=42)
+    out["generate_cohort"] = _digest(
+        latent["b"], latent["psi"],
+        *(a for rec in cohort for a in (
+            rec.covariates, rec.measurement_times, rec.measurements,
+            np.array(rec.trajectory.pairs, dtype=float), np.float64(rec.censoring_time),
+        )),
+    )
+    engine = LikelihoodEngine(cohort, design, graph)
+    rng = np.random.default_rng(1)
+    q = truth.q_repr.dim
+    b5 = latent["b"] + 0.3 * rng.standard_normal((5, 1000, q))
+    b15 = latent["b"] + 0.3 * rng.standard_normal((15, 1000, q))
+    subset = np.sort(rng.choice(1000, size=100, replace=False))
+    out["posterior_logdensity C=5"] = _digest(engine.posterior_logdensity(truth, b5))
+    out["grad_theta C=15"] = _digest(engine.grad_theta(truth, b15))
+    out["grad_theta C=15 subset 100"] = _digest(engine.grad_theta(truth, b15, subset=subset))
+    out["individual_scores C=5"] = _digest(engine.individual_scores(truth, b5))
+    report = fit(cohort, design, graph, init, FitConfig(max_iterations=20, n_draws=10), seed=3, engine=engine)
+    out["fit 20 iterations"] = _digest(report.theta_history, report.loglik_history)
+    fim = compute_fim(cohort, design, graph, truth, n_samples=50, seed=4, engine=engine)
+    out["compute_fim 50 draws"] = _digest(fim.matrix)
+    requests = [
+        predict_state_grid(cohort[i], 4.0, [5.0, 8.0, 12.0], design, truth, graph, n_draws=50, rng=i,
+                           sampler_config=SamplerConfig(warmup=100))
+        for i in range(10)
+    ]
+    out["predict_state_grid 10 requests"] = _digest(*(a for probs, modal in requests for a in (probs, modal)))
+    return out
+
+
+def tree_hashes(tree: Path) -> dict[str, str]:
+    """:func:`hash_items` in a subprocess that imports ``msjoint`` from ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
+    code = (
+        "import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+        "import identity_check; print(json.dumps(identity_check.hash_items(Path(sys.argv[2]))))"
+    )
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(ROOT / "scripts"), work],
+            env=env, cwd=work, capture_output=True, text=True,
+        )
+    if proc.returncode != 0:
+        raise RuntimeError(f"hashing pass in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def compare(change: dict[str, str], parent: dict[str, str]) -> list[tuple[str, str]]:
+    """(item, verdict) for every item of either table, in sorted order: equal,
+    different, or missing on the side that lacks it."""
+    verdicts = []
+    for item in sorted(change.keys() | parent.keys()):
+        if item not in parent:
+            verdicts.append((item, "missing in parent"))
+        elif item not in change:
+            verdicts.append((item, "missing in change"))
+        else:
+            verdicts.append((item, "equal" if change[item] == parent[item] else "different"))
+    return verdicts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True, help="checkout to compare this one with")
+    args = parser.parse_args(argv)
+    verdicts = compare(tree_hashes(ROOT), tree_hashes(args.parent.resolve()))
+    for item, verdict in verdicts:
+        print(f"{verdict:>17}  {item}")
+    differ = sum(verdict != "equal" for _, verdict in verdicts)
+    print(f"{len(verdicts) - differ} of {len(verdicts)} items equal")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,7 +33,7 @@ from .io import (
     write_cohort,
     write_params,
 )
-from .params import flatten
+from .params import ModelParams, flatten
 from .predict import accuracy, predict_cohort_grid
 from .sampler import SamplerConfig
 from .simulate import generate_cohort
@@ -41,12 +41,12 @@ from .simulate import generate_cohort
 
 @contextmanager
 def _section(name: str):
-    """Report a constructor's rejection of a config section as a ConfigError
-    naming the section."""
+    """Report a rejection of a config section or an input file as a
+    ConfigError naming it."""
     try:
         yield
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.{name}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _count(spec: dict, key: str, default: int) -> int:
@@ -58,14 +58,14 @@ def _count(spec: dict, key: str, default: int) -> int:
 
 
 def _sampler_config(config: dict) -> SamplerConfig:
-    with _section("sampler"):
+    with _section("config.sampler"):
         return SamplerConfig(**(config.get("sampler") or {}))
 
 
 def _fit_config(config: dict) -> tuple[FitConfig, StopRule]:
     spec = dict(config.get("fit") or {})
     stop_spec = spec.pop("stop", None) or {}
-    with _section("fit"):
+    with _section("config.fit"):
         return FitConfig(**spec), StopRule(**stop_spec)
 
 
@@ -76,14 +76,24 @@ def _require(config: dict, section: str) -> dict:
     return block
 
 
-def cmd_simulate(config: dict, out_dir: Path, seed: int) -> None:
+def _model(config: dict, params: ModelParams, source: str):
+    """The config's graph and design, checked against each other and against
+    params read from ``source``; a mismatch is a ConfigError naming
+    ``config.design`` or ``source``."""
     graph = build_graph_from_config(config)
     design = build_design_from_config(config)
-    design.validate_against(graph)
+    with _section("config.design"):
+        design.validate_against(graph)
+    with _section(source):
+        design.validate_params(params)
+    return graph, design
+
+
+def cmd_simulate(config: dict, out_dir: Path, seed: int) -> None:
     if "params" not in config:
         raise ConfigError("config.params: missing section (true parameters are required to simulate)")
     params = params_from_dict(config["params"], "config.params")
-    design.validate_params(params)
+    graph, design = _model(config, params, "config.params")
     spec = {"n": 100, "m": 10, **_require(config, "simulate")}
     if spec.get("censoring") == "inf":
         spec["censoring"] = np.inf
@@ -97,10 +107,8 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> None:
         print(f"  transitions {edge[0]}->{edge[1]}: {count}")
 
 
-def _load_validated_cohort(config: dict, data_dir: Path):
-    graph = build_graph_from_config(config)
-    design = build_design_from_config(config)
-    design.validate_against(graph)
+def _load_validated_cohort(config: dict, data_dir: Path, params: ModelParams, source: str):
+    graph, design = _model(config, params, source)
     cohort = read_cohort(data_dir)
     violations = validate_cohort(cohort, graph)
     if violations:
@@ -109,11 +117,10 @@ def _load_validated_cohort(config: dict, data_dir: Path):
 
 
 def cmd_fit(config: dict, data_dir: Path, out_dir: Path, seed: int) -> None:
-    graph, design, cohort = _load_validated_cohort(config, data_dir)
     if "params" not in config:
         raise ConfigError("config.params: missing section (initial parameters)")
     init = params_from_dict(config["params"], "config.params")
-    design.validate_params(init)
+    graph, design, cohort = _load_validated_cohort(config, data_dir, init, "config.params")
     fit_cfg, stop_rule = _fit_config(config)
     report = fit(
         cohort, design, graph, init, fit_cfg, stop_rule, _sampler_config(config), seed=seed
@@ -139,10 +146,9 @@ def cmd_fit(config: dict, data_dir: Path, out_dir: Path, seed: int) -> None:
 
 
 def cmd_fim(config: dict, data_dir: Path, params_file: Path, out_dir: Path, seed: int) -> None:
-    graph, design, cohort = _load_validated_cohort(config, data_dir)
     params = read_params(params_file)
-    design.validate_params(params)
-    with _section("fim"):
+    graph, design, cohort = _load_validated_cohort(config, data_dir, params, str(params_file))
+    with _section("config.fim"):
         n_samples = _count(config.get("fim") or {}, "n_samples", 1000)
     estimate = compute_fim(
         cohort, design, graph, params, _sampler_config(config), n_samples=n_samples, seed=seed
@@ -165,9 +171,8 @@ def cmd_fim(config: dict, data_dir: Path, params_file: Path, out_dir: Path, seed
 
 
 def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, seed: int) -> None:
-    graph, design, cohort = _load_validated_cohort(config, data_dir)
     params = read_params(params_file)
-    design.validate_params(params)
+    graph, design, cohort = _load_validated_cohort(config, data_dir, params, str(params_file))
     spec = _require(config, "predict")
     truncations = [float(t) for t in spec.get("truncations", [])]
     horizons = [float(u) for u in spec.get("horizons", [])]
@@ -176,7 +181,7 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
     if not horizons:
         raise ConfigError("config.predict.horizons: at least one horizon is required")
     n_chains = _sampler_config(config).n_chains  # the rest of the sampler settings come from predict
-    with _section("predict"):
+    with _section("config.predict"):
         n_draws = _count(spec, "n_draws", 200)
         sampler_cfg = SamplerConfig(
             n_chains=n_chains, warmup=int(spec.get("warmup", 500)), thin=int(spec.get("thin", 5))

@@ -171,8 +171,10 @@ def validate_cohort(cohort: Cohort, graph: TransitionGraph) -> list[str]:
     """Collect violations of the data contract; empty list means valid.
 
     Checks per individual: trajectory states in range and consecutive pairs on
-    graph edges, last transition not after censoring, measurement rows either
-    fully observed or fully missing, and rows beyond censoring marked missing.
+    graph edges, a censoring time that is not NaN, last transition not after
+    censoring, infinite censoring only in an absorbing last state (else the
+    survival term is not finite), measurement rows either fully observed or
+    fully missing, and rows beyond censoring marked missing.
     """
     violations: list[str] = []
     for i, rec in enumerate(cohort):
@@ -186,11 +188,16 @@ def validate_cohort(cohort: Cohort, graph: TransitionGraph) -> list[str]:
                     violations.append(
                         f"individual {i}: transition ({s0}, {s1}) is not a graph edge"
                     )
+        if np.isnan(rec.censoring_time):
+            violations.append(f"individual {i}: censoring time is NaN")
         if traj.last_time > rec.censoring_time:
             violations.append(
                 f"individual {i}: transition after censoring "
                 f"({traj.last_time} > {rec.censoring_time})"
             )
+        s_last = traj.pairs[-1][1]
+        if rec.censoring_time == np.inf and 0 <= s_last < graph.num_states and graph.successors(s_last):
+            violations.append(f"individual {i}: infinite censoring with non-absorbing last state")
         y = rec.measurements
         if y.shape[1] > 0:
             nan_count = np.isnan(y).sum(axis=1)

@@ -31,8 +31,9 @@ import numpy as np
 from .design import DEFAULT_QUAD_NODES, check_node_count, split_nodes
 
 
-def _bshape(t, psi) -> tuple[int, ...]:
-    return np.broadcast_shapes(np.shape(t), np.shape(psi)[:-1])
+def _broadcast_t(t, psi) -> np.ndarray:
+    """t as floats, broadcast to the batch shape of t and psi."""
+    return np.broadcast_to(np.asarray(t, dtype=float), np.broadcast_shapes(np.shape(t), np.shape(psi)[:-1]))
 
 
 # --------------------------------------------------------------------------
@@ -177,31 +178,26 @@ class Polynomial:
         self.degree = int(degree)
         self.n_psi = self.degree + 1
 
-    def _powers(self, t, shape):
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+    def _powers(self, t, psi):
+        t = _broadcast_t(t, psi)
         return np.stack([t**j for j in range(self.n_psi)], axis=-1)
 
     def value(self, t, psi):
-        shape = _bshape(t, psi)
-        tp = self._powers(t, shape)
-        return np.sum(tp * psi, axis=-1)[..., None]
+        return np.sum(self._powers(t, psi) * psi, axis=-1)[..., None]
 
     def jac_psi(self, t, psi):
-        shape = _bshape(t, psi)
-        return self._powers(t, shape)[..., None, :]
+        return self._powers(t, psi)[..., None, :]
 
     def time_derivative(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
-        out = np.zeros(shape)
+        t = _broadcast_t(t, psi)
+        out = np.zeros(t.shape)
         for j in range(1, self.n_psi):
             out += j * psi[..., j] * t ** (j - 1)
         return out[..., None]
 
     def time_derivative_jac_psi(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
-        cols = [np.full(shape, float(j)) * t ** (j - 1) if j else np.zeros(shape) for j in range(self.n_psi)]
+        t = _broadcast_t(t, psi)
+        cols = [np.full(t.shape, float(j)) * t ** (j - 1) if j else np.zeros(t.shape) for j in range(self.n_psi)]
         return np.stack(cols, axis=-1)[..., None, :]
 
 
@@ -226,31 +222,27 @@ class PiecewiseAffine:
         return (self.tau,)
 
     def value(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         ind = t > self.tau
         out = psi[..., 0] + psi[..., 1] * t + ind * (psi[..., 2] - psi[..., 1]) * (t - self.tau)
         return out[..., None]
 
     def jac_psi(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         ind = (t > self.tau).astype(float)
         excess = ind * (t - self.tau)
-        jac = np.stack([np.ones(shape), t - excess, excess], axis=-1)
+        jac = np.stack([np.ones(t.shape), t - excess, excess], axis=-1)
         return jac[..., None, :]
 
     def time_derivative(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         ind = t > self.tau
         return (psi[..., 1] + ind * (psi[..., 2] - psi[..., 1]))[..., None]
 
     def time_derivative_jac_psi(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         ind = (t > self.tau).astype(float)
-        jac = np.stack([np.zeros(shape), 1.0 - ind, ind], axis=-1)
+        jac = np.stack([np.zeros(t.shape), 1.0 - ind, ind], axis=-1)
         return jac[..., None, :]
 
 
@@ -263,29 +255,25 @@ class ExponentialDecay:
     breakpoints = ()
 
     def value(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         return (psi[..., 0] * np.exp(-psi[..., 1] * t))[..., None]
 
     def jac_psi(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         e = np.exp(-psi[..., 1] * t)
-        jac = np.stack([e + np.zeros(shape), -psi[..., 0] * t * e], axis=-1)
+        jac = np.stack([e + np.zeros(t.shape), -psi[..., 0] * t * e], axis=-1)
         return jac[..., None, :]
 
     def time_derivative(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         return (-psi[..., 0] * psi[..., 1] * np.exp(-psi[..., 1] * t))[..., None]
 
     def time_derivative_jac_psi(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         e = np.exp(-psi[..., 1] * t)
         d1 = -psi[..., 1] * e
         d2 = -psi[..., 0] * e + psi[..., 0] * psi[..., 1] * t * e
-        return np.stack([d1 + np.zeros(shape), d2], axis=-1)[..., None, :]
+        return np.stack([d1 + np.zeros(t.shape), d2], axis=-1)[..., None, :]
 
 
 class ShiftedTanh:
@@ -300,35 +288,34 @@ class ShiftedTanh:
     breakpoints = ()
 
     def _parts(self, t, psi):
-        shape = _bshape(t, psi)
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+        t = _broadcast_t(t, psi)
         u = (psi[..., 2] - t) / psi[..., 1]
-        return shape, t, u, np.tanh(u)
+        return t, u, np.tanh(u)
 
     def value(self, t, psi):
-        _, _, _, th = self._parts(t, psi)
+        _, _, th = self._parts(t, psi)
         return (psi[..., 0] * th + (1.0 - psi[..., 0]))[..., None]
 
     def jac_psi(self, t, psi):
-        shape, _, u, th = self._parts(t, psi)
+        t, u, th = self._parts(t, psi)
         sech2 = 1.0 - th**2
         d1 = th - 1.0
         d2 = -psi[..., 0] * sech2 * u / psi[..., 1]
         d3 = psi[..., 0] * sech2 / psi[..., 1]
-        return np.stack([d1 + np.zeros(shape), d2, d3], axis=-1)[..., None, :]
+        return np.stack([d1 + np.zeros(t.shape), d2, d3], axis=-1)[..., None, :]
 
     def time_derivative(self, t, psi):
-        _, _, _, th = self._parts(t, psi)
+        _, _, th = self._parts(t, psi)
         return (-psi[..., 0] * (1.0 - th**2) / psi[..., 1])[..., None]
 
     def time_derivative_jac_psi(self, t, psi):
-        shape, _, u, th = self._parts(t, psi)
+        t, u, th = self._parts(t, psi)
         sech2 = 1.0 - th**2
         p1, p2 = psi[..., 0], psi[..., 1]
         d1 = -sech2 / p2
         d2 = p1 / p2**2 * sech2 * (1.0 - 2.0 * u * th)
         d3 = 2.0 * p1 * th * sech2 / p2**2
-        return np.stack([d1 + np.zeros(shape), d2, d3], axis=-1)[..., None, :]
+        return np.stack([d1 + np.zeros(t.shape), d2, d3], axis=-1)[..., None, :]
 
 
 class CustomRegression:
@@ -368,7 +355,14 @@ class CustomRegression:
 
 class _RegressionLink:
     """A link computed from a regression family, linear in psi when it is,
-    with the regression's breakpoints."""
+    with the regression's breakpoints; its dimension is ``width`` times the
+    regression's."""
+
+    width = 1
+
+    def __init__(self, regression):
+        self.regression = regression
+        self.dim = self.width * regression.dim
 
     @property
     def linear_in_psi(self) -> bool:
@@ -384,10 +378,6 @@ class ValueLink(_RegressionLink):
 
     name = "value"
 
-    def __init__(self, regression):
-        self.regression = regression
-        self.dim = regression.dim
-
     def value(self, t, x, psi):
         return self.regression.value(t, psi)
 
@@ -400,10 +390,6 @@ class SlopeLink(_RegressionLink):
 
     name = "slope"
 
-    def __init__(self, regression):
-        self.regression = regression
-        self.dim = regression.dim
-
     def value(self, t, x, psi):
         return self.regression.time_derivative(t, psi)
 
@@ -415,10 +401,7 @@ class ValueSlopeLink(_RegressionLink):
     """g = (h, dh/dt) concatenated."""
 
     name = "value_slope"
-
-    def __init__(self, regression):
-        self.regression = regression
-        self.dim = 2 * regression.dim
+    width = 2
 
     def value(self, t, x, psi):
         return np.concatenate(
@@ -441,10 +424,9 @@ class CumulativeLink(_RegressionLink):
     def __init__(self, regression, lower: float = 0.0, n_nodes: int = DEFAULT_QUAD_NODES):
         if not np.isfinite(lower):
             raise ValueError("cumulative link requires a finite lower bound")
-        self.regression = regression
+        super().__init__(regression)
         self.lower = float(lower)
         self.n_nodes = check_node_count(n_nodes, "n_nodes")
-        self.dim = regression.dim
 
     def _nodes(self, t):
         return split_nodes(self, self.n_nodes, self.lower, t)
@@ -469,10 +451,10 @@ class EmptyLink:
     breakpoints = ()
 
     def value(self, t, x, psi):
-        return np.zeros(_bshape(t, psi) + (0,))
+        return np.zeros(_broadcast_t(t, psi).shape + (0,))
 
     def jac_psi(self, t, x, psi):
-        return np.zeros(_bshape(t, psi) + (0, np.shape(psi)[-1]))
+        return np.zeros(_broadcast_t(t, psi).shape + (0, np.shape(psi)[-1]))
 
 
 class CustomLink:

@@ -14,7 +14,7 @@ from .design import ModelDesign
 from .graph import TransitionGraph
 from .likelihood import LikelihoodEngine, locate_nonfinite
 from .params import ModelParams, flatten, unflatten
-from .sampler import SamplerConfig, init_chains, sweep, warmup
+from .sampler import SamplerConfig, init_chains, run, sweep, warmup
 
 MAX_NONFINITE_STREAK = 25
 STDERR_COND_LIMIT = 1e12  # eigenvalues below top / limit count as null space
@@ -147,7 +147,6 @@ def fit(
     rule = stop_rule or StopRule()
     rule.reset()
     sampler_cfg = sampler_config or SamplerConfig()
-    design.validate_params(init_params)
     engine = engine or LikelihoodEngine(cohort, design, graph)
 
     master = np.random.default_rng(seed)
@@ -178,11 +177,7 @@ def fit(
         bound = engine.bind(params)
         log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
         chains.refresh(log_density)
-        draw_blocks = []
-        for _ in range(draws_per_iter):
-            sweep(chains, log_density)
-            draw_blocks.append(chains.b.copy())
-        b_draws = np.concatenate(draw_blocks, axis=0)
+        b_draws = np.concatenate(run(chains, log_density, draws_per_iter))
 
         subset = None
         scale = 1.0
@@ -266,7 +261,6 @@ def compute_fim(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     sampler_cfg = sampler_config or SamplerConfig()
-    design.validate_params(params)
     engine = engine or LikelihoodEngine(cohort, design, graph)
     bound = engine.bind(params)
     log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731

@@ -318,15 +318,15 @@ class _Block:
             rows.idx = self.idx[rows.span]
             start = rows.span.stop
         self.n_cached = sum(rows.idx.size for _, rows in parts if isinstance(rows.basis, _CachedBasis))
-        self._flat: dict[int, np.ndarray] = {}
+        self._index: dict[tuple[int, int], np.ndarray] = {}
 
-    def flat(self, C: int) -> np.ndarray:
-        """Position of each (row, chain) value among the (chain, individual)
-        sums, cached per chain count."""
-        index = self._flat.get(C)
+    def index(self, C: int, m: int, span: slice) -> np.ndarray:
+        """:func:`_row_index` of the rows in ``span``, a view of the block's
+        index, which is cached per (C, m) as (rows, C * m)."""
+        index = self._index.get((C, m))
         if index is None:
-            index = self._flat[C] = (self.idx[:, None] + self.n * np.arange(C)).ravel()
-        return index
+            index = self._index[C, m] = _row_index(self.idx, self.n, C, m).reshape(self.idx.size, C * m)
+        return index[span].ravel()
 
     def log_density(self, psi1, alpha, W, consts) -> np.ndarray:
         """This block's semi-Markov terms summed per (chain, individual),
@@ -339,11 +339,12 @@ class _Block:
         for (edge, rows), const in zip(self.parts, consts):
             if not isinstance(rows.basis, _CachedBasis):
                 np.add(rows.basis.value(psi1[rows.idx, :, :-1]) @ alpha[edge], const, out=log_lam[rows.span])
+        index = self.index(C, 1, slice(None))
         if self.event:
-            return np.bincount(self.flat(C), weights=log_lam.ravel(), minlength=C * self.n)
+            return np.bincount(index, weights=log_lam.ravel(), minlength=C * self.n)
         np.exp(log_lam, out=log_lam)
         hazard = log_lam.reshape(-1, self.nodes) @ np.ones(self.nodes)
-        return -np.bincount(self.flat(C), weights=hazard, minlength=C * self.n)
+        return -np.bincount(index, weights=hazard, minlength=C * self.n)
 
 
 def _row_index(idx: np.ndarray, n: int, C: int, m: int) -> np.ndarray:
@@ -435,9 +436,10 @@ class LikelihoodEngine:
     edges. The scores walk the same rows part by part (:meth:`_row_pass`).
     :meth:`grad_theta` contracts them straight into theta and scatters only
     the psi-score into the individuals, for the gamma pullback;
-    :meth:`individual_scores` sums every column into the individuals. Over
-    the whole cohort, each part's row index into the individuals is cached
-    per chain count and number of columns.
+    :meth:`individual_scores` sums every column into the individuals. Each
+    block caches one row index into the individuals per chain count and
+    number of columns (:meth:`_Block.index`); over the whole cohort, every
+    pass reads its part's view of it.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
@@ -454,20 +456,32 @@ class LikelihoodEngine:
 
         self.x = np.array([rec.covariates for rec in cohort]).reshape(self.n, self.k)
 
-        j_max = max((rec.n_measurements for rec in cohort), default=0) if self.n else 0
+        # Per edge, (individual, entry, exit) of each observed transition and
+        # of each sojourn interval at risk: every stay in a state exposes all
+        # of its outgoing edges from the entry time to the exit or censoring
+        # time. Rows follow the cohort, then the trajectory.
+        events: dict[Edge, list[tuple[int, float, float]]] = {e: [] for e in graph.sorted_edges()}
+        risk: dict[Edge, list[tuple[int, float, float]]] = {e: [] for e in graph.sorted_edges()}
+        j_max = max((rec.n_measurements for rec in cohort), default=0)
         t_obs = np.zeros((self.n, j_max))
         y_obs = np.zeros((self.n, j_max, self.d))
         obs_mask = np.zeros((self.n, j_max), dtype=bool)
         for i, rec in enumerate(cohort):
             m = rec.n_measurements
-            if m == 0 or self.d == 0:
-                continue
-            t_obs[i, :m] = rec.measurement_times
-            obs = rec.observed_rows
-            obs_mask[i, :m] = obs
-            rows = rec.measurements.copy()
-            rows[~obs] = 0.0
-            y_obs[i, :m] = rows
+            if m and self.d:
+                obs = rec.observed_rows
+                t_obs[i, :m] = rec.measurement_times
+                obs_mask[i, :m] = obs
+                y_obs[i, :m][obs] = rec.measurements[obs]
+            pairs = rec.trajectory.pairs
+            for (t0, s0), (t1, s1) in zip(pairs, pairs[1:]):
+                events[(s0, s1)].append((i, t0, t1))
+                for s in graph.successors(s0):
+                    risk[(s0, s)].append((i, t0, t1))
+            t_last, s_last = pairs[-1]
+            if rec.censoring_time > t_last:
+                for s in graph.successors(s_last):
+                    risk[(s_last, s)].append((i, t_last, rec.censoring_time))
 
         self.obs_counts = obs_mask.sum(axis=1)
 
@@ -479,32 +493,10 @@ class LikelihoodEngine:
                 self.marker = _StatsMarker(basis.B, y_obs, obs_mask)
             else:
                 self.marker = _ResidualMarker(basis, y_obs, obs_mask)
-        self._score_index: dict[tuple[bool, Edge, int, int], np.ndarray] = {}
-        self._build_blocks(n_psi)
+        self._build_blocks(n_psi, events, risk)
 
-    def _build_blocks(self, n_psi) -> None:
-        # Per edge, (individual, entry, exit) of each observed transition and
-        # of each sojourn interval at risk: every stay in a state exposes all
-        # of its outgoing edges from the entry time to the exit or censoring
-        # time. Rows follow the cohort, then the trajectory.
-        events: dict[Edge, list[tuple[int, float, float]]] = {e: [] for e in self.graph.sorted_edges()}
-        risk: dict[Edge, list[tuple[int, float, float]]] = {e: [] for e in self.graph.sorted_edges()}
-        for i, rec in enumerate(self.cohort):
-            pairs = rec.trajectory.pairs
-            for (t0, s0), (t1, s1) in zip(pairs, pairs[1:]):
-                events[(s0, s1)].append((i, t0, t1))
-                for s in self.graph.successors(s0):
-                    risk[(s0, s)].append((i, t0, t1))
-            t_last, s_last = pairs[-1]
-            succ = self.graph.successors(s_last)
-            if succ and rec.censoring_time > t_last:
-                if not np.isfinite(rec.censoring_time):
-                    raise ValueError(
-                        f"individual {i}: infinite censoring with non-absorbing last state"
-                    )
-                for s in succ:
-                    risk[(s_last, s)].append((i, t_last, rec.censoring_time))
-
+    def _build_blocks(self, n_psi, events, risk) -> None:
+        """The event and risk blocks from each edge's (individual, entry, exit) rows."""
         parts: dict[bool, list[tuple[Edge, _Rows]]] = {True: [], False: []}
         for edge in self.graph.sorted_edges():
             lnk = self.design.link(edge)
@@ -602,7 +594,7 @@ class LikelihoodEngine:
     def _row_pass(self, bound: _BoundParams, psi1: np.ndarray, sel=None):
         """The semi-Markov rows part by part, as the log-density lays them
         out, keeping those of the selected individuals (all when ``sel`` is
-        None). Yields (event, edge, rows, p, const, g, wt): p is the rows'
+        None). Yields (block, edge, rows, p, const, g, wt): p is the rows'
         psi1 (rows, C, s + 1); const their part of the bound constants of
         :meth:`_BoundParams.stack`; g the link values on a family basis,
         None on a cached one; and wt the derivative of the part's term in
@@ -625,16 +617,7 @@ class LikelihoodEngine:
                 else:
                     wt = p @ const if g is None else g @ alpha[edge] + const
                     np.exp(wt, out=wt)
-                yield block.event, edge, rows, p, const, g, wt
-
-    def _index(self, event: bool, edge: Edge, rows: _Rows, C: int, m: int) -> np.ndarray:
-        """:func:`_row_index` of a part's rows over the whole cohort, cached
-        per (event, edge, C, m)."""
-        key = (event, edge, C, m)
-        index = self._score_index.get(key)
-        if index is None:
-            index = self._score_index[key] = _row_index(rows.idx, self.n, C, m)
-        return index
+                yield block, edge, rows, p, const, g, wt
 
     def _gradient(self, bound: _BoundParams, b: np.ndarray, sel=None) -> np.ndarray:
         """Complete-data scores summed over the chains and the selected
@@ -673,8 +656,8 @@ class LikelihoodEngine:
         if sel is not None:
             pos = np.full(self.n, -1)
             pos[sel] = np.arange(n)
-        for event, edge, rows, p, const, g, wt in self._row_pass(bound, psi1, sel):
-            sign = 1.0 if event else -1.0
+        for block, edge, rows, p, const, g, wt in self._row_pass(bound, psi1, sel):
+            sign = 1.0 if block.event else -1.0
             M = p.transpose(0, 2, 1) @ wt
             total = M[:, -1]
             if g is None:
@@ -690,7 +673,7 @@ class LikelihoodEngine:
             if local is not None:
                 dlog = self.design.hazard(edge).dlog_dparams(rows.u, self.design.hazard_values(edge, params))
                 grad[layout.group_slice("extra", local)] += sign * np.einsum("rk,rke->e", total, dlog)
-            index = self._index(event, edge, rows, C, s) if sel is None else _row_index(pos[rows.idx], n, C, s)
+            index = block.index(C, s, rows.span) if sel is None else _row_index(pos[rows.idx], n, C, s)
             dpsi += sign * _add_rows(index, d, n)
 
         if params.gamma.size:
@@ -723,7 +706,7 @@ class LikelihoodEngine:
             acc[layout.group_slice("r")] = grad.transpose(2, 1, 0)
             acc[P:] += psi_score.transpose(2, 1, 0)
 
-        for event, edge, rows, p, _, g, wt in self._row_pass(bound, psi1):
+        for block, edge, rows, p, _, g, wt in self._row_pass(bound, psi1):
             # per-row scores: alpha, beta, trainable hazard values, psi
             if g is None:
                 a, d = rows.basis.pullback(p[..., :-1], alpha[edge], wt)
@@ -735,8 +718,8 @@ class LikelihoodEngine:
                 cols.append(wt @ self.design.hazard(edge).dlog_dparams(rows.u, hazard_values))
             cols.append(d)
             vals = np.concatenate(cols, axis=-1)
-            sums = _add_rows(self._index(event, edge, rows, C, vals.shape[-1]), vals, self.n)
-            if not event:
+            sums = _add_rows(block.index(C, vals.shape[-1], rows.span), vals, self.n)
+            if not block.event:
                 np.negative(sums, out=sums)
             col = 0
             for target in self._edge_slices(layout, edge, P, s):

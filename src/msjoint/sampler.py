@@ -10,7 +10,7 @@ disjoint parts of one stream of independent variates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,17 +53,12 @@ class ChainState:
     b: np.ndarray
     log_post: np.ndarray
     step_scale: np.ndarray
-    accept_stat: np.ndarray
+    post_warmup_accepts: np.ndarray
     rng: np.random.Generator
     config: SamplerConfig
     sweeps: int = 0
     adapt_steps: int = 0
-    post_warmup_accepts: np.ndarray = field(default=None)
     post_warmup_sweeps: int = 0
-
-    def __post_init__(self):
-        if self.post_warmup_accepts is None:
-            self.post_warmup_accepts = np.zeros(self.b.shape[1])
 
     @property
     def n_chains(self) -> int:
@@ -101,7 +96,7 @@ def init_chains(
         b=b,
         log_post=np.array(log_density(b), dtype=float),
         step_scale=np.full(n_individuals, float(config.init_scale)),
-        accept_stat=np.zeros(n_individuals),
+        post_warmup_accepts=np.zeros(n_individuals),
         rng=master.spawn(1)[0],
         config=config,
     )
@@ -132,7 +127,6 @@ def mh_step(chains: ChainState, log_density: LogDensity) -> np.ndarray:
     accepted = (log_u < lp_prop - chains.log_post) & np.isfinite(lp_prop)
     np.copyto(chains.b, proposal, where=accepted[..., None])
     np.copyto(chains.log_post, lp_prop, where=accepted)
-    chains.accept_stat = _rate(accepted)
     return accepted
 
 

@@ -502,6 +502,54 @@ def test_zero_count_exits_2(config_file, tmp_path, capsys, command, section, key
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, mismatch, message",
+    [
+        ("simulate", "graph", "config.design: design edges"),
+        ("fit", "graph", "config.design: design edges"),
+        ("simulate", "config.params", "config.params: alpha for edge (0, 1) must have length 2"),
+        ("fit", "config.params", "config.params: alpha for edge (0, 1) must have length 2"),
+        ("fim", "params file", "params.json: alpha for edge (0, 1) must have length 2"),
+    ],
+    ids=["simulate_graph", "fit_graph", "simulate_alpha", "fit_alpha", "fim_params_file"],
+)
+def test_model_mismatch_exits_2(config_file, tmp_path, capsys, command, mismatch, message):
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
+    cfg = study_config()
+    short_alpha = {**cfg["params"], "alpha": {**cfg["params"]["alpha"], "0->1": [-0.5]}}
+    if mismatch == "graph":
+        cfg["graph"]["edges"] = [[0, 1], [1, 2]]
+    elif mismatch == "config.params":
+        cfg["params"] = short_alpha
+    write_params(params_from_dict(short_alpha), tmp_path / "params.json")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    inputs = {
+        "simulate": [],
+        "fit": ["--data", str(tmp_path / "data")],
+        "fim": ["--data", str(tmp_path / "data"), "--params", str(tmp_path / "params.json")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), *inputs]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "censoring, message",
+    [(np.nan, "censoring time is NaN"), (np.inf, "infinite censoring with non-absorbing last state")],
+    ids=["nan", "inf"],
+)
+def test_fit_rejects_censoring_without_a_survival_term(config_file, tmp_path, capsys, censoring, message):
+    record = IndividualRecord(
+        covariates=[0.5], measurement_times=[1.0, 12.0], measurements=[[1.0], [2.0]],
+        trajectory=Trajectory(((0.0, 0),)), censoring_time=censoring,
+    )
+    write_cohort(Cohort((record,)), tmp_path / "data")
+    rc = main(["fit", "--config", str(config_file), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert f"individual 0: {message}" in capsys.readouterr().err
+
+
 def test_odd_n_quad_is_a_config_error(tmp_path, capsys):
     cfg = study_config()
     cfg["design"]["n_quad"] = 15

@@ -84,6 +84,22 @@ def test_validate_cohort_unmasked_row_beyond_censoring():
     assert validate_cohort(cohort_ok, g) == []
 
 
+def test_validate_cohort_nan_censoring():
+    g = build_graph(2, [(0, 1)])
+    cohort = Cohort((make_record(censoring=np.nan, times=[12.0], values=[[1.0]]),))
+    assert validate_cohort(cohort, g) == ["individual 0: censoring time is NaN"]
+
+
+def test_validate_cohort_infinite_censoring_needs_absorbing_last_state():
+    g = build_graph(2, [(0, 1)])
+    violations = validate_cohort(Cohort((make_record(censoring=np.inf),)), g)
+    assert violations == ["individual 0: infinite censoring with non-absorbing last state"]
+    assert validate_cohort(Cohort((make_record(pairs=((0.0, 0), (2.0, 1)), censoring=np.inf),)), g) == []
+    # an out-of-range last state is reported as such, and has no successors to look up
+    out_of_range = Cohort((make_record(pairs=((0.0, 0), (2.0, 5)), censoring=np.inf),))
+    assert validate_cohort(out_of_range, g) == ["individual 0: state out of range (5)"]
+
+
 def test_validate_cohort_is_idempotent(study_cohort, study_graph):
     cohort, _ = study_cohort
     assert validate_cohort(cohort, study_graph) == validate_cohort(cohort, study_graph)

@@ -27,7 +27,7 @@ from msjoint.families import (
     ValueLink,
 )
 from msjoint.hazards import ExponentialHazard, PiecewiseConstantHazard, WeibullHazard
-from msjoint.likelihood import _CachedBasis, _StatsMarker, locate_nonfinite
+from msjoint.likelihood import _CachedBasis, _row_index, _StatsMarker, locate_nonfinite
 from msjoint.params import Sharing, flatten, unflatten
 from msjoint.simulate import generate_cohort
 from msjoint.study import RATES
@@ -673,6 +673,26 @@ def test_gradient_sums_individual_scores(model, small_cohort, study_design, stud
         grad = engine.grad_theta(params, b, subset=subset)
         want = scores[:, slice(None) if subset is None else subset].sum(axis=1).mean(axis=0)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model", [None, mixed_model, trainable_model], ids=["study", "mixed_model", "trainable_model"]
+)
+def test_block_index_is_a_view_of_the_row_index(model, small_cohort, study_design, study_graph, study_params):
+    design, params = study_design, study_params
+    cohort, _ = small_cohort
+    if model is not None:
+        design, params = model(study_design, study_params)
+        cohort, _ = generate_cohort(design, params, n=25, m=6, seed=7)
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    layout = params.layout()
+    for block in engine.blocks:
+        for edge, rows in block.parts:
+            columns = sum(s.stop - s.start for s in engine._edge_slices(layout, edge, layout.size, 3))
+            for C, m in ((1, 1), (5, 3), (15, columns)):
+                index = block.index(C, m, rows.span)
+                np.testing.assert_array_equal(index, _row_index(rows.idx, engine.n, C, m))
+                assert np.shares_memory(index, block._index[C, m])
 
 
 def test_linear_gaussian_posterior_mode_matches_conjugate_oracle():
