@@ -36,12 +36,10 @@ class Trajectory:
     def __post_init__(self):
         if len(self.pairs) == 0:
             raise ValueError("a trajectory needs at least the initial (time, state) pair")
-        object.__setattr__(
-            self, "pairs", tuple((float(t), int(s)) for t, s in self.pairs)
-        )
-        times = self.times
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
+        pairs = tuple((float(t), int(s)) for t, s in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if not (pairs[0][0] == pairs[0][0] and all(a[0] < b[0] for a, b in zip(pairs, pairs[1:]))):
+            raise ValueError("trajectory times must be strictly increasing (NaN is not)")
 
     @property
     def times(self) -> np.ndarray:

@@ -17,6 +17,7 @@ from .likelihood import LikelihoodEngine
 from .params import ModelParams
 from .sampler import SamplerConfig, init_chains, run
 from .simulate import extend_paths, step_transitions  # noqa: F401
+from .streams import RowStreams
 
 # bench/tracing.py patches step_transitions, posterior_condition and
 # LikelihoodEngine in this module by name: keep all three importable here.
@@ -230,7 +231,7 @@ def _continuations(
     prefix = record.trajectory.truncated(t).pairs
     paths = [list(prefix) for _ in range(n_draws)]
     running = extend_paths(
-        design, params, x, psi, paths, cap, rng.spawn(n_draws),
+        design, params, x, psi, paths, cap, RowStreams.spawn(rng, n_draws),
         t_surv=min(t, record.censoring_time), max_transitions=max_transitions, stop=stop,
     )
     completed = [tuple(p) for p, r in zip(paths, running) if not r]

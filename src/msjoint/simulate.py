@@ -13,10 +13,12 @@ two callers are :func:`sample_trajectories` (cohort generation) and
 ``predict``, which continues an observed prefix past the truncation time.
 
 Randomness: :func:`sample_trajectories` takes one generator, ``rng``, and
-spawns one stream per row from it. :func:`extend_paths` and
-:func:`step_transitions` take those per-row streams; a row draws its
-thresholds from its own stream only, and the inversion stops each row on its
-own bracket, so its event times do not depend on the batch it is stepped in.
+keys one :class:`~msjoint.streams.RowStreams` from it, a counter-based
+(Philox) stream per row with no generator object per row.
+:func:`extend_paths` and :func:`step_transitions` take those streams; row
+r's k-th threshold depends on the key, r and k alone, and the inversion
+stops each row on its own bracket, so a row's event times do not depend on
+the batch it is stepped in.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .dataset import Cohort, IndividualRecord, Trajectory
 from .design import ModelDesign, cumulative_intensity, transition_log_intensity
 from .params import ModelParams
+from .streams import RowStreams
 
 BISECT_TOL = 1e-9
 MAX_BRACKET_DOUBLINGS = 200
@@ -181,13 +184,15 @@ def step_transitions(
     cur_s: np.ndarray,
     lower: np.ndarray,
     cap: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    streams: RowStreams,
     active: np.ndarray,
     successors: dict[int, tuple[int, ...]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """One competing-risks step for every active row: draw a candidate time
     per successor edge and keep the minimum (ties break toward the lowest
-    successor state). Rows with no event below cap return +inf."""
+    successor state). Each active row draws one threshold per successor
+    edge from its row of ``streams``, in successor order. Rows with no event
+    below cap return +inf."""
     n = cur_t.shape[0]
     t_new = np.full(n, np.inf)
     s_new = np.full(n, -1, dtype=int)
@@ -198,7 +203,7 @@ def step_transitions(
             continue
         cand = np.full((len(succ), rows.size), np.inf)
         for j, s in enumerate(succ):
-            thresholds = np.array([rngs[i].standard_exponential() for i in rows])
+            thresholds = streams.exponential(rows)
             edge, args = (int(state), int(s)), (x[rows], psi[rows], cur_t[rows])
             cand[j] = invert_cumulative_hazard(
                 _edge_cumulative(design, params, edge, *args), lower[rows], cap[rows], thresholds,
@@ -218,16 +223,17 @@ def extend_paths(
     psi: np.ndarray,
     paths: list[list[tuple[float, int]]],
     cap: np.ndarray | float,
-    rngs: Sequence[np.random.Generator],
+    streams: RowStreams,
     t_surv: np.ndarray | float = -np.inf,
     max_transitions: int = 10_000,
     stop: Callable[[tuple], bool] | None = None,
 ) -> np.ndarray:
     """Extend each (time, state) path in place from its last pair, one
-    competing-risks step at a time. A row stops in an absorbing state, at its
-    cap, when no event falls below the cap, or when ``stop(prefix)`` fires;
-    the survival condition T >= ``t_surv`` bounds the first step only.
-    Returns the mask of rows still running after ``max_transitions`` steps."""
+    competing-risks step at a time, path i drawing from row i of
+    ``streams``. A row stops in an absorbing state, at its cap, when no event
+    falls below the cap, or when ``stop(prefix)`` fires; the survival
+    condition T >= ``t_surv`` bounds the first step only. Returns the mask
+    of rows still running after ``max_transitions`` steps."""
     n = len(paths)
     last = [p[-1] for p in paths]
     cur_t = np.array([t for t, _ in last], dtype=float)
@@ -247,7 +253,7 @@ def extend_paths(
         if not active.any():
             break
         t_new, s_new = step_transitions(
-            design, params, x, psi, cur_t, cur_s, lower, cap, rngs, active, successors
+            design, params, x, psi, cur_t, cur_s, lower, cap, streams, active, successors
         )
         moved = np.nonzero(active & np.isfinite(t_new))[0]
         cur_t[moved], cur_s[moved] = t_new[moved], s_new[moved]
@@ -277,10 +283,11 @@ def sample_trajectories(
     ``initial`` is one (time, state) pair for every row, or a list of one
     pair per row; a list of another length raises ValueError.
 
-    ``rng`` is the call's one source of randomness: row i draws only from
-    the i-th stream of ``rng.spawn(n)``. :func:`extend_paths` takes such
-    per-row streams and stops each row's inversion on its own bracket, so a
-    row's trajectory depends on its stream alone, not on the batch.
+    ``rng`` is the call's one source of randomness: it is spawned from
+    once, for the key of ``RowStreams.spawn(rng, n)``, and row i draws only
+    from row i of those streams. :func:`extend_paths` stops each row's
+    inversion on its own bracket, so a row's trajectory depends on the key
+    and its row alone, not on the batch.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -291,7 +298,7 @@ def sample_trajectories(
         raise ValueError(f"{len(initial)} initial pairs for {n} rows of (x, psi)")
     paths = [[(float(t0), int(s0))] for t0, s0 in initial]
     running = extend_paths(
-        design, params, x, psi, paths, sim_config.censoring, rng.spawn(n),
+        design, params, x, psi, paths, sim_config.censoring, RowStreams.spawn(rng, n),
         t_surv=sim_config.t_surv, max_transitions=sim_config.max_transitions,
     )
     if running.any():

@@ -272,6 +272,16 @@ def test_read_cohort_errors_name_file_and_line(tmp_path, name, line, text, messa
         read_cohort(data)
 
 
+NAN_TIME_MESSAGE = "trajectories.csv line 2: individual 0: trajectory times must be strictly increasing (NaN is not)"
+
+
+def test_read_cohort_rejects_a_nan_transition_time(tmp_path):
+    data = _two_biomarker_cohort(tmp_path / "d")
+    _replace_line(data / "trajectories.csv", 3, "0,nan,1")
+    with pytest.raises(ConfigError, match=re.escape(NAN_TIME_MESSAGE)):
+        read_cohort(data)
+
+
 def test_read_cohort_follows_covariates_order_and_file_order(tmp_path):
     data = _two_biomarker_cohort(tmp_path / "d")
     for name in ("covariates.csv", "longitudinal.csv"):
@@ -548,6 +558,18 @@ def test_fit_rejects_censoring_without_a_survival_term(config_file, tmp_path, ca
     rc = main(["fit", "--config", str(config_file), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")])
     assert rc == 2
     assert f"individual 0: {message}" in capsys.readouterr().err
+
+
+def test_fit_rejects_a_nan_transition_time(config_file, tmp_path, capsys):
+    record = IndividualRecord(
+        covariates=[0.5], measurement_times=[1.0], measurements=[[1.0]],
+        trajectory=Trajectory(((0.0, 0), (1.5, 1))), censoring_time=10.0,
+    )
+    write_cohort(Cohort((record,)), tmp_path / "data")
+    _replace_line(tmp_path / "data" / "trajectories.csv", 3, "0,nan,1")
+    rc = main(["fit", "--config", str(config_file), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert NAN_TIME_MESSAGE in capsys.readouterr().err
 
 
 def test_odd_n_quad_is_a_config_error(tmp_path, capsys):

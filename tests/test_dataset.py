@@ -24,6 +24,12 @@ def test_trajectory_requires_increasing_times():
         Trajectory(())
 
 
+@pytest.mark.parametrize("pairs", [((0.0, 0), (np.nan, 1)), ((np.nan, 0),), ((np.nan, 0), (1.0, 1))])
+def test_trajectory_rejects_nan_times(pairs):
+    with pytest.raises(ValueError, match=r"strictly increasing \(NaN is not\)"):
+        Trajectory(pairs)
+
+
 def test_trajectory_times_may_be_negative():
     tr = Trajectory(((-3.0, 0), (-1.0, 1)))
     assert tr.last_time == -1.0

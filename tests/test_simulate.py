@@ -22,6 +22,7 @@ from msjoint.simulate import (
     _edge_cumulative,
     _edge_rate,
 )
+from msjoint.streams import RowStreams
 from msjoint.study import Q_DIAG
 
 KS_CRIT_1PCT = 1.63  # Kolmogorov critical value: D * sqrt(n) at alpha = 0.01
@@ -319,11 +320,11 @@ def test_event_times_do_not_depend_on_the_batch(study_design, study_params):
     x = np.array([rec.covariates for rec in cohort])
     psi, cens = latent["psi"], cohort.censoring_times()
     whole = [[(0.0, 0)] for _ in range(200)]
-    extend_paths(study_design, study_params, x, psi, whole, cens, np.random.default_rng(7).spawn(200))
-    rngs = np.random.default_rng(7).spawn(200)
+    extend_paths(study_design, study_params, x, psi, whole, cens, RowStreams.spawn(np.random.default_rng(7), 200))
+    streams = RowStreams.spawn(np.random.default_rng(7), 200)
     for i in range(200):
         one = [[(0.0, 0)]]
-        extend_paths(study_design, study_params, x[i:i + 1], psi[i:i + 1], one, cens[i], [rngs[i]])
+        extend_paths(study_design, study_params, x[i:i + 1], psi[i:i + 1], one, cens[i], streams[i:i + 1])
         assert one[0] == whole[i], i
 
 
