@@ -10,11 +10,12 @@ pass and reports the SHA-256 of every item:
 - each file written by ``msjoint simulate``, ``fit``, ``fim`` and
   ``predict`` for ``study_config(n=60, m=6)`` of ``tests/test_cli.py``, with
   seeds 11, 5, 6 and 8;
-- on the seed-42 n=1000 study cohort: the records of ``generate_cohort``,
-  ``posterior_logdensity`` at C=5, ``grad_theta`` at C=15 for the whole
-  cohort and for 100 individuals, ``individual_scores`` at C=5, the
-  ``theta_history`` and ``loglik_history`` of a 20-iteration ``fit``, a
-  50-draw ``compute_fim`` and ten ``predict_state_grid`` requests.
+- on the seed-42 n=1000 study cohort: the records of ``generate_cohort``
+  and of ``read_cohort`` after ``write_cohort``, ``posterior_logdensity``
+  at C=5, ``grad_theta`` at C=15 for the whole cohort and for 100
+  individuals, ``individual_scores`` at C=5, the ``theta_history`` and
+  ``loglik_history`` of a 20-iteration ``fit``, a 50-draw ``compute_fim``
+  and ten ``predict_state_grid`` requests.
 
 Every item is listed as equal or different; the script exits 1 on any
 difference, and 0 when every item is equal.
@@ -50,6 +51,7 @@ def hash_items(work: Path) -> dict[str, str]:
     CLI outputs are written under ``work``."""
     from msjoint.cli import main
     from msjoint.inference import FitConfig, compute_fim, fit
+    from msjoint.io import read_cohort, write_cohort
     from msjoint.likelihood import LikelihoodEngine
     from msjoint.predict import predict_state_grid
     from msjoint.sampler import SamplerConfig
@@ -73,15 +75,17 @@ def hash_items(work: Path) -> dict[str, str]:
         for path in sorted(out_dir.iterdir()):
             out[f"cli {command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-    graph, design, truth, init = study_model()
-    cohort, latent = generate_cohort(design, truth, n=1000, m=20, seed=42)
-    out["generate_cohort"] = _digest(
-        latent["b"], latent["psi"],
-        *(a for rec in cohort for a in (
+    def records(cohort):
+        return (a for rec in cohort for a in (
             rec.covariates, rec.measurement_times, rec.measurements,
             np.array(rec.trajectory.pairs, dtype=float), np.float64(rec.censoring_time),
-        )),
-    )
+        ))
+
+    graph, design, truth, init = study_model()
+    cohort, latent = generate_cohort(design, truth, n=1000, m=20, seed=42)
+    out["generate_cohort"] = _digest(latent["b"], latent["psi"], *records(cohort))
+    write_cohort(cohort, work / "cohort")
+    out["read_cohort after write_cohort"] = _digest(*records(read_cohort(work / "cohort")))
     engine = LikelihoodEngine(cohort, design, graph)
     rng = np.random.default_rng(1)
     q = truth.q_repr.dim

@@ -4,11 +4,10 @@ that rejects unknown keys."""
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import inspect
 import json
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -81,39 +80,57 @@ def write_cohort(cohort: Cohort, out_dir: str | Path, latent: dict | None = None
 
 
 class _Table:
-    """The non-blank rows of one cohort CSV file, as columns of cells with
-    their line numbers. A missing file, a missing header and a row whose
-    width differs from the header's are errors naming the file (and line)."""
+    """The non-blank rows of one cohort CSV file as one flat list of cells,
+    row after row, with their line numbers. Lines end in \\n, \\r\\n or \\r,
+    and cells are split at every comma: the format has no quoting. A missing
+    file, a missing header or one narrower than ``least`` cells, a quote and
+    a row whose width differs from the header's are errors naming the file
+    (and line)."""
 
-    def __init__(self, data: Path, name: str):
+    def __init__(self, data: Path, name: str, least: int):
         path = data / name
         if not path.exists():
             raise ConfigError(f"missing data file {path}")
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None:
-                raise ConfigError(f"{name}: missing header row")
-            body = [(ln, row) for ln, row in enumerate(reader, start=2) if row]
-        self.name, self.width = name, len(header)
-        for ln, row in body:
-            if len(row) != self.width:
-                raise self.error(ln, f"{len(row)} cells, the header has {self.width}")
-        self.lines = [ln for ln, _ in body]
-        self.columns = list(zip(*(row for _, row in body))) or [()] * self.width
+        self.name = name
+        text = path.read_text()  # universal newlines: every line ends in \n
+        if '"' in text:
+            raise self.error(text.count("\n", 0, text.index('"')) + 1, "quoted cell (cohort files are unquoted)")
+        header, _, body = text.partition("\n")
+        if not header:
+            raise ConfigError(f"{name}: missing header row")
+        self.width = header.count(",") + 1
+        body = body.rstrip("\n")
+        if body.startswith("\n") or "\n\n" in body:  # blank lines: number the others
+            rows = body.split("\n")
+            self.lines = [ln for ln, row in enumerate(rows, start=2) if row]
+            body = "\n".join(filter(None, rows))
+        else:
+            self.lines = range(2, body.count("\n") + 3 if body else 2)
+        if body:  # cells per row, from the commas before each line end
+            chars = np.frombuffer(f"{body}\n".encode(), np.uint8)
+            commas = np.searchsorted(np.flatnonzero(chars == ord(",")), np.flatnonzero(chars == ord("\n")))
+            cells = np.diff(commas, prepend=0) + 1
+            if np.any(cells != self.width):
+                r = int(np.argmax(cells != self.width))
+                raise self.error(self.lines[r], f"{cells[r]} cells, the header has {self.width}")
+        if self.width < least:
+            raise ConfigError(f"{name}: the header has {self.width} cells, at least {least} are needed")
+        self.cells = body.replace("\n", ",").split(",") if body else []
 
     def error(self, line: int, message) -> ConfigError:
         return ConfigError(f"{self.name} line {line}: {message}")
 
+    def column(self, col: int) -> list[str]:
+        return self.cells[col :: self.width]
+
     def parse(self, col: int, kind=float, keep=None) -> np.ndarray:
         """Column ``col`` converted by ``kind`` (float or int), of the rows
         where ``keep`` holds (all rows by default)."""
-        cells, lines = self.columns[col], self.lines
-        if keep is not None:
-            cells, lines = list(compress(cells, keep)), list(compress(lines, keep))
+        cells = self.column(col) if keep is None else list(compress(self.column(col), keep))
         try:
-            return np.array(list(map(kind, cells)), dtype=kind)
+            return np.array(cells, dtype=kind)
         except ValueError:
+            lines = self.lines if keep is None else compress(self.lines, keep)
             for ln, cell in zip(lines, cells):
                 try:
                     kind(cell)
@@ -128,17 +145,17 @@ class _Table:
             out[:, col - first] = self.parse(col, float, keep)
         return out
 
-    def groups(self, index: dict[int, int]) -> list[np.ndarray]:
-        """Each individual's rows, in the order of ``index`` (id -> position),
-        each in file order; an id that ``index`` lacks is an error."""
+    def groups(self, index: dict[int, int]) -> tuple[np.ndarray, list[int]]:
+        """The rows grouped by individual in the order of ``index`` (id ->
+        position), each group in file order, and the bounds of the groups;
+        an id that ``index`` lacks is an error."""
         ids = self.parse(0, int).tolist()
-        pos = np.array([index.get(i, -1) for i in ids], dtype=int)
+        pos = np.array(list(map(index.get, ids, repeat(-1))), dtype=int)
         if np.any(pos < 0):
             r = int(np.argmax(pos < 0))
             raise self.error(self.lines[r], f"unknown individual id {ids[r]}")
         order = np.argsort(pos, kind="stable")
-        bounds = np.searchsorted(pos[order], np.arange(len(index) + 1)).tolist()
-        return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        return order, np.searchsorted(pos[order], np.arange(len(index) + 1)).tolist()
 
 
 def read_cohort(data_dir: str | Path) -> Cohort:
@@ -146,7 +163,7 @@ def read_cohort(data_dir: str | Path) -> Cohort:
     the rows of ``covariates.csv``; each individual's rows of the other files
     keep their file order."""
     data = Path(data_dir)
-    cov = _Table(data, "covariates.csv")
+    cov = _Table(data, "covariates.csv", 1)
     ids = cov.parse(0, int).tolist()
     index = {i: j for j, i in enumerate(ids)}
     if len(index) < len(ids):
@@ -154,45 +171,48 @@ def read_cohort(data_dir: str | Path) -> Cohort:
         raise cov.error(cov.lines[j], f"duplicate individual id {ids[j]}")
     x = cov.floats(1)
 
-    lon = _Table(data, "longitudinal.csv")
+    lon = _Table(data, "longitudinal.csv", 2)
     d = lon.width - 2
-    measured = lon.groups(index)
-    times = lon.parse(1)
+    order, measured = lon.groups(index)
+    times = lon.parse(1)[order]
     blank = np.zeros(len(lon.lines), dtype=int)  # empty measurement cells per row
-    for col in lon.columns[2:]:
-        blank += np.array([c == "" for c in col], dtype=bool)
+    for col in range(2, lon.width):
+        blank += np.fromiter(map(len, lon.column(col)), dtype=int, count=len(lon.lines)) == 0
     partial = (blank > 0) & (blank < d)
     if partial.any():
         raise lon.error(lon.lines[int(np.argmax(partial))], "partially missing measurement row")
     y = np.full((len(lon.lines), d), np.nan)
     seen = blank == 0
     y[seen] = lon.floats(2, seen)
+    y = y[order]
 
-    traj = _Table(data, "trajectories.csv")
-    moves = traj.groups(index)
-    move_times, states = traj.parse(1), traj.parse(2, int)
+    traj = _Table(data, "trajectories.csv", 3)
+    traj_order, moved = traj.groups(index)
+    move_times, states = traj.parse(1)[traj_order].tolist(), traj.parse(2, int)[traj_order].tolist()
 
-    cens = _Table(data, "censoring.csv")
-    censored = cens.groups(index)
-    ctimes = cens.parse(1)
+    cens = _Table(data, "censoring.csv", 2)
+    order, censored = cens.groups(index)
+    ctimes = cens.parse(1)[order].tolist()
 
     records = []
     for j, i in enumerate(ids):
-        if not moves[j].size or not censored[j].size:
-            missing = "censoring time" if moves[j].size else "trajectory rows"
+        (a, b), (c, e), (m0, m1) = moved[j : j + 2], censored[j : j + 2], measured[j : j + 2]
+        if a == b or c == e:
+            missing = "censoring time" if a < b else "trajectory rows"
             raise ConfigError(f"individual {i} (covariates.csv line {cov.lines[j]}): no {missing}")
         try:
-            trajectory = Trajectory(tuple(zip(move_times[moves[j]].tolist(), states[moves[j]].tolist())))
+            trajectory = Trajectory(tuple(zip(move_times[a:b], states[a:b])))
         except ValueError as exc:
-            raise traj.error(traj.lines[moves[j][0]], f"individual {i}: {exc}") from exc
-        rows = measured[j]
+            t = move_times[a:b]  # the first time that is NaN or not above the one before
+            k = [t[0] != t[0], *(not s < u for s, u in zip(t, t[1:]))].index(True)
+            raise traj.error(traj.lines[traj_order[a + k]], f"individual {i}: {exc}") from exc
         records.append(
             IndividualRecord(
                 covariates=x[j],
-                measurement_times=times[rows],
-                measurements=y[rows],
+                measurement_times=times[m0:m1],
+                measurements=y[m0:m1],
                 trajectory=trajectory,
-                censoring_time=ctimes[censored[j][-1]],
+                censoring_time=ctimes[e - 1],
             )
         )
     return Cohort(tuple(records), n_covariates=cov.width - 1, n_biomarkers=d)

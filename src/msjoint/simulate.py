@@ -191,8 +191,8 @@ def step_transitions(
     """One competing-risks step for every active row: draw a candidate time
     per successor edge and keep the minimum (ties break toward the lowest
     successor state). Each active row draws one threshold per successor
-    edge from its row of ``streams``, in successor order. Rows with no event
-    below cap return +inf."""
+    edge from its row of ``streams``, all in one batch: the j-th successor's
+    at the row's count + j. Rows with no event below cap return +inf."""
     n = cur_t.shape[0]
     t_new = np.full(n, np.inf)
     s_new = np.full(n, -1, dtype=int)
@@ -202,11 +202,11 @@ def step_transitions(
         if not succ or rows.size == 0:
             continue
         cand = np.full((len(succ), rows.size), np.inf)
+        thresholds = streams.exponential(rows, len(succ))
         for j, s in enumerate(succ):
-            thresholds = streams.exponential(rows)
             edge, args = (int(state), int(s)), (x[rows], psi[rows], cur_t[rows])
             cand[j] = invert_cumulative_hazard(
-                _edge_cumulative(design, params, edge, *args), lower[rows], cap[rows], thresholds,
+                _edge_cumulative(design, params, edge, *args), lower[rows], cap[rows], thresholds[j],
                 rate=_edge_rate(design, params, edge, *args),
             )
         best = np.argmin(cand, axis=0)  # first minimum = lowest successor index

@@ -67,9 +67,12 @@ class RowStreams:
     def __getitem__(self, index: slice) -> "RowStreams":
         return RowStreams(self.key, self.rows[index], self.counts[index])
 
-    def exponential(self, rows: np.ndarray) -> np.ndarray:
-        """One Exp(1) draw for each of the distinct local ``rows``, by
-        inversion of u = (x >> 11)·2⁻⁵³; bumps those rows' draw counts."""
-        x = philox_word(self.key, self.counts[rows], self.rows[rows])
-        self.counts[rows] += np.uint64(1)
+    def exponential(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """k Exp(1) draws for each of the distinct local ``rows``, by
+        inversion of u = (x >> 11)·2⁻⁵³, as an array (k, len(rows)) whose
+        line j holds each row's draw at its count + j; bumps those rows'
+        draw counts by k."""
+        ahead = np.arange(k, dtype=np.uint64)[:, None]
+        x = philox_word(self.key, self.counts[rows] + ahead, self.rows[rows])
+        self.counts[rows] += np.uint64(k)
         return -np.log1p(-((x >> np.uint64(11)) * 2.0**-53))

@@ -258,11 +258,12 @@ def _two_biomarker_cohort(out):
         ("longitudinal.csv", 3, "0,2,3,", "longitudinal.csv line 3: partially missing measurement row"),
         ("longitudinal.csv", 4, "999,0.5,5,6", "longitudinal.csv line 4: unknown individual id 999"),
         ("trajectories.csv", 2, "0,0,0,7", "trajectories.csv line 2: 4 cells, the header has 3"),
-        ("trajectories.csv", 3, "0,-1,1", "trajectories.csv line 2: individual 0: trajectory times must be strictly increasing"),
+        ("trajectories.csv", 3, "0,-1,1", "trajectories.csv line 3: individual 0: trajectory times must be strictly increasing"),
         ("censoring.csv", 3, "", "individual 1 (covariates.csv line 3): no censoring time"),
         ("censoring.csv", 3, "1,12,0", "censoring.csv line 3: 3 cells, the header has 2"),
         ("censoring.csv", 3, "7,12", "censoring.csv line 3: unknown individual id 7"),
         ("trajectories.csv", 4, "", "individual 1 (covariates.csv line 3): no trajectory rows"),
+        ("covariates.csv", 3, '"1",0.5', "covariates.csv line 3: quoted cell (cohort files are unquoted)"),
     ],
 )
 def test_read_cohort_errors_name_file_and_line(tmp_path, name, line, text, message):
@@ -272,7 +273,14 @@ def test_read_cohort_errors_name_file_and_line(tmp_path, name, line, text, messa
         read_cohort(data)
 
 
-NAN_TIME_MESSAGE = "trajectories.csv line 2: individual 0: trajectory times must be strictly increasing (NaN is not)"
+def test_read_cohort_rejects_a_header_without_the_needed_columns(tmp_path):
+    write_cohort(Cohort((), n_covariates=1, n_biomarkers=1), tmp_path / "d")
+    (tmp_path / "d" / "censoring.csv").write_text("id\r\n")
+    with pytest.raises(ConfigError, match=re.escape("censoring.csv: the header has 1 cells, at least 2 are needed")):
+        read_cohort(tmp_path / "d")
+
+
+NAN_TIME_MESSAGE ="trajectories.csv line 3: individual 0: trajectory times must be strictly increasing (NaN is not)"
 
 
 def test_read_cohort_rejects_a_nan_transition_time(tmp_path):
@@ -293,6 +301,60 @@ def test_read_cohort_follows_covariates_order_and_file_order(tmp_path):
     np.testing.assert_array_equal(back[1].measurements, [[3.0, 4.0], [1.0, 2.0]])
     assert back[1].trajectory.pairs == ((0.0, 0), (1.5, 1))
     assert back[0].censoring_time == 12.0
+
+
+def _lf_endings(text):
+    return text.replace("\r\n", "\n")
+
+
+def _blank_lines(text):
+    """A blank line after every line, and one more at the end."""
+    return text.replace("\r\n", "\r\n\r\n") + "\r\n"
+
+
+def _relabel_ids(text, ids={0: 7, 1: -3, 2: 40}):
+    """Non-contiguous, negative and unsorted ids in place of 0, 1, 2."""
+    header, *rows = text.split("\r\n")
+    rows = [f"{ids[int(i)]},{rest}" for i, _, rest in (row.partition(",") for row in rows if row)]
+    return "\r\n".join([header, *rows]) + "\r\n"
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [(_lf_endings,), (_blank_lines,), (_relabel_ids,), (_relabel_ids, _blank_lines, _lf_endings)],
+    ids=["lf", "blank-lines", "ids", "all"],
+)
+def test_read_cohort_accepts_line_endings_blank_lines_and_any_ids(tmp_path, edits):
+    records = [
+        IndividualRecord(
+            covariates=[0.5], measurement_times=[1.0, 2.0], measurements=[[1.0, 2.0], [np.nan, np.nan]],
+            trajectory=Trajectory(((0.0, 0), (1.5, 1))), censoring_time=10.0,
+        ),
+        IndividualRecord(  # no measurement rows
+            covariates=[-0.5], measurement_times=[], measurements=np.empty((0, 2)),
+            trajectory=Trajectory(((0.0, 0),)), censoring_time=12.0,
+        ),
+        IndividualRecord(
+            covariates=[2.0], measurement_times=[0.5], measurements=[[5.0, 6.0]],
+            trajectory=Trajectory(((0.0, 0), (3.0, 1), (4.0, 2))), censoring_time=np.inf,
+        ),
+    ]
+    write_cohort(Cohort(tuple(records)), tmp_path / "d")
+    original = read_cohort(tmp_path / "d")
+    for path in (tmp_path / "d").iterdir():
+        text = path.read_bytes().decode()
+        for edit in edits:
+            text = edit(text)
+        path.write_bytes(text.encode())
+    back = read_cohort(tmp_path / "d")
+    assert len(back) == len(original) == 3
+    for a, b in zip(original, back):
+        np.testing.assert_array_equal(a.covariates, b.covariates)
+        np.testing.assert_array_equal(a.measurement_times, b.measurement_times)
+        np.testing.assert_array_equal(a.measurements, b.measurements)
+        assert a.measurements.shape == b.measurements.shape
+        assert a.trajectory.pairs == b.trajectory.pairs
+        assert a.censoring_time == b.censoring_time
 
 
 # -- commands ------------------------------------------------------------------------

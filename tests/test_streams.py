@@ -30,20 +30,20 @@ def test_draws_match_numpy_philox(streams, k, r):
     word = philox_word(streams.key, np.array([k], dtype=np.uint64), np.array([r], dtype=np.uint64))
     assert int(word[0]) == numpy_philox_word(streams.key, k, r)
     for _ in range(k):
-        streams.exponential(np.array([r]))
+        streams.exponential(np.array([r]), 1)
     u = (numpy_philox_word(streams.key, k, r) >> 11) * 2.0**-53
-    assert streams.exponential(np.array([r]))[0] == -np.log1p(-u)
+    assert streams.exponential(np.array([r]), 1)[0, 0] == -np.log1p(-u)
 
 
 def test_exponential_law_across_rows():
-    draws = RowStreams.spawn(np.random.default_rng(3), 100_000).exponential(np.arange(100_000))
+    draws = RowStreams.spawn(np.random.default_rng(3), 100_000).exponential(np.arange(100_000), 1)[0]
     d = stats.kstest(draws, "expon").statistic
     assert d * np.sqrt(draws.size) < KS_CRIT_1PCT
 
 
 def test_exponential_law_across_counters_of_one_row():
     one = RowStreams.spawn(np.random.default_rng(4), 1)
-    draws = np.array([one.exponential(np.array([0]))[0] for _ in range(1000)])
+    draws = np.array([one.exponential(np.array([0]), 1)[0, 0] for _ in range(1000)])
     assert one.counts.tolist() == [1000]
     d = stats.kstest(draws, "expon").statistic
     assert d * np.sqrt(draws.size) < KS_CRIT_1PCT
@@ -53,10 +53,10 @@ def test_a_rows_draw_does_not_depend_on_other_rows_counts():
     a = RowStreams.spawn(np.random.default_rng(5), 10)
     b = RowStreams.spawn(np.random.default_rng(5), 10)
     for _ in range(3):
-        b.exponential(np.array([0, 2, 9]))  # other rows advance in b only
-    a.exponential(np.array([7]))
-    b.exponential(np.array([7]))
-    assert a.exponential(np.array([4, 7]))[1] == b.exponential(np.array([7]))[0]
+        b.exponential(np.array([0, 2, 9]), 1)  # other rows advance in b only
+    a.exponential(np.array([7]), 1)
+    b.exponential(np.array([7]), 1)
+    assert a.exponential(np.array([4, 7]), 1)[0, 1] == b.exponential(np.array([7]), 1)[0, 0]
     assert b.counts.tolist() == [3, 0, 3, 0, 0, 0, 0, 2, 0, 3]
 
 
@@ -66,10 +66,22 @@ def test_a_slice_shares_the_key_and_the_counts():
     part = streams[3:6]
     assert part.key == streams.key
     assert part.rows.tolist() == [3, 4, 5]
-    np.testing.assert_array_equal(part.exponential(np.array([0, 2])), fresh.exponential(np.array([3, 5])))
+    np.testing.assert_array_equal(part.exponential(np.array([0, 2]), 1), fresh.exponential(np.array([3, 5]), 1))
     assert streams.counts.tolist() == fresh.counts.tolist()  # drawing from the slice advances its rows
 
 
 def test_spawns_give_distinct_keys():
     rng = np.random.default_rng(7)
     assert RowStreams.spawn(rng, 1).key != RowStreams.spawn(rng, 1).key
+
+
+def test_a_batch_of_k_equals_k_single_draws():
+    batch = RowStreams.spawn(np.random.default_rng(8), 10)
+    single = RowStreams.spawn(np.random.default_rng(8), 10)
+    rows = np.array([1, 4, 9])
+    batch.exponential(np.array([4]), 1)  # uneven counts before the batch
+    single.exponential(np.array([4]), 1)
+    draws = batch.exponential(rows, 3)
+    assert draws.shape == (3, 3)
+    np.testing.assert_array_equal(draws, [single.exponential(rows, 1)[0] for _ in range(3)])
+    assert batch.counts.tolist() == single.counts.tolist() == [0, 3, 0, 0, 4, 0, 0, 0, 0, 3]
