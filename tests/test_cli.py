@@ -312,8 +312,9 @@ def _blank_lines(text):
     return text.replace("\r\n", "\r\n\r\n") + "\r\n"
 
 
-def _relabel_ids(text, ids={0: 7, 1: -3, 2: 40}):
+def _relabel_ids(text):
     """Non-contiguous, negative and unsorted ids in place of 0, 1, 2."""
+    ids = {0: 7, 1: -3, 2: 40}
     header, *rows = text.split("\r\n")
     rows = [f"{ids[int(i)]},{rest}" for i, _, rest in (row.partition(",") for row in rows if row)]
     return "\r\n".join([header, *rows]) + "\r\n"
