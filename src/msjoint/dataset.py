@@ -22,6 +22,18 @@ def state_occupied_at(pairs, t: float) -> int:
     return state
 
 
+def first_unordered(pairs) -> int | None:
+    """Index of the first (time, state) pair whose time is NaN or not above
+    the one before, or None when the times strictly increase (the rule
+    :class:`Trajectory` keeps)."""
+    if pairs[0][0] != pairs[0][0]:
+        return 0
+    for k in range(1, len(pairs)):
+        if not pairs[k - 1][0] < pairs[k][0]:
+            return k
+    return None
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Observed portion of a multi-state path: ordered (time, state) pairs.
@@ -38,7 +50,7 @@ class Trajectory:
             raise ValueError("a trajectory needs at least the initial (time, state) pair")
         pairs = tuple((float(t), int(s)) for t, s in self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        if not (pairs[0][0] == pairs[0][0] and all(a[0] < b[0] for a, b in zip(pairs, pairs[1:]))):
+        if first_unordered(pairs) is not None:
             raise ValueError("trajectory times must be strictly increasing (NaN is not)")
 
     @property

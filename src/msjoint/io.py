@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Cohort, IndividualRecord, Trajectory
+from .dataset import Cohort, IndividualRecord, Trajectory, first_unordered
 from .design import DEFAULT_QUAD_NODES, ModelDesign
 from .families import EFFECTS_FAMILIES, LINK_FAMILIES, REGRESSION_FAMILIES
 from .graph import Edge, TransitionGraph, build_graph
@@ -99,13 +99,9 @@ class _Table:
         if not header:
             raise ConfigError(f"{name}: missing header row")
         self.width = header.count(",") + 1
-        body = body.rstrip("\n")
-        if body.startswith("\n") or "\n\n" in body:  # blank lines: number the others
-            rows = body.split("\n")
-            self.lines = [ln for ln, row in enumerate(rows, start=2) if row]
-            body = "\n".join(filter(None, rows))
-        else:
-            self.lines = range(2, body.count("\n") + 3 if body else 2)
+        rows = body.split("\n")
+        self.lines = [ln for ln, row in enumerate(rows, start=2) if row]  # blank lines are skipped
+        body = "\n".join(filter(None, rows))
         if body:  # cells per row, from the commas before each line end
             chars = np.frombuffer(f"{body}\n".encode(), np.uint8)
             commas = np.searchsorted(np.flatnonzero(chars == ord(",")), np.flatnonzero(chars == ord("\n")))
@@ -200,11 +196,11 @@ def read_cohort(data_dir: str | Path) -> Cohort:
         if a == b or c == e:
             missing = "censoring time" if a < b else "trajectory rows"
             raise ConfigError(f"individual {i} (covariates.csv line {cov.lines[j]}): no {missing}")
+        pairs = tuple(zip(move_times[a:b], states[a:b]))
         try:
-            trajectory = Trajectory(tuple(zip(move_times[a:b], states[a:b])))
+            trajectory = Trajectory(pairs)
         except ValueError as exc:
-            t = move_times[a:b]  # the first time that is NaN or not above the one before
-            k = [t[0] != t[0], *(not s < u for s, u in zip(t, t[1:]))].index(True)
+            k = first_unordered(pairs)
             raise traj.error(traj.lines[traj_order[a + k]], f"individual {i}: {exc}") from exc
         records.append(
             IndividualRecord(

@@ -280,7 +280,7 @@ def test_read_cohort_rejects_a_header_without_the_needed_columns(tmp_path):
         read_cohort(tmp_path / "d")
 
 
-NAN_TIME_MESSAGE ="trajectories.csv line 3: individual 0: trajectory times must be strictly increasing (NaN is not)"
+NAN_TIME_MESSAGE = "trajectories.csv line 3: individual 0: trajectory times must be strictly increasing (NaN is not)"
 
 
 def test_read_cohort_rejects_a_nan_transition_time(tmp_path):

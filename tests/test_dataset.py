@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msjoint import Cohort, IndividualRecord, Trajectory, build_graph, validate_cohort
+from msjoint.dataset import first_unordered
 
 
 def make_record(pairs=((0.0, 0),), censoring=5.0, times=(), values=None, k=1, d=1):
@@ -28,6 +29,14 @@ def test_trajectory_requires_increasing_times():
 def test_trajectory_rejects_nan_times(pairs):
     with pytest.raises(ValueError, match=r"strictly increasing \(NaN is not\)"):
         Trajectory(pairs)
+
+
+@pytest.mark.parametrize(
+    "times, k",
+    [([0.0], None), ([-3.0, -1.0, 2.0], None), ([np.nan], 0), ([np.nan, 1.0], 0), ([0.0, 1.0, 1.0], 2), ([0.0, np.nan, 2.0], 1)],
+)
+def test_first_unordered_names_the_first_bad_time(times, k):
+    assert first_unordered([(t, 0) for t in times]) == k
 
 
 def test_trajectory_times_may_be_negative():
