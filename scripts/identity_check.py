@@ -15,7 +15,11 @@ pass and reports the SHA-256 of every item:
   at C=5, ``grad_theta`` at C=15 for the whole cohort and for 100
   individuals, ``individual_scores`` at C=5, the ``theta_history`` and
   ``loglik_history`` of a 20-iteration ``fit``, a 50-draw ``compute_fim``
-  and ten ``predict_state_grid`` requests.
+  and ten ``predict_state_grid`` requests;
+- for seeded ``full``, ``diag`` and ``ball`` precision representations at
+  q = 1, 2, 3 and the study's Q and R: ``chol_factor``, ``precision``,
+  ``covariance`` and ``log_det_precision``, plus ``grad_values`` at seeded
+  SPD outer sums and counts for the ``full`` ones.
 
 Every item is listed as equal or different; the script exits 1 on any
 difference, and 0 when every item is equal.
@@ -53,6 +57,7 @@ def hash_items(work: Path) -> dict[str, str]:
     from msjoint.inference import FitConfig, compute_fim, fit
     from msjoint.io import read_cohort, write_cohort
     from msjoint.likelihood import LikelihoodEngine
+    from msjoint.params import PrecisionRepr
     from msjoint.predict import predict_state_grid
     from msjoint.sampler import SamplerConfig
     from msjoint.simulate import generate_cohort
@@ -106,6 +111,20 @@ def hash_items(work: Path) -> dict[str, str]:
         for i in range(10)
     ]
     out["predict_state_grid 10 requests"] = _digest(*(a for probs, modal in requests for a in (probs, modal)))
+
+    rng = np.random.default_rng(7)
+    n_free = {"full": (1, 3, 6), "diag": (1, 2, 3), "ball": (1, 1, 1)}
+    reprs = [truth.q_repr, truth.r_repr] + [
+        PrecisionRepr(method, q, rng.normal(scale=0.7, size=n_free[method][q - 1]))
+        for method in n_free for q in (1, 2, 3) for _ in range(5)
+    ]
+    factors = []
+    for rep in reprs:
+        factors += [rep.chol_factor(), rep.precision(), rep.covariance(), np.float64(rep.log_det_precision())]
+        if rep.method == "full":
+            a = rng.normal(size=(2, 3, rep.dim, rep.dim + 1))
+            factors.append(rep.grad_values(a @ np.swapaxes(a, -1, -2), rng.integers(1, 10, size=(2, 3))))
+    out["precision factor"] = _digest(*factors)
     return out
 
 

@@ -4,10 +4,12 @@ trajectories and censoring."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import TransitionGraph
+if TYPE_CHECKING:
+    from .graph import TransitionGraph
 
 TimeStatePair = tuple[float, int]
 

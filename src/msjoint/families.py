@@ -82,6 +82,10 @@ class GammaXPlusB:
         return jac.reshape(shape + (self.s, self.s * self.k))
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 class TransformStack:
     """psi_a = T_a(gamma_a + b_a) for componentwise transforms T_a.
 
@@ -89,32 +93,25 @@ class TransformStack:
     """
 
     name = "transform_stack"
-    _fwd: dict[str, Callable] = {
-        "identity": lambda z: z,
-        "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-        "exp": np.exp,
+    # name -> (transform, its derivative)
+    _table: dict[str, tuple[Callable, Callable]] = {
+        "identity": (lambda z: z, np.ones_like),
+        "sigmoid": (_sigmoid, lambda z: (s := _sigmoid(z)) * (1.0 - s)),
+        "exp": (np.exp, np.exp),
     }
 
     def __init__(self, transforms):
         self.transforms = tuple(transforms)
         for name in self.transforms:
-            if name not in self._fwd:
+            if name not in self._table:
                 raise ValueError(f"unknown transform {name!r}")
 
     def n_gamma(self, q: int, k: int) -> int:
         return len(self.transforms)
 
-    def _deriv(self, name: str, z):
-        if name == "identity":
-            return np.ones_like(z)
-        if name == "exp":
-            return np.exp(z)
-        s = self._fwd["sigmoid"](z)
-        return s * (1.0 - s)
-
     def psi(self, gamma, x, b):
         z = np.asarray(b) + np.asarray(gamma)
-        cols = [self._fwd[n](z[..., i]) for i, n in enumerate(self.transforms)]
+        cols = [self._table[n][0](z[..., i]) for i, n in enumerate(self.transforms)]
         return np.stack(cols, axis=-1)
 
     def jac_gamma(self, gamma, x, b):
@@ -122,7 +119,7 @@ class TransformStack:
         q = len(self.transforms)
         jac = np.zeros(z.shape[:-1] + (q, q))
         for i, n in enumerate(self.transforms):
-            jac[..., i, i] = self._deriv(n, z[..., i])
+            jac[..., i, i] = self._table[n][1](z[..., i])
         return jac
 
 

@@ -1,11 +1,13 @@
-"""Directed transition graphs and bookkeeping of observed transitions."""
+"""Directed transition graphs and counts of observed transitions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .dataset import first_unordered
 
 Edge = tuple[int, int]
 
@@ -107,28 +109,14 @@ def reaches(graph: TransitionGraph, from_states: set[int], to_states: set[int]) 
     return False
 
 
-class BucketEntry(NamedTuple):
-    individual: int
-    entry_time: float
-    exit_time: float
-
-
-class TerminalRecord(NamedTuple):
-    individual: int
-    last_state: int
-    last_time: float
-    censoring_time: float
-
-
 @dataclass(frozen=True)
 class TransitionBuckets:
-    """Observed transitions grouped by edge, plus censored terminal sojourns."""
+    """Number of observed transitions along each edge of a graph."""
 
-    by_edge: dict[Edge, list[BucketEntry]]
-    terminal: list[TerminalRecord]
+    by_edge: dict[Edge, int]
 
     def counts(self) -> dict[Edge, int]:
-        return {e: len(v) for e, v in self.by_edge.items()}
+        return dict(self.by_edge)
 
 
 def build_buckets(
@@ -136,29 +124,25 @@ def build_buckets(
     trajectories: Sequence[Sequence[tuple[float, int]]],
     censoring_times: Sequence[float],
 ) -> TransitionBuckets:
-    """Group every observed consecutive transition under its edge.
+    """Count every observed consecutive transition under its edge.
 
     Each consecutive pair ((T_l, S_l), (T_{l+1}, S_{l+1})) of trajectory i is
-    recorded under edge (S_l, S_{l+1}); the terminal record captures the
-    censored sojourn in the last observed state.
+    counted under edge (S_l, S_{l+1}). Times must keep the
+    :class:`~msjoint.dataset.Trajectory` rule: strictly increasing, no NaN.
     """
     if len(trajectories) != len(censoring_times):
         raise ValueError("one censoring time per trajectory is required")
-    by_edge: dict[Edge, list[BucketEntry]] = {e: [] for e in graph.sorted_edges()}
-    terminal: list[TerminalRecord] = []
+    by_edge = dict.fromkeys(graph.sorted_edges(), 0)
     for i, traj in enumerate(trajectories):
         if len(traj) == 0:
             raise ValueError(f"trajectory of individual {i} is empty")
-        times = [t for t, _ in traj]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"trajectory of individual {i} has non-increasing times")
-        for (t0, s0), (t1, s1) in zip(traj, traj[1:]):
+        if first_unordered(traj) is not None:
+            raise ValueError(f"trajectory of individual {i} has non-increasing or NaN times")
+        for (_, s0), (_, s1) in zip(traj, traj[1:]):
             edge = (int(s0), int(s1))
             if edge not in by_edge:
                 raise ValueError(
                     f"individual {i}: transition {edge} is not an edge of the graph"
                 )
-            by_edge[edge].append(BucketEntry(i, float(t0), float(t1)))
-        t_last, s_last = traj[-1]
-        terminal.append(TerminalRecord(i, int(s_last), float(t_last), float(censoring_times[i])))
-    return TransitionBuckets(by_edge=by_edge, terminal=terminal)
+            by_edge[edge] += 1
+    return TransitionBuckets(by_edge)

@@ -3,22 +3,23 @@ sharing, and flattening for optimizers.
 
 Covariance matrices are stored through their precision P = L L^T where L is
 lower triangular with diagonal L_ii = exp(Ltilde_ii); only the raw Ltilde
-values are trainable. Three shapes are supported: ``full`` (unconstrained
-lower triangle), ``diag`` (diagonal) and ``ball`` (scalar multiple of the
-identity).
+values are trainable. The shapes ``full``, ``diag`` and ``ball`` (a scalar
+multiple of the identity) differ only in their slot map: ``diag`` and ``ball``
+are the full factor with fewer free values filling its diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
 
 from .graph import Edge
 
-METHODS = ("full", "diag", "ball")
+_N_FREE = {"full": lambda q: q * (q + 1) // 2, "diag": lambda q: q, "ball": lambda q: min(q, 1)}
+METHODS = tuple(_N_FREE)
 
 
 def quad_form(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -28,6 +29,19 @@ def quad_form(L: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(b.shape[:-1])
     u = b.reshape(-1, L.shape[0]) @ L  # one matrix product for any batch
     return np.einsum("ij,ij->i", u, u).reshape(b.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def _slots(method: str, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Slot map of a ``method`` factor of dimension q: the lower-triangle
+    entries (rows, cols) that the values fill, the index of the value each
+    entry holds, and the same as a 0/1 matrix of shape (entries, values)."""
+    rows, cols = np.tril_indices(q) if method == "full" else (np.arange(q),) * 2
+    index = {"full": np.arange(rows.size), "diag": rows, "ball": np.zeros(q, dtype=int)}[method]
+    slots = rows, cols, index, np.eye(_N_FREE[method](q))[index]
+    for a in slots:
+        a.flags.writeable = False  # the cache hands the same arrays to every caller
+    return slots
 
 
 @dataclass(frozen=True)
@@ -56,23 +70,16 @@ class PrecisionRepr:
 
     @property
     def n_free(self) -> int:
-        if self.method == "full":
-            return self.dim * (self.dim + 1) // 2
-        if self.method == "diag":
-            return self.dim
-        return 1 if self.dim > 0 else 0
+        return _N_FREE[self.method](self.dim)
 
     def chol_factor(self) -> np.ndarray:
         """Lower-triangular L with exponentiated diagonal, so P = L L^T."""
         q = self.dim
-        if self.method == "full":
-            L = np.zeros((q, q))
-            L[np.tril_indices(q)] = self.values
-            L[np.diag_indices(q)] = np.exp(np.diag(L))
-            return L
-        if self.method == "diag":
-            return np.diag(np.exp(self.values))
-        return np.exp(self.values[0]) * np.eye(q) if q else np.zeros((0, 0))
+        rows, cols, index, _ = _slots(self.method, q)
+        L = np.zeros((q, q))
+        L[rows, cols] = self.values[index]
+        L[np.diag_indices(q)] = np.exp(np.diag(L))
+        return L
 
     def precision(self) -> np.ndarray:
         L = self.chol_factor()
@@ -80,24 +87,14 @@ class PrecisionRepr:
 
     def covariance(self) -> np.ndarray:
         """Materialized covariance (reporting and simulation only)."""
-        L = self.chol_factor()
-        eye = np.eye(self.dim)
         # P = L L^T  =>  Sigma = L^-T L^-1
-        Linv = np.linalg.solve(L, eye) if self.dim else np.zeros((0, 0))
+        Linv = np.linalg.solve(self.chol_factor(), np.eye(self.dim))
         return Linv.T @ Linv
 
     def log_det_precision(self) -> float:
-        """log det P = 2 * trace(Ltilde), diagonal entries only."""
-        return 2.0 * self._diag_sum()
-
-    def _diag_sum(self) -> float:
-        if self.method == "full":
-            q = self.dim
-            rows, cols = np.tril_indices(q)
-            return float(self.values[rows == cols].sum())
-        if self.method == "diag":
-            return float(self.values.sum())
-        return float(self.dim * self.values[0]) if self.dim else 0.0
+        """log det P = 2 * the sum of the log-scale diagonal entries."""
+        rows, cols, _, fills = _slots(self.method, self.dim)
+        return 2.0 * float((fills[rows == cols].sum(axis=0) * self.values).sum())
 
     def quad_form(self, b: np.ndarray) -> np.ndarray:
         """b^T P b for b of shape (..., dim)."""
@@ -110,25 +107,13 @@ class PrecisionRepr:
         allowed), ``count`` the number of items (scalar or batch-shaped).
         Returns batch + (n_free,) aligned with ``values``.
         """
-        q = self.dim
-        outer_sum = np.asarray(outer_sum, dtype=float)
-        batch = outer_sum.shape[:-2]
-        count = np.asarray(count, dtype=float)
-        if q == 0:
-            return np.zeros(batch + (0,))
-        if self.method == "diag":
-            diag = np.diagonal(outer_sum, axis1=-2, axis2=-1)
-            return count[..., None] - diag * np.exp(2.0 * self.values)
-        if self.method == "ball":
-            tr = np.trace(outer_sum, axis1=-2, axis2=-1)
-            return (count * q - np.exp(2.0 * self.values[0]) * tr)[..., None]
+        rows, cols, _, fills = _slots(self.method, self.dim)
         L = self.chol_factor()
-        g = -outer_sum @ L
-        idx = np.arange(q)
+        g = -np.tensordot(np.asarray(outer_sum, dtype=float), L, axes=1)  # one product for the whole batch
+        idx = np.arange(self.dim)
         g[..., idx, idx] *= np.diag(L)  # chain rule through exp on the diagonal
-        g[..., idx, idx] += count[..., None]
-        rows, cols = np.tril_indices(q)
-        return g[..., rows, cols]
+        g[..., idx, idx] += np.asarray(count, dtype=float)[..., None]
+        return np.tensordot(g[..., rows, cols], fills, axes=1)  # summed over the entries each value fills
 
 
 def repr_from_cov(cov: np.ndarray, method: str) -> PrecisionRepr:

@@ -1,11 +1,12 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msjoint import build_buckets, build_graph, reaches
+from msjoint import Trajectory, build_buckets, build_graph, reaches
 
 
 def four_state_graph():
@@ -96,17 +97,12 @@ def test_build_buckets_direct_bookkeeping():
     trajectories = [((0.0, 0), (2.0, 1)), ((0.0, 0),)]
     buckets = build_buckets(g, trajectories, [5.0, 5.0])
     assert buckets.counts() == {(0, 1): 1, (0, 2): 0, (1, 2): 0}
-    entry = buckets.by_edge[(0, 1)][0]
-    assert (entry.individual, entry.entry_time, entry.exit_time) == (0, 0.0, 2.0)
-    assert len(buckets.terminal) == 2
-    assert buckets.terminal[1] == (1, 0, 0.0, 5.0)
 
 
 def test_build_buckets_empty():
     g = build_graph(2, [(0, 1)])
     buckets = build_buckets(g, [], [])
     assert sum(buckets.counts().values()) == 0
-    assert buckets.terminal == []
 
 
 def test_build_buckets_rejects_non_edges():
@@ -115,19 +111,31 @@ def test_build_buckets_rejects_non_edges():
         build_buckets(g, [((0.0, 1), (1.0, 0))], [2.0])
 
 
+@pytest.mark.parametrize("times", [(0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0, np.nan, 1.0), (np.nan, 1.0, 2.0)])
+def test_build_buckets_keeps_the_trajectory_time_rule(times):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    traj = tuple(zip(times, (0, 1, 2)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(traj)
+    with pytest.raises(ValueError, match=r"individual 1 has non-increasing or NaN times"):
+        build_buckets(g, [((0.0, 0),), traj], [5.0, 5.0])
+
+
+def test_build_buckets_requires_one_censoring_time_per_trajectory():
+    g = build_graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="one censoring time per trajectory"):
+        build_buckets(g, [((0.0, 0),)], [])
+    with pytest.raises(ValueError, match="individual 0 is empty"):
+        build_buckets(g, [()], [1.0])
+
+
 def test_bucket_totals_match_consecutive_pairs(study_cohort, study_graph):
     cohort, _ = study_cohort
     buckets = build_buckets(study_graph, cohort.trajectories(), cohort.censoring_times())
     n_pairs = sum(len(rec.trajectory) - 1 for rec in cohort)
     assert sum(buckets.counts().values()) == n_pairs
-    # every transition appears exactly once across buckets
-    seen = set()
-    for edge, entries in buckets.by_edge.items():
-        for e in entries:
-            key = (e.individual, e.entry_time, e.exit_time)
-            assert key not in seen
-            seen.add(key)
-    assert len(seen) == n_pairs
+    pairs = Counter((s0, s1) for rec in cohort for (_, s0), (_, s1) in itertools.pairwise(rec.trajectory.pairs))
+    assert buckets.counts() == {e: pairs[e] for e in study_graph.sorted_edges()}
 
 
 def test_study_cohort_transition_counts(study_cohort, study_graph):

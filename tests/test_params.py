@@ -106,6 +106,40 @@ def test_log_det_gradient_matches_finite_differences():
         np.testing.assert_allclose(grad, fd, atol=1e-6)
 
 
+@pytest.mark.parametrize("method", ["full", "diag", "ball"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_grad_values_matches_finite_differences_with_data(method, q):
+    # the batch shapes the per-individual scores pass: (2, 3) items, each with
+    # an SPD outer sum S and its own count
+    rng = np.random.default_rng(100 * q + len(method))
+    n_free = {"full": q * (q + 1) // 2, "diag": q, "ball": 1}[method]
+    values = rng.normal(scale=0.5, size=n_free)
+    a = rng.normal(size=(2, 3, q, q + 2))
+    outer = a @ np.swapaxes(a, -1, -2)
+    count = rng.integers(1, 10, size=(2, 3)).astype(float)
+
+    def objective(v):
+        rep = PrecisionRepr(method, q, v)
+        return 0.5 * count * rep.log_det_precision() - 0.5 * np.einsum("ij,...ji->...", rep.precision(), outer)
+
+    rep = PrecisionRepr(method, q, values)
+    grad = rep.grad_values(outer, count)
+    assert grad.shape == (2, 3, n_free)
+    h = 1e-4
+    fd = np.stack([
+        (objective(values + h * e) - objective(values - h * e)) / (2 * h) for e in np.eye(n_free)
+    ], axis=-1)
+    # Along one value the objective is c v - 1/2 sum_k,a,b L_ak S_ab L_bk, where
+    # an entry of L is a value, exp(value) or constant: its third derivative is
+    # at most 4 e^{2h} T with T = sum |L_ak S_ab L_bk|, so the central difference
+    # is off by at most h^2/6 of that, plus rounding of order eps |f| / h.
+    absL = np.abs(rep.chol_factor())
+    T = np.einsum("ak,...ab,bk->...", absL, np.abs(outer), absL)
+    eps = np.finfo(float).eps
+    tol = h**2 / 6 * 4 * np.exp(2 * h) * T + 10 * eps * (np.abs(count * rep.log_det_precision()) + T) / h
+    assert np.all(np.abs(grad - fd) <= 2 * tol[..., None]), np.max(np.abs(grad - fd) / tol[..., None])
+
+
 # -- flattening and sharing ---------------------------------------------------
 
 
