@@ -326,6 +326,11 @@ def check_effects_family(family, rng=None, atol=1e-5, q=3, n_covariates=1) -> No
     gamma = rng.normal(size=n_gamma)
     x = rng.normal(size=(4, n_covariates))
     b = rng.normal(size=(4, q))
+    if getattr(family, "additive", False):
+        # psi(gamma, x, b) and psi(gamma, x, 0) in one call
+        both = np.asarray(family.psi(gamma, np.concatenate([x, x]), np.concatenate([b, np.zeros_like(b)])))
+        if both.shape != (8, q) or not _close(both[:4] - b, both[4:], 1e-10, 1e-10):
+            raise ValueError(f"{family.name}: declared additive, but psi(gamma, x, b) - b is not psi(gamma, x, 0)")
     jac = family.jac_gamma(gamma, x, b)
     if n_gamma == 0:
         if jac.shape[-1] != 0:

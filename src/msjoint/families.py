@@ -17,6 +17,11 @@ A family declares the times where its value or slope may jump or kink as
 hazard integrals split their quadrature there (:func:`msjoint.design.split_nodes`).
 Links built on a regression take the regression's breakpoints.
 
+An effects map of the form psi = b + m(gamma, x) declares ``additive = True``
+(``GammaPlusB``, ``GammaXPlusB`` and ``BOnly`` do); the likelihood engine then
+folds the prior, a linear marker and the event rows into one quadratic per
+individual (:meth:`msjoint.likelihood._BoundParams.fold`).
+
 Custom families are plain objects exposing the same methods; they must pass
 the finite-difference self-check in :mod:`msjoint.design` before use, which
 also verifies a declared linearity.
@@ -44,6 +49,7 @@ class GammaPlusB:
     """psi = gamma + b, the additive random-effects map."""
 
     name = "gamma_plus_b"
+    additive = True
 
     def n_gamma(self, q: int, k: int) -> int:
         return q
@@ -61,6 +67,7 @@ class GammaXPlusB:
     """psi = Gamma x + b with Gamma an (s, k) matrix stored row-major."""
 
     name = "gamma_x_plus_b"
+    additive = True
 
     def __init__(self, n_effects: int, n_covariates: int):
         self.s = int(n_effects)
@@ -127,6 +134,7 @@ class BOnly:
     """psi = b; no population parameters."""
 
     name = "b_only"
+    additive = True
 
     def n_gamma(self, q: int, k: int) -> int:
         return 0

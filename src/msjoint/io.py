@@ -37,46 +37,53 @@ def fmt(x: float) -> str:
 
 
 def write_cohort(cohort: Cohort, out_dir: str | Path, latent: dict | None = None) -> None:
-    """Write the cohort's CSV files, one %-format per row, as ``csv.writer``
-    would with every float through ``fmt`` (no cell needs quoting)."""
+    """Write the cohort's CSV files, one %-format per file over the file's
+    cells as floats (``%d`` prints an integral float as the integer), as
+    ``csv.writer`` would with every float through ``fmt`` (no cell needs
+    quoting). A missing longitudinal row has its blank format in the
+    file's format string and no y cells."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    k, d = cohort.n_covariates, cohort.n_biomarkers
-    recs = list(enumerate(cohort))
+    n, k, d = len(cohort), cohort.n_covariates, cohort.n_biomarkers
 
     def names(prefix, size):
         return "".join(f",{prefix}{j+1}" for j in range(size))
 
+    def uniform(header, row, *columns):
+        cells = np.column_stack(columns)
+        return header, [row] * len(cells), cells.ravel().tolist()
+
+    ids = np.arange(n, dtype=float)
+    counts = [rec.n_measurements for rec in cohort]
+    gone = np.concatenate([np.zeros(0, dtype=bool), *(rec.missing_rows for rec in cohort)])
+    cells = np.column_stack([
+        np.repeat(ids, counts),
+        np.concatenate([np.zeros(0), *(rec.measurement_times for rec in cohort)]),
+        np.concatenate([np.zeros((0, d)), *(rec.measurements for rec in cohort)]),
+    ])
+    kept = np.ones(cells.shape, dtype=bool)
+    kept[gone, 2:] = False
     full, blank = "%d,%.17g" + ",%.17g" * d, "%d,%.17g" + "," * d
-    tables = {
-        "covariates.csv": (
-            "id" + names("x", k),
-            [("%d" + ",%.17g" * k) % (i, *rec.covariates.tolist()) for i, rec in recs],
+    pairs = [(i, t, s) for i, rec in enumerate(cohort) for t, s in rec.trajectory.pairs]
+    tables = {  # per file: the header, each row's format, and the cells in turn
+        "covariates.csv": uniform(
+            "id" + names("x", k), "%d" + ",%.17g" * k, ids, np.array([rec.covariates for rec in cohort]).reshape(n, k)
         ),
         "longitudinal.csv": (
-            "id,time" + names("y", d),
-            [
-                blank % (i, t) if gone else full % (i, t, *y)
-                for i, rec in recs
-                for t, y, gone in zip(rec.measurement_times.tolist(), rec.measurements.tolist(), rec.missing_rows)
-            ],
+            "id,time" + names("y", d), [blank if g else full for g in gone.tolist()], cells[kept].tolist()
         ),
-        "trajectories.csv": (
-            "id,time,state",
-            ["%d,%.17g,%d" % (i, t, s) for i, rec in recs for t, s in rec.trajectory.pairs],
-        ),
-        "censoring.csv": ("id,ctime", ["%d,%.17g" % (i, rec.censoring_time) for i, rec in recs]),
+        "trajectories.csv": uniform("id,time,state", "%d,%.17g,%d", np.array(pairs, dtype=float).reshape(-1, 3)),
+        "censoring.csv": uniform("id,ctime", "%d,%.17g", ids, [rec.censoring_time for rec in cohort]),
     }
     if latent is not None:
         b, psi = np.asarray(latent["b"], dtype=float), np.asarray(latent["psi"], dtype=float)
-        row = "%d" + ",%.17g" * (b.shape[1] + psi.shape[1])
-        tables["latent.csv"] = (
+        tables["latent.csv"] = uniform(
             "id" + names("b", b.shape[1]) + names("psi", psi.shape[1]),
-            [row % (i, *v) for i, v in enumerate(np.hstack([b, psi]).tolist())],
+            "%d" + ",%.17g" * (b.shape[1] + psi.shape[1]), np.arange(len(b), dtype=float), b, psi,
         )
-    for name, (header, lines) in tables.items():
+    for name, (header, formats, values) in tables.items():
         with open(out / name, "w", newline="") as f:
-            f.write("\r\n".join([header, *lines]) + "\r\n")
+            f.write("\r\n".join([header, *formats]) % tuple(values) + "\r\n")
 
 
 class _Table:

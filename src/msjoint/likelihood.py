@@ -13,6 +13,7 @@ reference forms the engine is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -379,6 +380,49 @@ class _BoundParams:
         self.marker = None if engine.marker is None else engine.marker.weigh(r_repr)
         self.blocks = [self.stack(block) for block in engine.blocks]
 
+    @cached_property
+    def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The posterior log-density less the risk rows as one quadratic per
+        individual, for an engine whose ``folds`` holds: (shift, centre1, A).
+        With psi = b + m_i (m_i the effects map at b = 0) and z = (psi -
+        psi_hat_i, 1), psi_hat_i the marker's centre (m_i without a marker,
+        so that z = (b, 1)), the prior, the marker, the event rows and every
+        constant are -1/2 z^T A_i z, A of shape (n, s + 1, s + 1). Centring
+        at psi_hat keeps the marker's cancellation as small as
+        :class:`_StatsMarker` keeps it. ``shift`` is m_i - psi_hat_i, (n, 1,
+        s), so that z = (b + shift, 1), and ``centre1`` is (psi_hat_i, 0), (n,
+        1, s + 1), so that psi1 = z + centre1. Formed on first use, once per
+        bound value."""
+        engine, params = self.engine, self.params
+        n, s = engine.n, params.q_repr.dim
+        m = engine.psi(params, np.zeros((n, s)))
+        if engine.marker is None:
+            centre, A = m, np.zeros((n, s + 1, s + 1))
+        else:
+            # the marker's quadratic is in (1, delta): its first axis goes last
+            order = np.arange(1, s + 2) % (s + 1)
+            centre, A = engine.marker.centre, self.marker[:, order[:, None], order]
+        # the prior -1/2 b^T P b, with b = delta + c and c = psi_hat - m; the
+        # linear and constant parts of z^T A z in delta
+        c = centre - m
+        P = self.L_q @ self.L_q.T
+        lin = c @ P
+        const = np.einsum("ns,ns->n", lin, c) - 2.0 * (self.prior_const + self.longit_const[:, 0])
+        for block, (W, _) in zip(engine.blocks, self.blocks):
+            if block.event:
+                # psi1 . W summed over an individual's event rows, e of shape
+                # (n, s + 1): delta . e[:s] plus psi_hat . e[:s] + e[s]
+                e = _add_rows(block.index(1, s + 1, slice(None)), W[:, None, :, 0], n)[:, 0].T
+                lin -= e[:, :s]
+                const -= 2.0 * (np.einsum("ns,ns->n", centre, e[:, :s]) + e[:, s])
+        A[:, :s, :s] += P
+        A[:, :s, s] += lin
+        A[:, s, :s] += lin
+        A[:, s, s] += const
+        centre1 = np.zeros((n, 1, s + 1))
+        centre1[:, 0, :s] = centre
+        return (m - centre)[:, None], centre1, A
+
     def stack(self, block: _Block) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """The affine rows of the block's cached rows, W of shape (n_cached,
         s + 1, nodes) (None without cached rows): the link weights alpha . J,
@@ -428,6 +472,17 @@ class LikelihoodEngine:
     + x . beta + log|w|, w the row's node weight. Every method takes either
     ``ModelParams``, bound on the fly, or such a bound value, which callers
     that evaluate many ``b`` at one theta (MH sweeps, the FIM) pass instead.
+
+    ``folds`` holds when the effects map declares ``additive`` (psi = b +
+    m_i), the marker is linear in psi or absent, and every event row sits on
+    a cached basis (or there is none). Then everything in the posterior
+    log-density but the risk rows is one quadratic in psi per individual:
+    the prior, the marker statistics, the event rows summed per individual
+    and every constant. A bound value forms it once, on the first
+    :meth:`posterior_logdensity` (:meth:`_BoundParams.fold`), and each call
+    is that quadratic plus the risk block. Any other design, and
+    :meth:`loglik_terms`, :meth:`complete_loglik` and ``locate_nonfinite``
+    always, sum the three terms.
 
     The event rows of all edges form one :class:`_Block` and the risk rows
     another. With psi given a trailing 1, log lambda of a block's cached rows
@@ -494,6 +549,12 @@ class LikelihoodEngine:
             else:
                 self.marker = _ResidualMarker(basis, y_obs, obs_mask)
         self._build_blocks(n_psi, events, risk)
+        # whether posterior_logdensity takes the quadratic of _BoundParams.fold
+        self.folds = (
+            getattr(design.effects, "additive", False)
+            and not isinstance(self.marker, _ResidualMarker)
+            and all(block.n_cached == block.idx.size for block in self.blocks if block.event)
+        )
 
     def _build_blocks(self, n_psi, events, risk) -> None:
         """The event and risk blocks from each edge's (individual, entry, exit) rows."""
@@ -752,9 +813,24 @@ class LikelihoodEngine:
 
     def posterior_logdensity(self, params: ModelParams | _BoundParams, b: np.ndarray) -> np.ndarray:
         """Unnormalized per-individual posterior log-density of b given the
-        data (theta fixed): the sum of the three complete-data terms."""
-        terms = self.loglik_terms(params, b)
-        return terms.total
+        data (theta fixed): the sum of the three complete-data terms. When
+        ``folds`` holds, everything but the risk rows is the per-individual
+        quadratic of :meth:`_BoundParams.fold`, and the risk block is added to
+        it."""
+        bound = self._bound(params)
+        if not self.folds:
+            return self.loglik_terms(bound, b).total
+        b, squeeze = self._as_chains(b, bound.params.q_repr.dim)
+        shift, centre1, A = bound.fold
+        z = np.empty((self.n, b.shape[0], A.shape[-1]))
+        np.add(b.transpose(1, 0, 2), shift, out=z[..., :-1])
+        z[..., -1] = 1.0
+        out = -0.5 * np.einsum("nca,nca->cn", z @ A, z)
+        psi1 = z + centre1
+        for block, (W, consts) in zip(self.blocks, bound.blocks):
+            if not block.event:
+                out += block.log_density(psi1, bound.params.alpha, W, consts).reshape(out.shape)
+        return out[0] if squeeze else out
 
     def complete_loglik(self, params: ModelParams | _BoundParams, b: np.ndarray, subset=None) -> float | np.ndarray:
         """Complete-data log-likelihood summed over the subset (distinct

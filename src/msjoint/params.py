@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +32,32 @@ def quad_form(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", u, u).reshape(b.shape[:-1])
 
 
+class _SlotMap(NamedTuple):
+    """Where the values of a ``method`` factor of dimension q go: the
+    lower-triangle entries (rows, cols) they fill, the q diagonal entries
+    first; the index of the value each entry holds, and the same as a 0/1
+    matrix ``fills`` of shape (entries, values); and ``diag_weights``, the
+    number of diagonal entries each value fills."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    index: np.ndarray
+    fills: np.ndarray
+    diag_weights: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _slots(method: str, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Slot map of a ``method`` factor of dimension q: the lower-triangle
-    entries (rows, cols) that the values fill, the index of the value each
-    entry holds, and the same as a 0/1 matrix of shape (entries, values)."""
-    rows, cols = np.tril_indices(q) if method == "full" else (np.arange(q),) * 2
-    index = {"full": np.arange(rows.size), "diag": rows, "ball": np.zeros(q, dtype=int)}[method]
-    slots = rows, cols, index, np.eye(_N_FREE[method](q))[index]
+def _slots(method: str, q: int) -> _SlotMap:
+    """The slot map of a ``method`` factor of dimension q (cached, read-only)."""
+    diag = np.arange(q)
+    if method == "full":
+        below = np.tril_indices(q, -1)
+        rows, cols = np.concatenate([diag, below[0]]), np.concatenate([diag, below[1]])
+        index = rows * (rows + 1) // 2 + cols  # the lower triangle, row-major
+    else:
+        rows, cols, index = diag, diag, diag if method == "diag" else np.zeros(q, dtype=int)
+    fills = np.eye(_N_FREE[method](q))[index]
+    slots = _SlotMap(rows, cols, index, fills, fills[:q].sum(axis=0))
     for a in slots:
         a.flags.writeable = False  # the cache hands the same arrays to every caller
     return slots
@@ -75,7 +94,7 @@ class PrecisionRepr:
     def chol_factor(self) -> np.ndarray:
         """Lower-triangular L with exponentiated diagonal, so P = L L^T."""
         q = self.dim
-        rows, cols, index, _ = _slots(self.method, q)
+        rows, cols, index = _slots(self.method, q)[:3]
         L = np.zeros((q, q))
         L[rows, cols] = self.values[index]
         L[np.diag_indices(q)] = np.exp(np.diag(L))
@@ -93,8 +112,7 @@ class PrecisionRepr:
 
     def log_det_precision(self) -> float:
         """log det P = 2 * the sum of the log-scale diagonal entries."""
-        rows, cols, _, fills = _slots(self.method, self.dim)
-        return 2.0 * float((fills[rows == cols].sum(axis=0) * self.values).sum())
+        return 2.0 * float((_slots(self.method, self.dim).diag_weights * self.values).sum())
 
     def quad_form(self, b: np.ndarray) -> np.ndarray:
         """b^T P b for b of shape (..., dim)."""
@@ -107,13 +125,14 @@ class PrecisionRepr:
         allowed), ``count`` the number of items (scalar or batch-shaped).
         Returns batch + (n_free,) aligned with ``values``.
         """
-        rows, cols, _, fills = _slots(self.method, self.dim)
+        q = self.dim
+        slots = _slots(self.method, q)
         L = self.chol_factor()
-        g = -np.tensordot(np.asarray(outer_sum, dtype=float), L, axes=1)  # one product for the whole batch
-        idx = np.arange(self.dim)
-        g[..., idx, idx] *= np.diag(L)  # chain rule through exp on the diagonal
-        g[..., idx, idx] += np.asarray(count, dtype=float)[..., None]
-        return np.tensordot(g[..., rows, cols], fills, axes=1)  # summed over the entries each value fills
+        # -(S L) as S (-L), one product for the whole batch, at the filled entries
+        g = np.tensordot(np.asarray(outer_sum, dtype=float), -L, axes=1)[..., slots.rows, slots.cols]
+        g[..., :q] *= np.diag(L)  # chain rule through exp on the diagonal
+        g[..., :q] += np.asarray(count, dtype=float)[..., None]
+        return np.tensordot(g, slots.fills, axes=1)  # summed over the entries each value fills
 
 
 def repr_from_cov(cov: np.ndarray, method: str) -> PrecisionRepr:

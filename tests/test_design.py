@@ -369,6 +369,29 @@ def test_design_rejects_false_linearity_declaration(study_graph):
         build(custom_link(ShiftedTanh(), True))
 
 
+def test_design_rejects_false_additivity_declaration(study_graph):
+    from msjoint.families import CustomEffects
+
+    reg = PiecewiseAffine(6.0)
+    # psi = b + exp(gamma) and psi = exp(gamma) * b, with their gamma-Jacobians
+    shifted = (lambda gamma, x, b: np.asarray(b) + np.exp(gamma),
+               lambda gamma, x, b: np.exp(gamma) * np.ones_like(b)[..., None] * np.eye(3))
+    scaled = (lambda gamma, x, b: np.exp(gamma) * np.asarray(b),
+              lambda gamma, x, b: (np.exp(gamma) * np.asarray(b))[..., None] * np.eye(3))
+
+    def build(family, additive):
+        effects = CustomEffects(*family, n_gamma=3)
+        effects.additive = additive
+        link = ValueLink(reg)
+        return ModelDesign(effects, reg, {e: (ExponentialHazard(0.1), link) for e in study_graph.edges})
+
+    build(shifted, True)
+    build(scaled, False)
+    # correct derivatives, so only the additivity check can reject it
+    with pytest.raises(ValueError, match="declared additive"):
+        build(scaled, True)
+
+
 def test_custom_effects_family_passes_self_check():
     from msjoint.families import CustomEffects
 

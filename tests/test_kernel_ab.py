@@ -1,0 +1,82 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "kernel_ab.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("kernel_ab", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_measure(calls):
+    """The change takes 2 s per call and the parent 3 s, except that the
+    parent is faster in round 3 of kernel "b"."""
+    rounds = {}
+
+    def measure(side, name, number):
+        calls.append((side, name, number))
+        if number == 1:
+            return 0.01
+        r = rounds[name, side] = rounds.get((name, side), -1) + 1
+        if name == "b" and r == 3:
+            return 1.0 if side == "parent" else 4.0
+        return 2.0 + r * 1e-3 if side == "change" else 3.0 + r * 1e-3
+
+    return measure
+
+
+def test_rounds_alternate_the_first_side_and_size_the_batch_once():
+    module = load_script()
+    calls = []
+    module.alternate(fake_measure(calls), ["a", "b"], rounds=3)
+    timed = [(side, name) for side, name, number in calls if number > 1]
+    assert timed == [
+        ("parent", "a"), ("change", "a"), ("parent", "b"), ("change", "b"),
+        ("change", "a"), ("parent", "a"), ("change", "b"), ("parent", "b"),
+        ("parent", "a"), ("change", "a"), ("parent", "b"), ("change", "b"),
+    ]
+    sized = [(side, name) for side, name, number in calls if number == 1]
+    assert sized == [("change", "a"), ("change", "b")]
+    assert {number for _, _, number in calls if number > 1} == {int(module.BATCH_SECONDS / 0.01)}
+
+
+def test_summary_reports_medians_quartiles_and_wins():
+    module = load_script()
+    times = module.alternate(fake_measure([]), ["a", "b"], rounds=4)
+    report = module.summarize(times)
+    a, b = report["a"], report["b"]
+    assert a["parent"]["median_us"] == pytest.approx(3.0015e6)
+    assert a["change"]["median_us"] == pytest.approx(2.0015e6)
+    assert a["change"]["q1_us"] <= a["change"]["median_us"] <= a["change"]["q3_us"]
+    assert (a["change_wins"], a["rounds"]) == (4, 4)
+    assert (b["change_wins"], b["rounds"]) == (3, 4)
+    assert a["ratio"] == pytest.approx(2.0015 / 3.0015)
+
+
+def test_main_writes_the_report(monkeypatch, tmp_path, capsys):
+    module = load_script()
+
+    class FakeWorker:
+        def __init__(self, tree):
+            self.side = "change" if tree == module.ROOT else "parent"
+            self.names = ["a"]
+
+        def measure(self, name, number):
+            return 2.0 if self.side == "change" else 3.0
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(module, "Worker", FakeWorker)
+    out = tmp_path / "ab.json"
+    assert module.main(["--parent", str(tmp_path), "--rounds", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["rounds"] == 2 and set(report["machine"]) == {"cores", "python", "numpy"}
+    assert report["kernels"]["a"]["change_wins"] == 2
+    assert "change wins 2/2" in capsys.readouterr().out

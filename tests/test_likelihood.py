@@ -24,6 +24,7 @@ from msjoint.families import (
     GammaXPlusB,
     Polynomial,
     ShiftedTanh,
+    TransformStack,
     ValueLink,
 )
 from msjoint.hazards import ExponentialHazard, PiecewiseConstantHazard, WeibullHazard
@@ -325,6 +326,52 @@ def test_stacked_terms_match_reference_terms(case, small_cohort, study_design, s
             )
             got = (terms.prior[c, i], terms.longitudinal[c, i], terms.semi_markov[c, i])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def b_only_model(study_design, study_params):
+    """The study design with psi = b: no population parameters."""
+    return replace(study_design, effects=BOnly()), replace(study_params, gamma=np.zeros(0))
+
+
+def transform_model(study_design, study_params):
+    """The study design with psi_2 = exp(gamma_2 + b_2), not additive in b."""
+    design = replace(study_design, effects=TransformStack(("identity", "exp", "identity")))
+    return design, replace(study_params, gamma=np.array([2.5, np.log(1.3), 0.2]))
+
+
+@pytest.mark.parametrize("model", [None, gamma_x_model, b_only_model, trainable_model],
+                         ids=["study", "gamma_x", "b_only", "trainable"])
+@pytest.mark.parametrize("case", ["truncated_event", "truncated_state0", "cohort"])
+def test_folded_logdensity_matches_three_terms(model, case, study_design, study_params, study_graph):
+    design, params = (study_design, study_params) if model is None else model(study_design, study_params)
+    cohort, latent = generate_cohort(design, params, n=25, m=6, seed=7)
+    b0 = latent["b"]
+    if case != "cohort":
+        cohort, b0 = truncated_study_record((cohort, latent), event=case == "truncated_event")
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    assert engine.folds
+    assert [block.event for block in engine.blocks] == ([False] if case == "truncated_state0" else [True, False])
+    bound = engine.bind(params)
+    for C in (1, 5):
+        b = b0 + np.random.default_rng(C).normal(scale=0.3, size=(C,) + b0.shape)
+        np.testing.assert_allclose(
+            engine.posterior_logdensity(bound, b), engine.loglik_terms(bound, b).total, rtol=1e-12, atol=0
+        )
+    np.testing.assert_allclose(
+        engine.posterior_logdensity(bound, b0), engine.loglik_terms(bound, b0).total, rtol=1e-12, atol=0
+    )
+
+
+@pytest.mark.parametrize("model", [mixed_model, transform_model, None], ids=["mixed", "transform", "nonlinear"])
+def test_logdensity_keeps_three_terms_outside_the_fold(model, study_design, study_params, study_graph):
+    """A family-basis event part, a non-additive effects map and a marker
+    that is not linear in psi each keep the three-term sum."""
+    design, params = nonlinear_model() if model is None else model(study_design, study_params)
+    cohort, latent = generate_cohort(design, params, n=25, m=6, seed=7)
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    assert not engine.folds
+    b = latent["b"] + np.random.default_rng(3).normal(scale=0.3, size=(5,) + latent["b"].shape)
+    assert np.array_equal(engine.posterior_logdensity(params, b), engine.loglik_terms(params, b).total)
 
 
 def test_engine_caches_bases_of_linear_families(engine_case, study_graph):
