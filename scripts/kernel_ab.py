@@ -19,11 +19,13 @@ rounds the change wins. Kernels:
   which pays for everything a bound value forms on first use);
 - ``posterior_logdensity`` on a bound value at n=1, C=5 and n=1000, C=5 and
   C=15;
-- ``grad_theta`` at C=15 and ``individual_scores`` at C=5, n=1000;
+- ``grad_theta`` at C=15 over the cohort and over 100 of its individuals,
+  and ``individual_scores`` at C=5, n=1000;
 - Q's ``log_det_precision``;
 - one ``predict_state_grid`` request for the truncated record (200 draws,
   5 chains, warmup 150, thin 5);
-- ``write_cohort`` of the n=1000 cohort.
+- ``generate_cohort``, ``write_cohort`` and ``read_cohort`` of the n=1000
+  cohort.
 
 The report is printed, and written as JSON with the machine (cores, Python
 and numpy versions) to ``--out`` when given.
@@ -50,9 +52,9 @@ BATCH_SECONDS = 0.03
 
 def build_kernels(work: Path) -> dict:
     """Name -> zero-argument callable, for the ``msjoint`` importable here;
-    ``write_cohort`` writes under ``work``."""
+    the cohort files are written and read under ``work``."""
     from msjoint import Cohort, LikelihoodEngine
-    from msjoint.io import write_cohort
+    from msjoint.io import read_cohort, write_cohort
     from msjoint.predict import predict_state_grid
     from msjoint.sampler import SamplerConfig
     from msjoint.simulate import generate_cohort
@@ -75,6 +77,8 @@ def build_kernels(work: Path) -> dict:
     engine.posterior_logdensity(bound, b5)  # a bound value's first call forms what it caches
     one.posterior_logdensity(bound1, b1)
     sampler = SamplerConfig(n_chains=5, warmup=150, thin=5)
+    subset = np.sort(rng.choice(1000, size=100, replace=False))
+    write_cohort(cohort, work)
     return {
         "bind n=1000": lambda: engine.bind(truth),
         "bind n=1": lambda: one.bind(truth),
@@ -83,12 +87,15 @@ def build_kernels(work: Path) -> dict:
         "posterior_logdensity n=1000 C=5": lambda: engine.posterior_logdensity(bound, b5),
         "posterior_logdensity n=1000 C=15": lambda: engine.posterior_logdensity(bound, b15),
         "grad_theta n=1000 C=15": lambda: engine.grad_theta(bound, b15),
+        "grad_theta 100 of n=1000 C=15": lambda: engine.grad_theta(bound, b15, subset=subset),
         "individual_scores n=1000 C=5": lambda: engine.individual_scores(bound, b5),
         "log_det_precision Q": lambda: truth.q_repr.log_det_precision(),
         "predict_state_grid request": lambda: predict_state_grid(
             record, 4.0, [5.0, 8.0, 12.0], design, truth, graph, n_draws=200, rng=0, sampler_config=sampler
         ),
+        "generate_cohort n=1000": lambda: generate_cohort(design, truth, n=1000, m=20, seed=42),
         "write_cohort n=1000": lambda: write_cohort(cohort, work),
+        "read_cohort n=1000": lambda: read_cohort(work),
     }
 
 

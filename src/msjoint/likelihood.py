@@ -305,8 +305,8 @@ class _Block:
     number of numpy calls, whatever the number of edges: one product of the
     cached rows' psi1 with W (a family-basis edge writes alpha . value +
     offset into its own span), for risk rows the exponential and one
-    matrix-vector product with ones over the nodes, and one bincount into the
-    individuals. Risk rows enter with a minus sign, applied to the sums."""
+    matrix-vector product with minus ones over the nodes (risk rows enter
+    with a minus sign), and one bincount into the individuals."""
 
     def __init__(self, event: bool, parts: list[tuple[Edge, _Rows]], n: int):
         parts = sorted(parts, key=lambda part: not isinstance(part[1].basis, _CachedBasis))
@@ -320,6 +320,8 @@ class _Block:
             start = rows.span.stop
         self.n_cached = sum(rows.idx.size for _, rows in parts if isinstance(rows.basis, _CachedBasis))
         self._index: dict[tuple[int, int], np.ndarray] = {}
+        self._cached_idx = self.idx[:self.n_cached]
+        self._minus_ones = -np.ones(self.nodes)  # sums the risk rows' nodes with their sign
 
     def index(self, C: int, m: int, span: slice) -> np.ndarray:
         """:func:`_row_index` of the rows in ``span``, a view of the block's
@@ -336,7 +338,7 @@ class _Block:
         C = psi1.shape[1]
         log_lam = np.empty((self.idx.size, C, self.nodes))
         if self.n_cached:
-            np.matmul(psi1[self.idx[:self.n_cached]], W, out=log_lam[:self.n_cached])
+            np.matmul(psi1.take(self._cached_idx, axis=0), W, out=log_lam[:self.n_cached])
         for (edge, rows), const in zip(self.parts, consts):
             if not isinstance(rows.basis, _CachedBasis):
                 np.add(rows.basis.value(psi1[rows.idx, :, :-1]) @ alpha[edge], const, out=log_lam[rows.span])
@@ -344,8 +346,7 @@ class _Block:
         if self.event:
             return np.bincount(index, weights=log_lam.ravel(), minlength=C * self.n)
         np.exp(log_lam, out=log_lam)
-        hazard = log_lam.reshape(-1, self.nodes) @ np.ones(self.nodes)
-        return -np.bincount(index, weights=hazard, minlength=C * self.n)
+        return np.bincount(index, weights=log_lam.reshape(-1, self.nodes) @ self._minus_ones, minlength=C * self.n)
 
 
 def _row_index(idx: np.ndarray, n: int, C: int, m: int) -> np.ndarray:
@@ -387,7 +388,7 @@ class _BoundParams:
         With psi = b + m_i (m_i the effects map at b = 0) and z = (psi -
         psi_hat_i, 1), psi_hat_i the marker's centre (m_i without a marker,
         so that z = (b, 1)), the prior, the marker, the event rows and every
-        constant are -1/2 z^T A_i z, A of shape (n, s + 1, s + 1). Centring
+        constant are z^T A_i z, A of shape (n, s + 1, s + 1). Centring
         at psi_hat keeps the marker's cancellation as small as
         :class:`_StatsMarker` keeps it. ``shift`` is m_i - psi_hat_i, (n, 1,
         s), so that z = (b + shift, 1), and ``centre1`` is (psi_hat_i, 0), (n,
@@ -396,14 +397,15 @@ class _BoundParams:
         engine, params = self.engine, self.params
         n, s = engine.n, params.q_repr.dim
         m = engine.psi(params, np.zeros((n, s)))
+        # H = -2 A: the precision-like form, the log-density being -1/2 z^T H z
         if engine.marker is None:
-            centre, A = m, np.zeros((n, s + 1, s + 1))
+            centre, H = m, np.zeros((n, s + 1, s + 1))
         else:
             # the marker's quadratic is in (1, delta): its first axis goes last
             order = np.arange(1, s + 2) % (s + 1)
-            centre, A = engine.marker.centre, self.marker[:, order[:, None], order]
-        # the prior -1/2 b^T P b, with b = delta + c and c = psi_hat - m; the
-        # linear and constant parts of z^T A z in delta
+            centre, H = engine.marker.centre, self.marker[:, order[:, None], order]
+        # the prior -1/2 b^T P b, with b = delta + c and c = psi_hat - m,
+        # and the constants: the linear and constant parts of H in delta
         c = centre - m
         P = self.L_q @ self.L_q.T
         lin = c @ P
@@ -415,13 +417,13 @@ class _BoundParams:
                 e = _add_rows(block.index(1, s + 1, slice(None)), W[:, None, :, 0], n)[:, 0].T
                 lin -= e[:, :s]
                 const -= 2.0 * (np.einsum("ns,ns->n", centre, e[:, :s]) + e[:, s])
-        A[:, :s, :s] += P
-        A[:, :s, s] += lin
-        A[:, s, :s] += lin
-        A[:, s, s] += const
+        H[:, :s, :s] += P
+        H[:, :s, s] += lin
+        H[:, s, :s] += lin
+        H[:, s, s] += const
         centre1 = np.zeros((n, 1, s + 1))
         centre1[:, 0, :s] = centre
-        return (m - centre)[:, None], centre1, A
+        return (m - centre)[:, None], centre1, -0.5 * H
 
     def stack(self, block: _Block) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """The affine rows of the block's cached rows, W of shape (n_cached,
@@ -825,7 +827,7 @@ class LikelihoodEngine:
         z = np.empty((self.n, b.shape[0], A.shape[-1]))
         np.add(b.transpose(1, 0, 2), shift, out=z[..., :-1])
         z[..., -1] = 1.0
-        out = -0.5 * np.einsum("nca,nca->cn", z @ A, z)
+        out = np.einsum("nca,nca->cn", z @ A, z)
         psi1 = z + centre1
         for block, (W, consts) in zip(self.blocks, bound.blocks):
             if not block.event:
