@@ -203,30 +203,6 @@ def cumulative_intensity(
     return np.sum(np.exp(log_lam) * ww, axis=-1)
 
 
-def transition_state_probs(
-    design: ModelDesign,
-    params: ModelParams,
-    graph: TransitionGraph,
-    state: int,
-    t,
-    t_entry,
-    x,
-    psi,
-) -> dict[int, float]:
-    """Conditional next-state probabilities at transition time t, normalized
-    over successors by log-sum-exp (sums to 1 exactly)."""
-    succ = graph.successors(state)
-    if not succ:
-        return {}
-    logs = np.array(
-        [transition_log_intensity(design, params, (state, s), t, t_entry, x, psi) for s in succ]
-    )
-    m = logs.max()
-    w = np.exp(logs - m)
-    w /= w.sum()
-    return {s: float(p) for s, p in zip(succ, w)}
-
-
 # --------------------------------------------------------------------------
 # Finite-difference self-check of family derivative callbacks
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .dataset import first_unordered
 
 Edge = tuple[int, int]
@@ -34,13 +32,6 @@ class TransitionGraph:
         """True iff ``state`` has no outgoing edges."""
         self._check_state(state)
         return len(self._succ[state]) == 0
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """0/1 matrix with A[k, k'] = 1 iff (k, k') is an edge."""
-        a = np.zeros((self.num_states, self.num_states), dtype=int)
-        for k, kp in self.edges:
-            a[k, kp] = 1
-        return a
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)

@@ -14,7 +14,7 @@ from .design import ModelDesign
 from .graph import TransitionGraph
 from .likelihood import LikelihoodEngine, locate_nonfinite
 from .params import ModelParams, flatten, unflatten
-from .sampler import SamplerConfig, init_chains, run, sweep, warmup
+from .sampler import SamplerConfig, init_chains, run
 
 MAX_NONFINITE_STREAK = 25
 STDERR_COND_LIMIT = 1e12  # eigenvalues below top / limit count as null space
@@ -42,11 +42,6 @@ class FitConfig:
                 "the power schedule needs 0.5 < kappa <= 1 so that "
                 "sum(eta) diverges while sum(eta^2) converges"
             )
-
-    def step_size(self, t: int) -> float:
-        if self.optimizer == "sgd" and self.schedule_decay is not None:
-            return self.learning_rate / (t + 1) ** self.schedule_decay
-        return self.learning_rate
 
 
 @dataclass
@@ -117,7 +112,9 @@ class _Sgd:
         self.cfg = cfg
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr_mult: float = 1.0) -> np.ndarray:
-        eta = self.cfg.step_size(self.t)
+        eta = self.cfg.learning_rate
+        if self.cfg.schedule_decay is not None:  # power schedule
+            eta = eta / (self.t + 1) ** self.cfg.schedule_decay
         self.t += 1
         return theta + lr_mult * eta * grad
 
@@ -160,7 +157,6 @@ def fit(
     bound = engine.bind(params)
     log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
     chains = init_chains(n, params.q_repr.dim, log_density, sampler_cfg, chain_seed)
-    warmup(chains, log_density)
 
     opt = _Adam(layout.size, cfg) if cfg.optimizer == "adam" else _Sgd(layout.size, cfg)
     draws_per_iter = max(1, int(np.ceil((cfg.n_draws or sampler_cfg.n_chains) / sampler_cfg.n_chains)))
@@ -189,8 +185,12 @@ def fit(
 
         ll_est = float(np.mean(chains.log_post.sum(axis=1)))
         prev_theta = theta
-
-        if not np.all(np.isfinite(grad)):
+        if np.all(np.isfinite(grad)):
+            # after k skipped iterations the next applied step is scaled by 2^-k
+            theta = opt.step(theta, grad, 0.5**nonfinite_streak)
+            params = unflatten(theta, init_params)
+            nonfinite_streak = 0
+        else:
             nonfinite_streak += 1
             culprit = locate_nonfinite(engine.loglik_terms(bound, b_draws))
             warnings.warn(
@@ -198,21 +198,13 @@ def fit(
                 + (f" ({culprit})" if culprit else "")
                 + "; step skipped, effective step halved"
             )
-            if nonfinite_streak >= MAX_NONFINITE_STREAK:
-                stop_reason = f"aborted: {MAX_NONFINITE_STREAK} consecutive non-finite gradients"
-                theta_hist.append(theta.copy())
-                ll_hist.append(ll_est)
-                break
-            theta_hist.append(theta.copy())
-            ll_hist.append(ll_est)
-            continue
-        # after k skipped iterations the next applied step is scaled by 2^-k
-        lr_mult = 0.5**nonfinite_streak
-        nonfinite_streak = 0
-        theta = opt.step(theta, grad, lr_mult)
-        params = unflatten(theta, init_params)
         theta_hist.append(theta.copy())
         ll_hist.append(ll_est)
+        if nonfinite_streak >= MAX_NONFINITE_STREAK:
+            stop_reason = f"aborted: {MAX_NONFINITE_STREAK} consecutive non-finite gradients"
+            break
+        if nonfinite_streak:  # this step was skipped
+            continue
         if callback is not None:
             callback(t, params, ll_est)
         if stop_check(rule, prev_theta, theta, t):
@@ -265,15 +257,13 @@ def compute_fim(
     bound = engine.bind(params)
     log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
     chains = init_chains(len(cohort), params.q_repr.dim, log_density, sampler_cfg, np.random.default_rng(seed))
-    warmup(chains, log_density)
 
     layout = params.layout()
     acc = np.zeros((layout.size, layout.size))
     m = 0
     while m < n_samples:
-        for _ in range(sampler_cfg.thin):
-            sweep(chains, log_density)
-        scores = engine.individual_scores(bound, chains.b)
+        b = run(chains, log_density, sampler_cfg.thin, thin=sampler_cfg.thin)[0]
+        scores = engine.individual_scores(bound, b)
         acc += np.einsum("cnp,cnq->pq", scores, scores)
         m += chains.n_chains
     fim = acc / m

@@ -183,12 +183,7 @@ def posterior_condition(
     seed: int = 0,
 ) -> np.ndarray:
     """Posterior draws of one individual's random effects given its history
-    up to t; errors if t precedes the observed initial time."""
-    if t < record.trajectory.pairs[0][0]:
-        raise ValueError(
-            f"truncation time {t} precedes the observed initial time "
-            f"{record.trajectory.pairs[0][0]}"
-        )
+    up to t; errors if t precedes the initial time."""
     draws = condition_cohort(
         Cohort((record,)), t, design, params, graph, sampler_config, n_draws, seed
     )

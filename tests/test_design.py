@@ -18,7 +18,6 @@ from msjoint.design import (
     check_hazard_family,
     check_link_family,
     check_regression_family,
-    transition_state_probs,
 )
 from msjoint.families import (
     BOnly,
@@ -307,15 +306,6 @@ def test_cumulative_intensity_with_conditioning_lower_bound(study_design, study_
     ref = cumulative_intensity(study_design, study_params, (0, 1), 0.0, 5.0, x, psi) - \
         cumulative_intensity(study_design, study_params, (0, 1), 0.0, 2.0, x, psi)
     assert got == pytest.approx(ref, abs=1e-9)
-
-
-def test_transition_state_probs_normalize(study_design, study_params, study_graph):
-    rng = np.random.default_rng(9)
-    probs = transition_state_probs(
-        study_design, study_params, study_graph, 0, 2.5, 0.0, rng.normal(size=1), rng.normal(size=3)
-    )
-    assert set(probs) == {1, 2}
-    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_design_validates_edge_set(study_design):

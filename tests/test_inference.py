@@ -263,6 +263,69 @@ def test_nonfinite_gradient_is_skipped_and_warned(
     assert "aborted" in report.stop_reason or report.iterations == 30
 
 
+class NanGradEngine(LikelihoodEngine):
+    """An engine whose ``grad_theta`` returns NaN at the chosen calls (1-based)
+    and keeps every finite gradient it returns, by call number."""
+
+    def __init__(self, cohort, design, graph, nan_calls):
+        super().__init__(cohort, design, graph)
+        self.nan_calls = nan_calls
+        self.calls = 0
+        self.grads = {}
+
+    def grad_theta(self, params, b, subset=None):
+        self.calls += 1
+        grad = super().grad_theta(params, b, subset=subset)
+        if self.calls in self.nan_calls:
+            return np.full_like(grad, np.nan)
+        self.grads[self.calls] = grad
+        return grad
+
+
+def test_fit_history_on_skipped_and_aborted_steps(
+    small_cohort, study_design, study_graph, study_init_params
+):
+    cohort, _ = small_cohort
+    lr = 1e-3
+    engine = NanGradEngine(cohort, study_design, study_graph, nan_calls={2, 4, 5})
+    called = []
+    with pytest.warns(UserWarning, match="non-finite gradient"):
+        report = fit(
+            cohort, study_design, study_graph, study_init_params,
+            FitConfig(optimizer="sgd", learning_rate=lr, max_iterations=8),
+            StopRule(rtol=0.0, atol=0.0), SamplerConfig(n_chains=2, warmup=5), seed=4,
+            engine=engine, callback=lambda t, params, ll: called.append(t),
+        )
+    assert report.stop_reason == "max_iterations"
+    assert report.theta_history.shape == (8, 16)
+    assert report.loglik_history.shape == (8,)
+    assert called == [1, 3, 6, 7, 8]  # applied steps only
+    prev, skipped = flatten(study_init_params), 0
+    for t, row in enumerate(report.theta_history, start=1):
+        if t in engine.nan_calls:
+            np.testing.assert_array_equal(row, prev)  # a skipped row repeats theta
+            skipped += 1
+            continue
+        # after k skips the next applied step is scaled by 2^-k
+        np.testing.assert_allclose(row, prev + 0.5**skipped * lr * engine.grads[t], rtol=1e-14, atol=0)
+        prev, skipped = row, 0
+    np.testing.assert_array_equal(report.theta_history[-1], flatten(report.params))
+
+    engine = NanGradEngine(cohort, study_design, study_graph, nan_calls=set(range(2, 100)))
+    with pytest.warns(UserWarning, match="non-finite gradient"):
+        report = fit(
+            cohort, study_design, study_graph, study_init_params,
+            FitConfig(optimizer="sgd", learning_rate=lr, max_iterations=40),
+            StopRule(rtol=0.0, atol=0.0), SamplerConfig(n_chains=2, warmup=5), seed=4,
+            engine=engine,
+        )
+    assert report.stop_reason == "aborted: 25 consecutive non-finite gradients"
+    assert report.iterations == 26
+    assert report.theta_history.shape == (26, 16)  # the abort row is recorded
+    assert report.loglik_history.shape == (26,)
+    np.testing.assert_array_equal(report.theta_history[1:], np.repeat(report.theta_history[:1], 25, axis=0))
+
+
 # -- Fisher information ---------------------------------------------------------
 
 

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from msjoint import ModelDesign, ModelParams, build_buckets, build_graph, repr_from_cov, validate_cohort
-from msjoint.design import transition_state_probs
 from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
@@ -274,13 +273,6 @@ def test_competing_constant_hazards_joint_law():
         sub = times[states == s]
         d = stats.kstest(sub, "expon", args=(0, 1 / (lam_a + lam_b))).statistic
         assert d * np.sqrt(sub.size) < KS_CRIT_1PCT
-
-
-def test_transition_choice_probabilities_normalize(study_design, study_params, study_graph):
-    probs = transition_state_probs(
-        study_design, study_params, study_graph, 0, 1.7, 0.0, np.zeros(1), np.ones(3)
-    )
-    assert sum(probs.values()) == pytest.approx(1.0, abs=0.0)
 
 
 def test_trajectory_legality(study_design, study_params, study_graph):
