@@ -185,8 +185,10 @@ def validate_cohort(cohort: Cohort, graph: TransitionGraph) -> list[str]:
     Checks per individual: trajectory states in range and consecutive pairs on
     graph edges, a censoring time that is not NaN, last transition not after
     censoring, infinite censoring only in an absorbing last state (else the
-    survival term is not finite), measurement rows either fully observed or
-    fully missing, and rows beyond censoring marked missing.
+    survival term is not finite), finite covariates and measurement times,
+    measurement rows either fully observed or fully missing (NaN marks a
+    missing value) with no infinite value, and rows beyond censoring marked
+    missing.
     """
     violations: list[str] = []
     for i, rec in enumerate(cohort):
@@ -210,12 +212,20 @@ def validate_cohort(cohort: Cohort, graph: TransitionGraph) -> list[str]:
         s_last = traj.pairs[-1][1]
         if rec.censoring_time == np.inf and 0 <= s_last < graph.num_states and graph.successors(s_last):
             violations.append(f"individual {i}: infinite censoring with non-absorbing last state")
+        for k in np.flatnonzero(~np.isfinite(rec.covariates)):
+            violations.append(f"individual {i}: covariate {k} is not finite ({rec.covariates[k]})")
+        for j in np.flatnonzero(~np.isfinite(rec.measurement_times)):
+            violations.append(
+                f"individual {i}: measurement row {j} has a non-finite time ({rec.measurement_times[j]})"
+            )
         y = rec.measurements
         if y.shape[1] > 0:
             nan_count = np.isnan(y).sum(axis=1)
             partial = (nan_count > 0) & (nan_count < y.shape[1])
             for j in np.nonzero(partial)[0]:
                 violations.append(f"individual {i}: measurement row {j} is partially missing")
+            for j in np.flatnonzero(np.isinf(y).sum(axis=1)):
+                violations.append(f"individual {i}: measurement row {j} has an infinite value")
             late = (rec.measurement_times > rec.censoring_time) & (nan_count < y.shape[1])
             for j in np.nonzero(late)[0]:
                 violations.append(

@@ -37,6 +37,8 @@ class FitConfig:
             raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.minibatch is not None and self.minibatch < 1:
             raise ValueError("minibatch must be >= 1 (or null for the full cohort)")
+        if self.n_draws is not None and self.n_draws < 1:
+            raise ValueError("n_draws must be >= 1 (or null for one draw per chain)")
         if self.schedule_decay is not None and not 0.5 < self.schedule_decay <= 1.0:
             raise ValueError(
                 "the power schedule needs 0.5 < kappa <= 1 so that "
@@ -159,7 +161,7 @@ def fit(
     chains = init_chains(n, params.q_repr.dim, log_density, sampler_cfg, chain_seed)
 
     opt = _Adam(layout.size, cfg) if cfg.optimizer == "adam" else _Sgd(layout.size, cfg)
-    draws_per_iter = max(1, int(np.ceil((cfg.n_draws or sampler_cfg.n_chains) / sampler_cfg.n_chains)))
+    draws_per_iter = int(np.ceil((cfg.n_draws or sampler_cfg.n_chains) / sampler_cfg.n_chains))
 
     theta_hist: list[np.ndarray] = []
     ll_hist: list[float] = []

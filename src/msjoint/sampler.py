@@ -38,6 +38,10 @@ class SamplerConfig:
             raise ValueError("rm_decay must lie in (1/2, 1] for Robbins-Monro convergence")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if not 0.0 < self.target_accept < 1.0:
+            raise ValueError("target_accept must lie in (0, 1)")
+        if not 0.0 < self.init_scale < np.inf:
+            raise ValueError("init_scale must be positive and finite")
 
 
 @dataclass

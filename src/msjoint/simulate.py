@@ -448,7 +448,9 @@ def generate_cohort(
     b = rng.standard_normal((n, params.q_repr.dim)) @ chol_q.T
     psi = design.effects.psi(params.gamma, x, b)
 
-    delta = min_separation if min_separation is not None else 0.7 * horizon / m
+    delta = min_separation
+    if delta is None:
+        delta = 0.7 * horizon / m if m else 0.0
     t_grid = random_far_apart(rng, n, m, 0.0, horizon, delta)
 
     d = params.r_repr.dim

@@ -398,6 +398,15 @@ def test_predict_empty_cohort_writes_header_only_tables(tmp_path):
         assert list(csv.reader(f)) == [["truncation", "horizon", "accuracy", "n"]]
 
 
+def test_simulate_without_measurements(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(study_config(m=0)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    back = read_cohort(tmp_path / "data")
+    assert len(back) == 30
+    assert all(rec.n_measurements == 0 for rec in back)
+
+
 def test_simulate_byte_reproducible(config_file, tmp_path):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "a"), "--seed", "11"])
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "b"), "--seed", "11"])
@@ -522,8 +531,11 @@ def test_predict_requires_truncations(config_file, tmp_path):
         ("sampler", "n_chains", 0, "config.sampler: n_chains"),
         ("fit", "minibatch", 0, "config.fit: minibatch"),
         ("fit", "minibatch", -3, "config.fit: minibatch"),
+        ("fit", "n_draws", 0, "config.fit: n_draws"),
+        ("sampler", "init_scale", 0.0, "config.sampler: init_scale"),
+        ("sampler", "target_accept", 1.0, "config.sampler: target_accept"),
     ],
-    ids=["rm_decay", "n_chains", "minibatch_zero", "minibatch_negative"],
+    ids=["rm_decay", "n_chains", "minibatch_zero", "minibatch_negative", "n_draws", "init_scale", "target_accept"],
 )
 def test_sampler_config_error_exits_2(config_file, tmp_path, capsys, section, key, value, message):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
@@ -621,6 +633,17 @@ def test_fit_rejects_censoring_without_a_survival_term(config_file, tmp_path, ca
     rc = main(["fit", "--config", str(config_file), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")])
     assert rc == 2
     assert f"individual 0: {message}" in capsys.readouterr().err
+
+
+def test_fit_rejects_an_infinite_measurement(config_file, tmp_path, capsys):
+    record = IndividualRecord(
+        covariates=[0.5], measurement_times=[1.0, 2.0], measurements=[[1.0], [np.inf]],
+        trajectory=Trajectory(((0.0, 0),)), censoring_time=10.0,
+    )
+    write_cohort(Cohort((record,)), tmp_path / "data")
+    rc = main(["fit", "--config", str(config_file), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "individual 0: measurement row 1 has an infinite value" in capsys.readouterr().err
 
 
 def test_fit_rejects_a_nan_transition_time(config_file, tmp_path, capsys):

@@ -115,6 +115,27 @@ def test_validate_cohort_infinite_censoring_needs_absorbing_last_state():
     assert validate_cohort(out_of_range, g) == ["individual 0: state out of range (5)"]
 
 
+@pytest.mark.parametrize(
+    "times, values, covariates, message",
+    [
+        ([np.nan, 2.0], [[1.0], [2.0]], [0.0], "measurement row 0 has a non-finite time (nan)"),
+        ([1.0, -np.inf], [[1.0], [np.nan]], [0.0], "measurement row 1 has a non-finite time (-inf)"),
+        ([1.0, 2.0], [[1.0], [np.inf]], [0.0], "measurement row 1 has an infinite value"),
+        ([1.0, 2.0], [[1.0], [2.0]], [np.nan], "covariate 0 is not finite (nan)"),
+    ],
+    ids=["nan_time", "minus_inf_time", "inf_value", "nan_covariate"],
+)
+def test_validate_cohort_rejects_values_the_likelihood_cannot_use(times, values, covariates, message):
+    g = build_graph(2, [(0, 1)])
+    bad = IndividualRecord(
+        covariates=covariates, measurement_times=times, measurements=values,
+        trajectory=Trajectory(((0.0, 0),)), censoring_time=5.0,
+    )
+    assert validate_cohort(Cohort((make_record(), bad)), g) == [f"individual 1: {message}"]
+    # NaN stays the missing-row marker
+    assert validate_cohort(Cohort((make_record(times=[1.0, 2.0], values=[[1.0], [np.nan]]),)), g) == []
+
+
 def test_validate_cohort_is_idempotent(study_cohort, study_graph):
     cohort, _ = study_cohort
     assert validate_cohort(cohort, study_graph) == validate_cohort(cohort, study_graph)

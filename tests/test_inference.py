@@ -91,6 +91,12 @@ def test_fit_config_validates_schedule():
     FitConfig(optimizer="sgd", schedule_decay=0.75)  # valid
 
 
+@pytest.mark.parametrize("n_draws", [0, -2])
+def test_fit_config_rejects_fewer_than_one_draw(n_draws):
+    with pytest.raises(ValueError, match="n_draws must be >= 1"):
+        FitConfig(n_draws=n_draws)
+
+
 def test_sampler_config_validates_rm_decay():
     with pytest.raises(ValueError, match="Robbins-Monro"):
         SamplerConfig(rm_decay=0.5)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy import stats
 
 from msjoint import Cohort, IndividualRecord, LikelihoodEngine, ModelDesign, ModelParams, Trajectory, build_graph, repr_from_cov
@@ -33,6 +34,24 @@ def batch_means_se(x, n_batches=25):
     usable = (len(x) // n_batches) * n_batches
     means = np.asarray(x[:usable]).reshape(n_batches, -1).mean(axis=1)
     return means.std(ddof=1) / np.sqrt(n_batches)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"init_scale": 0.0}, "init_scale"),
+        ({"init_scale": -1.0}, "init_scale"),
+        ({"init_scale": np.inf}, "init_scale"),
+        ({"target_accept": 0.0}, "target_accept"),
+        ({"target_accept": 1.0}, "target_accept"),
+        ({"target_accept": 1.5}, "target_accept"),
+    ],
+)
+def test_sampler_config_rejects_settings_that_stall_the_chains(kwargs, message):
+    # a zero scale freezes every chain at b = 0; a target outside (0, 1)
+    # drives the Robbins-Monro step the wrong way
+    with pytest.raises(ValueError, match=message):
+        SamplerConfig(**kwargs)
 
 
 def test_zero_scale_proposals_always_accept():

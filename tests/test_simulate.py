@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from msjoint import ModelDesign, ModelParams, build_buckets, build_graph, repr_from_cov, validate_cohort
+from msjoint import (
+    LikelihoodEngine,
+    ModelDesign,
+    ModelParams,
+    build_buckets,
+    build_graph,
+    repr_from_cov,
+    validate_cohort,
+)
 from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
@@ -282,6 +290,17 @@ def test_trajectory_legality(study_design, study_params, study_graph):
         times = rec.trajectory.times
         assert (np.diff(times) > 0).all()
         assert times[-1] <= rec.censoring_time
+
+
+def test_cohort_without_measurements(study_design, study_params, study_graph):
+    # m = 0: no measurement grid, so no default separation to divide out
+    cohort, _ = generate_cohort(study_design, study_params, 20, 0, seed=3)
+    assert validate_cohort(cohort, study_graph) == []
+    assert all(rec.measurements.shape == (0, 1) for rec in cohort)
+    engine = LikelihoodEngine(cohort, study_design, study_graph)
+    assert engine.folds
+    lp = engine.posterior_logdensity(study_params, np.zeros((2, 20, study_params.q_repr.dim)))
+    assert np.all(np.isfinite(lp))
 
 
 def test_max_transitions_guard_fires_on_cycles():
