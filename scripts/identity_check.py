@@ -14,8 +14,10 @@ pass and reports the SHA-256 of every item:
   and of ``read_cohort`` after ``write_cohort``, ``posterior_logdensity``
   at C=5, ``grad_theta`` at C=15 for the whole cohort and for 100
   individuals, ``individual_scores`` at C=5, the ``theta_history`` and
-  ``loglik_history`` of a 20-iteration ``fit``, a 50-draw ``compute_fim``
-  and ten ``predict_state_grid`` requests;
+  ``loglik_history`` of a 20-iteration Adam ``fit``, the ``theta_history``
+  of a 10-iteration SGD ``fit`` with a power schedule on 100-individual
+  minibatches, a 50-draw ``compute_fim`` and ten ``predict_state_grid``
+  requests;
 - for seeded ``full``, ``diag`` and ``ball`` precision representations at
   q = 1, 2, 3 and the study's Q and R: ``chol_factor``, ``precision``,
   ``covariance`` and ``log_det_precision``, plus ``grad_values`` at seeded
@@ -103,6 +105,8 @@ def hash_items(work: Path) -> dict[str, str]:
     out["individual_scores C=5"] = _digest(engine.individual_scores(truth, b5))
     report = fit(cohort, design, graph, init, FitConfig(max_iterations=20, n_draws=10), seed=3, engine=engine)
     out["fit 20 iterations"] = _digest(report.theta_history, report.loglik_history)
+    sgd = FitConfig(optimizer="sgd", learning_rate=1e-5, schedule_decay=0.75, minibatch=100, max_iterations=10, n_draws=10)
+    out["fit sgd 10 iterations minibatch 100"] = _digest(fit(cohort, design, graph, init, sgd, seed=5, engine=engine).theta_history)
     fim = compute_fim(cohort, design, graph, truth, n_samples=50, seed=4, engine=engine)
     out["compute_fim 50 draws"] = _digest(fim.matrix)
     requests = [
