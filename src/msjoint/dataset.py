@@ -212,9 +212,9 @@ def validate_cohort(cohort: Cohort, graph: TransitionGraph) -> list[str]:
         s_last = traj.pairs[-1][1]
         if rec.censoring_time == np.inf and 0 <= s_last < graph.num_states and graph.successors(s_last):
             violations.append(f"individual {i}: infinite censoring with non-absorbing last state")
-        for k in np.flatnonzero(~np.isfinite(rec.covariates)):
+        for k in np.nonzero(~np.isfinite(rec.covariates))[0]:
             violations.append(f"individual {i}: covariate {k} is not finite ({rec.covariates[k]})")
-        for j in np.flatnonzero(~np.isfinite(rec.measurement_times)):
+        for j in np.nonzero(~np.isfinite(rec.measurement_times))[0]:
             violations.append(
                 f"individual {i}: measurement row {j} has a non-finite time ({rec.measurement_times[j]})"
             )
@@ -224,7 +224,7 @@ def validate_cohort(cohort: Cohort, graph: TransitionGraph) -> list[str]:
             partial = (nan_count > 0) & (nan_count < y.shape[1])
             for j in np.nonzero(partial)[0]:
                 violations.append(f"individual {i}: measurement row {j} is partially missing")
-            for j in np.flatnonzero(np.isinf(y).sum(axis=1)):
+            for j in np.nonzero(np.isinf(y).sum(axis=1))[0]:
                 violations.append(f"individual {i}: measurement row {j} has an infinite value")
             late = (rec.measurement_times > rec.censoring_time) & (nan_count < y.shape[1])
             for j in np.nonzero(late)[0]:
