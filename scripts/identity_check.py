@@ -18,6 +18,11 @@ pass and reports the SHA-256 of every item:
   of a 10-iteration SGD ``fit`` with a power schedule on 100-individual
   minibatches, a 50-draw ``compute_fim`` and ten ``predict_state_grid``
   requests;
+- on n=200, m=6, seed-7 cohorts of the study rebuilt with ``ValueLink`` on
+  (0,1) and (0,2) and ``SlopeLink`` on (1,2), and of the study rebuilt from
+  ``CustomRegression`` and ``CustomLink`` wrapping its families' callbacks:
+  one item each for the records of ``generate_cohort`` with
+  ``posterior_logdensity``, ``grad_theta`` and ``individual_scores`` at C=5;
 - for seeded ``full``, ``diag`` and ``ball`` precision representations at
   q = 1, 2, 3 and the study's Q and R: ``chol_factor``, ``precision``,
   ``covariance`` and ``log_det_precision``, plus ``grad_values`` at seeded
@@ -55,7 +60,11 @@ def _digest(*arrays) -> str:
 def hash_items(work: Path) -> dict[str, str]:
     """The hashing pass, run in the tree whose ``msjoint`` is importable;
     CLI outputs are written under ``work``."""
+    from dataclasses import replace
+
     from msjoint.cli import main
+    from msjoint.design import ModelDesign
+    from msjoint.families import CustomLink, CustomRegression, SlopeLink, ValueLink
     from msjoint.inference import FitConfig, compute_fim, fit
     from msjoint.io import read_cohort, write_cohort
     from msjoint.likelihood import LikelihoodEngine
@@ -115,6 +124,25 @@ def hash_items(work: Path) -> dict[str, str]:
         for i in range(10)
     ]
     out["predict_state_grid 10 requests"] = _digest(*(a for probs, modal in requests for a in (probs, modal)))
+
+    reg, link = design.regression, design.link((0, 1))
+    value, slope = ValueLink(reg), SlopeLink(reg)
+    custom_reg = CustomRegression(reg.value, reg.jac_psi, 1, reg.time_derivative, reg.time_derivative_jac_psi, n_psi=3)
+    custom_link = CustomLink(link.value, link.jac_psi, dim=2)
+    variants = {
+        "value and slope links": (reg, {(0, 1): value, (0, 2): value, (1, 2): slope},
+                                  replace(truth, alpha={(0, 1): [-0.5], (0, 2): [-1.0], (1, 2): [-1.2]})),
+        "custom regression and link": (custom_reg, dict.fromkeys(design.edges, custom_link), truth),
+    }
+    for name, (regression, links, params) in variants.items():
+        rebuilt = ModelDesign(design.effects, regression, {e: (design.hazard(e), links[e]) for e in design.edges})
+        small, small_latent = generate_cohort(rebuilt, params, n=200, m=6, seed=7)
+        small_engine = LikelihoodEngine(small, rebuilt, graph)
+        b = small_latent["b"] + 0.3 * np.random.default_rng(2).standard_normal((5, 200, q))
+        out[f"{name}: generate_cohort, C=5 posterior_logdensity, grad_theta, individual_scores"] = _digest(
+            small_latent["b"], small_latent["psi"], *records(small), small_engine.posterior_logdensity(params, b),
+            small_engine.grad_theta(params, b), small_engine.individual_scores(params, b),
+        )
 
     rng = np.random.default_rng(7)
     n_free = {"full": (1, 3, 6), "diag": (1, 2, 3), "ball": (1, 1, 1)}

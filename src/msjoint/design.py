@@ -207,10 +207,17 @@ def cumulative_intensity(
 # Finite-difference self-check of family derivative callbacks
 
 
-def _close(a, b, atol, rtol) -> bool:
-    """np.allclose for the self-check's finite arrays, without its per-call
-    overhead: the check runs at every design construction."""
-    return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(b)))
+def _name(family) -> str:
+    """A family's ``name``, or else its class name."""
+    return getattr(family, "name", type(family).__name__)
+
+
+def _check_fd(family, what: str, value, fd, atol, rtol) -> None:
+    """Raise unless |value - fd| <= atol + rtol |fd| everywhere: np.allclose
+    for the self-check's finite arrays, without its per-call overhead, as
+    the check runs at every design construction."""
+    if not np.all(np.abs(value - fd) <= atol + rtol * np.abs(fd)):
+        raise ValueError(f"{_name(family)}: {what} disagrees with finite differences")
 
 
 def _fd(fun, z, h=1e-6):
@@ -247,7 +254,7 @@ def _check_linearity(family, jac, t, psi, x=None) -> None:
     err = np.abs(value - (jac @ other[..., None])[..., 0]).max(initial=0.0)
     if not err <= 1e-8 * (1.0 + np.abs(value).max(initial=0.0)):
         raise ValueError(
-            f"{family.name}: declared linear in psi, but value is not J(t) psi with J independent of psi"
+            f"{_name(family)}: declared linear in psi, but value is not J(t) psi with J independent of psi"
         )
 
 
@@ -261,23 +268,14 @@ def check_regression_family(family, rng=None, atol=1e-5) -> None:
         psi[..., 1] = 0.8 + np.abs(psi[..., 1])  # keep scale-like components positive
     t, psi, _ = _breakpoint_points(family, rng.uniform(0.1, 7.9, size=(4,)), psi)
     jac = family.jac_psi(t, psi)
-    fd = _fd(lambda z: family.value(t, z), psi)
-    if not _close(jac, fd, atol, atol):
-        raise ValueError(f"{family.name}: jac_psi disagrees with finite differences")
+    _check_fd(family, "jac_psi", jac, _fd(lambda z: family.value(t, z), psi), atol, atol)
     _check_linearity(family, jac, t, psi)
-    try:
-        dt = family.time_derivative(t, psi)
-    except NotImplementedError:
+    if not hasattr(family, "time_derivative"):
         return
     fd_t = (family.value(t + 1e-6, psi) - family.value(t - 1e-6, psi)) / 2e-6
-    if not _close(dt, fd_t, max(atol, 1e-4), 1e-4):
-        raise ValueError(f"{family.name}: time derivative disagrees with finite differences")
-    jac_t = family.time_derivative_jac_psi(t, psi)
+    _check_fd(family, "time derivative", family.time_derivative(t, psi), fd_t, max(atol, 1e-4), 1e-4)
     fd_jt = _fd(lambda z: family.time_derivative(t, z), psi)
-    if not _close(jac_t, fd_jt, atol, atol):
-        raise ValueError(
-            f"{family.name}: time-derivative Jacobian disagrees with finite differences"
-        )
+    _check_fd(family, "time-derivative Jacobian", family.time_derivative_jac_psi(t, psi), fd_jt, atol, atol)
 
 
 def check_link_family(family, rng=None, atol=1e-5, n_covariates=1) -> None:
@@ -290,9 +288,7 @@ def check_link_family(family, rng=None, atol=1e-5, n_covariates=1) -> None:
     t = rng.uniform(0.1, 7.9, size=(4,))
     t, psi, x = _breakpoint_points(family, t, psi, rng.normal(size=(4, n_covariates)))
     jac = family.jac_psi(t, x, psi)
-    fd = _fd(lambda z: family.value(t, x, z), psi)
-    if not _close(jac, fd, atol, atol):
-        raise ValueError(f"{family.name}: link jac_psi disagrees with finite differences")
+    _check_fd(family, "link jac_psi", jac, _fd(lambda z: family.value(t, x, z), psi), atol, atol)
     _check_linearity(family, jac, t, psi, x)
 
 
@@ -305,16 +301,15 @@ def check_effects_family(family, rng=None, atol=1e-5, q=3, n_covariates=1) -> No
     if getattr(family, "additive", False):
         # psi(gamma, x, b) and psi(gamma, x, 0) in one call
         both = np.asarray(family.psi(gamma, np.concatenate([x, x]), np.concatenate([b, np.zeros_like(b)])))
-        if both.shape != (8, q) or not _close(both[:4] - b, both[4:], 1e-10, 1e-10):
-            raise ValueError(f"{family.name}: declared additive, but psi(gamma, x, b) - b is not psi(gamma, x, 0)")
+        ok = both.shape == (8, q) and np.all(np.abs(both[:4] - b - both[4:]) <= 1e-10 + 1e-10 * np.abs(both[4:]))
+        if not ok:
+            raise ValueError(f"{_name(family)}: declared additive, but psi(gamma, x, b) - b is not psi(gamma, x, 0)")
     jac = family.jac_gamma(gamma, x, b)
     if n_gamma == 0:
         if jac.shape[-1] != 0:
-            raise ValueError(f"{family.name}: expected empty gamma Jacobian")
+            raise ValueError(f"{_name(family)}: expected empty gamma Jacobian")
         return
-    fd = _fd(lambda g: family.psi(g, x, b), gamma)
-    if not _close(jac, fd, atol, atol):
-        raise ValueError(f"{family.name}: jac_gamma disagrees with finite differences")
+    _check_fd(family, "jac_gamma", jac, _fd(lambda g: family.psi(g, x, b), gamma), atol, atol)
 
 
 def check_hazard_family(hazard, rng=None, atol=1e-5) -> None:
@@ -322,9 +317,7 @@ def check_hazard_family(hazard, rng=None, atol=1e-5) -> None:
     values = hazard.initial_params()
     u = rng.uniform(0.05, 9.5, size=(6,))
     jac = hazard.dlog_dparams(u, values)
-    fd = _fd(lambda v: hazard.log_hazard(u, v), values)
-    if not _close(jac, fd, atol, atol):
-        raise ValueError(f"{hazard.name}: dlog_dparams disagrees with finite differences")
+    _check_fd(hazard, "dlog_dparams", jac, _fd(lambda v: hazard.log_hazard(u, v), values), atol, atol)
 
 
 def run_self_check(design: ModelDesign) -> None:

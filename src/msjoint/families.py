@@ -22,9 +22,10 @@ An effects map of the form psi = b + m(gamma, x) declares ``additive = True``
 folds the prior, a linear marker and the event rows into one quadratic per
 individual (:meth:`msjoint.likelihood._BoundParams.fold`).
 
-Custom families are plain objects exposing the same methods; they must pass
-the finite-difference self-check in :mod:`msjoint.design` before use, which
-also verifies a declared linearity.
+Custom families are plain objects exposing the same methods (or callables as
+attributes; ``name`` is optional, a regression may lack the time-derivative
+pair); they must pass the finite-difference self-check in
+:mod:`msjoint.design` before use, which also verifies a declared linearity.
 """
 
 from __future__ import annotations
@@ -153,18 +154,12 @@ class CustomEffects:
     name = "custom"
 
     def __init__(self, psi, jac_gamma, n_gamma):
-        self._psi = psi
-        self._jac = jac_gamma
+        self.psi = psi
+        self.jac_gamma = jac_gamma
         self._n_gamma = int(n_gamma)
 
     def n_gamma(self, q: int, k: int) -> int:
         return self._n_gamma
-
-    def psi(self, gamma, x, b):
-        return self._psi(gamma, x, b)
-
-    def jac_gamma(self, gamma, x, b):
-        return self._jac(gamma, x, b)
 
 
 # --------------------------------------------------------------------------
@@ -325,33 +320,19 @@ class ShiftedTanh:
 
 class CustomRegression:
     """Regression family from user callbacks (value, jac_psi, and optionally
-    the time derivative pair for slope links)."""
+    the time derivative pair for slope links: both callbacks or neither)."""
 
     name = "custom"
 
     def __init__(self, value, jac_psi, dim, time_derivative=None, time_derivative_jac_psi=None, n_psi=None):
-        self._value = value
-        self._jac = jac_psi
+        self.value = value
+        self.jac_psi = jac_psi
         self.dim = int(dim)
-        self._dt = time_derivative
-        self._dt_jac = time_derivative_jac_psi
         self.n_psi = n_psi
-
-    def value(self, t, psi):
-        return self._value(t, psi)
-
-    def jac_psi(self, t, psi):
-        return self._jac(t, psi)
-
-    def time_derivative(self, t, psi):
-        if self._dt is None:
-            raise NotImplementedError("this family has no time derivative callback")
-        return self._dt(t, psi)
-
-    def time_derivative_jac_psi(self, t, psi):
-        if self._dt_jac is None:
-            raise NotImplementedError("this family has no time derivative callback")
-        return self._dt_jac(t, psi)
+        if (time_derivative is None) != (time_derivative_jac_psi is None):
+            raise ValueError("give both time-derivative callbacks or neither")
+        if time_derivative is not None:
+            self.time_derivative, self.time_derivative_jac_psi = time_derivative, time_derivative_jac_psi
 
 
 # --------------------------------------------------------------------------
@@ -360,14 +341,16 @@ class CustomRegression:
 
 class _RegressionLink:
     """A link computed from a regression family, linear in psi when it is,
-    with the regression's breakpoints; its dimension is ``width`` times the
-    regression's."""
+    with its breakpoints: the regression methods that ``_parts`` names as
+    (value, Jacobian) pairs, concatenated in order, a single part as it is.
+    They are looked up once, so a regression lacking one is rejected here."""
 
-    width = 1
+    _parts = (("value", "jac_psi"),)  # ValueLink's and CumulativeLink's
 
     def __init__(self, regression):
         self.regression = regression
-        self.dim = self.width * regression.dim
+        self.dim = len(self._parts) * regression.dim
+        self._values, self._jacs = ([getattr(regression, m) for m in names] for names in zip(*self._parts))
 
     @property
     def linear_in_psi(self) -> bool:
@@ -377,47 +360,33 @@ class _RegressionLink:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(getattr(self.regression, "breakpoints", ()))
 
+    def value(self, t, x, psi):
+        out = [f(t, psi) for f in self._values]
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
+
+    def jac_psi(self, t, x, psi):
+        out = [f(t, psi) for f in self._jacs]
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=-2)
+
 
 class ValueLink(_RegressionLink):
     """g = h: direct effect of the current marker level."""
 
     name = "value"
 
-    def value(self, t, x, psi):
-        return self.regression.value(t, psi)
-
-    def jac_psi(self, t, x, psi):
-        return self.regression.jac_psi(t, psi)
-
 
 class SlopeLink(_RegressionLink):
     """g = dh/dt: effect of the marker's rate of change."""
 
     name = "slope"
-
-    def value(self, t, x, psi):
-        return self.regression.time_derivative(t, psi)
-
-    def jac_psi(self, t, x, psi):
-        return self.regression.time_derivative_jac_psi(t, psi)
+    _parts = (("time_derivative", "time_derivative_jac_psi"),)
 
 
 class ValueSlopeLink(_RegressionLink):
     """g = (h, dh/dt) concatenated."""
 
     name = "value_slope"
-    width = 2
-
-    def value(self, t, x, psi):
-        return np.concatenate(
-            [self.regression.value(t, psi), self.regression.time_derivative(t, psi)], axis=-1
-        )
-
-    def jac_psi(self, t, x, psi):
-        return np.concatenate(
-            [self.regression.jac_psi(t, psi), self.regression.time_derivative_jac_psi(t, psi)],
-            axis=-2,
-        )
+    _parts = (("value", "jac_psi"), ("time_derivative", "time_derivative_jac_psi"))
 
 
 class CumulativeLink(_RegressionLink):
@@ -468,15 +437,9 @@ class CustomLink:
     name = "custom"
 
     def __init__(self, value, jac_psi, dim):
-        self._value = value
-        self._jac = jac_psi
+        self.value = value
+        self.jac_psi = jac_psi
         self.dim = int(dim)
-
-    def value(self, t, x, psi):
-        return self._value(t, x, psi)
-
-    def jac_psi(self, t, x, psi):
-        return self._jac(t, x, psi)
 
 
 # Registries: name -> class. A config's family keys are the constructor's

@@ -39,11 +39,21 @@ class FitConfig:
             raise ValueError("minibatch must be >= 1 (or null for the full cohort)")
         if self.n_draws is not None and self.n_draws < 1:
             raise ValueError("n_draws must be >= 1 (or null for one draw per chain)")
+        if self.schedule_decay is not None and self.optimizer != "sgd":
+            raise ValueError("schedule_decay is the sgd power schedule; adam does not read it")
         if self.schedule_decay is not None and not 0.5 < self.schedule_decay <= 1.0:
             raise ValueError(
                 "the power schedule needs 0.5 < kappa <= 1 so that "
                 "sum(eta) diverges while sum(eta^2) converges"
             )
+        _check_betas(adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2)
+
+
+def _check_betas(**betas: float) -> None:
+    """EMA decays must lie in [0, 1): at 1 the bias correction is 0/0."""
+    for key, beta in betas.items():
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{key} must lie in [0, 1), got {beta}")
 
 
 @dataclass
@@ -58,6 +68,11 @@ class StopRule:
     rtol: float = 0.1
     m1: np.ndarray | None = field(default=None, init=False, repr=False)
     m2: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        _check_betas(beta1=self.beta1, beta2=self.beta2)
+        if not (self.atol >= 0.0 and self.rtol >= 0.0):
+            raise ValueError("atol and rtol must be >= 0")
 
     def reset(self) -> None:
         self.m1 = None
@@ -171,10 +186,10 @@ def fit(
 
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
-        bound = None  # at most one bound parameter value alive at a time
-        bound = engine.bind(params)
-        log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
-        chains.refresh(log_density)
+        if bound.params is not params:  # bind each theta once; a skipped step keeps it
+            bound = None  # at most one bound parameter value alive at a time
+            bound = engine.bind(params)
+            chains.refresh(log_density)  # log_density reads the current bound
         b_draws = np.concatenate(run(chains, log_density, draws_per_iter))
 
         subset = None

@@ -199,8 +199,6 @@ def step_transitions(
     for state in np.unique(cur_s[active]):
         succ = successors[int(state)]
         rows = np.nonzero(active & (cur_s == state))[0]
-        if not succ or rows.size == 0:
-            continue
         cand = np.full((len(succ), rows.size), np.inf)
         thresholds = streams.exponential(rows, len(succ))
         for j, s in enumerate(succ):

@@ -534,8 +534,14 @@ def test_predict_requires_truncations(config_file, tmp_path):
         ("fit", "n_draws", 0, "config.fit: n_draws"),
         ("sampler", "init_scale", 0.0, "config.sampler: init_scale"),
         ("sampler", "target_accept", 1.0, "config.sampler: target_accept"),
+        ("fit", "schedule_decay", 0.75, "config.fit: schedule_decay"),
+        ("fit", "stop", {"beta2": 1.0}, "config.fit: beta2"),
+        ("fit", "stop", {"rtol": -0.1}, "config.fit: atol and rtol"),
     ],
-    ids=["rm_decay", "n_chains", "minibatch_zero", "minibatch_negative", "n_draws", "init_scale", "target_accept"],
+    ids=[
+        "rm_decay", "n_chains", "minibatch_zero", "minibatch_negative", "n_draws", "init_scale", "target_accept",
+        "schedule_decay_adam", "stop_beta", "stop_rtol",
+    ],
 )
 def test_sampler_config_error_exits_2(config_file, tmp_path, capsys, section, key, value, message):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])

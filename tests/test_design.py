@@ -337,6 +337,58 @@ def test_self_check_rejects_wrong_derivatives():
         check_regression_family(broken)
 
 
+class PlainLine:
+    """h = psi1 + psi2 t as a plain object: no ``name``, no time derivative."""
+
+    dim = 1
+    n_psi = 2
+
+    def value(self, t, psi):
+        return (psi[..., 0] + psi[..., 1] * np.asarray(t, dtype=float))[..., None]
+
+    def jac_psi(self, t, psi):
+        t = np.broadcast_to(np.asarray(t, dtype=float), np.broadcast_shapes(np.shape(t), psi.shape[:-1]))
+        return np.stack([np.ones(t.shape), t], axis=-1)[..., None, :]
+
+
+def test_self_check_names_a_nameless_family_by_its_class():
+    class WrongJacobian(PlainLine):
+        def jac_psi(self, t, psi):
+            return 2.0 * super().jac_psi(t, psi)
+
+    with pytest.raises(ValueError, match="^WrongJacobian: jac_psi disagrees with finite differences$"):
+        check_regression_family(WrongJacobian())
+
+
+def test_regression_without_time_derivative_serves_value_links(study_graph):
+    from msjoint import LikelihoodEngine
+    from msjoint.simulate import generate_cohort
+
+    reg = PlainLine()
+    link = ValueLink(reg)
+    design = ModelDesign(GammaPlusB(), reg, {e: (ExponentialHazard(0.1), link) for e in study_graph.edges})
+    params = ModelParams(
+        gamma=np.array([1.0, -0.1]), q_repr=repr_from_cov(np.eye(2) * 0.2, "diag"),
+        r_repr=repr_from_cov(np.eye(1), "ball"),
+        alpha={e: np.array([0.3]) for e in study_graph.edges}, beta={e: np.array([-0.5]) for e in study_graph.edges},
+    )
+    cohort, latent = generate_cohort(design, params, n=20, m=4, seed=3)
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    assert np.all(np.isfinite(engine.posterior_logdensity(params, latent["b"][None])))
+    with pytest.raises(AttributeError, match="time_derivative"):
+        SlopeLink(reg)
+
+
+def test_custom_regression_takes_both_time_derivative_callbacks_or_neither():
+    from msjoint.families import CustomRegression
+
+    reg = PlainLine()
+    for half in ({"time_derivative": reg.value}, {"time_derivative_jac_psi": reg.jac_psi}):
+        with pytest.raises(ValueError, match="both time-derivative callbacks or neither"):
+            CustomRegression(reg.value, reg.jac_psi, dim=1, n_psi=2, **half)
+    assert not hasattr(CustomRegression(reg.value, reg.jac_psi, dim=1, n_psi=2), "time_derivative")
+
+
 def test_design_rejects_false_linearity_declaration(study_graph):
     from msjoint.families import CustomLink
 

@@ -89,6 +89,26 @@ def test_fit_config_validates_schedule():
     with pytest.raises(ValueError, match="kappa"):
         FitConfig(optimizer="sgd", schedule_decay=1.2)
     FitConfig(optimizer="sgd", schedule_decay=0.75)  # valid
+    with pytest.raises(ValueError, match="schedule_decay is the sgd power schedule"):
+        FitConfig(optimizer="adam", schedule_decay=0.75)
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2"])
+@pytest.mark.parametrize("beta", [1.0, 1.5, -0.1, float("nan")])
+def test_betas_must_lie_in_the_unit_interval(key, beta):
+    with pytest.raises(ValueError, match=f"{key} must lie in \\[0, 1\\)"):
+        StopRule(**{key: beta})
+    with pytest.raises(ValueError, match=f"adam_{key} must lie in \\[0, 1\\)"):
+        FitConfig(**{f"adam_{key}": beta})
+    StopRule(**{key: 0.0})  # valid
+    FitConfig(**{f"adam_{key}": 0.0})
+
+
+@pytest.mark.parametrize("key", ["atol", "rtol"])
+def test_stop_rule_rejects_negative_tolerances(key):
+    with pytest.raises(ValueError, match="atol and rtol must be >= 0"):
+        StopRule(**{key: -1e-9})
+    StopRule(**{key: 0.0})  # valid
 
 
 @pytest.mark.parametrize("n_draws", [0, -2])
@@ -271,13 +291,19 @@ def test_nonfinite_gradient_is_skipped_and_warned(
 
 class NanGradEngine(LikelihoodEngine):
     """An engine whose ``grad_theta`` returns NaN at the chosen calls (1-based)
-    and keeps every finite gradient it returns, by call number."""
+    and keeps every finite gradient it returns, by call number, and the
+    flattened theta of every ``bind``."""
 
     def __init__(self, cohort, design, graph, nan_calls):
         super().__init__(cohort, design, graph)
         self.nan_calls = nan_calls
         self.calls = 0
         self.grads = {}
+        self.bound = []
+
+    def bind(self, params):
+        self.bound.append(flatten(params))
+        return super().bind(params)
 
     def grad_theta(self, params, b, subset=None):
         self.calls += 1
@@ -316,6 +342,11 @@ def test_fit_history_on_skipped_and_aborted_steps(
         np.testing.assert_allclose(row, prev + 0.5**skipped * lr * engine.grads[t], rtol=1e-14, atol=0)
         prev, skipped = row, 0
     np.testing.assert_array_equal(report.theta_history[-1], flatten(report.params))
+    # each theta is bound once: theta_0, then each applied step's but the last; skipped steps keep theta
+    used = np.vstack([flatten(study_init_params), report.theta_history[:-1]])
+    distinct = used[np.r_[True, np.any(used[1:] != used[:-1], axis=1)]]
+    assert len(engine.bound) == len(distinct) == 5
+    np.testing.assert_array_equal(np.array(engine.bound), distinct)
 
     engine = NanGradEngine(cohort, study_design, study_graph, nan_calls=set(range(2, 100)))
     with pytest.warns(UserWarning, match="non-finite gradient"):
@@ -330,6 +361,32 @@ def test_fit_history_on_skipped_and_aborted_steps(
     assert report.theta_history.shape == (26, 16)  # the abort row is recorded
     assert report.loglik_history.shape == (26,)
     np.testing.assert_array_equal(report.theta_history[1:], np.repeat(report.theta_history[:1], 25, axis=0))
+
+
+class ConstantGradEngine(LikelihoodEngine):
+    """An engine whose ``grad_theta`` is a fixed vector."""
+
+    def __init__(self, cohort, design, graph, grad):
+        super().__init__(cohort, design, graph)
+        self.grad = grad
+
+    def grad_theta(self, params, b, subset=None):
+        return self.grad.copy()
+
+
+def test_sgd_power_schedule_steps(small_cohort, study_design, study_graph, study_init_params):
+    cohort, _ = small_cohort
+    lr, kappa = 1e-3, 0.75
+    grad = np.linspace(-1.0, 1.0, flatten(study_init_params).size)
+    report = fit(
+        cohort, study_design, study_graph, study_init_params,
+        FitConfig(optimizer="sgd", learning_rate=lr, schedule_decay=kappa, max_iterations=6),
+        StopRule(rtol=0.0, atol=0.0), SamplerConfig(n_chains=2, warmup=5), seed=4,
+        engine=ConstantGradEngine(cohort, study_design, study_graph, grad),
+    )
+    steps = np.diff(np.vstack([flatten(study_init_params), report.theta_history]), axis=0)
+    for t, step in enumerate(steps):  # t applied steps before this one
+        np.testing.assert_allclose(step, lr * grad / (t + 1) ** kappa, rtol=0, atol=1e-14)
 
 
 # -- Fisher information ---------------------------------------------------------

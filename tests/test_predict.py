@@ -182,7 +182,8 @@ def test_every_fit_sweep_calls_posterior_logdensity(small_cohort, study_design, 
     )
     draws_per_iter = math.ceil(12 / cfg.n_chains)
     assert report.iterations == 4
-    assert len(calls) == 1 + cfg.warmup + report.iterations * (1 + draws_per_iter)
+    # init_chains evaluates theta_0; each later theta is evaluated once by a refresh
+    assert len(calls) == 1 + cfg.warmup + report.iterations * draws_per_iter + (report.iterations - 1)
 
 
 def test_posterior_condition_rejects_time_before_initial():
@@ -431,6 +432,24 @@ def test_predict_state_grid_matches_functional():
         assert abs(probs[ui, 1] - p) < 3 * np.sqrt(max(p * (1 - p), 1e-9) / 40_000) + 1e-9
     assert probs[0, 0] == 1.0  # u = t: point mass on the current state
     assert modal[0] == 0
+
+
+def test_state_grid_draws_its_own_posterior_sample(study_cohort, study_design, study_params, study_graph):
+    # without b_draws, a request conditions the record on a seed taken from
+    # its rng, then continues on the rest of that rng's stream
+    cohort, _ = study_cohort
+    t, horizons, n_draws = 4.0, [5.0, 8.0], 30
+    rec = next(r for r in cohort if r.censoring_time > t and [s for u, s in r.trajectory.pairs if u <= t][-1] == 1)
+    cfg = SamplerConfig(n_chains=3, warmup=40)
+    r1, r2 = np.random.default_rng(17), np.random.default_rng(17)
+    own = predict_state_grid(rec, t, horizons, study_design, study_params, study_graph, n_draws, rng=r1,
+                             sampler_config=cfg)
+    draws = posterior_condition(rec, t, study_design, study_params, study_graph, cfg, n_draws,
+                                seed=int(r2.integers(2**63)))
+    given = predict_state_grid(rec, t, horizons, study_design, study_params, study_graph, n_draws, rng=r2,
+                               b_draws=draws)
+    for a, b in zip(own, given):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_continuation_from_initial_pair_equals_sample_trajectories(study_design, study_params, study_graph):

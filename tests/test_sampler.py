@@ -127,6 +127,14 @@ def test_run_thinning_counts():
     assert snaps2.shape[0] == 10
 
 
+def test_run_fewer_steps_than_thin_retains_nothing():
+    rep = repr_from_cov(np.eye(2), "diag")
+    log_density = prior_density(rep)
+    chains = init_chains(3, 2, log_density, SamplerConfig(n_chains=4, warmup=5), seed=5)
+    assert run(chains, log_density, n_steps=2, thin=3).shape == (0, 4, 3, 2)
+    assert chains.sweeps == 5 + 2  # the steps still advance the chains
+
+
 def test_thinning_reduces_autocorrelation():
     rep = repr_from_cov(np.eye(1), "diag")
     cfg = SamplerConfig(n_chains=1, warmup=300)
