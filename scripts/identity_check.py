@@ -19,9 +19,11 @@ pass and reports the SHA-256 of every item:
   minibatches, a 50-draw ``compute_fim`` and ten ``predict_state_grid``
   requests;
 - on n=200, m=6, seed-7 cohorts of the study rebuilt with ``ValueLink`` on
-  (0,1) and (0,2) and ``SlopeLink`` on (1,2), and of the study rebuilt from
-  ``CustomRegression`` and ``CustomLink`` wrapping its families' callbacks:
-  one item each for the records of ``generate_cohort`` with
+  (0,1) and (0,2) and ``SlopeLink`` on (1,2), of the study rebuilt from
+  ``CustomRegression`` and ``CustomLink`` wrapping its families' callbacks,
+  and of the study with a trainable ``ExponentialHazard`` on every edge at
+  ``extra = design.initial_extra()``: one item each for the records of
+  ``generate_cohort`` with
   ``posterior_logdensity``, ``grad_theta`` and ``individual_scores`` at C=5;
 - for seeded ``full``, ``diag`` and ``ball`` precision representations at
   q = 1, 2, 3 and the study's Q and R: ``chol_factor``, ``precision``,
@@ -65,6 +67,7 @@ def hash_items(work: Path) -> dict[str, str]:
     from msjoint.cli import main
     from msjoint.design import ModelDesign
     from msjoint.families import CustomLink, CustomRegression, SlopeLink, ValueLink
+    from msjoint.hazards import ExponentialHazard
     from msjoint.inference import FitConfig, compute_fim, fit
     from msjoint.io import read_cohort, write_cohort
     from msjoint.likelihood import LikelihoodEngine
@@ -129,15 +132,22 @@ def hash_items(work: Path) -> dict[str, str]:
     value, slope = ValueLink(reg), SlopeLink(reg)
     custom_reg = CustomRegression(reg.value, reg.jac_psi, 1, reg.time_derivative, reg.time_derivative_jac_psi, n_psi=3)
     custom_link = CustomLink(link.value, link.jac_psi, dim=2)
+
+    def rebuilt(regression, links, hazards=None):
+        hazards = hazards or {e: design.hazard(e) for e in design.edges}
+        return ModelDesign(design.effects, regression, {e: (hazards[e], links[e]) for e in design.edges})
+
+    trainable = rebuilt(reg, dict.fromkeys(design.edges, link),
+                        {e: ExponentialHazard(design.hazard(e).rate, trainable=True) for e in design.edges})
     variants = {
-        "value and slope links": (reg, {(0, 1): value, (0, 2): value, (1, 2): slope},
+        "value and slope links": (rebuilt(reg, {(0, 1): value, (0, 2): value, (1, 2): slope}),
                                   replace(truth, alpha={(0, 1): [-0.5], (0, 2): [-1.0], (1, 2): [-1.2]})),
-        "custom regression and link": (custom_reg, dict.fromkeys(design.edges, custom_link), truth),
+        "custom regression and link": (rebuilt(custom_reg, dict.fromkeys(design.edges, custom_link)), truth),
+        "trainable exponential baselines": (trainable, replace(truth, extra=trainable.initial_extra())),
     }
-    for name, (regression, links, params) in variants.items():
-        rebuilt = ModelDesign(design.effects, regression, {e: (design.hazard(e), links[e]) for e in design.edges})
-        small, small_latent = generate_cohort(rebuilt, params, n=200, m=6, seed=7)
-        small_engine = LikelihoodEngine(small, rebuilt, graph)
+    for name, (variant, params) in variants.items():
+        small, small_latent = generate_cohort(variant, params, n=200, m=6, seed=7)
+        small_engine = LikelihoodEngine(small, variant, graph)
         b = small_latent["b"] + 0.3 * np.random.default_rng(2).standard_normal((5, 200, q))
         out[f"{name}: generate_cohort, C=5 posterior_logdensity, grad_theta, individual_scores"] = _digest(
             small_latent["b"], small_latent["psi"], *records(small), small_engine.posterior_logdensity(params, b),

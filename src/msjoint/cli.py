@@ -1,10 +1,10 @@
 """Batch command-line interface: simulate cohorts, fit models, compute
 Fisher-information standard errors, and run dynamic predictions.
 
-Commands share the flags --config, --data, --out, --seed and --threads;
-exit codes are 0 on success, 2 on configuration/validation errors, 1 on
-runtime errors. With a fixed seed and --threads 1 every command is
-byte-reproducible.
+Every command takes --config, --out, --seed and --threads, and ``COMMANDS``
+names the inputs it takes besides (--data, --params). Exit codes are 0 on
+success, 2 on configuration/validation errors, 1 on runtime errors. With a
+fixed seed and --threads 1 every command is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .io import (
     write_cohort,
     write_params,
 )
-from .params import ModelParams, flatten
+from .params import flatten
 from .predict import accuracy, predict_cohort_grid
 from .sampler import SamplerConfig
 from .simulate import generate_cohort
@@ -62,13 +62,6 @@ def _sampler_config(config: dict) -> SamplerConfig:
         return SamplerConfig(**(config.get("sampler") or {}))
 
 
-def _fit_config(config: dict) -> tuple[FitConfig, StopRule]:
-    spec = dict(config.get("fit") or {})
-    stop_spec = spec.pop("stop", None) or {}
-    with _section("config.fit"):
-        return FitConfig(**spec), StopRule(**stop_spec)
-
-
 def _require(config: dict, section: str) -> dict:
     block = config.get(section)
     if block is None:
@@ -76,24 +69,42 @@ def _require(config: dict, section: str) -> dict:
     return block
 
 
-def _model(config: dict, params: ModelParams, source: str):
-    """The config's graph and design, checked against each other and against
-    params read from ``source``; a mismatch is a ConfigError naming
-    ``config.design`` or ``source``."""
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _load_inputs(config: dict, args: argparse.Namespace, inputs: tuple[str, ...], params_role: str | None):
+    """A command's inputs: the params, read from --params when the command
+    takes it and else from ``config.params`` (which holds ``params_role``);
+    the config's graph and design, checked against each other and against
+    the params; and, with --data, the validated cohort. A mismatch is a
+    ConfigError naming ``config.design`` or the params' source."""
+    if "params" in inputs:
+        params, source = read_params(args.params), str(args.params)
+    elif "params" not in config:
+        raise ConfigError(f"config.params: missing section ({params_role})")
+    else:
+        params, source = params_from_dict(config["params"], "config.params"), "config.params"
     graph = build_graph_from_config(config)
     design = build_design_from_config(config)
     with _section("config.design"):
         design.validate_against(graph)
     with _section(source):
         design.validate_params(params)
-    return graph, design
+    loaded = {"params": params, "graph": graph, "design": design}
+    if "data" in inputs:
+        cohort = read_cohort(args.data)
+        violations = validate_cohort(cohort, graph)
+        if violations:
+            raise ConfigError("invalid cohort: " + "; ".join(violations[:10]))
+        loaded["cohort"] = cohort
+    return loaded
 
 
-def cmd_simulate(config: dict, out_dir: Path, seed: int) -> None:
-    if "params" not in config:
-        raise ConfigError("config.params: missing section (true parameters are required to simulate)")
-    params = params_from_dict(config["params"], "config.params")
-    graph, design = _model(config, params, "config.params")
+def cmd_simulate(config: dict, out_dir: Path, seed: int, params, graph, design) -> None:
     spec = {"n": 100, "m": 10, **_require(config, "simulate")}
     if spec.get("censoring") == "inf":
         spec["censoring"] = np.inf
@@ -107,35 +118,20 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> None:
         print(f"  transitions {edge[0]}->{edge[1]}: {count}")
 
 
-def _load_validated_cohort(config: dict, data_dir: Path, params: ModelParams, source: str):
-    graph, design = _model(config, params, source)
-    cohort = read_cohort(data_dir)
-    violations = validate_cohort(cohort, graph)
-    if violations:
-        raise ConfigError("invalid cohort: " + "; ".join(violations[:10]))
-    return graph, design, cohort
-
-
-def cmd_fit(config: dict, data_dir: Path, out_dir: Path, seed: int) -> None:
-    if "params" not in config:
-        raise ConfigError("config.params: missing section (initial parameters)")
-    init = params_from_dict(config["params"], "config.params")
-    graph, design, cohort = _load_validated_cohort(config, data_dir, init, "config.params")
-    fit_cfg, stop_rule = _fit_config(config)
-    report = fit(
-        cohort, design, graph, init, fit_cfg, stop_rule, _sampler_config(config), seed=seed
-    )
+def cmd_fit(config: dict, out_dir: Path, seed: int, params, graph, design, cohort) -> None:
+    spec = dict(config.get("fit") or {})
+    stop_spec = spec.pop("stop", None) or {}
+    with _section("config.fit"):
+        fit_cfg, stop_rule = FitConfig(**spec), StopRule(**stop_spec)
+    report = fit(cohort, design, graph, params, fit_cfg, stop_rule, _sampler_config(config), seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_params(report.params, out_dir / "params.json")
-    with open(out_dir / "history.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration"] + report.param_names + ["loglik"])
-        for it in range(report.theta_history.shape[0]):
-            w.writerow(
-                [it + 1]
-                + [fmt(v) for v in report.theta_history[it]]
-                + [fmt(report.loglik_history[it])]
-            )
+    _write_csv(
+        out_dir / "history.csv",
+        ["iteration"] + report.param_names + ["loglik"],
+        ([it] + [fmt(v) for v in theta] + [fmt(loglik)]
+         for it, (theta, loglik) in enumerate(zip(report.theta_history, report.loglik_history), 1)),
+    )
     with open(out_dir / "report.json", "w") as f:
         json.dump(
             {"iterations": report.iterations, "stop_reason": report.stop_reason, "seed": seed},
@@ -145,9 +141,7 @@ def cmd_fit(config: dict, data_dir: Path, out_dir: Path, seed: int) -> None:
     print(f"fit: {report.iterations} iterations ({report.stop_reason}); wrote {out_dir}")
 
 
-def cmd_fim(config: dict, data_dir: Path, params_file: Path, out_dir: Path, seed: int) -> None:
-    params = read_params(params_file)
-    graph, design, cohort = _load_validated_cohort(config, data_dir, params, str(params_file))
+def cmd_fim(config: dict, out_dir: Path, seed: int, params, graph, design, cohort) -> None:
     with _section("config.fim"):
         n_samples = _count(config.get("fim") or {}, "n_samples", 1000)
     estimate = compute_fim(
@@ -155,24 +149,18 @@ def cmd_fim(config: dict, data_dir: Path, params_file: Path, out_dir: Path, seed
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     names = params.layout().names()
-    with open(out_dir / "fim.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["param"] + names)
-        for name, row in zip(names, estimate.matrix):
-            w.writerow([name] + [fmt(v) for v in row])
-    errs = stderr(estimate)
-    values = flatten(params)
-    with open(out_dir / "stderr.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["param", "value", "stderr"])
-        for name, value, err in zip(names, values, errs):
-            w.writerow([name, fmt(value), fmt(err)])
+    _write_csv(
+        out_dir / "fim.csv", ["param"] + names,
+        ([name] + [fmt(v) for v in row] for name, row in zip(names, estimate.matrix)),
+    )
+    _write_csv(
+        out_dir / "stderr.csv", ["param", "value", "stderr"],
+        ([name, fmt(value), fmt(err)] for name, value, err in zip(names, flatten(params), stderr(estimate))),
+    )
     print(f"fim: {estimate.n_samples} score draws; wrote {out_dir}")
 
 
-def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, seed: int) -> None:
-    params = read_params(params_file)
-    graph, design, cohort = _load_validated_cohort(config, data_dir, params, str(params_file))
+def cmd_predict(config: dict, out_dir: Path, seed: int, params, graph, design, cohort) -> None:
     spec = _require(config, "predict")
     truncations = [float(t) for t in spec.get("truncations", [])]
     horizons = [float(u) for u in spec.get("horizons", [])]
@@ -209,15 +197,20 @@ def cmd_predict(config: dict, data_dir: Path, params_file: Path, out_dir: Path, 
         truth = np.array([[rec.trajectory.state_at(u) for u in row] for rec, row in zip(cohort, capped)])
         for ui, u in enumerate(horizons):
             acc_rows.append([fmt(t), fmt(u), fmt(accuracy(modal[:, ui], truth[:, ui])), len(cohort)])
-    with open(out_dir / "predictions.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "truncation", "horizon", "outcome", "probability", "modal"])
-        w.writerows(pred_rows)
-    with open(out_dir / "accuracy.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["truncation", "horizon", "accuracy", "n"])
-        w.writerows(acc_rows)
+    header = ["id", "truncation", "horizon", "outcome", "probability", "modal"]
+    _write_csv(out_dir / "predictions.csv", header, pred_rows)
+    _write_csv(out_dir / "accuracy.csv", ["truncation", "horizon", "accuracy", "n"], acc_rows)
     print(f"predict: {len(truncations)} truncations x {len(horizons)} horizons; wrote {out_dir}")
+
+
+# command -> (function, the inputs it takes besides --config, what config.params
+# holds for it when it does not take --params)
+COMMANDS = {
+    "simulate": (cmd_simulate, (), "true parameters are required to simulate"),
+    "fit": (cmd_fit, ("data",), "initial parameters"),
+    "fim": (cmd_fim, ("data", "params"), None),
+    "predict": (cmd_predict, ("data", "params"), None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -226,12 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Joint multi-state / longitudinal modeling: simulate, fit, fim, predict.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_data, needs_params in (
-        ("simulate", False, False),
-        ("fit", True, False),
-        ("fim", True, True),
-        ("predict", True, True),
-    ):
+    for name, (_, inputs, _) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
@@ -239,10 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and validated (>= 1) only: the engine is "
                             "single-threaded, so the value has no effect")
-        if needs_data:
-            p.add_argument("--data", required=True, type=Path)
-        if needs_params:
-            p.add_argument("--params", required=True, type=Path)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True, type=Path)
     return parser
 
 
@@ -253,14 +239,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--threads must be >= 1")
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        if args.command == "simulate":
-            cmd_simulate(config, args.out, seed)
-        elif args.command == "fit":
-            cmd_fit(config, args.data, args.out, seed)
-        elif args.command == "fim":
-            cmd_fim(config, args.data, args.params, args.out, seed)
-        elif args.command == "predict":
-            cmd_predict(config, args.data, args.params, args.out, seed)
+        run, inputs, params_role = COMMANDS[args.command]
+        run(config, args.out, seed, **_load_inputs(config, args, inputs, params_role))
         return 0
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

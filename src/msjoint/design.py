@@ -258,14 +258,23 @@ def _check_linearity(family, jac, t, psi, x=None) -> None:
         )
 
 
+def _n_psi(regression) -> int:
+    """The psi size a regression states, or 3 when it states none."""
+    return getattr(regression, "n_psi", None) or 3
+
+
+def _draw_psi(rng, s: int) -> np.ndarray:
+    psi = rng.normal(0.3, 0.7, size=(4, s))
+    if s > 1:
+        psi[..., 1] = 0.8 + np.abs(psi[..., 1])  # keep scale-like components positive
+    return psi
+
+
 def check_regression_family(family, rng=None, atol=1e-5) -> None:
     """Validate jac_psi (and the time-derivative pair if present) against
     central finite differences on random inputs, and a declared linearity."""
     rng = rng or np.random.default_rng(1234)
-    s = getattr(family, "n_psi", None) or 3
-    psi = rng.normal(0.3, 0.7, size=(4, s))
-    if s > 1:
-        psi[..., 1] = 0.8 + np.abs(psi[..., 1])  # keep scale-like components positive
+    psi = _draw_psi(rng, _n_psi(family))
     t, psi, _ = _breakpoint_points(family, rng.uniform(0.1, 7.9, size=(4,)), psi)
     jac = family.jac_psi(t, psi)
     _check_fd(family, "jac_psi", jac, _fd(lambda z: family.value(t, z), psi), atol, atol)
@@ -278,13 +287,12 @@ def check_regression_family(family, rng=None, atol=1e-5) -> None:
     _check_fd(family, "time-derivative Jacobian", family.time_derivative_jac_psi(t, psi), fd_jt, atol, atol)
 
 
-def check_link_family(family, rng=None, atol=1e-5, n_covariates=1) -> None:
+def check_link_family(family, rng=None, atol=1e-5, n_psi=None, n_covariates=1) -> None:
+    """Validate jac_psi against central finite differences at psi of ``n_psi``
+    components (by default the size its own regression states), and a
+    declared linearity."""
     rng = rng or np.random.default_rng(1235)
-    reg = getattr(family, "regression", None)
-    s = (getattr(reg, "n_psi", None) if reg is not None else None) or 3
-    psi = rng.normal(0.3, 0.7, size=(4, s))
-    if s > 1:
-        psi[..., 1] = 0.8 + np.abs(psi[..., 1])
+    psi = _draw_psi(rng, n_psi or _n_psi(getattr(family, "regression", None)))
     t = rng.uniform(0.1, 7.9, size=(4,))
     t, psi, x = _breakpoint_points(family, t, psi, rng.normal(size=(4, n_covariates)))
     jac = family.jac_psi(t, x, psi)
@@ -322,15 +330,18 @@ def check_hazard_family(hazard, rng=None, atol=1e-5) -> None:
 
 def run_self_check(design: ModelDesign) -> None:
     """Finite-difference validation of every family in the design; raises on
-    the first failing derivative contract."""
+    the first failing derivative contract. Every check draws psi (and b) with
+    the regression's ``n_psi`` components and covariates of the effects
+    map's size ``k`` (1 when it states none)."""
+    s, k = _n_psi(design.regression), getattr(design.effects, "k", 1)
     check_regression_family(design.regression)
     seen: set[int] = set()
     for e in design.edges:
         hazard, lnk = design.edge_specs[e]
         if id(lnk) not in seen:
-            check_link_family(lnk)
+            check_link_family(lnk, n_psi=s, n_covariates=k)
             seen.add(id(lnk))
         if id(hazard) not in seen:
             check_hazard_family(hazard)
             seen.add(id(hazard))
-    check_effects_family(design.effects)
+    check_effects_family(design.effects, q=s, n_covariates=k)

@@ -47,6 +47,9 @@ class FitConfig:
                 "sum(eta) diverges while sum(eta^2) converges"
             )
         _check_betas(adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2)
+        for key in ("learning_rate", "adam_eps"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
 
 
 def _check_betas(**betas: float) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Cohort, IndividualRecord, validate_cohort
 from .design import ModelDesign, cumulative_intensity, split_nodes, transition_log_intensity
 from .graph import Edge, TransitionGraph
-from .params import ModelParams, ParamLayout, PrecisionRepr, quad_form
+from .params import ModelParams, PrecisionRepr, quad_form
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -770,39 +770,34 @@ class LikelihoodEngine:
             acc[P:] += psi_score.transpose(2, 1, 0)
 
         for block, edge, rows, p, _, g, wt in self._row_pass(bound, psi1):
-            # per-row scores: alpha, beta, trainable hazard values, psi
             if g is None:
                 a, d = rows.basis.pullback(p[..., :-1], alpha[edge], wt)
             else:
                 a, d = np.einsum("rck,rcko->rco", wt, g), rows.basis.vjp(wt[..., None] * alpha[edge], p[..., :-1])
-            cols = [a, wt.sum(axis=-1)[..., None] * rows.x[:, None, :]]
-            if self.design.extra_slice(edge) is not None:
-                hazard_values = self.design.hazard_values(edge, params)
-                cols.append(wt @ self.design.hazard(edge).dlog_dparams(rows.u, hazard_values))
-            cols.append(d)
-            vals = np.concatenate(cols, axis=-1)
+            # per-row scores with their accumulator columns: alpha, beta,
+            # trainable hazard values, psi
+            parts = [
+                (layout.edge_slice("alpha", edge), a),
+                (layout.edge_slice("beta", edge), wt.sum(axis=-1)[..., None] * rows.x[:, None, :]),
+            ]
+            local = self.design.extra_slice(edge)
+            if local is not None:
+                dlog = self.design.hazard(edge).dlog_dparams(rows.u, self.design.hazard_values(edge, params))
+                parts.append((layout.group_slice("extra", local), wt @ dlog))
+            parts.append((slice(P, P + s), d))
+            vals = np.concatenate([v for _, v in parts], axis=-1)
             sums = _add_rows(block.index(C, vals.shape[-1], rows.span), vals, self.n)
             if not block.event:
                 np.negative(sums, out=sums)
             col = 0
-            for target in self._edge_slices(layout, edge, P, s):
-                width = target.stop - target.start
-                acc[target] += sums[col:col + width]
-                col += width
+            for target, v in parts:
+                acc[target] += sums[col:col + v.shape[-1]]
+                col += v.shape[-1]
 
         if params.gamma.size:
             jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)
             acc[layout.group_slice("gamma")] += np.einsum("scn,cnsg->gcn", acc[P:], jpg)
         return acc[:P]
-
-    def _edge_slices(self, layout: ParamLayout, edge: Edge, n_free: int, n_psi: int) -> list[slice]:
-        """Accumulator columns of an edge's row scores, in order: alpha, beta,
-        trainable hazard values, psi."""
-        out = [layout.edge_slice("alpha", edge), layout.edge_slice("beta", edge)]
-        local = self.design.extra_slice(edge)
-        if local is not None:
-            out.append(layout.group_slice("extra", local))
-        return out + [slice(n_free, n_free + n_psi)]
 
     def loglik_terms(self, params: ModelParams | _BoundParams, b: np.ndarray) -> LogLikTerms:
         """Per-(chain, individual) prior, longitudinal and semi-Markov terms."""

@@ -42,6 +42,8 @@ class SamplerConfig:
             raise ValueError("target_accept must lie in (0, 1)")
         if not 0.0 < self.init_scale < np.inf:
             raise ValueError("init_scale must be positive and finite")
+        if not 0.0 <= self.rm_scale < np.inf:
+            raise ValueError("rm_scale must be >= 0 (0 turns adaptation off) and finite")
 
 
 @dataclass

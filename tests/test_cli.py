@@ -368,6 +368,43 @@ def test_simulate_writes_all_files(config_file, tmp_path, capsys):
         assert (tmp_path / "data" / name).exists()
 
 
+@pytest.mark.parametrize(
+    "command, inputs, message",
+    [
+        ("simulate", ["--data", "data"], "unrecognized arguments: --data"),
+        ("simulate", ["--params", "p.json"], "unrecognized arguments: --params"),
+        ("fit", ["--data", "data", "--params", "p.json"], "unrecognized arguments: --params"),
+        ("fit", [], "required: --data"),
+        ("fim", ["--data", "data"], "required: --params"),
+        ("fim", ["--params", "p.json"], "required: --data"),
+        ("predict", ["--data", "data"], "required: --params"),
+        ("predict", ["--params", "p.json"], "required: --data"),
+    ],
+    ids=[
+        "simulate_data", "simulate_params", "fit_params", "fit_no_data",
+        "fim_no_params", "fim_no_data", "predict_no_params", "predict_no_data",
+    ],
+)
+def test_each_command_takes_exactly_its_own_inputs(tmp_path, capsys, command, inputs, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o"), *inputs])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_two_covariate_effects_map_simulates_and_fits(tmp_path):
+    cfg = study_config()
+    cfg["design"]["effects"] = {"family": "gamma_x_plus_b", "n_effects": 3, "n_covariates": 2}
+    cfg["simulate"]["n_covariates"] = 2
+    cfg["params"]["gamma"] = [2.5, 0.3, -1.3, 0.1, 0.2, -0.2]
+    cfg["params"]["beta"] = {edge: [beta, 0.4] for edge, (beta,) in cfg["params"]["beta"].items()}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    assert main(["fit", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "fit")]) == 0
+    assert len(read_params(tmp_path / "fit" / "params.json").gamma) == 6
+
+
 def test_simulate_empty_cohort_has_valid_headers(tmp_path):
     cfg = study_config(n=0)
     path = tmp_path / "c.json"
@@ -537,10 +574,13 @@ def test_predict_requires_truncations(config_file, tmp_path):
         ("fit", "schedule_decay", 0.75, "config.fit: schedule_decay"),
         ("fit", "stop", {"beta2": 1.0}, "config.fit: beta2"),
         ("fit", "stop", {"rtol": -0.1}, "config.fit: atol and rtol"),
+        ("fit", "learning_rate", 0.0, "config.fit: learning_rate"),
+        ("fit", "adam_eps", -1e-8, "config.fit: adam_eps"),
+        ("sampler", "rm_scale", -1.0, "config.sampler: rm_scale"),
     ],
     ids=[
         "rm_decay", "n_chains", "minibatch_zero", "minibatch_negative", "n_draws", "init_scale", "target_accept",
-        "schedule_decay_adam", "stop_beta", "stop_rtol",
+        "schedule_decay_adam", "stop_beta", "stop_rtol", "learning_rate", "adam_eps", "rm_scale",
     ],
 )
 def test_sampler_config_error_exits_2(config_file, tmp_path, capsys, section, key, value, message):

@@ -434,6 +434,60 @@ def test_design_rejects_false_additivity_declaration(study_graph):
         build(scaled, True)
 
 
+def _value_link_design(graph, effects, regression, link=None):
+    link = link or ValueLink(regression)
+    return ModelDesign(effects, regression, {e: (ExponentialHazard(0.1), link) for e in graph.edges})
+
+
+def _polynomial_custom_link():
+    from msjoint.families import CustomLink
+
+    line = Polynomial(1)
+    return CustomLink(lambda t, x, psi: line.value(t, psi), lambda t, x, psi: line.jac_psi(t, psi), dim=1)
+
+
+@pytest.mark.parametrize(
+    "effects, regression, link",
+    [
+        (TransformStack(("identity", "exp")), Polynomial(1), None),
+        (GammaXPlusB(2, 1), Polynomial(1), None),
+        (GammaXPlusB(3, 2), PiecewiseAffine(6.0), ValueSlopeLink(PiecewiseAffine(6.0))),
+        (GammaPlusB(), Polynomial(1), _polynomial_custom_link()),
+    ],
+    ids=["transform_stack_two_components", "gamma_x_plus_b_two_effects", "gamma_x_plus_b_two_covariates",
+         "custom_link_two_components"],
+)
+def test_self_check_draws_the_sizes_of_the_design(study_graph, effects, regression, link):
+    # psi of the regression's n_psi components, b of the same size and the
+    # effects map's k covariates, not 3 components and one covariate
+    _value_link_design(study_graph, effects, regression, link)
+
+
+def test_two_covariate_effects_map_fits_and_predicts(study_graph):
+    from msjoint.inference import FitConfig, compute_fim, fit
+    from msjoint.predict import predict_state_grid
+    from msjoint.sampler import SamplerConfig
+    from msjoint.simulate import generate_cohort
+
+    reg = PiecewiseAffine(6.0)
+    design = _value_link_design(study_graph, GammaXPlusB(3, 2), reg, ValueSlopeLink(reg))
+    params = ModelParams(
+        gamma=np.array([2.5, 0.3, -1.3, 0.1, 0.2, -0.2]),
+        q_repr=repr_from_cov(np.diag([0.6, 0.2, 0.3]), "diag"), r_repr=repr_from_cov([[1.7]], "ball"),
+        alpha={e: np.array([-0.5, -1.0]) for e in study_graph.edges},
+        beta={e: np.array([-0.5, 0.4]) for e in study_graph.edges},
+    )
+    cohort, _ = generate_cohort(design, params, n=100, m=6, n_covariates=2, seed=7)
+    sampler = SamplerConfig(n_chains=2, warmup=10)
+    report = fit(cohort, design, study_graph, params, FitConfig(max_iterations=2, n_draws=4), sampler_config=sampler)
+    assert np.all(np.isfinite(report.theta_history)) and np.all(np.isfinite(report.loglik_history))
+    fim = compute_fim(cohort, design, study_graph, params, sampler, n_samples=10, seed=1)
+    assert fim.matrix.shape == (params.layout().size,) * 2 and np.all(np.isfinite(fim.matrix))
+    probs, _ = predict_state_grid(cohort[0], 2.0, [3.0, 6.0], design, params, study_graph, n_draws=20,
+                                  sampler_config=SamplerConfig(n_chains=2, warmup=20))
+    assert np.all(np.isfinite(probs))
+
+
 def test_custom_effects_family_passes_self_check():
     from msjoint.families import CustomEffects
 

@@ -111,6 +111,14 @@ def test_stop_rule_rejects_negative_tolerances(key):
     StopRule(**{key: 0.0})  # valid
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "adam_eps"])
+@pytest.mark.parametrize("value", [0.0, -0.1, np.inf, np.nan])
+def test_fit_config_rejects_a_step_setting_that_is_not_positive_and_finite(key, value):
+    # lr <= 0 descends or freezes theta; adam_eps <= 0 can divide by zero
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        FitConfig(**{key: value})
+
+
 @pytest.mark.parametrize("n_draws", [0, -2])
 def test_fit_config_rejects_fewer_than_one_draw(n_draws):
     with pytest.raises(ValueError, match="n_draws must be >= 1"):
@@ -128,23 +136,6 @@ def test_sampler_config_validates_rm_decay():
 def small_fit_inputs(small_cohort, study_design, study_graph, study_init_params):
     cohort, _ = small_cohort
     return cohort, study_design, study_graph, study_init_params
-
-
-def test_zero_learning_rate_keeps_params_and_stops(
-    small_cohort, study_design, study_graph, study_init_params
-):
-    cohort, _ = small_cohort
-    for optimizer in ("adam", "sgd"):
-        report = fit(
-            cohort, study_design, study_graph, study_init_params,
-            FitConfig(optimizer=optimizer, learning_rate=0.0, max_iterations=50),
-            StopRule(),
-            SamplerConfig(n_chains=2, warmup=10),
-            seed=0,
-        )
-        np.testing.assert_array_equal(flatten(report.params), flatten(study_init_params))
-        assert report.stop_reason == "converged"
-        assert report.iterations == 1
 
 
 def test_fit_is_deterministic(small_cohort, study_design, study_graph, study_init_params):
@@ -387,6 +378,25 @@ def test_sgd_power_schedule_steps(small_cohort, study_design, study_graph, study
     steps = np.diff(np.vstack([flatten(study_init_params), report.theta_history]), axis=0)
     for t, step in enumerate(steps):  # t applied steps before this one
         np.testing.assert_allclose(step, lr * grad / (t + 1) ** kappa, rtol=0, atol=1e-14)
+
+
+def test_zero_step_keeps_params_and_stops(small_cohort, study_design, study_graph, study_init_params):
+    # a zero gradient is a zero step for either optimizer, so the stop rule
+    # fires at the first iteration with the parameters untouched
+    cohort, _ = small_cohort
+    zero = np.zeros(flatten(study_init_params).size)
+    for optimizer in ("adam", "sgd"):
+        report = fit(
+            cohort, study_design, study_graph, study_init_params,
+            FitConfig(optimizer=optimizer, max_iterations=50),
+            StopRule(),
+            SamplerConfig(n_chains=2, warmup=10),
+            seed=0,
+            engine=ConstantGradEngine(cohort, study_design, study_graph, zero),
+        )
+        np.testing.assert_array_equal(flatten(report.params), flatten(study_init_params))
+        assert report.stop_reason == "converged"
+        assert report.iterations == 1
 
 
 # -- Fisher information ---------------------------------------------------------

@@ -735,7 +735,8 @@ def test_block_index_is_a_view_of_the_row_index(model, small_cohort, study_desig
     layout = params.layout()
     for block in engine.blocks:
         for edge, rows in block.parts:
-            columns = sum(s.stop - s.start for s in engine._edge_slices(layout, edge, layout.size, 3))
+            spans = (layout.edge_slice("alpha", edge), layout.edge_slice("beta", edge), design.extra_slice(edge))
+            columns = sum(s.stop - s.start for s in spans if s is not None) + 3  # + psi
             for C, m in ((1, 1), (5, 3), (15, columns)):
                 index = block.index(C, m, rows.span)
                 np.testing.assert_array_equal(index, _row_index(rows.idx, engine.n, C, m))

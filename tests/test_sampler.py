@@ -54,6 +54,14 @@ def test_sampler_config_rejects_settings_that_stall_the_chains(kwargs, message):
         SamplerConfig(**kwargs)
 
 
+@pytest.mark.parametrize("rm_scale", [-1.0, np.inf, np.nan])
+def test_sampler_config_rejects_a_negative_or_infinite_rm_scale(rm_scale):
+    # a negative gain drives the Robbins-Monro step away from the target
+    with pytest.raises(ValueError, match="rm_scale must be >= 0"):
+        SamplerConfig(rm_scale=rm_scale)
+    SamplerConfig(rm_scale=0.0)  # valid: adaptation off
+
+
 def test_zero_scale_proposals_always_accept():
     rep = repr_from_cov(np.eye(2), "diag")
     cfg = SamplerConfig(n_chains=4, warmup=0, init_scale=1e-12)
