@@ -12,6 +12,7 @@ reference forms the engine is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -551,6 +552,7 @@ class LikelihoodEngine:
             else:
                 self.marker = _ResidualMarker(basis, y_obs, obs_mask)
         self._build_blocks(n_psi, events, risk)
+        self._buffer = np.empty(0)  # see _row_buffer
         # whether posterior_logdensity takes the quadratic of _BoundParams.fold
         self.folds = (
             getattr(design.effects, "additive", False)
@@ -662,7 +664,8 @@ class LikelihoodEngine:
         :meth:`_BoundParams.stack`; g the link values on a family basis,
         None on a cached one; and wt the derivative of the part's term in
         log lambda per node without the risk sign: ones on event rows,
-        lambda |w| on risk rows, whose term is minus their sum."""
+        lambda |w| on risk rows, whose term is minus their sum. On risk rows
+        wt is a view of :meth:`_row_buffer`, valid until the next part."""
         alpha = bound.params.alpha
         chosen = None
         if sel is not None:
@@ -678,9 +681,22 @@ class LikelihoodEngine:
                 if block.event:
                     wt = np.ones(p.shape[:2] + (1,))
                 else:
-                    wt = p @ const if g is None else g @ alpha[edge] + const
+                    wt = self._row_buffer(p.shape[:2] + (block.nodes,))
+                    if g is None:
+                        np.matmul(p, const, out=wt)
+                    else:
+                        np.add(g @ alpha[edge], const, out=wt)
                     np.exp(wt, out=wt)
                 yield block, edge, rows, p, const, g, wt
+
+    def _row_buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A view of shape ``shape`` of the engine's one float buffer for
+        risk-row weights, grown when a part needs more: reusing warm pages
+        spares each part the page faults of a fresh array."""
+        size = math.prod(shape)
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        return self._buffer[:size].reshape(shape)
 
     def _gradient(self, bound: _BoundParams, b: np.ndarray, sel=None) -> np.ndarray:
         """Complete-data scores summed over the chains and the selected
