@@ -7,13 +7,25 @@ alternation.
 One long-lived worker process per tree (``PYTHONPATH=<tree>/src``,
 ``OMP_NUM_THREADS=1``) builds the same inputs: the seed-42 n=1000 study
 cohort at the study truth, with random effects near the simulated ones at 5
-and 15 chains, and one record in state 1 truncated at t = 4. Each round times
-every kernel once on each side, the side that goes first alternating from
-round to round; a timing is the mean over a batch of calls sized on the first
-round to take about 30 ms. Per kernel and side the report holds the median
-and quartiles of the per-call time over the rounds, in microseconds, and the
-rounds the change wins. Kernels:
+and 15 chains, and one record in state 1 truncated at t = 4. Kernel after
+kernel, each round times the kernel once on each side, the side that goes
+first alternating from round to round; a timing is the mean over a batch of
+calls sized on the first round to take about 30 ms. Per kernel and side the
+report holds the median and quartiles of the per-call time over the rounds,
+in microseconds, the median minor page faults per call (``ru_minflt`` of the
+worker over the batch), and the rounds the change wins.
 
+The faults a kernel takes depend on what the process freed before it: once
+a process has freed large arrays (the CSV kernels do), the C allocator
+raises its threshold for fresh mappings and keeps freed pages in its heap, so
+later kernels fault no more on either side. The fit kernel therefore runs
+first, in the state of a process that has only built its inputs, as a fit in
+a fresh process does. Kernels, in order:
+
+- ten iterations of the study fit on the n=1000 cohort from the study's
+  zero/identity start, with the study-fit benchmark's settings
+  (``FitConfig(learning_rate=0.5, n_draws=15)``, 5 chains, warmup 150) and
+  the engine built once;
 - ``bind`` at n=1000 and n=1, and ``bind`` followed by one
   ``posterior_logdensity`` at n=1000, C=5 (the pattern of a fit iteration,
   which pays for everything a bound value forms on first use);
@@ -37,6 +49,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,13 +67,14 @@ def build_kernels(work: Path) -> dict:
     """Name -> zero-argument callable, for the ``msjoint`` importable here;
     the cohort files are written and read under ``work``."""
     from msjoint import Cohort, LikelihoodEngine
+    from msjoint.inference import FitConfig, fit
     from msjoint.io import read_cohort, write_cohort
     from msjoint.predict import predict_state_grid
     from msjoint.sampler import SamplerConfig
     from msjoint.simulate import generate_cohort
     from msjoint.study import study_model
 
-    graph, design, truth, _ = study_model()
+    graph, design, truth, init = study_model()
     cohort, latent = generate_cohort(design, truth, n=1000, m=20, seed=42)
     engine = LikelihoodEngine(cohort, design, graph)
     rng = np.random.default_rng(1)
@@ -77,9 +91,14 @@ def build_kernels(work: Path) -> dict:
     engine.posterior_logdensity(bound, b5)  # a bound value's first call forms what it caches
     one.posterior_logdensity(bound1, b1)
     sampler = SamplerConfig(n_chains=5, warmup=150, thin=5)
+    fit_config = FitConfig(max_iterations=10, learning_rate=0.5, n_draws=15)
+    fit_sampler = SamplerConfig(n_chains=5, warmup=150)
     subset = np.sort(rng.choice(1000, size=100, replace=False))
     write_cohort(cohort, work)
     return {
+        "fit 10 iterations n=1000": lambda: fit(
+            cohort, design, graph, init, fit_config, sampler_config=fit_sampler, engine=engine
+        ),
         "bind n=1000": lambda: engine.bind(truth),
         "bind n=1": lambda: one.bind(truth),
         "bind + posterior_logdensity n=1000 C=5": lambda: engine.posterior_logdensity(engine.bind(truth), b5),
@@ -102,17 +121,20 @@ def build_kernels(work: Path) -> dict:
 def serve() -> None:
     """The worker: build the kernels, print their names as one JSON line,
     then answer each request line ``<number> <name>`` with the mean seconds
-    per call of ``number`` calls, until stdin closes."""
+    and minor page faults per call of ``number`` calls, until stdin closes."""
     with tempfile.TemporaryDirectory() as work:
         kernels = build_kernels(Path(work))
         print(json.dumps(list(kernels)), flush=True)
         for line in sys.stdin:
             number, name = line.rstrip("\n").split(" ", 1)
             fn, number = kernels[name], int(number)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             for _ in range(number):
                 fn()
-            print((time.perf_counter() - start) / number, flush=True)
+            elapsed = time.perf_counter() - start
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            print(elapsed / number, faults / number, flush=True)
 
 
 class Worker:
@@ -134,45 +156,48 @@ class Worker:
             raise RuntimeError(f"kernel worker for {self.tree} exited {self.proc.wait()}")
         return line
 
-    def measure(self, name: str, number: int) -> float:
+    def measure(self, name: str, number: int) -> tuple[float, float]:
+        """(seconds, minor page faults) per call of ``number`` calls."""
         self.proc.stdin.write(f"{number} {name}\n")
         self.proc.stdin.flush()
-        return float(self._line())
+        seconds, faults = self._line().split()
+        return float(seconds), float(faults)
 
     def close(self) -> None:
         self.proc.stdin.close()
         self.proc.wait()
 
 
-def alternate(measure, names: list[str], rounds: int) -> dict[str, dict[str, list[float]]]:
-    """Seconds per call of every kernel, per side (``parent``, ``change``)
-    and round: ``measure(side, name, number)`` times ``number`` calls. The
-    first side alternates from round to round; ``number`` is sized on the
-    first round's first call so that a batch takes about BATCH_SECONDS."""
+def alternate(measure, names: list[str], rounds: int) -> dict[str, dict[str, list[tuple[float, float]]]]:
+    """(seconds, minor page faults) per call of every kernel, per side
+    (``parent``, ``change``) and round: ``measure(side, name, number)`` times
+    ``number`` calls. Kernels run in the order given, all rounds of one
+    before the next; the first side alternates from round to round, and
+    ``number`` is sized on one call first so that a batch takes about
+    BATCH_SECONDS."""
     times = {name: {"parent": [], "change": []} for name in names}
-    number = {}
-    for r in range(rounds):
-        for name in names:
-            if name not in number:
-                single = measure("change", name, 1)
-                number[name] = max(1, int(BATCH_SECONDS / max(single, 1e-9)))
+    for name in names:
+        single, _ = measure("change", name, 1)
+        number = max(1, int(BATCH_SECONDS / max(single, 1e-9)))
+        for r in range(rounds):
             for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                times[name][side].append(measure(side, name, number[name]))
+                times[name][side].append(measure(side, name, number))
     return times
 
 
-def summarize(times: dict[str, dict[str, list[float]]]) -> dict:
+def summarize(times: dict[str, dict[str, list[tuple[float, float]]]]) -> dict:
     """Per kernel and side the median and quartiles (``statistics.quantiles``,
-    n=4) in microseconds, and the rounds the change is faster (ties count for
-    neither side)."""
+    n=4) in microseconds and the median page faults per call, and the rounds
+    the change is faster (ties count for neither side)."""
     out = {}
     for name, sides in times.items():
         entry = {}
         for side, values in sides.items():
-            us = [1e6 * v for v in values]
+            us = [1e6 * v for v, _ in values]
             q1, _, q3 = statistics.quantiles(us, n=4) if len(us) > 1 else us * 3
-            entry[side] = {"median_us": statistics.median(us), "q1_us": q1, "q3_us": q3}
-        pairs = list(zip(sides["parent"], sides["change"]))
+            faults = statistics.median(f for _, f in values)
+            entry[side] = {"median_us": statistics.median(us), "q1_us": q1, "q3_us": q3, "faults_per_call": faults}
+        pairs = [(p, c) for (p, _), (c, _) in zip(sides["parent"], sides["change"])]
         entry["change_wins"] = sum(c < p for p, c in pairs)
         entry["rounds"] = len(pairs)
         entry["ratio"] = entry["change"]["median_us"] / entry["parent"]["median_us"]
@@ -201,7 +226,8 @@ def main(argv=None) -> int:
     for name, entry in report["kernels"].items():
         p, c = entry["parent"], entry["change"]
         print(f"{name:42s} {p['median_us']:10.1f} -> {c['median_us']:10.1f} us "
-              f"(x{entry['ratio']:.2f}, change wins {entry['change_wins']}/{entry['rounds']})")
+              f"(x{entry['ratio']:.2f}, change wins {entry['change_wins']}/{entry['rounds']}; "
+              f"faults per call {p['faults_per_call']:.0f} -> {c['faults_per_call']:.0f})")
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

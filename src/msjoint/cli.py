@@ -33,6 +33,7 @@ from .io import (
     write_cohort,
     write_params,
 )
+from .likelihood import check_covariate_count
 from .params import flatten
 from .predict import accuracy, predict_cohort_grid
 from .sampler import SamplerConfig
@@ -54,6 +55,13 @@ def _count(spec: dict, key: str, default: int) -> int:
     value = int(spec.get(key, default))
     if value < 1:
         raise ValueError(f"{key} must be >= 1, got {value}")
+    return value
+
+
+def _seed(value, name: str) -> int:
+    """A seed, which must be an integer (not a bool) >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
     return value
 
 
@@ -100,12 +108,16 @@ def _load_inputs(config: dict, args: argparse.Namespace, inputs: tuple[str, ...]
         violations = validate_cohort(cohort, graph)
         if violations:
             raise ConfigError("invalid cohort: " + "; ".join(violations[:10]))
+        with _section("config.design"):
+            check_covariate_count(design, cohort.n_covariates)
         loaded["cohort"] = cohort
     return loaded
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed: int, params, graph, design) -> None:
     spec = {"n": 100, "m": 10, **_require(config, "simulate")}
+    with _section("config.design"):
+        check_covariate_count(design, spec.get("n_covariates", 1), "config.simulate")
     if spec.get("censoring") == "inf":
         spec["censoring"] = np.inf
     if "initial" in spec:
@@ -238,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         config = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = _seed(args.seed, "--seed") if args.seed is not None else _seed(config.get("seed", 0), "config.seed")
         run, inputs, params_role = COMMANDS[args.command]
         run(config, args.out, seed, **_load_inputs(config, args, inputs, params_role))
         return 0

@@ -100,6 +100,14 @@ def semi_markov_loglik(
     return total
 
 
+def check_covariate_count(design: ModelDesign, k: int, source: str = "the cohort") -> None:
+    """Raise ValueError when the effects map states a covariate count (its
+    ``k``) other than the k covariates of ``source``."""
+    want = getattr(design.effects, "k", None)
+    if want is not None and want != k:
+        raise ValueError(f"the effects map takes {want} covariates, but {source} has {k}")
+
+
 def locate_nonfinite(terms: LogLikTerms) -> str | None:
     """Identify the first (individual, term) pair that is non-finite."""
     for name in ("prior", "longitudinal", "semi_markov"):
@@ -493,11 +501,17 @@ class LikelihoodEngine:
     built on it) costs a fixed number of numpy calls whatever the number of
     edges. The scores walk the same rows part by part (:meth:`_row_pass`).
     :meth:`grad_theta` contracts them straight into theta and scatters only
-    the psi-score into the individuals, for the gamma pullback;
-    :meth:`individual_scores` sums every column into the individuals. Each
-    block caches one row index into the individuals per chain count and
-    number of columns (:meth:`_Block.index`); over the whole cohort, every
-    pass reads its part's view of it.
+    the psi-score into the individuals, for the gamma pullback (summed over
+    the chains first when the effects map is ``additive``, see
+    :meth:`_gradient`); :meth:`individual_scores` sums every column into the
+    individuals. Each block caches one row index into the individuals per
+    chain count and number of columns (:meth:`_Block.index`); over the whole
+    cohort, every pass reads its part's view of it.
+
+    The engine owns one float buffer that the scores reuse from call to call
+    for the risk rows' weights (:meth:`_row_buffer`); no result is a view of
+    it. So one engine must not be shared between threads: give each thread
+    its own.
     """
 
     def __init__(self, cohort: Cohort, design: ModelDesign, graph: TransitionGraph):
@@ -511,6 +525,7 @@ class LikelihoodEngine:
         self.n = len(cohort)
         self.d = cohort.n_biomarkers
         self.k = cohort.n_covariates
+        check_covariate_count(design, self.k)
 
         self.x = np.array([rec.covariates for rec in cohort]).reshape(self.n, self.k)
 
@@ -706,9 +721,18 @@ class LikelihoodEngine:
         rows (or sum wt . value on a family basis), beta is x weighted by
         each row's total wt (the last row of M), and the trainable hazard
         values are that total against dlog_dparams. Only the psi-score goes
-        per (chain, individual), because the gamma pullback needs it there.
-        The prior's and the noise's sums of outer products are summed before
-        ``grad_values``, which is linear in them."""
+        per individual, for the gamma pullback. The prior's and the noise's
+        sums of outer products are summed before ``grad_values``, which is
+        linear in them.
+
+        When the effects map is ``additive``, psi = b + m_i(gamma, x), so
+        dpsi/dgamma does not depend on b and is the same in every chain: the
+        pullback then needs each individual's psi-score summed over the
+        chains, (s, 1, n), and jac_gamma at one chain. On cached rows that
+        sum is the rows' total wt against the bound weights alpha . J; family
+        rows and the marker sum their psi-scores over the chains before they
+        are scattered. Any other map keeps one psi-score per chain, (s, C,
+        n)."""
         params = bound.params
         alpha = params.alpha
         layout = params.layout()
@@ -718,18 +742,20 @@ class LikelihoodEngine:
         psi1 = self._psi1(params, b)
         s = psi1.shape[-1] - 1
         grad = np.zeros(layout.size)
-        dpsi = np.zeros((s, C, n))
+        additive = getattr(self.design.effects, "additive", False)
+        D = 1 if additive else C  # the chains of the psi-score
+        reduce = (lambda v: v.sum(axis=1, keepdims=True)) if additive else (lambda v: v)
+        dpsi = np.zeros((s, D, n))
 
         q_repr, r_repr = params.q_repr, params.r_repr
-        b_sel = b[:, keep]
         if q_repr.dim:
-            outer = np.einsum("cnq,cnr->qr", b_sel, b_sel)
-            grad[layout.group_slice("q")] = q_repr.grad_values(outer, C * n)
+            flat = b[:, keep].reshape(-1, q_repr.dim)
+            grad[layout.group_slice("q")] = q_repr.grad_values(flat.T @ flat, C * n)
         if self.marker is not None:
             outer, psi_score = self.marker.scores(psi1[..., :-1], bound.marker, keep)
             count = C * self.obs_counts[keep].sum()
             grad[layout.group_slice("r")] = r_repr.grad_values(outer.sum(axis=(0, 1)), count)
-            dpsi += psi_score.transpose(2, 1, 0)
+            dpsi += reduce(psi_score).transpose(2, 1, 0)
 
         pos = None
         if sel is not None:
@@ -741,22 +767,24 @@ class LikelihoodEngine:
             total = M[:, -1]
             if g is None:
                 a = rows.basis.alpha_sum(M[:, :-1])
-                # sum_k wt_k alpha . J_k from the bound weights; the batched
-                # product is about twice as fast on a contiguous transpose
-                d = wt @ np.ascontiguousarray(const[:, :-1].transpose(0, 2, 1))
+                # sum_k wt_k alpha . J_k from the bound weights, per chain or
+                # (additive) from the chain sum of wt, which is total; the
+                # batched product is about twice as fast on a contiguous transpose
+                d = (total[:, None] if additive else wt) @ np.ascontiguousarray(const[:, :-1].transpose(0, 2, 1))
             else:
-                a, d = np.einsum("rck,rcko->o", wt, g), rows.basis.vjp(wt[..., None] * alpha[edge], p[..., :-1])
+                a = np.einsum("rck,rcko->o", wt, g)
+                d = reduce(rows.basis.vjp(wt[..., None] * alpha[edge], p[..., :-1]))
             grad[layout.edge_slice("alpha", edge)] += sign * a
             grad[layout.edge_slice("beta", edge)] += sign * (total.sum(axis=-1) @ rows.x)
             local = self.design.extra_slice(edge)
             if local is not None:
                 dlog = self.design.hazard(edge).dlog_dparams(rows.u, self.design.hazard_values(edge, params))
                 grad[layout.group_slice("extra", local)] += sign * np.einsum("rk,rke->e", total, dlog)
-            index = block.index(C, s, rows.span) if sel is None else _row_index(pos[rows.idx], n, C, s)
+            index = block.index(D, s, rows.span) if sel is None else _row_index(pos[rows.idx], n, D, s)
             dpsi += sign * _add_rows(index, d, n)
 
         if params.gamma.size:
-            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b)[:, keep]
+            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b[:D])[:, keep]
             grad[layout.group_slice("gamma")] += np.einsum("scn,cnsg->g", dpsi, jpg)
         return grad
 

@@ -641,8 +641,11 @@ def test_zero_count_exits_2(config_file, tmp_path, capsys, command, section, key
         ("simulate", "config.params", "config.params: alpha for edge (0, 1) must have length 2"),
         ("fit", "config.params", "config.params: alpha for edge (0, 1) must have length 2"),
         ("fim", "params file", "params.json: alpha for edge (0, 1) must have length 2"),
+        ("simulate", "covariates", "config.design: the effects map takes 2 covariates, but config.simulate has 1"),
+        ("fit", "covariates", "config.design: the effects map takes 2 covariates, but the cohort has 1"),
     ],
-    ids=["simulate_graph", "fit_graph", "simulate_alpha", "fit_alpha", "fim_params_file"],
+    ids=["simulate_graph", "fit_graph", "simulate_alpha", "fit_alpha", "fim_params_file",
+         "simulate_covariates", "fit_covariates"],
 )
 def test_model_mismatch_exits_2(config_file, tmp_path, capsys, command, mismatch, message):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
@@ -652,6 +655,9 @@ def test_model_mismatch_exits_2(config_file, tmp_path, capsys, command, mismatch
         cfg["graph"]["edges"] = [[0, 1], [1, 2]]
     elif mismatch == "config.params":
         cfg["params"] = short_alpha
+    elif mismatch == "covariates":  # a two-covariate effects map over one-covariate data
+        cfg["design"]["effects"] = {"family": "gamma_x_plus_b", "n_effects": 3, "n_covariates": 2}
+        cfg["params"]["gamma"] = [2.5, 0.0, -1.3, 0.0, 0.2, 0.0]
     write_params(params_from_dict(short_alpha), tmp_path / "params.json")
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
@@ -663,6 +669,26 @@ def test_model_mismatch_exits_2(config_file, tmp_path, capsys, command, mismatch
     capsys.readouterr()
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), *inputs]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "seed, flag, message",
+    [
+        ("x", None, "config.seed must be an integer >= 0, got 'x'"),
+        (1.5, None, "config.seed must be an integer >= 0, got 1.5"),
+        (True, None, "config.seed must be an integer >= 0, got True"),
+        (-1, None, "config.seed must be an integer >= 0, got -1"),
+        (3, "-3", "--seed must be an integer >= 0, got -3"),
+    ],
+    ids=["config_string", "config_float", "config_bool", "config_negative", "flag_negative"],
+)
+def test_bad_seed_exits_2(tmp_path, capsys, seed, flag, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(study_config(seed=seed)))
+    extra = [] if flag is None else ["--seed", flag]
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data"), *extra]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize(

@@ -695,15 +695,29 @@ def test_marker_statistics_match_reference(case):
         assert rel_err(engine.grad_theta(params, b[0]), fd_gradient(engine, params, b[0])).max() < 1e-4
 
 
+GRADIENT_MODELS = {
+    "study": None,
+    "mixed_model": mixed_model,
+    "trainable_model": trainable_model,
+    "gamma_x_model": gamma_x_model,
+    "b_only_model": b_only_model,
+    "transform_model": transform_model,
+    "nonlinear_model": lambda study_design, study_params: nonlinear_model(),
+}
+
+
 @pytest.mark.parametrize(
-    "model",
-    [None, mixed_model, trainable_model, gamma_x_model],
-    ids=["study", "mixed_model", "trainable_model", "gamma_x_model"],
+    "model, C",
+    [(model, C) for model in GRADIENT_MODELS.values() for C in (2, 1, 15)],
+    ids=[name if C == 2 else f"{name}-C{C}" for name in GRADIENT_MODELS for C in (2, 1, 15)],
 )
-def test_gradient_sums_individual_scores(model, small_cohort, study_design, study_graph, study_params):
+def test_gradient_sums_individual_scores(model, C, small_cohort, study_design, study_graph, study_params):
     # the gradient contracts rows straight into theta and the scores sum them
     # per individual: family-basis spans, dlog_dparams rows, an x-dependent
-    # jac_gamma and a summed full-Q prior term must agree between the two
+    # jac_gamma and a summed full-Q prior term must agree between the two,
+    # both where an additive map lets the gradient sum the psi-score over
+    # the chains (cached and family rows, a residual marker) and where the
+    # transform stack keeps it per chain
     design, params = study_design, study_params
     cohort, latent = small_cohort
     if model is not None:
@@ -712,7 +726,7 @@ def test_gradient_sums_individual_scores(model, small_cohort, study_design, stud
     records = list(cohort)
     records[3] = replace(records[3], measurement_times=np.zeros(0), measurements=np.zeros((0, 1)))
     engine = LikelihoodEngine(Cohort(tuple(records)), design, study_graph)
-    b = latent["b"] + np.random.default_rng(9).normal(scale=0.3, size=(2,) + latent["b"].shape)
+    b = latent["b"] + np.random.default_rng(9).normal(scale=0.3, size=(C,) + latent["b"].shape)
     scores = engine.individual_scores(params, b)
     # the whole-cohort gradient caches its psi-score row index at its first
     # call and reads it at the second; the subsets build their own
@@ -720,6 +734,39 @@ def test_gradient_sums_individual_scores(model, small_cohort, study_design, stud
         grad = engine.grad_theta(params, b, subset=subset)
         want = scores[:, slice(None) if subset is None else subset].sum(axis=1).mean(axis=0)
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("model", [None, mixed_model], ids=["study", "mixed_model"])
+def test_results_keep_their_values_after_later_calls(model, small_cohort, study_design, study_graph, study_params):
+    # the engine writes risk-row weights into one buffer that it reuses from
+    # call to call, so no result may be a view of it
+    design, params = study_design, study_params
+    cohort, latent = small_cohort
+    if model is not None:
+        design, params = model(study_design, study_params)
+        cohort, latent = generate_cohort(design, params, n=25, m=6, seed=7)
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    bound = engine.bind(params)
+    rng = np.random.default_rng(4)
+    calls = [
+        lambda b: engine.grad_theta(bound, b),
+        lambda b: engine.grad_theta(bound, b[0]),
+        lambda b: engine.grad_theta(bound, b, subset=[1, 4]),
+        lambda b: engine.individual_scores(bound, b),
+        lambda b: engine.posterior_logdensity(bound, b),
+        lambda b: engine.loglik_terms(bound, b).semi_markov,
+        lambda b: engine.loglik_terms(bound, b).total,
+    ]
+    b = latent["b"] + rng.normal(scale=0.3, size=(3,) + latent["b"].shape)
+    results = [call(b) for call in calls]
+    kept = [r.copy() for r in results]
+    # other b at the same chain count, then at more chains, which grows the buffer
+    for C in (3, 6):
+        other = latent["b"] + rng.normal(scale=0.3, size=(C,) + latent["b"].shape)
+        for call in calls:
+            call(other)
+    for result, want in zip(results, kept):
+        np.testing.assert_array_equal(result, want)
 
 
 @pytest.mark.parametrize(
@@ -815,3 +862,11 @@ def test_engine_rejects_infinite_censoring_with_successors(study_design, study_g
     )
     with pytest.raises(ValueError, match="infinite censoring"):
         LikelihoodEngine(Cohort((rec,)), study_design, study_graph)
+
+
+def test_engine_rejects_an_effects_map_of_another_covariate_count(small_cohort, study_design, study_graph):
+    cohort, _ = small_cohort
+    design = replace(study_design, effects=GammaXPlusB(3, 2))
+    with pytest.raises(ValueError, match="the effects map takes 2 covariates, but the cohort has 1"):
+        LikelihoodEngine(cohort, design, study_graph)
+    LikelihoodEngine(cohort, replace(study_design, effects=GammaXPlusB(3, 1)), study_graph)
