@@ -10,15 +10,16 @@ cohort at the study truth, with random effects near the simulated ones at 5
 and 15 chains, and one record in state 1 truncated at t = 4. Kernel after
 kernel, each round times the kernel once on each side, the side that goes
 first alternating from round to round; a timing is the mean over a batch of
-calls sized on the first round to take about 30 ms. Per kernel and side the
-report holds the median and quartiles of the per-call time over the rounds,
-in microseconds, the median minor page faults per call (``ru_minflt`` of the
-worker over the batch), and the rounds the change wins.
+calls sized by one call before the rounds to take about 30 ms. Per kernel
+and side the report holds the median and quartiles of the per-call time
+over the rounds, in microseconds, the median minor page faults per call
+(``ru_minflt`` of the worker over the batch), and the rounds the change
+wins.
 
 The faults a kernel takes depend on what the process freed before it: once
 a process has freed large arrays (the CSV kernels do), the C allocator
 raises its threshold for fresh mappings and keeps freed pages in its heap, so
-later kernels fault no more on either side. The fit kernel therefore runs
+later kernels fault far less on either side. The fit kernel therefore runs
 first, in the state of a process that has only built its inputs, as a fit in
 a fresh process does. Kernels, in order:
 
