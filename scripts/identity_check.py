@@ -21,8 +21,11 @@ pass and reports the SHA-256 of every item:
 - on n=200, m=6, seed-7 cohorts of the study rebuilt with ``ValueLink`` on
   (0,1) and (0,2) and ``SlopeLink`` on (1,2), of the study rebuilt from
   ``CustomRegression`` and ``CustomLink`` wrapping its families' callbacks,
-  and of the study with a trainable ``ExponentialHazard`` on every edge at
-  ``extra = design.initial_extra()``: one item each for the records of
+  of the study with a trainable ``ExponentialHazard`` on every edge at
+  ``extra = design.initial_extra()``, and of the study with the effects map
+  ``TransformStack(("identity", "exp", "identity"))``, which is not additive
+  (so the gradient reduces per chain and the posterior takes three terms),
+  at gamma_2 = log 1.3: one item each for the records of
   ``generate_cohort`` with
   ``posterior_logdensity``, ``grad_theta`` and ``individual_scores`` at C=5;
 - for seeded ``full``, ``diag`` and ``ball`` precision representations at
@@ -66,7 +69,7 @@ def hash_items(work: Path) -> dict[str, str]:
 
     from msjoint.cli import main
     from msjoint.design import ModelDesign
-    from msjoint.families import CustomLink, CustomRegression, SlopeLink, ValueLink
+    from msjoint.families import CustomLink, CustomRegression, SlopeLink, TransformStack, ValueLink
     from msjoint.hazards import ExponentialHazard
     from msjoint.inference import FitConfig, compute_fim, fit
     from msjoint.io import read_cohort, write_cohort
@@ -144,6 +147,8 @@ def hash_items(work: Path) -> dict[str, str]:
                                   replace(truth, alpha={(0, 1): [-0.5], (0, 2): [-1.0], (1, 2): [-1.2]})),
         "custom regression and link": (rebuilt(custom_reg, dict.fromkeys(design.edges, custom_link)), truth),
         "trainable exponential baselines": (trainable, replace(truth, extra=trainable.initial_extra())),
+        "non-additive effects map": (replace(design, effects=TransformStack(("identity", "exp", "identity"))),
+                                     replace(truth, gamma=np.array([2.5, np.log(1.3), 0.2]))),
     }
     for name, (variant, params) in variants.items():
         small, small_latent = generate_cohort(variant, params, n=200, m=6, seed=7)

@@ -10,7 +10,8 @@ cohort at the study truth, with random effects near the simulated ones at 5
 and 15 chains, and one record in state 1 truncated at t = 4. Kernel after
 kernel, each round times the kernel once on each side, the side that goes
 first alternating from round to round; a timing is the mean over a batch of
-calls sized by one call before the rounds to take about 30 ms. Per kernel
+calls, sized by one call of each side before the rounds so that the slower
+side's batch takes about 30 ms. Per kernel
 and side the report holds the median and quartiles of the per-call time
 over the rounds, in microseconds, the median minor page faults per call
 (``ru_minflt`` of the worker over the batch), and the rounds the change
@@ -174,11 +175,12 @@ def alternate(measure, names: list[str], rounds: int) -> dict[str, dict[str, lis
     (``parent``, ``change``) and round: ``measure(side, name, number)`` times
     ``number`` calls. Kernels run in the order given, all rounds of one
     before the next; the first side alternates from round to round, and
-    ``number`` is sized on one call first so that a batch takes about
-    BATCH_SECONDS."""
+    ``number`` is sized on one call of each side first, so that a batch of
+    the slower side takes about BATCH_SECONDS. Both sides run the same calls,
+    as a worker's page faults depend on what it ran before."""
     times = {name: {"parent": [], "change": []} for name in names}
     for name in names:
-        single, _ = measure("change", name, 1)
+        single = max(measure(side, name, 1)[0] for side in ("parent", "change"))
         number = max(1, int(BATCH_SECONDS / max(single, 1e-9)))
         for r in range(rounds):
             for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):

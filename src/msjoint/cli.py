@@ -14,11 +14,13 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import validate_cohort
+from .design import check_count
 from .graph import build_buckets
 from .inference import FitConfig, StopRule, compute_fim, fit, stderr
 from .io import (
@@ -50,19 +52,12 @@ def _section(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _count(spec: dict, key: str, default: int) -> int:
-    """A count setting of a config section, which must be at least 1."""
-    value = int(spec.get(key, default))
-    if value < 1:
-        raise ValueError(f"{key} must be >= 1, got {value}")
-    return value
-
-
-def _seed(value, name: str) -> int:
-    """A seed, which must be an integer (not a bool) >= 0."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
-    return value
+def _count(value, name: str, least: int = 1) -> int:
+    """A count setting, flag or seed: an integer (not a bool) >= ``least``."""
+    try:
+        return check_count(value, name, least)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _sampler_config(config: dict) -> SamplerConfig:
@@ -122,7 +117,8 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int, params, graph, design) 
         spec["censoring"] = np.inf
     if "initial" in spec:
         spec["initial"] = tuple(spec["initial"])
-    cohort, latent = generate_cohort(design, params, seed=seed, **spec)
+    with _section("config.simulate"):
+        cohort, latent = generate_cohort(design, params, seed=seed, **spec)
     write_cohort(cohort, out_dir, latent=latent)
     counts = build_buckets(graph, cohort.trajectories(), cohort.censoring_times()).counts()
     print(f"simulated {len(cohort)} individuals into {out_dir}")
@@ -155,7 +151,7 @@ def cmd_fit(config: dict, out_dir: Path, seed: int, params, graph, design, cohor
 
 def cmd_fim(config: dict, out_dir: Path, seed: int, params, graph, design, cohort) -> None:
     with _section("config.fim"):
-        n_samples = _count(config.get("fim") or {}, "n_samples", 1000)
+        n_samples = _count((config.get("fim") or {}).get("n_samples", 1000), "n_samples")
     estimate = compute_fim(
         cohort, design, graph, params, _sampler_config(config), n_samples=n_samples, seed=seed
     )
@@ -180,12 +176,10 @@ def cmd_predict(config: dict, out_dir: Path, seed: int, params, graph, design, c
         raise ConfigError("config.predict.truncations: at least one truncation time is required")
     if not horizons:
         raise ConfigError("config.predict.horizons: at least one horizon is required")
-    n_chains = _sampler_config(config).n_chains  # the rest of the sampler settings come from predict
+    sampler_cfg = _sampler_config(config)
     with _section("config.predict"):
-        n_draws = _count(spec, "n_draws", 200)
-        sampler_cfg = SamplerConfig(
-            n_chains=n_chains, warmup=int(spec.get("warmup", 500)), thin=int(spec.get("thin", 5))
-        )
+        n_draws = _count(spec.get("n_draws", 200), "n_draws")
+        sampler_cfg = replace(sampler_cfg, warmup=spec.get("warmup", 500), thin=spec.get("thin", 5))
     master = np.random.default_rng(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_rows = []
@@ -247,10 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
+        _count(args.threads, "--threads")
         config = load_config(args.config)
-        seed = _seed(args.seed, "--seed") if args.seed is not None else _seed(config.get("seed", 0), "config.seed")
+        seed, name = (args.seed, "--seed") if args.seed is not None else (config.get("seed", 0), "config.seed")
+        seed = _count(seed, name, 0)
         run, inputs, params_role = COMMANDS[args.command]
         run(config, args.out, seed, **_load_inputs(config, args, inputs, params_role))
         return 0

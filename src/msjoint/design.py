@@ -8,6 +8,7 @@ breakpoint of the integrand when one lies inside the interval."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +38,25 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer (a ``numbers.Integral``, not a bool)
+    of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def check_count(value, name: str, least: int = 0):
+    """``value`` if it is an integer of at least ``least``, else a ValueError
+    naming ``name``. Every count setting of a run (chains, sweeps, draws,
+    iterations, cohort sizes) passes here."""
+    if not _is_count(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def check_node_count(n: int, what: str = "n_quad") -> int:
-    """A total node count of a split rule: positive and even, as the two
-    pieces take half each."""
-    if n < 2 or n % 2:
+    """A total node count of a split rule: an integer, positive and even, as
+    the two pieces take half each."""
+    if not _is_count(n, 2) or n % 2:
         raise ValueError(f"{what} must be a positive even number (two pieces of {what}/2 nodes), got {n}")
     return int(n)
 
@@ -98,9 +114,6 @@ class ModelDesign:
     def link(self, edge: Edge):
         return self.edge_specs[edge][1]
 
-    def link_dim(self, edge: Edge) -> int:
-        return self.edge_specs[edge][1].dim
-
     @property
     def extra_size(self) -> int:
         return sum(s.stop - s.start for s in self._extra_slices.values())
@@ -138,11 +151,9 @@ class ModelDesign:
 
     def validate_params(self, params: ModelParams) -> None:
         for e in self.edges:
-            a = params.alpha.get(e)
-            if a is None or a.shape[0] != self.link_dim(e):
-                raise ValueError(
-                    f"alpha for edge {e} must have length {self.link_dim(e)}"
-                )
+            a, dim = params.alpha.get(e), self.link(e).dim
+            if a is None or a.shape[0] != dim:
+                raise ValueError(f"alpha for edge {e} must have length {dim}")
         if params.extra.shape[0] != self.extra_size:
             raise ValueError(
                 f"params.extra has length {params.extra.shape[0]}, design needs {self.extra_size}"

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Cohort
-from .design import ModelDesign
+from .design import ModelDesign, check_count
 from .graph import TransitionGraph
 from .likelihood import LikelihoodEngine, locate_nonfinite
 from .params import ModelParams, flatten, unflatten
@@ -27,7 +27,7 @@ class FitConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    n_draws: int | None = None  # posterior draws per iteration; default n_chains
+    n_draws: int | None = None  # posterior draws per iteration, thin sweeps apart; default n_chains
     minibatch: int | None = None  # individuals per step; None = full cohort
     max_iterations: int = 500
     schedule_decay: float | None = None  # sgd power schedule eta_0/(t+1)^kappa
@@ -35,10 +35,10 @@ class FitConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
-        if self.minibatch is not None and self.minibatch < 1:
-            raise ValueError("minibatch must be >= 1 (or null for the full cohort)")
-        if self.n_draws is not None and self.n_draws < 1:
-            raise ValueError("n_draws must be >= 1 (or null for one draw per chain)")
+        check_count(self.max_iterations, "max_iterations")
+        for key in ("minibatch", "n_draws"):  # None: the full cohort, one draw per chain
+            if getattr(self, key) is not None:
+                check_count(getattr(self, key), key, 1)
         if self.schedule_decay is not None and self.optimizer != "sgd":
             raise ValueError("schedule_decay is the sgd power schedule; adam does not read it")
         if self.schedule_decay is not None and not 0.5 < self.schedule_decay <= 1.0:
@@ -155,10 +155,10 @@ def fit(
 
     Each iteration advances the persistent MH chains under the current
     parameters, averages the complete-data gradient over the retained
-    posterior draws, and applies one optimizer step; the loop ends when the
-    stopping rule fires on the flattened parameter vector or at
-    max_iterations. Fixed seed and a single thread give identical reports
-    across runs.
+    posterior draws (``sampler_config.thin`` sweeps apart), and applies one
+    optimizer step; the loop ends when the stopping rule fires on the
+    flattened parameter vector or at max_iterations. Fixed seed and a single
+    thread give identical reports across runs.
     """
     cfg = fit_config or FitConfig()
     rule = stop_rule or StopRule()
@@ -180,6 +180,7 @@ def fit(
 
     opt = _Adam(layout.size, cfg) if cfg.optimizer == "adam" else _Sgd(layout.size, cfg)
     draws_per_iter = int(np.ceil((cfg.n_draws or sampler_cfg.n_chains) / sampler_cfg.n_chains))
+    thin = sampler_cfg.thin
 
     theta_hist: list[np.ndarray] = []
     ll_hist: list[float] = []
@@ -193,7 +194,7 @@ def fit(
             bound = None  # at most one bound parameter value alive at a time
             bound = engine.bind(params)
             chains.refresh(log_density)  # log_density reads the current bound
-        b_draws = np.concatenate(run(chains, log_density, draws_per_iter))
+        b_draws = np.concatenate(run(chains, log_density, draws_per_iter * thin, thin=thin))
 
         subset = None
         scale = 1.0
@@ -268,10 +269,9 @@ def compute_fim(
 
     ``n_samples`` is the total number of posterior draws (chains times
     sweeps); sampling uses the configured thinning between retained draws.
-    Raises ValueError when ``n_samples`` is below 1.
+    Raises ValueError when ``n_samples`` is not an integer >= 1.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_count(n_samples, "n_samples", 1)
     sampler_cfg = sampler_config or SamplerConfig()
     engine = engine or LikelihoodEngine(cohort, design, graph)
     bound = engine.bind(params)

@@ -240,15 +240,9 @@ def parse_edge_key(key: str) -> Edge:
 def params_to_dict(params: ModelParams) -> dict:
     return {
         "gamma": [float(v) for v in params.gamma],
-        "q": {
-            "method": params.q_repr.method,
-            "dim": params.q_repr.dim,
-            "values": [float(v) for v in params.q_repr.values],
-        },
-        "r": {
-            "method": params.r_repr.method,
-            "dim": params.r_repr.dim,
-            "values": [float(v) for v in params.r_repr.values],
+        **{
+            key: {"method": rep.method, "dim": rep.dim, "values": [float(v) for v in rep.values]}
+            for key, rep in (("q", params.q_repr), ("r", params.r_repr))
         },
         "alpha": {edge_key(e): [float(v) for v in params.alpha[e]] for e in params.edges},
         "beta": {edge_key(e): [float(v) for v in params.beta[e]] for e in params.edges},
@@ -332,7 +326,7 @@ _SECTION_KEYS = {
     "fim": {"n_samples"},
 }
 
-_TOP_KEYS = {"seed", "graph", "design", "params", "fit", "sampler", "simulate", "predict", "fim"}
+_TOP_KEYS = {"seed", "params", *_SECTION_KEYS}
 
 
 def _check_keys(spec: dict, allowed: set, path: str) -> None:
@@ -439,6 +433,6 @@ def build_design_from_config(config: dict) -> ModelDesign:
             links_cache[cache_key] = _build_family("link", lspec, f"{path}.link", regression)
         edge_specs[edge] = (hazard, links_cache[cache_key])
     try:
-        return ModelDesign(effects, regression, edge_specs, n_quad=int(spec.get("n_quad", DEFAULT_QUAD_NODES)))
+        return ModelDesign(effects, regression, edge_specs, n_quad=spec.get("n_quad", DEFAULT_QUAD_NODES))
     except ValueError as exc:
         raise ConfigError(f"config.design: {exc}") from exc

@@ -519,7 +519,6 @@ class LikelihoodEngine:
         violations = validate_cohort(cohort, graph)
         if violations:
             raise ValueError("invalid cohort: " + "; ".join(violations[:5]))
-        self.cohort = cohort
         self.design = design
         self.graph = graph
         self.n = len(cohort)

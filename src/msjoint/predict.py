@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, state_occupied_at
-from .design import ModelDesign
+from .design import ModelDesign, check_count
 from .graph import TransitionGraph, reaches
 from .likelihood import LikelihoodEngine
 from .params import ModelParams
@@ -138,11 +138,6 @@ def hitting_time(graph: TransitionGraph, targets: set[int]) -> tuple[StoppingSpe
 # Posterior conditioning
 
 
-def _check_draws(n_draws: int) -> None:
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-
-
 def condition_cohort(
     cohort: Cohort,
     t: float,
@@ -158,9 +153,9 @@ def condition_cohort(
     Histories are truncated at t (measurements at times <= t, transitions at
     times <= t, censoring at min(t, C_i), so no follow-up past an
     individual's censoring time is assumed). Returns draws of shape
-    (>= n_draws, n, q); n_draws below 1 raises ValueError.
+    (>= n_draws, n, q); an n_draws that is not an integer >= 1 raises ValueError.
     """
-    _check_draws(n_draws)
+    check_count(n_draws, "n_draws", 1)
     cfg = sampler_config or SamplerConfig(warmup=500, thin=5)
     truncated = Cohort(tuple(rec.truncated(t) for rec in cohort))
     engine = LikelihoodEngine(truncated, design, graph)
@@ -212,8 +207,9 @@ def _continuations(
     draws unless ``b_draws`` is given, recycled to ``n_draws``) from its last
     transition, so clock-reset hazards keep the sojourn age, conditioned on
     T >= min(t, C). Returns the completed paths and the number of draws cut
-    off by the max-transitions guard; n_draws below 1 raises ValueError."""
-    _check_draws(n_draws)
+    off by the max-transitions guard; an n_draws that is not an integer >= 1
+    raises ValueError."""
+    check_count(n_draws, "n_draws", 1)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if b_draws is None:
         b_draws = posterior_condition(

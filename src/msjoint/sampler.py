@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .design import check_count
+
 TARGET_ACCEPT = 0.234
 
 LogDensity = Callable[[np.ndarray], np.ndarray]
@@ -32,12 +34,11 @@ class SamplerConfig:
     thin: int = 1
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
+        check_count(self.n_chains, "n_chains", 1)
+        check_count(self.warmup, "warmup")
+        check_count(self.thin, "thin", 1)
         if not 0.5 < self.rm_decay <= 1.0:
             raise ValueError("rm_decay must lie in (1/2, 1] for Robbins-Monro convergence")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
         if not 0.0 < self.init_scale < np.inf:
@@ -64,7 +65,6 @@ class ChainState:
     config: SamplerConfig
     sweeps: int = 0
     adapt_steps: int = 0
-    post_warmup_sweeps: int = 0
 
     @property
     def n_chains(self) -> int:
@@ -76,9 +76,10 @@ class ChainState:
 
     def realized_acceptance(self) -> np.ndarray:
         """Per-individual post-warmup empirical acceptance rate."""
-        if self.post_warmup_sweeps == 0:
+        post_warmup_sweeps = self.sweeps - self.config.warmup
+        if post_warmup_sweeps <= 0:
             return np.full(self.b.shape[1], np.nan)
-        return self.post_warmup_accepts / (self.post_warmup_sweeps * self.n_chains)
+        return self.post_warmup_accepts / (post_warmup_sweeps * self.n_chains)
 
     def refresh(self, log_density: LogDensity) -> None:
         """Recompute the cached log-density (needed after parameter updates)."""
@@ -154,7 +155,6 @@ def sweep(chains: ChainState, log_density: LogDensity) -> np.ndarray:
         adapt_step(chains, accepted)
     else:
         chains.post_warmup_accepts += accepted.sum(axis=0)
-        chains.post_warmup_sweeps += 1
     chains.sweeps += 1
     return accepted
 
@@ -175,8 +175,7 @@ def run(
 
     Returns an array of shape (floor(n_steps/thin), chains, n, q).
     """
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    check_count(thin, "thin", 1)
     warmup(chains, log_density)
     retained = []
     for step in range(1, n_steps + 1):

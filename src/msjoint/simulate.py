@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, Trajectory
-from .design import ModelDesign, cumulative_intensity, transition_log_intensity
+from .design import ModelDesign, check_count, cumulative_intensity, transition_log_intensity
 from .params import ModelParams
 from .streams import RowStreams
 
@@ -155,24 +155,19 @@ def invert_cumulative_hazard(
 # Trajectory sampling (competing edges, one transition at a time)
 
 
-def _edge_cumulative(design, params, edge, x, psi, entry):
-    """Cumulative intensity of one edge for rows of (x, psi, entry): the
-    returned callable maps (row index, a, b) to Lambda over [a, b]."""
+def _edge_intensity(design, params, edge, x, psi, entry):
+    """The (cumulative, rate) pair of one edge for rows of (x, psi, entry), as
+    :func:`invert_cumulative_hazard` takes them: ``cumulative`` maps (row
+    index, a, b) to Lambda over [a, b], and ``rate`` maps (row index, t) to
+    lambda at t."""
 
     def cumulative(idx, a, b):
         return cumulative_intensity(design, params, edge, entry[idx], b, x[idx], psi[idx], lower=a)
 
-    return cumulative
-
-
-def _edge_rate(design, params, edge, x, psi, entry):
-    """Intensity of one edge for rows of (x, psi, entry): the returned
-    callable maps (row index, t) to lambda at t."""
-
     def rate(idx, t):
         return np.exp(transition_log_intensity(design, params, edge, t, entry[idx], x[idx], psi[idx]))
 
-    return rate
+    return cumulative, rate
 
 
 def step_transitions(
@@ -202,11 +197,9 @@ def step_transitions(
         cand = np.full((len(succ), rows.size), np.inf)
         thresholds = streams.exponential(rows, len(succ))
         for j, s in enumerate(succ):
-            edge, args = (int(state), int(s)), (x[rows], psi[rows], cur_t[rows])
-            cand[j] = invert_cumulative_hazard(
-                _edge_cumulative(design, params, edge, *args), lower[rows], cap[rows], thresholds[j],
-                rate=_edge_rate(design, params, edge, *args),
-            )
+            edge = (int(state), int(s))
+            cumulative, rate = _edge_intensity(design, params, edge, x[rows], psi[rows], cur_t[rows])
+            cand[j] = invert_cumulative_hazard(cumulative, lower[rows], cap[rows], thresholds[j], rate=rate)
         best = np.argmin(cand, axis=0)  # first minimum = lowest successor index
         t_best = cand[best, np.arange(rows.size)]
         t_new[rows] = t_best
@@ -433,8 +426,11 @@ def generate_cohort(
     censored past C, and trajectories simulated from the initial pair.
 
     ``censoring`` is a (low, high) uniform range, a scalar, or +inf.
-    Returns the cohort and the latent truth (b, psi).
+    Returns the cohort and the latent truth (b, psi). ``n`` and ``m`` must be
+    integers >= 0.
     """
+    check_count(n, "n")
+    check_count(m, "m")
     rng = np.random.default_rng(seed)
     if isinstance(censoring, (tuple, list)):
         c = rng.uniform(censoring[0], censoring[1], size=n)

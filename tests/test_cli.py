@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from msjoint import repr_from_cov
-from msjoint.cli import main
+from msjoint.cli import COMMANDS, main
 from msjoint.dataset import Cohort, IndividualRecord, Trajectory
 from msjoint.families import EFFECTS_FAMILIES, LINK_FAMILIES, REGRESSION_FAMILIES
 from msjoint.hazards import HAZARD_FAMILIES
@@ -547,6 +547,34 @@ def test_predict_accuracy_is_one_before_truncation(config_file, tmp_path):
     assert all(abs(v - 1.0) < 1e-9 for v in probs.values())
 
 
+@pytest.mark.parametrize(
+    "section, key, value, changes",
+    [
+        ("sampler", "rm_scale", 0.0, True),
+        ("sampler", "init_scale", 0.1, True),
+        ("predict", "warmup", 20, True),
+        ("predict", "thin", 3, True),
+        ("sampler", "warmup", 3, False),
+        ("sampler", "thin", 4, False),
+    ],
+    ids=["sampler_rm_scale", "sampler_init_scale", "predict_warmup", "predict_thin", "sampler_warmup", "sampler_thin"],
+)
+def test_predict_takes_the_sampler_section_but_warmup_and_thin(config_file, tmp_path, section, key, value, changes):
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
+    cfg = study_config()
+    write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
+    cfg[section][key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    for name, config in (("default", config_file), ("changed", path)):
+        assert main([
+            "predict", "--config", str(config), "--data", str(tmp_path / "data"),
+            "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / name), "--seed", "5",
+        ]) == 0
+    default, changed = (read_bytes(tmp_path / name / "predictions.csv") for name in ("default", "changed"))
+    assert (default != changed) == changes
+
+
 def test_predict_requires_truncations(config_file, tmp_path):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
     cfg = study_config()
@@ -612,11 +640,27 @@ def test_predict_thin_error_exits_2(config_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, section, key, value, message",
     [
-        ("fim", "fim", "n_samples", 0, "config.fim: n_samples must be >= 1"),
-        ("predict", "predict", "n_draws", 0, "config.predict: n_draws must be >= 1"),
-        ("predict", "sampler", "n_chains", 0, "config.sampler: n_chains must be >= 1"),
+        ("fim", "fim", "n_samples", 0, "config.fim: n_samples must be an integer >= 1, got 0"),
+        ("predict", "predict", "n_draws", 0, "config.predict: n_draws must be an integer >= 1, got 0"),
+        ("predict", "sampler", "n_chains", 0, "config.sampler: n_chains must be an integer >= 1, got 0"),
+        ("fit", "sampler", "n_chains", 2.5, "config.sampler: n_chains must be an integer >= 1, got 2.5"),
+        ("fit", "fit", "max_iterations", 2.5, "config.fit: max_iterations must be an integer >= 0, got 2.5"),
+        ("fit", "fit", "minibatch", 2.5, "config.fit: minibatch must be an integer >= 1, got 2.5"),
+        ("simulate", "simulate", "n", 10.5, "config.simulate: n must be an integer >= 0, got 10.5"),
+        ("simulate", "simulate", "m", -1, "config.simulate: m must be an integer >= 0, got -1"),
+        ("fit", "sampler", "warmup", 10.5, "config.sampler: warmup must be an integer >= 0, got 10.5"),
+        ("fit", "fit", "n_draws", True, "config.fit: n_draws must be an integer >= 1, got True"),
+        ("fim", "fim", "n_samples", True, "config.fim: n_samples must be an integer >= 1, got True"),
+        ("simulate", "design", "n_quad", 16.5, "config.design: n_quad must be a positive even number"),
+        ("predict", "predict", "warmup", 10.5, "config.predict: warmup must be an integer >= 0, got 10.5"),
+        ("predict", "predict", "thin", True, "config.predict: thin must be an integer >= 1, got True"),
     ],
-    ids=["fim_n_samples", "predict_n_draws", "predict_n_chains"],
+    ids=[
+        "fim_n_samples", "predict_n_draws", "predict_n_chains", "fit_n_chains_fraction",
+        "fit_max_iterations_fraction", "fit_minibatch_fraction", "simulate_n_fraction", "simulate_m_negative",
+        "fit_warmup_fraction", "fit_n_draws_bool", "fim_n_samples_bool", "simulate_n_quad_fraction",
+        "predict_warmup_fraction", "predict_thin_bool",
+    ],
 )
 def test_zero_count_exits_2(config_file, tmp_path, capsys, command, section, key, value, message):
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
@@ -625,11 +669,10 @@ def test_zero_count_exits_2(config_file, tmp_path, capsys, command, section, key
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
-    rc = main([
-        command, "--config", str(path), "--data", str(tmp_path / "data"),
-        "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / "out"),
-    ])
-    assert rc == 2
+    inputs = {"data": str(tmp_path / "data"), "params": str(tmp_path / "params.json")}
+    flags = [arg for flag in COMMANDS[command][1] for arg in (f"--{flag}", inputs[flag])]
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -119,9 +119,9 @@ def test_fit_config_rejects_a_step_setting_that_is_not_positive_and_finite(key, 
         FitConfig(**{key: value})
 
 
-@pytest.mark.parametrize("n_draws", [0, -2])
+@pytest.mark.parametrize("n_draws", [0, -2, 2.5, True])
 def test_fit_config_rejects_fewer_than_one_draw(n_draws):
-    with pytest.raises(ValueError, match="n_draws must be >= 1"):
+    with pytest.raises(ValueError, match="n_draws must be an integer >= 1"):
         FitConfig(n_draws=n_draws)
 
 

@@ -40,15 +40,15 @@ def test_rounds_alternate_the_first_side_and_size_the_batch_once():
     module = load_script()
     calls = []
     module.alternate(fake_measure(calls), ["a", "b"], rounds=3)
-    # every round of a kernel before the next kernel, each sized by one call first
+    # every round of a kernel before the next kernel, each sized by one call of each side first
     assert [(side, name) for side, name, _ in calls] == [
-        ("change", "a"), ("parent", "a"), ("change", "a"), ("change", "a"), ("parent", "a"),
-        ("parent", "a"), ("change", "a"),
-        ("change", "b"), ("parent", "b"), ("change", "b"), ("change", "b"), ("parent", "b"),
-        ("parent", "b"), ("change", "b"),
+        ("parent", "a"), ("change", "a"), ("parent", "a"), ("change", "a"), ("change", "a"),
+        ("parent", "a"), ("parent", "a"), ("change", "a"),
+        ("parent", "b"), ("change", "b"), ("parent", "b"), ("change", "b"), ("change", "b"),
+        ("parent", "b"), ("parent", "b"), ("change", "b"),
     ]
     sized = [(side, name) for side, name, number in calls if number == 1]
-    assert sized == [("change", "a"), ("change", "b")]
+    assert sized == [("parent", "a"), ("change", "a"), ("parent", "b"), ("change", "b")]
     assert {number for _, _, number in calls if number > 1} == {int(module.BATCH_SECONDS / 0.01)}
 
 

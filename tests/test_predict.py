@@ -186,6 +186,25 @@ def test_every_fit_sweep_calls_posterior_logdensity(small_cohort, study_design, 
     assert len(calls) == 1 + cfg.warmup + report.iterations * draws_per_iter + (report.iterations - 1)
 
 
+def test_fit_draws_are_thin_sweeps_apart(small_cohort, study_design, study_graph, study_init_params):
+    cohort, _ = small_cohort
+    sweeps, history = {}, {}
+    for thin in (1, 3):
+        calls = []
+        engine = counting_engine(calls)(cohort, study_design, study_graph)
+        cfg = SamplerConfig(n_chains=2, warmup=5, thin=thin)
+        report = fit(
+            cohort, study_design, study_graph, study_init_params, FitConfig(max_iterations=4, n_draws=4),
+            StopRule(rtol=0.0, atol=0.0), cfg, seed=3, engine=engine,
+        )
+        assert report.iterations == 4
+        # all calls but init_chains', the warmup's and one refresh per later theta are iteration sweeps
+        sweeps[thin] = (len(calls) - 1 - cfg.warmup - (report.iterations - 1)) / report.iterations
+        history[thin] = report.theta_history
+    assert sweeps == {1: 2, 3: 6}
+    assert not np.array_equal(history[1], history[3])
+
+
 def test_posterior_condition_rejects_time_before_initial():
     g, design, params = single_edge_model()
     rec = IndividualRecord(
@@ -536,7 +555,7 @@ def test_prediction_rejects_fewer_than_one_draw(entry, study_design, study_param
             cohort, 2.0, [4.0, 6.0], *common, cfg, 0, np.random.default_rng(4)
         ),
     }
-    with pytest.raises(ValueError, match="n_draws must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="n_draws must be an integer >= 1, got 0"):
         calls[entry]()
 
 

@@ -4,6 +4,7 @@ from scipy import stats
 
 from msjoint import Cohort, IndividualRecord, LikelihoodEngine, ModelDesign, ModelParams, Trajectory, build_graph, repr_from_cov
 from msjoint.families import BOnly, Polynomial
+from msjoint.inference import FitConfig
 from msjoint.sampler import (
     SamplerConfig,
     _rate,
@@ -14,6 +15,7 @@ from msjoint.sampler import (
     sweep,
     warmup,
 )
+from msjoint.simulate import generate_cohort
 
 
 def prior_density(q_repr):
@@ -60,6 +62,15 @@ def test_sampler_config_rejects_a_negative_or_infinite_rm_scale(rm_scale):
     with pytest.raises(ValueError, match="rm_scale must be >= 0"):
         SamplerConfig(rm_scale=rm_scale)
     SamplerConfig(rm_scale=0.0)  # valid: adaptation off
+
+
+def test_counts_take_numpy_integers(study_design, study_params):
+    # library callers may size runs with numpy integers, not only with Python ints
+    cfg = SamplerConfig(n_chains=np.int64(2), warmup=np.int32(0), thin=np.uint8(3))
+    assert (cfg.n_chains, cfg.warmup, cfg.thin) == (2, 0, 3)
+    FitConfig(max_iterations=np.int64(0), minibatch=np.int16(5), n_draws=np.int64(1))
+    cohort, _ = generate_cohort(study_design, study_params, n=np.int64(3), m=np.int64(2))
+    assert len(cohort) == 3
 
 
 def test_zero_scale_proposals_always_accept():

@@ -26,8 +26,7 @@ from msjoint.simulate import (
     invert_cumulative_hazard,
     random_far_apart,
     sample_trajectories,
-    _edge_cumulative,
-    _edge_rate,
+    _edge_intensity,
 )
 from msjoint.streams import RowStreams
 from msjoint.study import Q_DIAG
@@ -173,10 +172,8 @@ def test_inverted_times_are_exact_to_the_tolerance(model, study_design, study_pa
     cap = np.where(rng.random(n) < 0.2, np.inf, lower + rng.uniform(2.0, 12.0, n))
     thr = rng.standard_exponential(n)
     for edge in design.edges:
-        cumulative = _edge_cumulative(design, params, edge, x, psi, entry)
-        t = invert_cumulative_hazard(
-            cumulative, lower, cap, thr, rate=_edge_rate(design, params, edge, x, psi, entry)
-        )
+        cumulative, rate = _edge_intensity(design, params, edge, x, psi, entry)
+        t = invert_cumulative_hazard(cumulative, lower, cap, thr, rate=rate)
         idx = np.nonzero(np.isfinite(t))[0]
         assert idx.size >= 20, edge
         assert (t[idx] > lower[idx]).all()
