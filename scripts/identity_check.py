@@ -3,21 +3,30 @@
 
     python scripts/identity_check.py --parent DIR
 
-For this checkout and for DIR in turn, one subprocess with
+For DIR and then for this checkout, one subprocess with
 ``PYTHONPATH=<tree>/src`` and ``OMP_NUM_THREADS=1`` runs the same hashing
-pass and reports the SHA-256 of every item:
+pass and reports the SHA-256 of every item. The passes share one directory
+of cohorts: the parent's pass writes every cohort it generates there
+(``write_cohort``, with the latent b and psi as ``latent.npz``), and both
+passes run everything but the simulation on those files. A change to the
+simulator then shows only in the ``generate_cohort`` items and in the
+``cli simulate`` files, not in every item computed from a cohort.
+
+The items:
 
 - each file written by ``msjoint simulate``, ``fit``, ``fim`` and
   ``predict`` for ``study_config(n=60, m=6)`` of ``tests/test_cli.py``, with
-  seeds 11, 5, 6 and 8;
-- on the seed-42 n=1000 study cohort: the records of ``generate_cohort``
-  and of ``read_cohort`` after ``write_cohort``, ``posterior_logdensity``
-  at C=5, ``grad_theta`` at C=15 for the whole cohort and for 100
-  individuals, ``individual_scores`` at C=5, the ``theta_history`` and
-  ``loglik_history`` of a 20-iteration Adam ``fit``, the ``theta_history``
-  of a 10-iteration SGD ``fit`` with a power schedule on 100-individual
-  minibatches, a 50-draw ``compute_fim`` and ten ``predict_state_grid``
-  requests;
+  seeds 11, 5, 6 and 8; ``fit``, ``fim`` and ``predict`` read the shared
+  copy of the parent's ``simulate`` output;
+- on the seed-42 n=1000 study cohort: the records of ``generate_cohort``;
+  on the shared copy of that cohort, the records of ``read_cohort`` after
+  ``write_cohort``, ``cumulative_intensity`` of every edge over the second
+  half of each follow-up, ``posterior_logdensity`` at C=5, ``grad_theta`` at C=15
+  for the whole cohort and for 100 individuals, ``individual_scores`` at
+  C=5, the ``theta_history`` and ``loglik_history`` of a 20-iteration Adam
+  ``fit``, the ``theta_history`` of a 10-iteration SGD ``fit`` with a power
+  schedule on 100-individual minibatches, a 50-draw ``compute_fim`` and ten
+  ``predict_state_grid`` requests;
 - on n=200, m=6, seed-7 cohorts of the study rebuilt with ``ValueLink`` on
   (0,1) and (0,2) and ``SlopeLink`` on (1,2), of the study rebuilt from
   ``CustomRegression`` and ``CustomLink`` wrapping its families' callbacks,
@@ -26,8 +35,8 @@ pass and reports the SHA-256 of every item:
   ``TransformStack(("identity", "exp", "identity"))``, which is not additive
   (so the gradient reduces per chain and the posterior takes three terms),
   at gamma_2 = log 1.3: one item each for the records of
-  ``generate_cohort`` with
-  ``posterior_logdensity``, ``grad_theta`` and ``individual_scores`` at C=5;
+  ``generate_cohort``, and one for ``posterior_logdensity``, ``grad_theta``
+  and ``individual_scores`` at C=5 on the shared copy;
 - for seeded ``full``, ``diag`` and ``ball`` precision representations at
   q = 1, 2, 3 and the study's Q and R: ``chol_factor``, ``precision``,
   ``covariance`` and ``log_det_precision``, plus ``grad_values`` at seeded
@@ -43,6 +52,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -62,13 +72,27 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def hash_items(work: Path) -> dict[str, str]:
+def shared_cohort(directory: Path, cohort, latent):
+    """The cohort and latent (b, psi) as read back from ``directory``, where
+    the first pass to ask writes the ``cohort`` and ``latent`` it generated;
+    a later pass reads what that one wrote and ignores its own."""
+    from msjoint.io import read_cohort, write_cohort
+
+    if not directory.exists():
+        write_cohort(cohort, directory)
+        np.savez(directory / "latent.npz", b=latent["b"], psi=latent["psi"])
+    with np.load(directory / "latent.npz") as saved:
+        return read_cohort(directory), {"b": saved["b"], "psi": saved["psi"]}
+
+
+def hash_items(work: Path, shared: Path) -> dict[str, str]:
     """The hashing pass, run in the tree whose ``msjoint`` is importable;
-    CLI outputs are written under ``work``."""
+    outputs are written under ``work``, and the cohorts that the engine, fit,
+    FIM and predict items use are shared through ``shared``."""
     from dataclasses import replace
 
     from msjoint.cli import main
-    from msjoint.design import ModelDesign
+    from msjoint.design import ModelDesign, cumulative_intensity
     from msjoint.families import CustomLink, CustomRegression, SlopeLink, TransformStack, ValueLink
     from msjoint.hazards import ExponentialHazard
     from msjoint.inference import FitConfig, compute_fim, fit
@@ -87,15 +111,17 @@ def hash_items(work: Path) -> dict[str, str]:
     config = work / "config.json"
     config.write_text(json.dumps(study_config(n=60, m=6)))
     common = ["--config", str(config), "--threads", "1"]
-    data, fitted = ["--data", str(work / "data")], ["--params", str(work / "fit" / "params.json")]
+    data, fitted = ["--data", str(shared / "cli data")], ["--params", str(work / "fit" / "params.json")]
     for command, seed, extra in (
         ("simulate", 11, []), ("fit", 5, data), ("fim", 6, data + fitted), ("predict", 8, data + fitted),
     ):
-        out_dir = work / ("data" if command == "simulate" else command)
+        out_dir = work / command
         if main([command, *common, *extra, "--out", str(out_dir), "--seed", str(seed)]) != 0:
             raise RuntimeError(f"msjoint {command} failed")
         for path in sorted(out_dir.iterdir()):
             out[f"cli {command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        if command == "simulate" and not (shared / "cli data").exists():
+            shutil.copytree(out_dir, shared / "cli data")
 
     def records(cohort):
         return (a for rec in cohort for a in (
@@ -106,8 +132,14 @@ def hash_items(work: Path) -> dict[str, str]:
     graph, design, truth, init = study_model()
     cohort, latent = generate_cohort(design, truth, n=1000, m=20, seed=42)
     out["generate_cohort"] = _digest(latent["b"], latent["psi"], *records(cohort))
+    cohort, latent = shared_cohort(shared / "study", cohort, latent)
     write_cohort(cohort, work / "cohort")
     out["read_cohort after write_cohort"] = _digest(*records(read_cohort(work / "cohort")))
+    x, cens = np.array([rec.covariates for rec in cohort]), np.asarray(cohort.censoring_times())
+    out["cumulative_intensity"] = _digest(*(
+        cumulative_intensity(design, truth, edge, np.zeros(1000), cens, x, latent["psi"], lower=0.5 * cens)
+        for edge in design.edges
+    ))
     engine = LikelihoodEngine(cohort, design, graph)
     rng = np.random.default_rng(1)
     q = truth.q_repr.dim
@@ -152,11 +184,13 @@ def hash_items(work: Path) -> dict[str, str]:
     }
     for name, (variant, params) in variants.items():
         small, small_latent = generate_cohort(variant, params, n=200, m=6, seed=7)
+        out[f"{name}: generate_cohort"] = _digest(small_latent["b"], small_latent["psi"], *records(small))
+        small, small_latent = shared_cohort(shared / name, small, small_latent)
         small_engine = LikelihoodEngine(small, variant, graph)
         b = small_latent["b"] + 0.3 * np.random.default_rng(2).standard_normal((5, 200, q))
-        out[f"{name}: generate_cohort, C=5 posterior_logdensity, grad_theta, individual_scores"] = _digest(
-            small_latent["b"], small_latent["psi"], *records(small), small_engine.posterior_logdensity(params, b),
-            small_engine.grad_theta(params, b), small_engine.individual_scores(params, b),
+        out[f"{name}: C=5 posterior_logdensity, grad_theta, individual_scores"] = _digest(
+            small_engine.posterior_logdensity(params, b), small_engine.grad_theta(params, b),
+            small_engine.individual_scores(params, b),
         )
 
     rng = np.random.default_rng(7)
@@ -175,16 +209,17 @@ def hash_items(work: Path) -> dict[str, str]:
     return out
 
 
-def tree_hashes(tree: Path) -> dict[str, str]:
-    """:func:`hash_items` in a subprocess that imports ``msjoint`` from ``tree``."""
+def tree_hashes(tree: Path, shared: Path) -> dict[str, str]:
+    """:func:`hash_items` in a subprocess that imports ``msjoint`` from
+    ``tree``, sharing cohorts through ``shared``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
     code = (
-        "import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
-        "import identity_check; print(json.dumps(identity_check.hash_items(Path(sys.argv[2]))))"
+        "import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); import identity_check; "
+        "print(json.dumps(identity_check.hash_items(Path(sys.argv[2]), Path(sys.argv[3]))))"
     )
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(ROOT / "scripts"), work],
+            [sys.executable, "-c", code, str(ROOT / "scripts"), work, str(shared)],
             env=env, cwd=work, capture_output=True, text=True,
         )
     if proc.returncode != 0:
@@ -210,7 +245,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout to compare this one with")
     args = parser.parse_args(argv)
-    verdicts = compare(tree_hashes(ROOT), tree_hashes(args.parent.resolve()))
+    with tempfile.TemporaryDirectory() as shared:
+        parent = tree_hashes(args.parent.resolve(), Path(shared))  # first: it writes the shared cohorts
+        change = tree_hashes(ROOT, Path(shared))
+    verdicts = compare(change, parent)
     for item, verdict in verdicts:
         print(f"{verdict:>17}  {item}")
     differ = sum(verdict != "equal" for _, verdict in verdicts)

@@ -37,7 +37,9 @@ a fresh process does. Kernels, in order:
   and ``individual_scores`` at C=5, n=1000;
 - Q's ``log_det_precision``;
 - one ``predict_state_grid`` request for the truncated record (200 draws,
-  5 chains, warmup 150, thin 5);
+  5 chains, warmup 150, thin 5), and its continuation alone: the same
+  request with 200 posterior draws of the record's random effects drawn
+  once before the rounds and passed as ``b_draws``;
 - ``generate_cohort``, ``write_cohort`` and ``read_cohort`` of the n=1000
   cohort.
 
@@ -71,7 +73,7 @@ def build_kernels(work: Path) -> dict:
     from msjoint import Cohort, LikelihoodEngine
     from msjoint.inference import FitConfig, fit
     from msjoint.io import read_cohort, write_cohort
-    from msjoint.predict import predict_state_grid
+    from msjoint.predict import posterior_condition, predict_state_grid
     from msjoint.sampler import SamplerConfig
     from msjoint.simulate import generate_cohort
     from msjoint.study import study_model
@@ -93,6 +95,7 @@ def build_kernels(work: Path) -> dict:
     engine.posterior_logdensity(bound, b5)  # a bound value's first call forms what it caches
     one.posterior_logdensity(bound1, b1)
     sampler = SamplerConfig(n_chains=5, warmup=150, thin=5)
+    b_fixed = posterior_condition(record, 4.0, design, truth, graph, sampler, n_draws=200, seed=0)
     fit_config = FitConfig(max_iterations=10, learning_rate=0.5, n_draws=15)
     fit_sampler = SamplerConfig(n_chains=5, warmup=150)
     subset = np.sort(rng.choice(1000, size=100, replace=False))
@@ -113,6 +116,9 @@ def build_kernels(work: Path) -> dict:
         "log_det_precision Q": lambda: truth.q_repr.log_det_precision(),
         "predict_state_grid request": lambda: predict_state_grid(
             record, 4.0, [5.0, 8.0, 12.0], design, truth, graph, n_draws=200, rng=0, sampler_config=sampler
+        ),
+        "predict_state_grid continuation": lambda: predict_state_grid(
+            record, 4.0, [5.0, 8.0, 12.0], design, truth, graph, n_draws=200, rng=0, b_draws=b_fixed
         ),
         "generate_cohort n=1000": lambda: generate_cohort(design, truth, n=1000, m=20, seed=42),
         "write_cohort n=1000": lambda: write_cohort(cohort, work),

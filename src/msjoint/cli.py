@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import validate_cohort
 from .design import check_count
 from .graph import build_buckets
-from .inference import FitConfig, StopRule, compute_fim, fit, stderr
+from .inference import DEFAULT_FIM_SAMPLES, FitConfig, StopRule, compute_fim, fit, stderr
 from .io import (
     ConfigError,
     build_design_from_config,
@@ -37,7 +37,7 @@ from .io import (
 )
 from .likelihood import check_covariate_count
 from .params import flatten
-from .predict import accuracy, predict_cohort_grid
+from .predict import DEFAULT_DRAWS, DEFAULT_THIN, DEFAULT_WARMUP, accuracy, predict_cohort_grid
 from .sampler import SamplerConfig
 from .simulate import generate_cohort
 
@@ -151,7 +151,7 @@ def cmd_fit(config: dict, out_dir: Path, seed: int, params, graph, design, cohor
 
 def cmd_fim(config: dict, out_dir: Path, seed: int, params, graph, design, cohort) -> None:
     with _section("config.fim"):
-        n_samples = _count((config.get("fim") or {}).get("n_samples", 1000), "n_samples")
+        n_samples = _count((config.get("fim") or {}).get("n_samples", DEFAULT_FIM_SAMPLES), "n_samples")
     estimate = compute_fim(
         cohort, design, graph, params, _sampler_config(config), n_samples=n_samples, seed=seed
     )
@@ -178,8 +178,10 @@ def cmd_predict(config: dict, out_dir: Path, seed: int, params, graph, design, c
         raise ConfigError("config.predict.horizons: at least one horizon is required")
     sampler_cfg = _sampler_config(config)
     with _section("config.predict"):
-        n_draws = _count(spec.get("n_draws", 200), "n_draws")
-        sampler_cfg = replace(sampler_cfg, warmup=spec.get("warmup", 500), thin=spec.get("thin", 5))
+        n_draws = _count(spec.get("n_draws", DEFAULT_DRAWS), "n_draws")
+        sampler_cfg = replace(
+            sampler_cfg, warmup=spec.get("warmup", DEFAULT_WARMUP), thin=spec.get("thin", DEFAULT_THIN)
+        )
     master = np.random.default_rng(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_rows = []

@@ -183,6 +183,44 @@ def transition_log_intensity(
     return out
 
 
+def node_intensities(
+    design: ModelDesign,
+    params: ModelParams,
+    edge: Edge,
+    t0,
+    t1,
+    x,
+    psi,
+    lower=None,
+    at=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The split Gauss-Legendre rule (``design.n_quad`` nodes, see
+    :func:`split_nodes`) on [t0, t1] (or [lower, t1] when conditioning past
+    the entry time t0) and the intensity at its nodes.
+
+    Returns the weights, (..., n_quad), and the intensities, (..., n_quad),
+    or (..., n_quad + 1) when ``at`` (broadcast to (...)) is given: the
+    intensity at ``at`` is then the last column, from the same
+    :func:`transition_log_intensity` call.
+    """
+    edge = tuple(edge)
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    a = t0 if lower is None else np.asarray(lower, dtype=float)
+    if np.any(t1 < a):
+        raise ValueError("upper integration bound precedes the lower bound")
+    w, ww = split_nodes(design.link(edge), design.n_quad, a, t1)
+    if at is not None:
+        at = np.broadcast_to(np.asarray(at, dtype=float), ww.shape[:-1])
+        w = np.concatenate([w, at[..., None]], axis=-1)
+    psi_q = np.asarray(psi)[..., None, :] if np.ndim(psi) else psi
+    x_q = np.asarray(x, dtype=float)[..., None, :] if np.ndim(x) else x
+    log_lam = transition_log_intensity(
+        design, params, edge, w, t0[..., None], x_q, psi_q
+    )
+    return ww, np.exp(log_lam)
+
+
 def cumulative_intensity(
     design: ModelDesign,
     params: ModelParams,
@@ -195,23 +233,13 @@ def cumulative_intensity(
 ) -> np.ndarray:
     """Split Gauss-Legendre approximation (``design.n_quad`` nodes, see
     :func:`split_nodes`) of the integrated intensity on [t0, t1] (or
-    [lower, t1] when conditioning past the entry time t0).
+    [lower, t1] when conditioning past the entry time t0): the weighted sum
+    of :func:`node_intensities`.
 
     Positive weights and a positive integrand keep the result >= 0.
     """
-    edge = tuple(edge)
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    a = t0 if lower is None else np.asarray(lower, dtype=float)
-    if np.any(t1 < a):
-        raise ValueError("upper integration bound precedes the lower bound")
-    w, ww = split_nodes(design.link(edge), design.n_quad, a, t1)
-    psi_q = np.asarray(psi)[..., None, :] if np.ndim(psi) else psi
-    x_q = np.asarray(x, dtype=float)[..., None, :] if np.ndim(x) else x
-    log_lam = transition_log_intensity(
-        design, params, edge, w, t0[..., None], x_q, psi_q
-    )
-    return np.sum(np.exp(log_lam) * ww, axis=-1)
+    ww, lam = node_intensities(design, params, edge, t0, t1, x, psi, lower)
+    return np.sum(lam * ww, axis=-1)
 
 
 # --------------------------------------------------------------------------

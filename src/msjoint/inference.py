@@ -18,6 +18,7 @@ from .sampler import SamplerConfig, init_chains, run
 
 MAX_NONFINITE_STREAK = 25
 STDERR_COND_LIMIT = 1e12  # eigenvalues below top / limit count as null space
+DEFAULT_FIM_SAMPLES = 1000  # posterior draws of a Fisher information estimate
 
 
 @dataclass
@@ -260,7 +261,7 @@ def compute_fim(
     graph: TransitionGraph,
     params: ModelParams,
     sampler_config: SamplerConfig | None = None,
-    n_samples: int = 1000,
+    n_samples: int = DEFAULT_FIM_SAMPLES,
     seed: int = 0,
     engine: LikelihoodEngine | None = None,
 ) -> FIMEstimate:

@@ -24,6 +24,12 @@ from .streams import RowStreams
 
 Prefix = tuple[tuple[float, int], ...]
 
+# a prediction's defaults: posterior draws per individual, and the sampler's
+# warm-up and thinning when no sampler configuration is given
+DEFAULT_DRAWS = 200
+DEFAULT_WARMUP = 500
+DEFAULT_THIN = 5
+
 
 @dataclass(frozen=True)
 class StoppingSpec:
@@ -145,7 +151,7 @@ def condition_cohort(
     params: ModelParams,
     graph: TransitionGraph,
     sampler_config: SamplerConfig | None = None,
-    n_draws: int = 200,
+    n_draws: int = DEFAULT_DRAWS,
     seed: int = 0,
 ) -> np.ndarray:
     """MH draws from p(b | data up to t, theta) for every individual.
@@ -156,7 +162,7 @@ def condition_cohort(
     (>= n_draws, n, q); an n_draws that is not an integer >= 1 raises ValueError.
     """
     check_count(n_draws, "n_draws", 1)
-    cfg = sampler_config or SamplerConfig(warmup=500, thin=5)
+    cfg = sampler_config or SamplerConfig(warmup=DEFAULT_WARMUP, thin=DEFAULT_THIN)
     truncated = Cohort(tuple(rec.truncated(t) for rec in cohort))
     engine = LikelihoodEngine(truncated, design, graph)
     bound = engine.bind(params)
@@ -174,7 +180,7 @@ def posterior_condition(
     params: ModelParams,
     graph: TransitionGraph,
     sampler_config: SamplerConfig | None = None,
-    n_draws: int = 200,
+    n_draws: int = DEFAULT_DRAWS,
     seed: int = 0,
 ) -> np.ndarray:
     """Posterior draws of one individual's random effects given its history
@@ -237,7 +243,7 @@ def predict_functional(
     design: ModelDesign,
     params: ModelParams,
     graph: TransitionGraph,
-    n_draws: int = 200,
+    n_draws: int = DEFAULT_DRAWS,
     rng: np.random.Generator | int = 0,
     sampler_config: SamplerConfig | None = None,
     b_draws: np.ndarray | None = None,
@@ -268,7 +274,7 @@ def predict_state_grid(
     design: ModelDesign,
     params: ModelParams,
     graph: TransitionGraph,
-    n_draws: int = 200,
+    n_draws: int = DEFAULT_DRAWS,
     rng: np.random.Generator | int = 0,
     b_draws: np.ndarray | None = None,
     sampler_config: SamplerConfig | None = None,

@@ -4,8 +4,12 @@ Event times come from inverse-transform sampling: an Exp(1) threshold is
 drawn per competing edge and the cumulative intensity is inverted by
 safeguarded Newton steps inside a bracket (bracketing by doubling when the
 censoring cap is infinite). The inversion integrates through
-``design.cumulative_intensity``, the function the reference likelihood
-uses, so the hazard integral exists once.
+``design.node_intensities``, whose weighted sum is the reference
+likelihood's ``design.cumulative_intensity``, so the hazard integral exists
+once. Newton starts from the nodes of the probe that bracketed the root,
+each step makes one intensity pass (the new segment's nodes and its end),
+and both safeguards of ``rtsafe`` apply (see
+:func:`invert_cumulative_hazard`).
 One loop, :func:`extend_paths`, steps trajectories: each step draws one
 candidate time per successor edge and keeps the minimum, and a survival
 condition raises the integration lower bound of the first step only. Its
@@ -29,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Cohort, IndividualRecord, Trajectory
-from .design import ModelDesign, check_count, cumulative_intensity, transition_log_intensity
+from .design import ModelDesign, check_count, node_intensities
 from .params import ModelParams
 from .streams import RowStreams
 
@@ -58,48 +62,74 @@ class TrajectoryLimitError(RuntimeError):
     """Raised when a simulated path exceeds the max-transitions guard."""
 
 
+def _probe_start(lower, weights, values, thresholds):
+    """Newton's start from a probe over [lower, probe] that reached the
+    threshold. The rule's weights tile the probe's span into cells, node k's
+    cell ending at lower + the sum of weights 0..k, and the running sum of
+    weight x intensity is Lambda at the cell ends; the start is the crossing
+    cell's left end plus the rest of the threshold over the intensity at its
+    node. Not finite where that intensity is 0."""
+    cells = weights * values[:, :-1]
+    running = np.cumsum(cells, axis=1)
+    k = np.minimum((running < thresholds[:, None]).sum(axis=1), cells.shape[1] - 1)
+    rows = np.arange(k.size)
+    before = np.where(k > 0, running[rows, k - 1], 0.0)
+    left = lower + np.where(k > 0, np.cumsum(weights, axis=1)[rows, k - 1], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return left + (thresholds - before) / values[rows, k]
+
+
 def invert_cumulative_hazard(
-    cumulative: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    intensity: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     lower: np.ndarray,
     cap: np.ndarray,
     thresholds: np.ndarray,
-    *,
-    rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Vectorized smallest t with Lambda(lower, t) = threshold.
 
-    ``cumulative(idx, a, b)`` returns Lambda of rows ``idx`` over [a, b], and
-    ``rate(idx, t)`` their intensity at t, the derivative of Lambda in t.
-    A finite cap is probed once; an infinite one is bracketed by doubling
-    from max(1, |lower|). Entries whose threshold is not reached below the
-    cap (or within the doubling bracket) come back as +inf, meaning
-    censored; so do rows whose finite cap is at or below their lower bound,
-    which are never integrated.
+    ``intensity(idx, a, b)`` evaluates rows ``idx`` once over [a, b]: it
+    returns the weights of a quadrature rule on [a, b], (rows, n), whose
+    cells tile [a, b] in node order, and the intensity at the rule's nodes
+    followed by the intensity at b, (rows, n + 1). Lambda(a, b) is the
+    weighted sum of the node columns, and the last column is its derivative
+    in b. A finite cap is probed once; an infinite one is bracketed by
+    doubling from max(1, |lower|). Entries whose threshold is not reached
+    below the cap (or within the doubling bracket) come back as +inf,
+    meaning censored; so do rows whose finite cap is at or below their lower
+    bound, which are never integrated.
 
     A bracketed row is solved by safeguarded Newton (``rtsafe`` of Press et
-    al., *Numerical Recipes*, section 9.4) from the regula-falsi point of
-    its bracket. Each pass integrates only the new segment [lo, t] onto the
-    carried Lambda(lower, lo) and narrows the bracket (lo, hi) at t. A step
-    that is not finite or leaves the bracket is replaced by the bracket's
-    midpoint; a step shorter than ``BISECT_TOL / 2`` is lengthened by that
-    much, to land across the root and close the bracket. A row stops when
-    its own bracket is at most ``BISECT_TOL`` wide and returns the
-    bracket's midpoint, so its result does not depend on the batch.
+    al., *Numerical Recipes*, section 9.4). It starts from the probe's own
+    nodes: the crossing cell's left end plus the rest of the threshold over
+    the intensity at its node, or else the regula-falsi point of the
+    bracket, or else its midpoint. Each pass evaluates the intensity once,
+    over the new segment [lo, t] and at t: the segment's weighted sum is
+    added to the carried Lambda(lower, lo), the last column gives the Newton
+    step, and the bracket (lo, hi) narrows at t. Both of rtsafe's safeguards
+    apply: a step that is not finite or leaves the bracket, and a step
+    longer than half the step before the last one (the bracket width at
+    first), are replaced by the bracket's midpoint. A step shorter than
+    ``BISECT_TOL / 2`` is lengthened by that much, to land across the root
+    and close the bracket. A row stops when its own bracket is at most
+    ``BISECT_TOL`` wide and returns the bracket's midpoint, so its result
+    does not depend on the batch.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     cap = np.broadcast_to(np.asarray(cap, dtype=float), lower.shape)
     thresholds = np.broadcast_to(np.asarray(thresholds, dtype=float), lower.shape)
     out = np.full(lower.shape, np.inf)
 
-    def lam(idx, a, b):
-        got = cumulative(idx, a, b)
+    def evaluate(idx, a, b):
+        weights, values = intensity(idx, a, b)
+        got = np.sum(values[:, :-1] * weights, axis=-1)
         if np.any(got < 0):
             raise RuntimeError("cumulative hazard evaluated negative; hazards must be nonnegative")
-        return got
+        return got, weights, values
 
     finite = np.isfinite(cap)
     hi = np.where(finite, cap, lower)
     f_hi = np.zeros(lower.shape)
+    start = np.full(lower.shape, np.nan)
     width = np.maximum(1.0, np.abs(lower))
     solvable = np.zeros(lower.shape, dtype=bool)
     active = ~finite | (cap > lower)
@@ -108,11 +138,13 @@ def invert_cumulative_hazard(
         if idx.size == 0:
             break
         probe = np.where(finite[idx], cap[idx], lower[idx] + width[idx])
-        f_probe = lam(idx, lower[idx], probe)
+        f_probe, weights, values = evaluate(idx, lower[idx], probe)
         reached = f_probe >= thresholds[idx]
-        hi[idx[reached]] = probe[reached]
-        f_hi[idx[reached]] = f_probe[reached]
-        solvable[idx[reached]] = True
+        got = idx[reached]
+        hi[got] = probe[reached]
+        f_hi[got] = f_probe[reached]
+        start[got] = _probe_start(lower[got], weights[reached], values[reached], thresholds[got])
+        solvable[got] = True
         active[idx] = ~(finite[idx] | reached)
         width *= 2.0
 
@@ -121,29 +153,35 @@ def invert_cumulative_hazard(
         return out
     lo, f_lo = lower[idx], np.zeros(idx.size)
     hi, thr = hi[idx], thresholds[idx]
-    # a zero or infinite Lambda(lower, hi) or rate gives a non-finite point,
-    # which the bracket check replaces
+    # a zero or infinite Lambda(lower, hi) or intensity gives a non-finite
+    # point, which fails the bracket check
     quiet = dict(divide="ignore", invalid="ignore", over="ignore")
     with np.errstate(**quiet):
-        t = lo + (thr / f_hi[idx]) * (hi - lo)
+        falsi = lo + (thr / f_hi[idx]) * (hi - lo)
+    t = start[idx]
+    for fallback in (falsi, 0.5 * (lo + hi)):
+        t = np.where((t > lo) & (t < hi), t, fallback)
+    dx = dx_old = hi - lo
     for _ in range(MAX_NEWTON_PASSES):
-        t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
-        f = f_lo + lam(idx, lo, t)
+        segment, _, values = evaluate(idx, lo, t)
+        f = f_lo + segment
         below = f < thr
         lo, f_lo, hi = np.where(below, t, lo), np.where(below, f, f_lo), np.where(below, hi, t)
+        with np.errstate(**quiet):
+            step = (thr - f) / values[:, -1]
+        short = np.abs(step) < 0.5 * BISECT_TOL
+        step[short] += np.where(below[short], 0.5, -0.5) * BISECT_TOL
+        t = t + step
+        newton = (t > lo) & (t < hi) & (np.abs(step) <= 0.5 * dx_old)
+        dx, dx_old = np.where(newton, np.abs(step), 0.5 * (hi - lo)), dx
+        t = np.where(newton, t, 0.5 * (lo + hi))
         done = hi - lo <= BISECT_TOL
         if done.any():
             out[idx[done]] = 0.5 * (lo[done] + hi[done])
             keep = ~done
-            idx, lo, f_lo, hi, thr, t, f, below = (v[keep] for v in (idx, lo, f_lo, hi, thr, t, f, below))
+            idx, lo, f_lo, hi, thr, t, dx, dx_old = (v[keep] for v in (idx, lo, f_lo, hi, thr, t, dx, dx_old))
             if idx.size == 0:
                 break
-        lam_t = rate(idx, t)
-        with np.errstate(**quiet):
-            step = (thr - f) / lam_t
-        short = np.abs(step) < 0.5 * BISECT_TOL
-        step[short] += np.where(below[short], 0.5, -0.5) * BISECT_TOL
-        t = t + step
     out[idx] = 0.5 * (lo + hi)  # rows still open after MAX_NEWTON_PASSES passes
     # keep each solved time strictly past its lower bound at float resolution
     solved = np.isfinite(out)
@@ -156,18 +194,16 @@ def invert_cumulative_hazard(
 
 
 def _edge_intensity(design, params, edge, x, psi, entry):
-    """The (cumulative, rate) pair of one edge for rows of (x, psi, entry), as
-    :func:`invert_cumulative_hazard` takes them: ``cumulative`` maps (row
-    index, a, b) to Lambda over [a, b], and ``rate`` maps (row index, t) to
-    lambda at t."""
+    """One edge's intensity for rows of (x, psi, entry), as
+    :func:`invert_cumulative_hazard` takes it: (row index, a, b) maps to the
+    split rule's weights on [a, b] and the intensity at its nodes and at b,
+    from :func:`~msjoint.design.node_intensities`, whose weighted sum is
+    ``cumulative_intensity``."""
 
-    def cumulative(idx, a, b):
-        return cumulative_intensity(design, params, edge, entry[idx], b, x[idx], psi[idx], lower=a)
+    def intensity(idx, a, b):
+        return node_intensities(design, params, edge, entry[idx], b, x[idx], psi[idx], lower=a, at=b)
 
-    def rate(idx, t):
-        return np.exp(transition_log_intensity(design, params, edge, t, entry[idx], x[idx], psi[idx]))
-
-    return cumulative, rate
+    return intensity
 
 
 def step_transitions(
@@ -198,8 +234,8 @@ def step_transitions(
         thresholds = streams.exponential(rows, len(succ))
         for j, s in enumerate(succ):
             edge = (int(state), int(s))
-            cumulative, rate = _edge_intensity(design, params, edge, x[rows], psi[rows], cur_t[rows])
-            cand[j] = invert_cumulative_hazard(cumulative, lower[rows], cap[rows], thresholds[j], rate=rate)
+            intensity = _edge_intensity(design, params, edge, x[rows], psi[rows], cur_t[rows])
+            cand[j] = invert_cumulative_hazard(intensity, lower[rows], cap[rows], thresholds[j])
         best = np.argmin(cand, axis=0)  # first minimum = lowest successor index
         t_best = cand[best, np.arange(rows.size)]
         t_new[rows] = t_best

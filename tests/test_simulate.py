@@ -13,6 +13,8 @@ from msjoint import (
     repr_from_cov,
     validate_cohort,
 )
+from msjoint import simulate
+from msjoint.design import cumulative_intensity, transition_log_intensity
 from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
@@ -34,13 +36,31 @@ from msjoint.study import Q_DIAG
 KS_CRIT_1PCT = 1.63  # Kolmogorov critical value: D * sqrt(n) at alpha = 0.01
 
 
+def closed_form(cumulative, rate, counter=None):
+    """The intensity callable of a hazard known in closed form: [a, b] cut
+    into four equal cells, each weighted by its width and valued by the
+    hazard's mean over it, so that the weighted sum telescopes to
+    Lambda(a, b); the last column is ``rate`` at b. ``counter`` collects the
+    number of rows of every call."""
+
+    def intensity(idx, a, b):
+        if counter is not None:
+            counter.append(np.size(idx))
+        ends = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 5)
+        width = np.diff(ends, axis=1)
+        mean = cumulative(idx, ends[:, :-1], ends[:, 1:]) / width
+        return width, np.column_stack([mean, rate(idx, b)])
+
+    return intensity
+
+
 def constant_cumulative(level):
     """Lambda(a, b) = level * (b - a) of a constant hazard."""
     return lambda idx, a, b: level * (b - a)
 
 
-def constant_rate(level):
-    return lambda idx, t: np.full(np.shape(t), float(level))
+def constant(level, counter=None):
+    return closed_form(constant_cumulative(level), lambda idx, t: np.full(np.shape(t), float(level)), counter)
 
 
 def quadratic_cumulative(idx, a, b):
@@ -48,13 +68,14 @@ def quadratic_cumulative(idx, a, b):
     return b**2 - a**2
 
 
-def quadratic_rate(idx, t):
-    return 2.0 * t
-
-
-def sample_event_times(cumulative, rate, n, rng):
+def sample_event_times(intensity, n, rng):
     """Batched draws from 0 with no cap; censored draws come back as +inf."""
-    return invert_cumulative_hazard(cumulative, np.zeros(n), np.inf, rng.standard_exponential(n), rate=rate)
+    return invert_cumulative_hazard(intensity, np.zeros(n), np.inf, rng.standard_exponential(n))
+
+
+def edge_cumulative(design, params, edge, x, psi, entry):
+    """Lambda of rows idx over [a, b] by ``cumulative_intensity``."""
+    return lambda idx, a, b: cumulative_intensity(design, params, edge, entry[idx], b, x[idx], psi[idx], lower=a)
 
 
 def two_state_model(rates, link_dim=0):
@@ -81,38 +102,32 @@ def two_state_model(rates, link_dim=0):
 
 
 def test_invert_constant_hazard_exact():
-    t = invert_cumulative_hazard(
-        constant_cumulative(0.5), np.array([0.0]), np.array([np.inf]), np.array([1.0]), rate=constant_rate(0.5)
-    )
+    t = invert_cumulative_hazard(constant(0.5), np.array([0.0]), np.array([np.inf]), np.array([1.0]))
     assert t[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_invert_censors_below_threshold():
-    t = invert_cumulative_hazard(
-        constant_cumulative(0.1), np.array([0.0]), np.array([4.0]), np.array([1.0]), rate=constant_rate(0.1)
-    )
+    t = invert_cumulative_hazard(constant(0.1), np.array([0.0]), np.array([4.0]), np.array([1.0]))
     assert np.isinf(t[0])  # Lambda(0, 4) = 0.4 < 1
 
 
 def test_invert_respects_nonzero_lower():
-    t = invert_cumulative_hazard(
-        constant_cumulative(0.5), np.array([3.0]), np.array([np.inf]), np.array([1.0]), rate=constant_rate(0.5)
-    )
+    t = invert_cumulative_hazard(constant(0.5), np.array([3.0]), np.array([np.inf]), np.array([1.0]))
     assert t[0] == pytest.approx(5.0, abs=1e-8)
 
 
 def test_invert_censors_cap_at_or_below_lower_without_integrating():
     calls = []
+    half = constant(0.5)
 
-    def cumulative(idx, a, b):
+    def intensity(idx, a, b):
         if np.any(np.isin(idx, [1, 2])):
             raise AssertionError("integrated a row whose cap does not exceed its lower bound")
         calls.append(idx)
-        return 0.5 * (b - a)
+        return half(idx, a, b)
 
     t = invert_cumulative_hazard(
-        cumulative, np.array([0.0, 5.0, 3.0]), np.array([np.inf, 3.0, 3.0]), np.array([1.0, 1.0, 0.0]),
-        rate=constant_rate(0.5),
+        intensity, np.array([0.0, 5.0, 3.0]), np.array([np.inf, 3.0, 3.0]), np.array([1.0, 1.0, 0.0])
     )
     assert t[0] == pytest.approx(2.0, abs=1e-8)
     assert np.isinf(t[1:]).all()
@@ -121,14 +136,12 @@ def test_invert_censors_cap_at_or_below_lower_without_integrating():
 
 def test_negative_intensity_raises():
     with pytest.raises(RuntimeError, match="nonnegative"):
-        invert_cumulative_hazard(
-            constant_cumulative(-0.1), np.array([0.0]), np.array([10.0]), np.array([1.0]), rate=constant_rate(-0.1)
-        )
+        invert_cumulative_hazard(constant(-0.1), np.array([0.0]), np.array([10.0]), np.array([1.0]))
 
 
 def test_event_times_follow_exponential_law():
     rng = np.random.default_rng(1)
-    draws = sample_event_times(constant_cumulative(0.1), constant_rate(0.1), 100_000, rng)
+    draws = sample_event_times(constant(0.1), 100_000, rng)
     assert np.isfinite(draws).all()
     assert abs(draws.mean() - 10.0) < 3 * 10.0 / np.sqrt(draws.size)
     d = stats.kstest(draws, "expon", args=(0, 10.0)).statistic
@@ -138,7 +151,7 @@ def test_event_times_follow_exponential_law():
 def test_event_times_nonconstant_hazard_law():
     # Weibull shape 2 scale 1: Lambda(t) = t^2, inverse sqrt(E)
     rng = np.random.default_rng(2)
-    draws = sample_event_times(quadratic_cumulative, quadratic_rate, 50_000, rng)
+    draws = sample_event_times(closed_form(quadratic_cumulative, lambda idx, t: 2.0 * t), 50_000, rng)
     d = stats.kstest(draws, lambda x: 1 - np.exp(-(x**2))).statistic
     assert d * np.sqrt(draws.size) < KS_CRIT_1PCT
 
@@ -172,8 +185,8 @@ def test_inverted_times_are_exact_to_the_tolerance(model, study_design, study_pa
     cap = np.where(rng.random(n) < 0.2, np.inf, lower + rng.uniform(2.0, 12.0, n))
     thr = rng.standard_exponential(n)
     for edge in design.edges:
-        cumulative, rate = _edge_intensity(design, params, edge, x, psi, entry)
-        t = invert_cumulative_hazard(cumulative, lower, cap, thr, rate=rate)
+        t = invert_cumulative_hazard(_edge_intensity(design, params, edge, x, psi, entry), lower, cap, thr)
+        cumulative = edge_cumulative(design, params, edge, x, psi, entry)
         idx = np.nonzero(np.isfinite(t))[0]
         assert idx.size >= 20, edge
         assert (t[idx] > lower[idx]).all()
@@ -183,17 +196,79 @@ def test_inverted_times_are_exact_to_the_tolerance(model, study_design, study_pa
         assert (cumulative(cut, lower[cut], cap[cut]) < thr[cut]).all(), edge
 
 
+def random_rows(params, n, rng):
+    """x, psi, entry times and integration bounds a <= b of n random rows."""
+    x = rng.standard_normal((n, 1))
+    psi = params.gamma + rng.standard_normal((n, 3)) * np.sqrt(Q_DIAG)
+    entry = rng.uniform(0.0, 8.0, n)
+    a = entry + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    return x, psi, entry, a, a + rng.uniform(0.0, 10.0, n)
+
+
+@pytest.mark.parametrize("model", ["study", "recurrent"])
+def test_edge_intensity_is_the_cumulative_intensity_and_the_rate(model, study_design, study_params):
+    # bit for bit: the node columns' weighted sum is cumulative_intensity, and
+    # the last column is exp(transition_log_intensity) at b
+    design, params = (study_design, study_params) if model == "study" else recurrent_model(study_design, study_params)
+    x, psi, entry, a, b = random_rows(params, 300, np.random.default_rng(25))
+    idx = np.arange(300)
+    for edge in design.edges:
+        weights, values = _edge_intensity(design, params, edge, x, psi, entry)(idx, a, b)
+        assert values.shape == (300, design.n_quad + 1)
+        summed = np.sum(values[:, :-1] * weights, axis=-1)
+        expected = cumulative_intensity(design, params, edge, entry, b, x, psi, lower=a)
+        np.testing.assert_array_equal(summed, expected)
+        rate = np.exp(transition_log_intensity(design, params, edge, b, entry, x, psi))
+        np.testing.assert_array_equal(values[:, -1], rate)
+
+
+def test_slowly_alternating_newton_falls_back_to_bisection():
+    # Lambda(0, t) = g(t) - g(0) with g(t) = sign(t - r) |t - r|^0.55: from
+    # either side of r a Newton step lands on the other side at 0.82 times
+    # the distance, inside the bracket, so plain Newton takes about 95
+    # evaluations; a step longer than half the step before the last one is
+    # replaced by the bracket's midpoint
+    r, p = 2.0, 0.55
+    g = lambda t: np.sign(t - r) * np.abs(t - r) ** p  # noqa: E731
+    calls = []
+    intensity = closed_form(lambda idx, a, b: g(b) - g(a), lambda idx, t: p * np.abs(t - r) ** (p - 1), calls)
+    t = invert_cumulative_hazard(intensity, np.zeros(1), np.array([5.0]), -g(np.zeros(1)))
+    assert t[0] == pytest.approx(r, abs=BISECT_TOL)
+    assert len(calls) <= 40
+
+
+def test_root_beside_a_breakpoint_takes_few_evaluations(monkeypatch, study_design, study_params):
+    # row 176's (0,1) root 5.776956 lies just below the slope link's tau = 6,
+    # where plain Newton alternates between about 4.090 and 6.053 (54
+    # evaluations over the row's three inversions); halving a step longer than
+    # half the one before the last breaks the cycle
+    _, latent = generate_cohort(study_design, study_params, n=1000, m=20, seed=5)
+    target = latent["psi"][176]
+    evaluations = []
+
+    def counting(design, params, edge, x, psi, entry):
+        intensity = _edge_intensity(design, params, edge, x, psi, entry)
+        pos = np.nonzero((psi == target).all(axis=1))[0]
+
+        def counted(idx, a, b):
+            evaluations.append(np.isin(pos, idx).any())
+            return intensity(idx, a, b)
+
+        return counted
+
+    monkeypatch.setattr(simulate, "_edge_intensity", counting)
+    cohort, _ = generate_cohort(study_design, study_params, n=1000, m=20, seed=5)
+    assert [s for _, s in cohort[176].trajectory.pairs] == [0, 1, 2]
+    assert cohort[176].trajectory.pairs[1][0] == pytest.approx(5.776956, abs=1e-6)
+    assert 0 < sum(evaluations) <= 15
+
+
 def test_constant_hazard_takes_two_newton_passes():
     calls = []
-
-    def cumulative(idx, a, b):
-        calls.append(idx.size)
-        return 0.7 * (b - a)
-
     rng = np.random.default_rng(24)
     lower, thr = rng.uniform(0.0, 5.0, 200), rng.standard_exponential(200)
-    t = invert_cumulative_hazard(cumulative, lower, lower + 50.0, thr, rate=constant_rate(0.7))
-    assert len(calls) <= 1 + 2  # the probe at the cap, then at most two passes
+    t = invert_cumulative_hazard(constant(0.7, calls), lower, lower + 50.0, thr)
+    assert len(calls) == 1 + 2  # the probe at the cap, then two passes
     np.testing.assert_allclose(t, lower + thr / 0.7, rtol=0.0, atol=BISECT_TOL)
 
 
@@ -211,7 +286,7 @@ def test_vanishing_hazard_falls_back_to_bisection():
 
     thr = np.array([0.5, 1.0, 1.5, 2.5])
     lower = np.zeros(4)
-    t = invert_cumulative_hazard(cumulative, lower, 10.0, thr, rate=rate)
+    t = invert_cumulative_hazard(closed_form(cumulative, rate), lower, 10.0, thr)
     assert sum(zero_rates) > 0
     # the smallest roots; E = 1 is reached at 1 and held on all of [1, 3]
     np.testing.assert_allclose(t, [0.5, 1.0, 3.5, 4.5], rtol=0.0, atol=BISECT_TOL)
