@@ -37,9 +37,13 @@ a fresh process does. Kernels, in order:
   and ``individual_scores`` at C=5, n=1000;
 - Q's ``log_det_precision``;
 - one ``predict_state_grid`` request for the truncated record (200 draws,
-  5 chains, warmup 150, thin 5), and its continuation alone: the same
-  request with 200 posterior draws of the record's random effects drawn
-  once before the rounds and passed as ``b_draws``;
+  5 chains, warmup 150, thin 5), its conditioning alone
+  (``posterior_condition`` with the same settings), and its continuation
+  alone: the same request with 200 posterior draws of the record's random
+  effects drawn once before the rounds and passed as ``b_draws``;
+- ``condition_cohort`` of the seed-1042 n=200 study cohort truncated at
+  t = 2 (200 draws, 5 chains, warmup 400, thin 5: the benchmark's cohort
+  sweep);
 - ``generate_cohort``, ``write_cohort`` and ``read_cohort`` of the n=1000
   cohort.
 
@@ -73,13 +77,14 @@ def build_kernels(work: Path) -> dict:
     from msjoint import Cohort, LikelihoodEngine
     from msjoint.inference import FitConfig, fit
     from msjoint.io import read_cohort, write_cohort
-    from msjoint.predict import posterior_condition, predict_state_grid
+    from msjoint.predict import condition_cohort, posterior_condition, predict_state_grid
     from msjoint.sampler import SamplerConfig
     from msjoint.simulate import generate_cohort
     from msjoint.study import study_model
 
     graph, design, truth, init = study_model()
     cohort, latent = generate_cohort(design, truth, n=1000, m=20, seed=42)
+    heldout, _ = generate_cohort(design, truth, n=200, m=20, seed=1042)
     engine = LikelihoodEngine(cohort, design, graph)
     rng = np.random.default_rng(1)
     b5 = latent["b"] + 0.3 * rng.standard_normal((5, 1000, 3))
@@ -95,6 +100,7 @@ def build_kernels(work: Path) -> dict:
     engine.posterior_logdensity(bound, b5)  # a bound value's first call forms what it caches
     one.posterior_logdensity(bound1, b1)
     sampler = SamplerConfig(n_chains=5, warmup=150, thin=5)
+    sweep_sampler = SamplerConfig(n_chains=5, warmup=400, thin=5)
     b_fixed = posterior_condition(record, 4.0, design, truth, graph, sampler, n_draws=200, seed=0)
     fit_config = FitConfig(max_iterations=10, learning_rate=0.5, n_draws=15)
     fit_sampler = SamplerConfig(n_chains=5, warmup=150)
@@ -117,8 +123,14 @@ def build_kernels(work: Path) -> dict:
         "predict_state_grid request": lambda: predict_state_grid(
             record, 4.0, [5.0, 8.0, 12.0], design, truth, graph, n_draws=200, rng=0, sampler_config=sampler
         ),
+        "posterior_condition request": lambda: posterior_condition(
+            record, 4.0, design, truth, graph, sampler, n_draws=200, seed=0
+        ),
         "predict_state_grid continuation": lambda: predict_state_grid(
             record, 4.0, [5.0, 8.0, 12.0], design, truth, graph, n_draws=200, rng=0, b_draws=b_fixed
+        ),
+        "condition_cohort n=200 t=2": lambda: condition_cohort(
+            heldout, 2.0, design, truth, graph, sweep_sampler, n_draws=200, seed=0
         ),
         "generate_cohort n=1000": lambda: generate_cohort(design, truth, n=1000, m=20, seed=42),
         "write_cohort n=1000": lambda: write_cohort(cohort, work),

@@ -419,13 +419,18 @@ class _BoundParams:
         P = self.L_q @ self.L_q.T
         lin = c @ P
         const = np.einsum("ns,ns->n", lin, c) - 2.0 * (self.prior_const + self.longit_const[:, 0])
-        for block, (W, _) in zip(engine.blocks, self.blocks):
-            if block.event:
-                # psi1 . W summed over an individual's event rows, e of shape
-                # (n, s + 1): delta . e[:s] plus psi_hat . e[:s] + e[s]
-                e = _add_rows(block.index(1, s + 1, slice(None)), W[:, None, :, 0], n)[:, 0].T
+        for block, (W, consts) in zip(engine.blocks, self.blocks):
+            if not block.event:
+                continue
+            if block.n_cached:
+                # psi1 . W summed over an individual's cached event rows, e of
+                # shape (n, s + 1): delta . e[:s] plus psi_hat . e[:s] + e[s]
+                e = _add_rows(block.index(1, s + 1, slice(0, block.n_cached)), W[:, None, :, 0], n)[:, 0].T
                 lin -= e[:, :s]
                 const -= 2.0 * (np.einsum("ns,ns->n", centre, e[:, :s]) + e[:, s])
+            for (_, rows), offset in zip(block.parts, consts):
+                if not isinstance(rows.basis, _CachedBasis):  # an empty link: the offset alone
+                    const -= 2.0 * np.bincount(rows.idx, weights=offset[:, 0, 0], minlength=n)
         H[:, :s, :s] += P
         H[:, :s, s] += lin
         H[:, s, :s] += lin
@@ -433,6 +438,22 @@ class _BoundParams:
         centre1 = np.zeros((n, 1, s + 1))
         centre1[:, 0, :s] = centre
         return (m - centre)[:, None], centre1, -0.5 * H
+
+    @cached_property
+    def gaussian(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gaussian that :meth:`fold` is in b, per individual, for an
+        engine whose ``folds`` holds: (mode, L), mode of shape (n, s) and L
+        of shape (n, s, s) with L_i L_i^T = H_ss^-1, where H = -2 A_i. The
+        fold is -1/2 z^T H z with z = (b + shift, 1), so its maximum is at b
+        = -H_ss^-1 h - shift, h = H[:s, s]. H_ss is the prior precision plus
+        the marker's cross-products, so it is positive definite; L is the
+        transposed inverse of its Cholesky factor. Formed on first use."""
+        shift, _, A = self.fold
+        s = A.shape[-1] - 1
+        H = -2.0 * A
+        L = np.linalg.inv(np.linalg.cholesky(H[:, :s, :s])).transpose(0, 2, 1)
+        mode = -np.einsum("nij,nkj,nk->ni", L, L, H[:, :s, s]) - shift[:, 0]
+        return mode, L
 
     def stack(self, block: _Block) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """The affine rows of the block's cached rows, W of shape (n_cached,
@@ -486,7 +507,8 @@ class LikelihoodEngine:
 
     ``folds`` holds when the effects map declares ``additive`` (psi = b +
     m_i), the marker is linear in psi or absent, and every event row sits on
-    a cached basis (or there is none). Then everything in the posterior
+    a cached basis or on an empty link, whose log intensity is its offset
+    alone (or there is none). Then everything in the posterior
     log-density but the risk rows is one quadratic in psi per individual:
     the prior, the marker statistics, the event rows summed per individual
     and every constant. A bound value forms it once, on the first
@@ -571,7 +593,10 @@ class LikelihoodEngine:
         self.folds = (
             getattr(design.effects, "additive", False)
             and not isinstance(self.marker, _ResidualMarker)
-            and all(block.n_cached == block.idx.size for block in self.blocks if block.event)
+            and all(
+                isinstance(rows.basis, _CachedBasis) or not design.link(edge).dim
+                for block in self.blocks if block.event for edge, rows in block.parts
+            )
         )
 
     def _build_blocks(self, n_psi, events, risk) -> None:

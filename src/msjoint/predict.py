@@ -30,6 +30,13 @@ DEFAULT_DRAWS = 200
 DEFAULT_WARMUP = 500
 DEFAULT_THIN = 5
 
+# Conditioning by importance resampling: proposals per requested draw, the
+# factor c on the fold's standard deviations, and the most (proposal,
+# individual) pairs one posterior_logdensity call weighs
+IS_PROPOSALS_PER_DRAW = 5
+IS_SCALE = 1.2
+IS_BUDGET = 10_000
+
 
 @dataclass(frozen=True)
 class StoppingSpec:
@@ -154,23 +161,110 @@ def condition_cohort(
     n_draws: int = DEFAULT_DRAWS,
     seed: int = 0,
 ) -> np.ndarray:
-    """MH draws from p(b | data up to t, theta) for every individual.
+    """Draws from p(b | data up to t, theta) for every individual.
 
     Histories are truncated at t (measurements at times <= t, transitions at
     times <= t, censoring at min(t, C_i), so no follow-up past an
     individual's censoring time is assumed). Returns draws of shape
-    (>= n_draws, n, q); an n_draws that is not an integer >= 1 raises ValueError.
+    (ceil(n_draws / n_chains) * n_chains, n, q), n_chains that of the
+    sampler configuration; an n_draws that is not an integer >= 1 raises
+    ValueError.
+
+    Individuals are conditioned in chunks of at most ``IS_BUDGET //
+    (IS_PROPOSALS_PER_DRAW * n_draws)`` (at least one). Where a chunk's
+    engine ``folds``, each individual is sampled by importance resampling
+    (:func:`_importance_resample`): K = IS_PROPOSALS_PER_DRAW * n_draws
+    proposals from N(mode_i, c^2 H_i^-1), the Gaussian of the fold
+    (``_BoundParams.gaussian``) widened by c = IS_SCALE, weighed by one
+    ``posterior_logdensity`` call at K chains and resampled. An individual
+    whose Kish ESS (sum w)^2 / sum w^2 falls below n_draws / 4, and every
+    individual of a chunk that does not fold, is conditioned by random-walk
+    MH instead (:func:`_mh_condition`), all of them in one run. The
+    sampler configuration (``warmup``, ``thin``, step adaptation; the
+    ``predict.warmup`` and ``predict.thin`` of ``msjoint predict``) steers
+    that MH route only; ``n_chains`` also sets the number of draws returned.
+    The same seed gives the same draws.
     """
     check_count(n_draws, "n_draws", 1)
     cfg = sampler_config or SamplerConfig(warmup=DEFAULT_WARMUP, thin=DEFAULT_THIN)
-    truncated = Cohort(tuple(rec.truncated(t) for rec in cohort))
-    engine = LikelihoodEngine(truncated, design, graph)
+    truncated = tuple(rec.truncated(t) for rec in cohort)
+    keep = int(np.ceil(n_draws / cfg.n_chains))
+    draws = np.empty((keep * cfg.n_chains, len(cohort), params.q_repr.dim))
+    rng = np.random.default_rng(seed)
+    n_proposals = IS_PROPOSALS_PER_DRAW * n_draws
+    size = max(1, IS_BUDGET // n_proposals)
+    to_mh = []
+    for start in range(0, len(cohort), size):
+        chunk = slice(start, start + size)
+        ess = _importance_resample(truncated[chunk], design, params, graph, n_proposals, rng, draws[:, chunk])
+        to_mh.extend(start + np.flatnonzero(ess < n_draws / 4))
+    if to_mh:
+        records = tuple(truncated[i] for i in to_mh)
+        draws[:, to_mh] = _mh_condition(records, design, params, graph, cfg, keep, seed)
+    return draws
+
+
+def _importance_resample(
+    records: Sequence[IndividualRecord],
+    design: ModelDesign,
+    params: ModelParams,
+    graph: TransitionGraph,
+    n_proposals: int,
+    rng: np.random.Generator,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Sampling-importance resampling (Rubin 1988; Smith and Gelfand 1992)
+    of the records' random effects into ``out`` (draws, n, q), from
+    n_proposals proposals per record drawn from the fold's Gaussian with its
+    covariance scaled by IS_SCALE^2 and weighed by the posterior over the
+    proposal density, in one ``posterior_logdensity`` call. Each record's
+    draws are a multinomial resample of its proposals, all records in one
+    pass. Returns each record's Kish ESS; a record with no finite weight
+    has ESS 0, and all do when the records' engine does not fold (``out``
+    is then left as it is)."""
+    engine = LikelihoodEngine(Cohort(tuple(records)), design, graph)
+    if not engine.folds:
+        return np.zeros(len(records))
+    bound = engine.bind(params)
+    mode, L = bound.gaussian
+    n = len(records)
+    eps = rng.standard_normal((n, n_proposals, mode.shape[1]))
+    b = mode[:, None] + IS_SCALE * (eps @ L.transpose(0, 2, 1))  # (n, K, q)
+    # log w = log p(b | data) - log q(b), less a per-record constant
+    log_w = engine.posterior_logdensity(bound, b.transpose(1, 0, 2)).T + 0.5 * np.einsum("nks,nks->nk", eps, eps)
+    with np.errstate(invalid="ignore"):
+        w = np.nan_to_num(np.exp(log_w - log_w.max(axis=1, keepdims=True)))
+    tiny = np.finfo(float).tiny
+    ess = w.sum(axis=1) ** 2 / np.maximum(np.einsum("nk,nk->n", w, w), tiny)
+    # inverse-CDF multinomial resampling: record i's cumulative weights and
+    # uniforms are shifted by i, so one sorted search serves every record
+    shift = np.arange(n)[:, None]
+    cum = np.cumsum(w, axis=1)
+    cum /= np.maximum(cum[:, -1:], tiny)
+    u = rng.random((n, out.shape[0]))
+    pick = np.searchsorted((cum + shift).ravel(), (u + shift).ravel(), side="right").reshape(n, -1)
+    pick = np.minimum(pick - n_proposals * shift, n_proposals - 1)  # u + i may round up to i + 1
+    out[...] = b[shift, pick].transpose(1, 0, 2)
+    return ess
+
+
+def _mh_condition(
+    records: Sequence[IndividualRecord],
+    design: ModelDesign,
+    params: ModelParams,
+    graph: TransitionGraph,
+    cfg: SamplerConfig,
+    keep: int,
+    seed: int,
+) -> np.ndarray:
+    """Random-walk MH draws (keep * n_chains, n, q) of the records' random
+    effects, ``cfg.thin`` sweeps apart after ``cfg.warmup`` sweeps."""
+    engine = LikelihoodEngine(Cohort(tuple(records)), design, graph)
     bound = engine.bind(params)
     log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
-    chains = init_chains(len(cohort), params.q_repr.dim, log_density, cfg, np.random.default_rng(seed))
-    keep = int(np.ceil(n_draws / cfg.n_chains))
+    chains = init_chains(len(records), params.q_repr.dim, log_density, cfg, np.random.default_rng(seed))
     snaps = run(chains, log_density, n_steps=keep * cfg.thin, thin=cfg.thin)
-    return snaps.reshape(snaps.shape[0] * snaps.shape[1], len(cohort), params.q_repr.dim)
+    return snaps.reshape(snaps.shape[0] * snaps.shape[1], len(records), params.q_repr.dim)
 
 
 def posterior_condition(
@@ -184,7 +278,12 @@ def posterior_condition(
     seed: int = 0,
 ) -> np.ndarray:
     """Posterior draws of one individual's random effects given its history
-    up to t; errors if t precedes the initial time."""
+    up to t, (ceil(n_draws / n_chains) * n_chains, q); errors if t precedes
+    the initial time. Conditioning follows :func:`condition_cohort`:
+    importance resampling of K = IS_PROPOSALS_PER_DRAW * n_draws proposals
+    from the fold's Gaussian widened by c = IS_SCALE when the design folds,
+    else, or when the Kish ESS of the weights falls below n_draws / 4, MH
+    steered by ``sampler_config``, which steers nothing else."""
     draws = condition_cohort(
         Cohort((record,)), t, design, params, graph, sampler_config, n_draws, seed
     )

@@ -223,7 +223,13 @@ def step_transitions(
     per successor edge and keep the minimum (ties break toward the lowest
     successor state). Each active row draws one threshold per successor
     edge from its row of ``streams``, all in one batch: the j-th successor's
-    at the row's count + j. Rows with no event below cap return +inf."""
+    at the row's count + j. Rows with no event below cap return +inf.
+
+    Each later edge is inverted with the row's running minimum as its cap,
+    so an edge that cannot beat the earliest candidate so far stops after
+    its one probe, at +inf. A row's cap depends on its own candidates only,
+    so event times still do not depend on the batch; an edge solved to
+    exactly that cap loses the tie to the earlier one."""
     n = cur_t.shape[0]
     t_new = np.full(n, np.inf)
     s_new = np.full(n, -1, dtype=int)
@@ -232,10 +238,12 @@ def step_transitions(
         rows = np.nonzero(active & (cur_s == state))[0]
         cand = np.full((len(succ), rows.size), np.inf)
         thresholds = streams.exponential(rows, len(succ))
+        bound = cap[rows]
         for j, s in enumerate(succ):
             edge = (int(state), int(s))
             intensity = _edge_intensity(design, params, edge, x[rows], psi[rows], cur_t[rows])
-            cand[j] = invert_cumulative_hazard(intensity, lower[rows], cap[rows], thresholds[j])
+            cand[j] = invert_cumulative_hazard(intensity, lower[rows], bound, thresholds[j])
+            bound = np.minimum(bound, cand[j])
         best = np.argmin(cand, axis=0)  # first minimum = lowest successor index
         t_best = cand[best, np.arange(rows.size)]
         t_new[rows] = t_best

@@ -12,8 +12,12 @@ truncation better than the coordinates do (Modrak et al. 2023).
 
 Records are censored U(2, 6) and truncated at t = 8, past every censoring
 time, so the truncation must not invent follow-up. Ranks assume independent
-draws: a U-shaped histogram means too few effective draws (thin 10 is not
-checked against autocorrelation), not necessarily a wrong posterior.
+draws: a U-shaped histogram means too few effective draws, not necessarily a
+wrong posterior. The study folds, so most individuals are conditioned by
+importance resampling, whose draws repeat (a resample of 500 weighted
+proposals); the rest by MH, whose thin 10 is not checked against
+autocorrelation. Both make the draws less than independent, so the test
+judges them as they are.
 """
 
 from dataclasses import replace

@@ -560,13 +560,19 @@ def test_predict_accuracy_is_one_before_truncation(config_file, tmp_path):
     ids=["sampler_rm_scale", "sampler_init_scale", "predict_warmup", "predict_thin", "sampler_warmup", "sampler_thin"],
 )
 def test_predict_takes_the_sampler_section_but_warmup_and_thin(config_file, tmp_path, section, key, value, changes):
+    # the sampler settings steer conditioning's MH route, which a design that
+    # does not fold takes for every individual: the study's psi = gamma + b
+    # through an identity transform stack, which does not declare additive
     main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
     cfg = study_config()
     write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
+    cfg["design"]["effects"] = {"family": "transform_stack", "transforms": ["identity"] * 3}
+    unfolded = tmp_path / "unfolded.json"
+    unfolded.write_text(json.dumps(cfg))
     cfg[section][key] = value
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    for name, config in (("default", config_file), ("changed", path)):
+    for name, config in (("default", unfolded), ("changed", path)):
         assert main([
             "predict", "--config", str(config), "--data", str(tmp_path / "data"),
             "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / name), "--seed", "5",

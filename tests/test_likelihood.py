@@ -20,6 +20,7 @@ from msjoint import (
 from msjoint.families import (
     BOnly,
     CustomRegression,
+    EmptyLink,
     GammaPlusB,
     GammaXPlusB,
     Polynomial,
@@ -339,8 +340,17 @@ def transform_model(study_design, study_params):
     return design, replace(study_params, gamma=np.array([2.5, np.log(1.3), 0.2]))
 
 
-@pytest.mark.parametrize("model", [None, gamma_x_model, b_only_model, trainable_model],
-                         ids=["study", "gamma_x", "b_only", "trainable"])
+def empty_link_model(study_design, study_params):
+    """The study design with an empty link on the edge 0 -> 2: its event rows
+    have a log intensity that does not depend on psi."""
+    edge = (0, 2)
+    hazard, _ = study_design.edge_specs[edge]
+    design = replace(study_design, edge_specs={**study_design.edge_specs, edge: (hazard, EmptyLink())})
+    return design, replace(study_params, alpha={**study_params.alpha, edge: np.zeros(0)})
+
+
+@pytest.mark.parametrize("model", [None, gamma_x_model, b_only_model, trainable_model, empty_link_model],
+                         ids=["study", "gamma_x", "b_only", "trainable", "empty_link"])
 @pytest.mark.parametrize("case", ["truncated_event", "truncated_state0", "cohort"])
 def test_folded_logdensity_matches_three_terms(model, case, study_design, study_params, study_graph):
     design, params = (study_design, study_params) if model is None else model(study_design, study_params)
@@ -360,6 +370,15 @@ def test_folded_logdensity_matches_three_terms(model, case, study_design, study_
     np.testing.assert_allclose(
         engine.posterior_logdensity(bound, b0), engine.loglik_terms(bound, b0).total, rtol=1e-12, atol=0
     )
+    # the fold's Gaussian: its quadratic is flat at the mode, and L L^T is
+    # the inverse of H_ss = -2 A_ss
+    shift, _, A = bound.fold
+    mode, L = bound.gaussian
+    s = mode.shape[1]
+    z = np.concatenate([mode + shift[:, 0], np.ones((len(cohort), 1))], axis=1)
+    np.testing.assert_allclose(np.einsum("nij,nj->ni", A, z)[:, :s], 0.0, atol=1e-9)
+    identity = np.broadcast_to(np.eye(s), L.shape)
+    np.testing.assert_allclose(L @ L.transpose(0, 2, 1) @ (-2.0 * A[:, :s, :s]), identity, atol=1e-9)
 
 
 @pytest.mark.parametrize("model", [mixed_model, transform_model, None], ids=["mixed", "transform", "nonlinear"])

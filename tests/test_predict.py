@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from msjoint import (
     repr_from_cov,
 )
 from msjoint import predict
-from msjoint.families import BOnly, Polynomial, ValueLink
+from msjoint.families import BOnly, EmptyLink, Polynomial, TransformStack, ValueLink
 from msjoint.hazards import ExponentialHazard
 from msjoint.inference import FitConfig, StopRule, fit
 from msjoint.predict import (
@@ -162,13 +163,39 @@ def counting_engine(calls):
 def test_every_conditioning_sweep_calls_posterior_logdensity(
     monkeypatch, small_cohort, study_design, study_params, study_graph
 ):
+    # a design whose engine does not fold conditions by MH: one call to
+    # start the chains, then one per sweep
     calls = []
     monkeypatch.setattr(predict, "LikelihoodEngine", counting_engine(calls))
     cfg = SamplerConfig(n_chains=5, warmup=30, thin=3)
-    draws = posterior_condition(small_cohort[0][4], 5.0, study_design, study_params, study_graph, cfg, 23, seed=1)
+    design = replace(study_design, effects=TransformStack(("identity", "exp", "identity")))
+    params = replace(study_params, gamma=np.array([2.5, np.log(1.3), 0.2]))
+    draws = posterior_condition(small_cohort[0][4], 5.0, design, params, study_graph, cfg, 23, seed=1)
     assert draws.shape == (25, 3)
     assert len(calls) == 1 + cfg.warmup + math.ceil(23 / cfg.n_chains) * cfg.thin
     assert set(calls) == {(5, 1, 3)}
+
+
+def test_importance_resampling_calls_posterior_logdensity_once_per_chunk(
+    monkeypatch, small_cohort, study_design, study_params, study_graph
+):
+    # the study folds: each chunk of individuals is weighed by one call at
+    # K chains, and only the individuals whose weights degenerate go on to MH
+    calls = []
+    monkeypatch.setattr(predict, "LikelihoodEngine", counting_engine(calls))
+    cohort = small_cohort[0]
+    cfg = SamplerConfig(n_chains=5, warmup=30, thin=3)
+    n_draws = 500
+    k = predict.IS_PROPOSALS_PER_DRAW * n_draws
+    size = predict.IS_BUDGET // k
+    assert size * k <= predict.IS_BUDGET < (size + 1) * k
+    draws = condition_cohort(cohort, 5.0, study_design, study_params, study_graph, cfg, n_draws, seed=1)
+    assert draws.shape == (n_draws, len(cohort), 3)
+    chunks = [min(size, len(cohort) - start) for start in range(0, len(cohort), size)]
+    assert calls[:len(chunks)] == [(k, c, 3) for c in chunks]
+    mh = calls[len(chunks):]
+    assert len(mh) in (0, 1 + cfg.warmup + math.ceil(n_draws / cfg.n_chains) * cfg.thin)
+    assert len({shape[1] for shape in mh}) <= 1 and all(shape[0] == cfg.n_chains for shape in mh)
 
 
 def test_every_fit_sweep_calls_posterior_logdensity(small_cohort, study_design, study_graph, study_init_params):
@@ -288,6 +315,113 @@ def test_survival_information_shifts_posterior_down():
     se = x.std() / np.sqrt(x.size / 20)
     assert x.mean() < mean_l
     assert abs(x.mean() - mean_joint) < 4 * se
+
+
+# -- conditioning by importance resampling ---------------------------------------
+
+
+def random_intercept_cohort():
+    """Three records of y_ij = b_i + e_ij, b_i ~ N(0, 0.5), e_ij ~ N(0, 0.4),
+    with one edge whose EmptyLink hazard does not depend on b: the fold is
+    then the exact posterior N(sum_j y_ij / 0.4 / prec_i, 1 / prec_i), prec_i
+    = 1 / 0.5 + m_i / 0.4. Returns (graph, design, params, records, mean,
+    sd)."""
+    g = build_graph(2, [(0, 1)])
+    reg = Polynomial(0)
+    design = ModelDesign(BOnly(), reg, {(0, 1): (ExponentialHazard(0.3), EmptyLink())})
+    params = ModelParams(
+        gamma=np.zeros(0),
+        q_repr=repr_from_cov([[0.5]], "diag"),
+        r_repr=repr_from_cov([[0.4]], "ball"),
+        alpha={(0, 1): np.zeros(0)},
+        beta={(0, 1): np.zeros(1)},
+    )
+    rng = np.random.default_rng(21)
+    records, means, sds = [], [], []
+    for m, pairs in ((4, ((0.0, 0),)), (1, ((0.0, 0), (2.5, 1))), (7, ((0.0, 0),))):
+        y = 0.8 + rng.normal(scale=np.sqrt(0.4), size=(m, 1))
+        records.append(IndividualRecord(
+            covariates=np.zeros(1), measurement_times=np.linspace(0.5, 3.5, m), measurements=y,
+            trajectory=Trajectory(pairs), censoring_time=4.0,
+        ))
+        prec = 1 / 0.5 + m / 0.4
+        means.append(y.sum() / 0.4 / prec)
+        sds.append(np.sqrt(1 / prec))
+    return g, design, params, records, np.array(means), np.array(sds)
+
+
+@pytest.mark.parametrize("scale", [1.0, predict.IS_SCALE])
+def test_importance_resampling_matches_the_exact_posterior(monkeypatch, scale):
+    g, design, params, records, mean, sd = random_intercept_cohort()
+    monkeypatch.setattr(predict, "IS_SCALE", scale)
+    k, n_out = 20_000, 4_000
+    draws = np.empty((n_out, len(records), 1))
+    ess = predict._importance_resample(records, design, params, g, k, np.random.default_rng(3), draws)
+    if scale == 1.0:
+        # the proposal is the posterior: every weight is equal
+        np.testing.assert_allclose(ess, k, rtol=1e-9)
+    assert (ess > k / 2).all()
+    # a resampled mean has variance sd^2 (1 / ESS + 1 / n_out); a resampled
+    # variance about sd^4 * 2 (1 / ESS + 1 / n_out) for a Gaussian
+    spread = np.sqrt(1 / ess + 1 / n_out)
+    x = draws[:, :, 0]
+    assert (np.abs(x.mean(axis=0) - mean) < 4 * sd * spread).all()
+    assert (np.abs(x.var(axis=0) - sd**2) < 4 * sd**2 * np.sqrt(2) * spread).all()
+
+
+def test_importance_resampling_matches_a_long_mh_run(study_design, study_params, study_graph):
+    # the study's value+slope links make the posterior non-Gaussian; records
+    # of the held-out cohort, truncated at 5, against 40 long MH chains
+    cohort, _ = generate_cohort(study_design, study_params, n=200, m=20, seed=1042)
+    records = [cohort[i].truncated(5.0) for i in (0, 3, 6)]
+    common = (records, study_design, study_params, study_graph)
+    k, n_out = 10_000, 2_000
+    is_draws = np.empty((n_out, len(records), 3))
+    ess = predict._importance_resample(*common, k, np.random.default_rng(5), is_draws)
+    assert (ess >= n_out / 4).all()
+    cfg = SamplerConfig(n_chains=40, warmup=500, thin=10)
+    keep = 50
+    mh = predict._mh_condition(*common, cfg, keep, seed=6).reshape(keep, cfg.n_chains, len(records), 3)
+    # MH's ESS from the spread of its 40 independent chain means
+    sd = mh.std(axis=(0, 1))
+    var_mean = mh.mean(axis=0).var(axis=0, ddof=1) / cfg.n_chains
+    ess_mh = np.minimum(sd**2 / var_mean, keep * cfg.n_chains)
+    bound = 4 * sd * np.sqrt(1 / ess[:, None] + 1 / n_out + 1 / ess_mh)
+    assert (np.abs(is_draws.mean(axis=0) - mh.mean(axis=(0, 1))) < bound).all()
+
+
+def test_degenerate_weights_go_to_mh(monkeypatch, study_design, study_params, study_graph):
+    # held-out individual 27 is absorbed 0 -> 2 at 0.71: at t = 2 the fold,
+    # which lacks the risk rows, proposes far from its posterior
+    cohort, _ = generate_cohort(study_design, study_params, n=200, m=20, seed=1042)
+    record = cohort[27]
+    assert [s for _, s in record.trajectory.pairs] == [0, 2]
+    draws = np.empty((200, 1, 3))
+    ess = predict._importance_resample(
+        [record.truncated(2.0)], study_design, study_params, study_graph, 1000, np.random.default_rng(0), draws
+    )
+    assert ess[0] < 200 / 4
+    routed = []
+    mh = predict._mh_condition
+
+    def counting_mh(records, *args):
+        routed.append(len(records))
+        return mh(records, *args)
+
+    monkeypatch.setattr(predict, "_mh_condition", counting_mh)
+    cfg = SamplerConfig(n_chains=5, warmup=50, thin=2)
+    draws = posterior_condition(record, 2.0, study_design, study_params, study_graph, cfg, 200, seed=0)
+    assert routed == [1]
+    assert draws.shape == (200, 3) and np.isfinite(draws).all()
+
+
+def test_a_fixed_seed_gives_the_same_draws(study_design, study_params, study_graph):
+    cohort, _ = generate_cohort(study_design, study_params, n=40, m=20, seed=1042)
+    cfg = SamplerConfig(n_chains=5, warmup=50, thin=2)
+    args = (cohort, 2.0, study_design, study_params, study_graph, cfg, 200)
+    first = condition_cohort(*args, seed=9)
+    np.testing.assert_array_equal(condition_cohort(*args, seed=9), first)
+    assert not np.array_equal(condition_cohort(*args, seed=10), first)
 
 
 def test_truncation_past_censoring_equals_truncation_at_censoring(study_design, study_params, study_graph):

@@ -14,7 +14,7 @@ from msjoint import (
     validate_cohort,
 )
 from msjoint import simulate
-from msjoint.design import cumulative_intensity, transition_log_intensity
+from msjoint.design import cumulative_intensity, node_intensities, transition_log_intensity
 from msjoint.families import BOnly, Polynomial, ValueLink
 from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
@@ -353,6 +353,27 @@ def test_competing_constant_hazards_joint_law():
         sub = times[states == s]
         d = stats.kstest(sub, "expon", args=(0, 1 / (lam_a + lam_b))).statistic
         assert d * np.sqrt(sub.size) < KS_CRIT_1PCT
+
+
+def test_a_later_edge_that_cannot_win_stops_after_its_probe(monkeypatch):
+    # (0,2)'s hazard is so small that (0,1) wins every row; capped at the
+    # row's running minimum, (0,2) is probed once per row and never solved
+    _, design, params = two_state_model({(0, 1): 0.5, (0, 2): 1e-9})
+    calls = []
+
+    def counting(design, params, edge, entry, *args, **kwargs):
+        calls.append((edge, entry.size))
+        return node_intensities(design, params, edge, entry, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "node_intensities", counting)
+    n = 200
+    trajs = sample_trajectories(
+        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0), SimConfig(censoring=np.inf),
+        rng=np.random.default_rng(11),
+    )
+    assert [tr.pairs[1][1] for tr in trajs] == [1] * n
+    assert [c for c in calls if c[0] == (0, 2)] == [((0, 2), n)]
+    assert len([c for c in calls if c[0] == (0, 1)]) > 1  # the winner is solved by Newton
 
 
 def test_trajectory_legality(study_design, study_params, study_graph):
