@@ -12,6 +12,7 @@ reference forms the engine is tested against.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -194,12 +195,12 @@ def _basis(family, n_psi, t, *covariates):
 
 # A marker is the Gaussian term of every individual's measurements, with
 # residuals r_j = y_j - h(t_j, psi) over the observed rows. Both kinds expose
-# the same three operations, with P = R^-1 the noise precision and psi_rows
+# the same four operations, with P = R^-1 the noise precision and psi_rows
 # of shape (n, C, s): ``weigh(r_repr)``, the part that depends on R alone,
 # formed once per bind; ``quad``, sum_j r_j^T P r_j of every individual,
-# (n, C); and ``scores``, sum_j r_j r_j^T, (n_sel, C, d, d), and the
-# psi-score sum_j (P r_j)^T dh_j/dpsi, (n_sel, C, s), of the individuals
-# ``keep`` (a slice or a sorted index array).
+# (n, C); ``scores``, sum_j r_j r_j^T, (n, C, d, d), and the psi-score
+# sum_j (P r_j)^T dh_j/dpsi, (n, C, s); and ``take(idx)``, the marker of
+# the individuals idx.
 
 
 class _StatsMarker:
@@ -233,28 +234,31 @@ class _StatsMarker:
         G = (Z.transpose(0, 2, 1) @ Z).reshape(n, d, 1 + s, d, 1 + s)
         self.G = np.ascontiguousarray(G.transpose(0, 1, 3, 2, 4))
 
+    def take(self, idx) -> "_StatsMarker":
+        marker = copy.copy(self)
+        marker.centre, marker.G = self.centre[idx], self.G[idx]
+        return marker
+
     def weigh(self, r_repr: PrecisionRepr) -> np.ndarray:
         """<P, G>: the (1 + s, 1 + s) quadratic of sum_j r_j^T P r_j in z."""
         return np.einsum("de,ndeab->nab", r_repr.precision(), self.G)
 
-    def _z(self, psi_rows, keep) -> np.ndarray:
-        psi = psi_rows[keep]
-        z = np.empty(psi.shape[:2] + (1 + psi.shape[2],))
+    def _z(self, psi_rows) -> np.ndarray:
+        z = np.empty(psi_rows.shape[:2] + (1 + psi_rows.shape[2],))
         z[..., 0] = 1.0
-        np.subtract(psi, self.centre[keep][:, None], out=z[..., 1:])
+        np.subtract(psi_rows, self.centre[:, None], out=z[..., 1:])
         return z
 
     def quad(self, psi_rows, Gw) -> np.ndarray:
-        z = self._z(psi_rows, slice(None))
+        z = self._z(psi_rows)
         return np.einsum("nca,nca->nc", z @ Gw, z)
 
-    def scores(self, psi_rows, Gw, keep):
-        z = self._z(psi_rows, keep)
-        G = self.G[keep]
-        n, d, _, a, _ = G.shape
-        Gz = (G.reshape(n, d * d * a, a) @ z.transpose(0, 2, 1)).reshape(n, d, d, a, z.shape[1])
+    def scores(self, psi_rows, Gw):
+        z = self._z(psi_rows)
+        n, d, _, a, _ = self.G.shape
+        Gz = (self.G.reshape(n, d * d * a, a) @ z.transpose(0, 2, 1)).reshape(n, d, d, a, z.shape[1])
         # d/dpsi of -(1/2) z^T Gw z, Gw symmetric
-        return np.einsum("ndeac,nca->ncde", Gz, z), -(z @ Gw[keep])[..., 1:]
+        return np.einsum("ndeac,nca->ncde", Gz, z), -(z @ Gw)[..., 1:]
 
 
 class _ResidualMarker:
@@ -264,22 +268,25 @@ class _ResidualMarker:
     def __init__(self, basis: _FamilyBasis, y: np.ndarray, mask: np.ndarray):
         self.basis, self.y, self.mask = basis, y, mask
 
+    def take(self, idx) -> "_ResidualMarker":
+        return _ResidualMarker(self.basis.take(idx), self.y[idx], self.mask[idx])
+
     def weigh(self, r_repr: PrecisionRepr) -> tuple[np.ndarray, np.ndarray]:
         """The Cholesky factor and the precision."""
         return r_repr.chol_factor(), r_repr.precision()
 
-    def _residuals(self, psi_rows, keep) -> np.ndarray:
-        """(n_sel, C, j, d)."""
-        return (self.y[keep][:, None] - self.basis.take(keep).value(psi_rows[keep])) * self.mask[keep][:, None, :, None]
+    def _residuals(self, psi_rows) -> np.ndarray:
+        """(n, C, j, d)."""
+        return (self.y[:, None] - self.basis.value(psi_rows)) * self.mask[:, None, :, None]
 
     def quad(self, psi_rows, weights) -> np.ndarray:
-        return quad_form(weights[0], self._residuals(psi_rows, slice(None))).sum(axis=-1)
+        return quad_form(weights[0], self._residuals(psi_rows)).sum(axis=-1)
 
-    def scores(self, psi_rows, weights, keep):
-        r = self._residuals(psi_rows, keep)
+    def scores(self, psi_rows, weights):
+        r = self._residuals(psi_rows)
         # d/dpsi of -(1/2) r^T P r with r = y - h: (P r)^T dh/dpsi
         pr = (r.reshape(-1, r.shape[-1]) @ weights[1]).reshape(r.shape)
-        return np.einsum("ncjd,ncje->ncde", r, r), self.basis.take(keep).vjp(pr, psi_rows[keep])
+        return np.einsum("ncjd,ncje->ncde", r, r), self.basis.vjp(pr, psi_rows)
 
 
 class _Rows:
@@ -288,7 +295,7 @@ class _Rows:
     logs of the node weights (0 at an event; the log of each quadrature
     weight, whose minus sign the risk block carries), covariates and the link
     basis at the node times. ``span`` locates the rows in their
-    :class:`_Block`, whose ``idx`` they view (None for a subset taken from
+    :class:`_Block`, whose ``idx`` they view (None until a block holds
     them)."""
 
     __slots__ = ("idx", "u", "log_w", "x", "basis", "span")
@@ -297,8 +304,11 @@ class _Rows:
         self.idx, self.u, self.log_w, self.x, self.basis = idx, u, log_w, x, basis
         self.span = None
 
-    def take(self, keep) -> "_Rows":
-        return _Rows(self.idx[keep], self.u[keep], self.log_w[keep], self.x[keep], self.basis.take(keep))
+    def take(self, pos) -> "_Rows":
+        """The rows of each individual i with pos[i] >= 0, as pos[i]."""
+        idx = pos[self.idx]
+        keep = idx >= 0
+        return _Rows(idx[keep], self.u[keep], self.log_w[keep], self.x[keep], self.basis.take(keep))
 
 
 class _Block:
@@ -527,8 +537,9 @@ class LikelihoodEngine:
     the chains first when the effects map is ``additive``, see
     :meth:`_gradient`); :meth:`individual_scores` sums every column into the
     individuals. Each block caches one row index into the individuals per
-    chain count and number of columns (:meth:`_Block.index`); over the whole
-    cohort, every pass reads its part's view of it.
+    chain count and number of columns (:meth:`_Block.index`), and every pass
+    reads its part's view of it. A subset's gradient and prediction run on
+    the engine of those individuals, sliced from this one (:meth:`_take`).
 
     The engine owns one float buffer that the scores reuse from call to call
     for the risk rows' weights (:meth:`_row_buffer`); no result is a view of
@@ -620,6 +631,25 @@ class LikelihoodEngine:
                 parts[event].append((edge, _Rows(idx, u, log_w, x, _basis(lnk, n_psi, t, x))))
         self.blocks = [_Block(event, parts[event], self.n) for event in (True, False) if parts[event]]
 
+    def _take(self, idx: np.ndarray) -> LikelihoodEngine:
+        """The engine of the individuals ``idx`` (sorted, distinct), sliced
+        from this one with no record read again. It keeps this engine's type
+        and ``folds`` and shares its row buffer, so its thread too; all n
+        individuals give this engine itself."""
+        if len(idx) == self.n:
+            return self
+        sub = copy.copy(self)
+        sub.n, sub.x, sub.obs_counts = len(idx), self.x[idx], self.obs_counts[idx]
+        sub.marker = None if self.marker is None else self.marker.take(idx)
+        pos = np.full(self.n, -1)
+        pos[idx] = np.arange(sub.n)
+        sub.blocks = []
+        for block in self.blocks:
+            parts = [(edge, taken) for edge, rows in block.parts if (taken := rows.take(pos)).idx.size]
+            if parts:
+                sub.blocks.append(_Block(block.event, parts, sub.n))
+        return sub
+
     # -- evaluation ---------------------------------------------------------
 
     def bind(self, params: ModelParams) -> _BoundParams:
@@ -695,10 +725,9 @@ class LikelihoodEngine:
             sm += block.log_density(psi1, params.alpha, W, consts)
         return prior, longit, sm.reshape(C, self.n)
 
-    def _row_pass(self, bound: _BoundParams, psi1: np.ndarray, sel=None):
+    def _row_pass(self, bound: _BoundParams, psi1: np.ndarray):
         """The semi-Markov rows part by part, as the log-density lays them
-        out, keeping those of the selected individuals (all when ``sel`` is
-        None). Yields (block, edge, rows, p, const, g, wt): p is the rows'
+        out. Yields (block, edge, rows, p, const, g, wt): p is the rows'
         psi1 (rows, C, s + 1); const their part of the bound constants of
         :meth:`_BoundParams.stack`; g the link values on a family basis,
         None on a cached one; and wt the derivative of the part's term in
@@ -706,15 +735,8 @@ class LikelihoodEngine:
         lambda |w| on risk rows, whose term is minus their sum. On risk rows
         wt is a view of :meth:`_row_buffer`, valid until the next part."""
         alpha = bound.params.alpha
-        chosen = None
-        if sel is not None:
-            chosen = np.zeros(self.n, dtype=bool)
-            chosen[sel] = True
         for block, (_, consts) in zip(self.blocks, bound.blocks):
             for (edge, rows), const in zip(block.parts, consts):
-                if chosen is not None:
-                    kept = chosen[rows.idx]
-                    rows, const = rows.take(kept), const[kept]
                 p = psi1[rows.idx]
                 g = None if isinstance(rows.basis, _CachedBasis) else rows.basis.value(p[..., :-1])
                 if block.event:
@@ -737,9 +759,8 @@ class LikelihoodEngine:
             self._buffer = np.empty(size)
         return self._buffer[:size].reshape(shape)
 
-    def _gradient(self, bound: _BoundParams, b: np.ndarray, sel=None) -> np.ndarray:
-        """Complete-data scores summed over the chains and the selected
-        individuals (all when ``sel`` is None, else a sorted index array),
+    def _gradient(self, bound: _BoundParams, b: np.ndarray) -> np.ndarray:
+        """Complete-data scores summed over the chains and the individuals,
         (n_free,). Each part's rows are contracted straight into theta:
         with M = sum_c psi1_c wt_c^T per row, alpha is M . B summed over
         rows (or sum wt . value on a family basis), beta is x weighted by
@@ -760,9 +781,7 @@ class LikelihoodEngine:
         params = bound.params
         alpha = params.alpha
         layout = params.layout()
-        C = b.shape[0]
-        keep = slice(None) if sel is None else sel
-        n = self.n if sel is None else sel.size
+        C, n = b.shape[:2]
         psi1 = self._psi1(params, b)
         s = psi1.shape[-1] - 1
         grad = np.zeros(layout.size)
@@ -773,19 +792,15 @@ class LikelihoodEngine:
 
         q_repr, r_repr = params.q_repr, params.r_repr
         if q_repr.dim:
-            flat = b[:, keep].reshape(-1, q_repr.dim)
+            flat = b.reshape(-1, q_repr.dim)
             grad[layout.group_slice("q")] = q_repr.grad_values(flat.T @ flat, C * n)
         if self.marker is not None:
-            outer, psi_score = self.marker.scores(psi1[..., :-1], bound.marker, keep)
-            count = C * self.obs_counts[keep].sum()
+            outer, psi_score = self.marker.scores(psi1[..., :-1], bound.marker)
+            count = C * self.obs_counts.sum()
             grad[layout.group_slice("r")] = r_repr.grad_values(outer.sum(axis=(0, 1)), count)
             dpsi += reduce(psi_score).transpose(2, 1, 0)
 
-        pos = None
-        if sel is not None:
-            pos = np.full(self.n, -1)
-            pos[sel] = np.arange(n)
-        for block, edge, rows, p, const, g, wt in self._row_pass(bound, psi1, sel):
+        for block, edge, rows, p, const, g, wt in self._row_pass(bound, psi1):
             sign = 1.0 if block.event else -1.0
             M = p.transpose(0, 2, 1) @ wt
             total = M[:, -1]
@@ -804,11 +819,10 @@ class LikelihoodEngine:
             if local is not None:
                 dlog = self.design.hazard(edge).dlog_dparams(rows.u, self.design.hazard_values(edge, params))
                 grad[layout.group_slice("extra", local)] += sign * np.einsum("rk,rke->e", total, dlog)
-            index = block.index(D, s, rows.span) if sel is None else _row_index(pos[rows.idx], n, D, s)
-            dpsi += sign * _add_rows(index, d, n)
+            dpsi += sign * _add_rows(block.index(D, s, rows.span), d, n)
 
         if params.gamma.size:
-            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b[:D])[:, keep]
+            jpg = self.design.effects.jac_gamma(params.gamma, self.x, b[:D])
             grad[layout.group_slice("gamma")] += np.einsum("scn,cnsg->g", dpsi, jpg)
         return grad
 
@@ -832,7 +846,7 @@ class LikelihoodEngine:
             outer = np.einsum("cnq,cnr->cnqr", b, b)
             acc[layout.group_slice("q")] = np.moveaxis(q_repr.grad_values(outer, 1.0), -1, 0)
         if self.marker is not None:
-            outer, psi_score = self.marker.scores(psi1[..., :-1], bound.marker, slice(None))
+            outer, psi_score = self.marker.scores(psi1[..., :-1], bound.marker)
             grad = r_repr.grad_values(outer, self.obs_counts[:, None])
             acc[layout.group_slice("r")] = grad.transpose(2, 1, 0)
             acc[P:] += psi_score.transpose(2, 1, 0)
@@ -922,12 +936,12 @@ class LikelihoodEngine:
         """Gradient of the summed complete-data log-likelihood with respect to
         the flattened free parameters (tied slots accumulate): the
         per-individual scores summed over the subset, which follows the rule
-        of :meth:`complete_loglik`. For chained input the per-chain gradients
-        are averaged."""
+        of :meth:`complete_loglik` and is evaluated on the engine taken for
+        it. For chained input the per-chain gradients are averaged."""
         bound = self._bound(params)
         b, squeeze = self._as_chains(b, bound.params.q_repr.dim)
-        sel = self._subset(subset)
-        if sel is not None:
-            sel = np.sort(sel)
-        grad = self._gradient(bound, b, sel)
+        if subset is not None:
+            sel = np.sort(self._subset(subset))
+            bound, b = self._take(sel).bind(bound.params), b[:, sel]
+        grad = bound.engine._gradient(bound, b)
         return grad if squeeze else grad / b.shape[0]

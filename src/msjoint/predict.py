@@ -170,16 +170,17 @@ def condition_cohort(
     sampler configuration; an n_draws that is not an integer >= 1 raises
     ValueError.
 
-    Individuals are conditioned in chunks of at most ``IS_BUDGET //
-    (IS_PROPOSALS_PER_DRAW * n_draws)`` (at least one). Where a chunk's
-    engine ``folds``, each individual is sampled by importance resampling
-    (:func:`_importance_resample`): K = IS_PROPOSALS_PER_DRAW * n_draws
-    proposals from N(mode_i, c^2 H_i^-1), the Gaussian of the fold
-    (``_BoundParams.gaussian``) widened by c = IS_SCALE, weighed by one
-    ``posterior_logdensity`` call at K chains and resampled. An individual
-    whose Kish ESS (sum w)^2 / sum w^2 falls below n_draws / 4, and every
-    individual of a chunk that does not fold, is conditioned by random-walk
-    MH instead (:func:`_mh_condition`), all of them in one run. The
+    One engine is built on the truncated cohort; each route runs on the
+    engine taken from it for its individuals (``LikelihoodEngine._take``).
+    When the engine ``folds``, chunks of at most ``IS_BUDGET //
+    (IS_PROPOSALS_PER_DRAW * n_draws)`` individuals (at least one) are
+    sampled by importance resampling (:func:`_importance_resample`): K =
+    IS_PROPOSALS_PER_DRAW * n_draws proposals from N(mode_i, c^2 H_i^-1),
+    the Gaussian of the fold (``_BoundParams.gaussian``) widened by c =
+    IS_SCALE, weighed by one ``posterior_logdensity`` call at K chains and
+    resampled. An individual whose Kish ESS (sum w)^2 / sum w^2 falls below
+    n_draws / 4, and every one when the engine does not fold, is conditioned
+    by random-walk MH instead (:func:`_mh_condition`), all in one run. The
     sampler configuration (``warmup``, ``thin``, step adaptation; the
     ``predict.warmup`` and ``predict.thin`` of ``msjoint predict``) steers
     that MH route only; ``n_chains`` also sets the number of draws returned.
@@ -187,47 +188,43 @@ def condition_cohort(
     """
     check_count(n_draws, "n_draws", 1)
     cfg = sampler_config or SamplerConfig(warmup=DEFAULT_WARMUP, thin=DEFAULT_THIN)
-    truncated = tuple(rec.truncated(t) for rec in cohort)
+    truncated = Cohort(tuple(rec.truncated(t) for rec in cohort), cohort.n_covariates, cohort.n_biomarkers)
+    engine = LikelihoodEngine(truncated, design, graph)
+    n = engine.n
     keep = int(np.ceil(n_draws / cfg.n_chains))
-    draws = np.empty((keep * cfg.n_chains, len(cohort), params.q_repr.dim))
+    draws = np.empty((keep * cfg.n_chains, n, params.q_repr.dim))
     rng = np.random.default_rng(seed)
     n_proposals = IS_PROPOSALS_PER_DRAW * n_draws
     size = max(1, IS_BUDGET // n_proposals)
-    to_mh = []
-    for start in range(0, len(cohort), size):
-        chunk = slice(start, start + size)
-        ess = _importance_resample(truncated[chunk], design, params, graph, n_proposals, rng, draws[:, chunk])
-        to_mh.extend(start + np.flatnonzero(ess < n_draws / 4))
-    if to_mh:
-        records = tuple(truncated[i] for i in to_mh)
-        draws[:, to_mh] = _mh_condition(records, design, params, graph, cfg, keep, seed)
+    ess = np.zeros(n)  # an individual left at 0 goes to MH
+    if engine.folds:
+        for start in range(0, n, size):
+            chunk = slice(start, start + size)
+            ess[chunk] = _importance_resample(engine._take(np.arange(n)[chunk]), params, n_proposals, rng, draws[:, chunk])
+    to_mh = np.flatnonzero(ess < n_draws / 4)
+    if to_mh.size:
+        draws[:, to_mh] = _mh_condition(engine._take(to_mh), params, cfg, keep, seed)
     return draws
 
 
 def _importance_resample(
-    records: Sequence[IndividualRecord],
-    design: ModelDesign,
+    engine: LikelihoodEngine,
     params: ModelParams,
-    graph: TransitionGraph,
     n_proposals: int,
     rng: np.random.Generator,
     out: np.ndarray,
 ) -> np.ndarray:
     """Sampling-importance resampling (Rubin 1988; Smith and Gelfand 1992)
-    of the records' random effects into ``out`` (draws, n, q), from
-    n_proposals proposals per record drawn from the fold's Gaussian with its
-    covariance scaled by IS_SCALE^2 and weighed by the posterior over the
-    proposal density, in one ``posterior_logdensity`` call. Each record's
-    draws are a multinomial resample of its proposals, all records in one
-    pass. Returns each record's Kish ESS; a record with no finite weight
-    has ESS 0, and all do when the records' engine does not fold (``out``
-    is then left as it is)."""
-    engine = LikelihoodEngine(Cohort(tuple(records)), design, graph)
-    if not engine.folds:
-        return np.zeros(len(records))
+    of the random effects of the engine's n individuals into ``out`` (draws,
+    n, q), for an engine that ``folds``: n_proposals proposals per
+    individual drawn from the fold's Gaussian with its covariance scaled by
+    IS_SCALE^2 and weighed by the posterior over the proposal density, in
+    one ``posterior_logdensity`` call. Each individual's draws are a
+    multinomial resample of its proposals, all individuals in one pass.
+    Returns each individual's Kish ESS (0 without a finite weight)."""
     bound = engine.bind(params)
     mode, L = bound.gaussian
-    n = len(records)
+    n = engine.n
     eps = rng.standard_normal((n, n_proposals, mode.shape[1]))
     b = mode[:, None] + IS_SCALE * (eps @ L.transpose(0, 2, 1))  # (n, K, q)
     # log w = log p(b | data) - log q(b), less a per-record constant
@@ -249,22 +246,16 @@ def _importance_resample(
 
 
 def _mh_condition(
-    records: Sequence[IndividualRecord],
-    design: ModelDesign,
-    params: ModelParams,
-    graph: TransitionGraph,
-    cfg: SamplerConfig,
-    keep: int,
-    seed: int,
+    engine: LikelihoodEngine, params: ModelParams, cfg: SamplerConfig, keep: int, seed: int
 ) -> np.ndarray:
-    """Random-walk MH draws (keep * n_chains, n, q) of the records' random
-    effects, ``cfg.thin`` sweeps apart after ``cfg.warmup`` sweeps."""
-    engine = LikelihoodEngine(Cohort(tuple(records)), design, graph)
+    """Random-walk MH draws (keep * n_chains, n, q) of the random effects
+    of the engine's n individuals, ``cfg.thin`` sweeps apart after
+    ``cfg.warmup`` sweeps."""
     bound = engine.bind(params)
     log_density = lambda b: engine.posterior_logdensity(bound, b)  # noqa: E731
-    chains = init_chains(len(records), params.q_repr.dim, log_density, cfg, np.random.default_rng(seed))
+    chains = init_chains(engine.n, params.q_repr.dim, log_density, cfg, np.random.default_rng(seed))
     snaps = run(chains, log_density, n_steps=keep * cfg.thin, thin=cfg.thin)
-    return snaps.reshape(snaps.shape[0] * snaps.shape[1], len(records), params.q_repr.dim)
+    return snaps.reshape(snaps.shape[0] * snaps.shape[1], engine.n, params.q_repr.dim)
 
 
 def posterior_condition(

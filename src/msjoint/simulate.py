@@ -54,8 +54,7 @@ class SimConfig:
     max_transitions: int = 10_000
 
     def __post_init__(self):
-        if self.max_transitions <= 0:
-            raise ValueError("max_transitions guard must be positive")
+        check_count(self.max_transitions, "max_transitions", 1)
 
 
 class TrajectoryLimitError(RuntimeError):
@@ -268,7 +267,8 @@ def extend_paths(
     ``streams``. A row stops in an absorbing state, at its cap, when no event
     falls below the cap, or when ``stop(prefix)`` fires; the survival
     condition T >= ``t_surv`` bounds the first step only. Returns the mask
-    of rows still running after ``max_transitions`` steps."""
+    of rows still running after ``max_transitions`` (an integer >= 1) steps."""
+    check_count(max_transitions, "max_transitions", 1)
     n = len(paths)
     last = [p[-1] for p in paths]
     cur_t = np.array([t for t, _ in last], dtype=float)

@@ -21,6 +21,7 @@ from msjoint.families import (
     BOnly,
     CustomRegression,
     EmptyLink,
+    ExponentialDecay,
     GammaPlusB,
     GammaXPlusB,
     Polynomial,
@@ -29,7 +30,7 @@ from msjoint.families import (
     ValueLink,
 )
 from msjoint.hazards import ExponentialHazard, PiecewiseConstantHazard, WeibullHazard
-from msjoint.likelihood import _CachedBasis, _row_index, _StatsMarker, locate_nonfinite
+from msjoint.likelihood import _CachedBasis, _ResidualMarker, _row_index, _StatsMarker, locate_nonfinite
 from msjoint.params import Sharing, flatten, unflatten
 from msjoint.simulate import generate_cohort
 from msjoint.study import RATES
@@ -604,7 +605,7 @@ def test_individual_scores_match_reference_finite_differences(engine_case, study
 def test_gradient_with_subset_matches_finite_differences(
     model, small_cohort, study_design, study_graph, study_params
 ):
-    # a subset masks the rows of every block part: cached-basis spans, the
+    # a subset takes the rows of every block part: cached-basis spans, the
     # family-basis span of the mixed model and the trainable hazard's rows
     design, params = study_design, study_params
     cohort, _ = small_cohort
@@ -808,6 +809,90 @@ def test_block_index_is_a_view_of_the_row_index(model, small_cohort, study_desig
                 np.testing.assert_array_equal(index, _row_index(rows.idx, engine.n, C, m))
                 assert np.shares_memory(index, block._index[C, m])
 
+
+
+# -- engines taken for some individuals ---------------------------------------
+
+
+def decay_model():
+    """The study graph on an exponential-decay marker with value links, both
+    evaluated through the family methods: the marker forms its residuals at
+    every call and no edge has a cached basis."""
+    reg = ExponentialDecay()
+    design = ModelDesign(
+        GammaPlusB(),
+        reg,
+        {e: (ExponentialHazard(rate), ValueLink(reg)) for e, rate in (((0, 1), 0.1), ((0, 2), 0.05), ((1, 2), 0.2))},
+    )
+    params = ModelParams(
+        gamma=np.array([1.0, 0.3]),
+        q_repr=repr_from_cov(np.diag([0.2, 0.01]), "diag"),
+        r_repr=repr_from_cov([[0.3]], "ball"),
+        alpha={e: np.array([-0.5]) for e in design.edges},
+        beta={e: np.array([0.2]) for e in design.edges},
+    )
+    return design, params
+
+
+def assert_taken_matches_built(engine, idx, cohort, design, params, graph):
+    """The engine taken for idx evaluates as one built from their records, up
+    to rounding: the marker centres are pooled over another cohort."""
+    sub = engine._take(idx)
+    built = LikelihoodEngine(Cohort(tuple(cohort[i] for i in idx)), design, graph)
+    b = np.random.default_rng(4).normal(scale=0.3, size=(3, len(idx), params.q_repr.dim))
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    close(sub.posterior_logdensity(params, b), built.posterior_logdensity(params, b))
+    terms, expected = sub.loglik_terms(params, b), built.loglik_terms(params, b)
+    for name in ("prior", "longitudinal", "semi_markov"):
+        close(getattr(terms, name), getattr(expected, name))
+    close(sub.individual_scores(params, b), built.individual_scores(params, b))
+    close(sub.grad_theta(params, b), built.grad_theta(params, b))
+    return sub
+
+
+@pytest.mark.parametrize("case", ["study", "decay"])
+def test_taken_engine_matches_engine_built_from_its_records(case, small_cohort, study_design, study_params, study_graph):
+    design, params = study_design, study_params
+    cohort, _ = small_cohort
+    if case == "decay":
+        design, params = decay_model()
+        cohort, _ = generate_cohort(design, params, n=25, m=6, seed=7)
+    engine = LikelihoodEngine(cohort, design, study_graph)
+    assert isinstance(engine.marker, _StatsMarker if case == "study" else _ResidualMarker)
+    sub = assert_taken_matches_built(engine, np.array([1, 2, 8, 13, 20]), cohort, design, params, study_graph)
+    assert sub.n == 5 and sub.folds == engine.folds
+
+
+def test_taken_engine_drops_edges_without_rows(small_cohort, study_design, study_params, study_graph):
+    # absorbed 0 -> 2: no event rows on 0 -> 1, and no rows at all on 1 -> 2
+    cohort, _ = small_cohort
+    idx = np.array([i for i, rec in enumerate(cohort) if [s for _, s in rec.trajectory.pairs] == [0, 2]])
+    assert idx.size >= 2
+    engine = LikelihoodEngine(cohort, study_design, study_graph)
+    sub = assert_taken_matches_built(engine, idx, cohort, study_design, study_params, study_graph)
+    assert [[edge for edge, _ in block.parts] for block in sub.blocks] == [[(0, 2)], [(0, 1), (0, 2)]]
+
+
+def test_taking_every_individual_gives_the_engine_and_a_take_keeps_its_type(
+    small_cohort, study_design, study_params, study_graph
+):
+    class Subclass(LikelihoodEngine):
+        def posterior_logdensity(self, params, b):
+            return super().posterior_logdensity(params, b) + 1.0
+
+    cohort, latent = small_cohort
+    engine = Subclass(cohort, study_design, study_graph)
+    assert engine._take(np.arange(len(cohort))) is engine
+    sub = engine._take(np.array([0, 3]))
+    assert type(sub) is Subclass
+    b = latent["b"][[0, 3]]
+    np.testing.assert_array_equal(
+        sub.posterior_logdensity(study_params, b),
+        LikelihoodEngine.posterior_logdensity(sub, study_params, b) + 1.0,
+    )
 
 def test_linear_gaussian_posterior_mode_matches_conjugate_oracle():
     # linear-in-b regression, no survival data: the complete log-likelihood in

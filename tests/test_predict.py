@@ -6,7 +6,9 @@ import pytest
 from scipy import stats
 
 from msjoint import (
+    Cohort,
     IndividualRecord,
+    LikelihoodEngine,
     ModelDesign,
     ModelParams,
     Trajectory,
@@ -14,7 +16,7 @@ from msjoint import (
     repr_from_cov,
 )
 from msjoint import predict
-from msjoint.families import BOnly, EmptyLink, Polynomial, TransformStack, ValueLink
+from msjoint.families import BOnly, EmptyLink, GammaXPlusB, Polynomial, TransformStack, ValueLink
 from msjoint.hazards import ExponentialHazard
 from msjoint.inference import FitConfig, StopRule, fit
 from msjoint.predict import (
@@ -356,7 +358,8 @@ def test_importance_resampling_matches_the_exact_posterior(monkeypatch, scale):
     monkeypatch.setattr(predict, "IS_SCALE", scale)
     k, n_out = 20_000, 4_000
     draws = np.empty((n_out, len(records), 1))
-    ess = predict._importance_resample(records, design, params, g, k, np.random.default_rng(3), draws)
+    engine = LikelihoodEngine(Cohort(tuple(records)), design, g)
+    ess = predict._importance_resample(engine, params, k, np.random.default_rng(3), draws)
     if scale == 1.0:
         # the proposal is the posterior: every weight is equal
         np.testing.assert_allclose(ess, k, rtol=1e-9)
@@ -374,14 +377,14 @@ def test_importance_resampling_matches_a_long_mh_run(study_design, study_params,
     # of the held-out cohort, truncated at 5, against 40 long MH chains
     cohort, _ = generate_cohort(study_design, study_params, n=200, m=20, seed=1042)
     records = [cohort[i].truncated(5.0) for i in (0, 3, 6)]
-    common = (records, study_design, study_params, study_graph)
+    engine = LikelihoodEngine(Cohort(tuple(records)), study_design, study_graph)
     k, n_out = 10_000, 2_000
     is_draws = np.empty((n_out, len(records), 3))
-    ess = predict._importance_resample(*common, k, np.random.default_rng(5), is_draws)
+    ess = predict._importance_resample(engine, study_params, k, np.random.default_rng(5), is_draws)
     assert (ess >= n_out / 4).all()
     cfg = SamplerConfig(n_chains=40, warmup=500, thin=10)
     keep = 50
-    mh = predict._mh_condition(*common, cfg, keep, seed=6).reshape(keep, cfg.n_chains, len(records), 3)
+    mh = predict._mh_condition(engine, study_params, cfg, keep, seed=6).reshape(keep, cfg.n_chains, len(records), 3)
     # MH's ESS from the spread of its 40 independent chain means
     sd = mh.std(axis=(0, 1))
     var_mean = mh.mean(axis=0).var(axis=0, ddof=1) / cfg.n_chains
@@ -397,22 +400,65 @@ def test_degenerate_weights_go_to_mh(monkeypatch, study_design, study_params, st
     record = cohort[27]
     assert [s for _, s in record.trajectory.pairs] == [0, 2]
     draws = np.empty((200, 1, 3))
-    ess = predict._importance_resample(
-        [record.truncated(2.0)], study_design, study_params, study_graph, 1000, np.random.default_rng(0), draws
-    )
+    engine = LikelihoodEngine(Cohort((record.truncated(2.0),)), study_design, study_graph)
+    ess = predict._importance_resample(engine, study_params, 1000, np.random.default_rng(0), draws)
     assert ess[0] < 200 / 4
     routed = []
     mh = predict._mh_condition
 
-    def counting_mh(records, *args):
-        routed.append(len(records))
-        return mh(records, *args)
+    def counting_mh(engine, *args):
+        routed.append(engine.n)
+        return mh(engine, *args)
 
     monkeypatch.setattr(predict, "_mh_condition", counting_mh)
     cfg = SamplerConfig(n_chains=5, warmup=50, thin=2)
     draws = posterior_condition(record, 2.0, study_design, study_params, study_graph, cfg, 200, seed=0)
     assert routed == [1]
     assert draws.shape == (200, 3) and np.isfinite(draws).all()
+
+
+def test_conditioning_builds_one_engine(monkeypatch, study_design, study_params, study_graph):
+    # the IS chunks and the MH route are taken from one engine on the
+    # truncated cohort; at t = 2 some individuals go to MH
+    builds = []
+
+    class CountingEngine(predict.LikelihoodEngine):
+        def __init__(self, *args):
+            builds.append(len(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(predict, "LikelihoodEngine", CountingEngine)
+    routed = []
+    mh = predict._mh_condition
+
+    def counting_mh(engine, *args):
+        routed.append(type(engine))
+        return mh(engine, *args)
+
+    monkeypatch.setattr(predict, "_mh_condition", counting_mh)
+    cohort, _ = generate_cohort(study_design, study_params, n=200, m=20, seed=1042)
+    draws = condition_cohort(cohort, 2.0, study_design, study_params, study_graph, seed=3)
+    assert draws.shape == (predict.DEFAULT_DRAWS, 200, 3)
+    assert builds == [200]
+    assert routed == [CountingEngine]
+
+
+def test_an_empty_cohort_conditions_to_no_draws(study_design, study_params, study_graph):
+    design = replace(study_design, effects=GammaXPlusB(3, 1))
+    draws = condition_cohort(Cohort((), 1, 1), 2.0, design, study_params, study_graph, n_draws=10)
+    assert draws.shape == (10, 0, 3)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, True])
+def test_max_transitions_must_be_a_positive_integer(value, study_design, study_params, study_graph, small_cohort):
+    with pytest.raises(ValueError, match="max_transitions"):
+        SimConfig(max_transitions=value)
+    rec = small_cohort[0][0]
+    with pytest.raises(ValueError, match="max_transitions"):
+        predict_state_grid(
+            rec, 2.0, [4.0], study_design, study_params, study_graph, n_draws=5,
+            b_draws=np.zeros((5, 3)), max_transitions=value,
+        )
 
 
 def test_a_fixed_seed_gives_the_same_draws(study_design, study_params, study_graph):
