@@ -11,8 +11,11 @@ alternating from seed to seed. The file holds the machine (cores, Python and
 numpy versions), every run's result line, per workload and side the median
 and quartiles of each end-to-end metric named in ``BENCHMARK.json``, and per
 metric the pairs the change wins, loses and ties by that metric's direction,
-and per workload and side one traced run (``--trace 1``) at the first seed,
-with its per-layer metrics.
+and per workload and side the traced runs (``--trace 1``) at the first
+TRACED_SEEDS seeds, paired and alternated as the timed runs are, with the
+median and quartiles of each per-layer metric that every one of them
+reports. One traced run per side is not enough: spans of code a change does
+not touch can differ by a quarter between two single runs.
 
 Workload names are checked against ``BENCHMARK.json`` before anything runs.
 A run that reports ``correct: false`` or failed operations is kept in the
@@ -33,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_SEEDS = 3
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -48,6 +52,20 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) ->
     result = json.loads(lines[-1])
     result["seed"] = seed
     return result
+
+
+def alternate(sides: dict[str, Path], workload: str, seeds: list[int], seconds: int, trace: int) -> dict:
+    """One run per side and seed, the side that goes first alternating from
+    seed to seed; returns each side's runs in seed order."""
+    runs = {side: [] for side in sides}
+    for i, seed in enumerate(seeds):
+        for side in list(sides) if i % 2 == 0 else list(sides)[::-1]:
+            result = run_bench(sides[side], workload, seed, seconds, trace)
+            runs[side].append(result)
+            print(f"{workload} seed {seed} {side}{' traced' if trace else ''}: " + ", ".join(
+                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
+            ), flush=True)
+    return runs
 
 
 def summary(runs: list[dict], names: list[str]) -> dict:
@@ -86,7 +104,7 @@ def faulty_runs(record: dict) -> list[str]:
     out = []
     for workload, entry in record["workloads"].items():
         runs = [(side, "", run) for side in ("change", "parent") if side in entry for run in entry[side]["runs"]]
-        runs += [(side, " traced", run) for side, run in entry["traced"].items()]
+        runs += [(side, " traced", run) for side, traced in entry["traced"].items() for run in traced["runs"]]
         for side, kind, run in runs:
             if not run["correct"] or run["failed"]:
                 out.append(
@@ -112,6 +130,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads {unknown}; BENCHMARK.json declares {known}")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    per_layer = [m["name"] for m in spec["per_layer"]]
     sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
@@ -128,23 +147,20 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in args.workloads:
-        runs = {side: [] for side in sides}
-        for i, seed in enumerate(args.seeds):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                result = run_bench(sides[side], workload, seed, args.seconds, trace=0)
-                runs[side].append(result)
-                print(f"{workload} seed {seed} {side}: " + ", ".join(
-                    f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
-                ), flush=True)
+        runs = alternate(sides, workload, args.seeds, args.seconds, trace=0)
         entry = {
             side: {"runs": side_runs, "summary": summary(side_runs, list(better))}
             for side, side_runs in runs.items()
         }
         if "parent" in runs:
             entry["pair_wins"] = pair_wins(runs["change"], runs["parent"], better)
+        traced = alternate(sides, workload, args.seeds[:TRACED_SEEDS], args.seconds, trace=1)
         entry["traced"] = {
-            side: run_bench(tree, workload, args.seeds[0], args.seconds, trace=1) for side, tree in sides.items()
+            side: {
+                "runs": side_runs,
+                "summary": summary(side_runs, [n for n in per_layer if all(n in r["metrics"] for r in side_runs)]),
+            }
+            for side, side_runs in traced.items()
         }
         record["workloads"][workload] = entry
 

@@ -44,6 +44,11 @@ a fresh process does. Kernels, in order:
 - ``condition_cohort`` of the seed-1042 n=200 study cohort truncated at
   t = 2 (200 draws, 5 chains, warmup 400, thin 5: the benchmark's cohort
   sweep);
+- ``node_intensities`` of the study edge (0,1) over the first n=1000 and
+  n=200 individuals of the cohort (their covariates and simulated psi),
+  one probe pass of the simulator's inversion: the split rule on [lower,
+  upper] from entry 0, with the intensity at ``at=upper``, for seeded
+  upper ~ U(0.5, 15) and lower = upper / 2;
 - ``generate_cohort``, ``write_cohort`` and ``read_cohort`` of the n=1000
   cohort.
 
@@ -75,6 +80,7 @@ def build_kernels(work: Path) -> dict:
     """Name -> zero-argument callable, for the ``msjoint`` importable here;
     the cohort files are written and read under ``work``."""
     from msjoint import Cohort, LikelihoodEngine
+    from msjoint.design import node_intensities
     from msjoint.inference import FitConfig, fit
     from msjoint.io import read_cohort, write_cohort
     from msjoint.predict import condition_cohort, posterior_condition, predict_state_grid
@@ -105,6 +111,14 @@ def build_kernels(work: Path) -> dict:
     fit_config = FitConfig(max_iterations=10, learning_rate=0.5, n_draws=15)
     fit_sampler = SamplerConfig(n_chains=5, warmup=150)
     subset = np.sort(rng.choice(1000, size=100, replace=False))
+    upper = rng.uniform(0.5, 15.0, size=1000)
+    x, psi = np.stack([rec.covariates for rec in cohort]), latent["psi"]
+
+    def probe(n):
+        return lambda: node_intensities(
+            design, truth, (0, 1), np.zeros(n), upper[:n], x[:n], psi[:n], lower=0.5 * upper[:n], at=upper[:n]
+        )
+
     write_cohort(cohort, work)
     return {
         "fit 10 iterations n=1000": lambda: fit(
@@ -132,6 +146,8 @@ def build_kernels(work: Path) -> dict:
         "condition_cohort n=200 t=2": lambda: condition_cohort(
             heldout, 2.0, design, truth, graph, sweep_sampler, n_draws=200, seed=0
         ),
+        "node_intensities n=1000": probe(1000),
+        "node_intensities n=200": probe(200),
         "generate_cohort n=1000": lambda: generate_cohort(design, truth, n=1000, m=20, seed=42),
         "write_cohort n=1000": lambda: write_cohort(cohort, work),
         "read_cohort n=1000": lambda: read_cohort(work),

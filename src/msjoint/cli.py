@@ -65,6 +65,19 @@ def _sampler_config(config: dict) -> SamplerConfig:
         return SamplerConfig(**(config.get("sampler") or {}))
 
 
+def _times(values, name: str) -> list[float]:
+    """A list of times, each read by ``float`` (so +-inf is allowed), none
+    of them NaN; anything else is a ValueError naming ``name``."""
+    try:
+        times = [float(v) for v in values]
+        valid = not np.isnan(times).any()
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be a list of numbers, none of them NaN, got {values!r}")
+    return times
+
+
 def _require(config: dict, section: str) -> dict:
     block = config.get(section)
     if block is None:
@@ -170,8 +183,8 @@ def cmd_fim(config: dict, out_dir: Path, seed: int, params, graph, design, cohor
 
 def cmd_predict(config: dict, out_dir: Path, seed: int, params, graph, design, cohort) -> None:
     spec = _require(config, "predict")
-    truncations = [float(t) for t in spec.get("truncations", [])]
-    horizons = [float(u) for u in spec.get("horizons", [])]
+    with _section("config.predict"):
+        truncations, horizons = (_times(spec.get(key, []), key) for key in ("truncations", "horizons"))
     if not truncations:
         raise ConfigError("config.predict.truncations: at least one truncation time is required")
     if not horizons:

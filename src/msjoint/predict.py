@@ -373,20 +373,41 @@ def predict_state_grid(
     """State-occupancy distribution at several horizons from one continuation
     batch per draw (capped at the largest horizon).
 
-    Returns (probabilities with shape (n_horizons, n_states), modal states)."""
+    Returns (probabilities with shape (n_horizons, n_states), modal states).
+    Horizons may be +inf; an empty or NaN horizon raises ValueError."""
     horizons = np.asarray(horizons, dtype=float)
+    if not horizons.size or np.isnan(horizons).any():
+        raise ValueError(f"horizons must be one or more numbers, not NaN, got {horizons.tolist()}")
     prefixes, _ = _continuations(
         record, t, design, params, graph, n_draws, rng, sampler_config, b_draws,
         max_transitions, cap=float(max(horizons.max(), t)),
     )
     probs = np.zeros((horizons.size, graph.num_states))
-    for prefix in prefixes:
-        for ui, u in enumerate(horizons):
-            probs[ui, state_occupied_at(prefix, u)] += 1.0
     if prefixes:
+        probs += _occupancy_counts(prefixes, horizons, graph.num_states)
         probs /= len(prefixes)
     modal = np.argmax(probs, axis=1)  # argmax takes the lowest index on ties
     return probs, modal
+
+
+def _occupancy_counts(prefixes: Sequence[Prefix], horizons: np.ndarray, n_states: int) -> np.ndarray:
+    """How many prefixes occupy each state at each horizon, (n_horizons,
+    n_states), by :func:`~msjoint.dataset.state_occupied_at`'s rule: the
+    state of the last pair at or before u, or the first state when u
+    precedes them all. The prefixes are padded into (draws, L) arrays of
+    times (+inf) and states, and the pair held at u is the count of times
+    <= u less one, kept within the prefix's own pairs."""
+    lengths = np.array([len(p) for p in prefixes])
+    pairs = np.array([pair for p in prefixes for pair in p], dtype=float)
+    filled = np.arange(lengths.max()) < lengths[:, None]
+    times = np.full(filled.shape, np.inf)
+    states = np.zeros(filled.shape, dtype=np.intp)
+    times[filled] = pairs[:, 0]
+    states[filled] = pairs[:, 1]
+    held = np.count_nonzero(times[:, :, None] <= horizons, axis=1) - 1
+    held = np.clip(held, 0, (lengths - 1)[:, None])
+    occupied = np.take_along_axis(states, held, axis=1) + n_states * np.arange(horizons.size)
+    return np.bincount(occupied.ravel(), minlength=horizons.size * n_states).reshape(horizons.size, n_states)
 
 
 def predict_cohort_grid(

@@ -31,8 +31,10 @@ def test_bench_record_schema(tmp_path):
     for name, stats in entry["change"]["summary"].items():
         assert stats["q1"] == stats["median"] == stats["q3"] == run["metrics"][name]["value"]
         assert stats["unit"] == run["metrics"][name]["unit"]
-    traced = entry["traced"]["change"]
-    assert traced["correct"] and "simulate.step_calls" in traced["metrics"]
+    (traced,) = entry["traced"]["change"]["runs"]
+    assert traced["correct"] and traced["seed"] == 3
+    steps = entry["traced"]["change"]["summary"]["simulate.step_calls"]
+    assert steps["median"] == traced["metrics"]["simulate.step_calls"]["value"]
 
 
 def test_pair_wins_follow_each_metric_direction():
@@ -68,8 +70,8 @@ def test_incorrect_and_failed_runs_are_listed_and_exit_nonzero(monkeypatch, tmp_
     module = load_script()
 
     def run_bench(tree, workload, seed, seconds, trace):
-        if trace:
-            return fake_result(seed, correct=tree == module.ROOT)  # the parent's traced run is wrong
+        if trace:  # the parent's traced run at seed 1 is wrong
+            return fake_result(seed, correct=tree == module.ROOT or seed != 1)
         return fake_result(seed, failed=int(seed == 2 and tree == module.ROOT))
 
     monkeypatch.setattr(module, "run_bench", run_bench)
@@ -89,3 +91,27 @@ def test_clean_runs_exit_zero(monkeypatch, tmp_path):
     monkeypatch.setattr(module, "run_bench", lambda tree, workload, seed, seconds, trace: fake_result(seed))
     argv = ["--pr", "t", "--workloads", "cohort-sim", "--seeds", "1", "--out", str(tmp_path / "b.json")]
     assert module.main(argv) == 0
+
+
+def test_traced_runs_pair_the_first_three_seeds_and_alternate(monkeypatch, tmp_path):
+    module = load_script()
+    calls = []
+
+    def run_bench(tree, workload, seed, seconds, trace):
+        calls.append((trace, seed, "change" if tree == module.ROOT else "parent"))
+        result = fake_result(seed)
+        if trace:
+            result["metrics"]["simulate.invert_s"] = {"value": float(seed), "unit": "s"}
+        return result
+
+    monkeypatch.setattr(module, "run_bench", run_bench)
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--pr", "t", "--workloads", "cohort-sim", "--seeds", "1", "2", "3", "4",
+            "--parent", str(tmp_path), "--out", str(out)]
+    assert module.main(argv) == 0
+    traced = [(seed, side) for trace, seed, side in calls if trace]
+    assert traced == [(1, "change"), (1, "parent"), (2, "parent"), (2, "change"), (3, "change"), (3, "parent")]
+    entry = json.loads(out.read_text())["workloads"]["cohort-sim"]["traced"]
+    for side in ("change", "parent"):
+        assert [run["seed"] for run in entry[side]["runs"]] == [1, 2, 3]
+        assert entry[side]["summary"] == {"simulate.invert_s": {"median": 2.0, "q1": 1.0, "q3": 3.0, "unit": "s"}}

@@ -596,6 +596,55 @@ def test_predict_requires_truncations(config_file, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key, values",
+    [
+        ("horizons", ["nan"]),
+        ("horizons", [4.0, float("nan")]),
+        ("horizons", ["x"]),
+        ("horizons", [[4.0]]),
+        ("horizons", 4.0),
+        ("truncations", ["nan"]),
+        ("truncations", ["x"]),
+    ],
+    ids=["horizon_nan_text", "horizon_nan", "horizon_text", "horizon_list", "horizons_number",
+         "truncation_nan_text", "truncation_text"],
+)
+def test_predict_times_must_be_numbers(config_file, tmp_path, capsys, key, values):
+    # a NaN horizon used to write a point mass on the first state, exit 0
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
+    cfg = study_config()
+    cfg["predict"][key] = values
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
+    rc = main([
+        "predict", "--config", str(path), "--data", str(tmp_path / "data"),
+        "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / "pred"),
+    ])
+    assert rc == 2
+    assert f"config.predict: {key} must be a list of numbers, none of them NaN" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
+
+
+def test_predict_takes_an_infinite_horizon(config_file, tmp_path):
+    # +inf is capped at each censoring time, as every horizon is
+    main(["simulate", "--config", str(config_file), "--out", str(tmp_path / "data")])
+    cfg = study_config()
+    write_params(params_from_dict(cfg["params"]), tmp_path / "params.json")
+    outputs = {}
+    for name, horizons in (("inf", ["inf", 4.0]), ("late", [1e6, 4.0])):
+        cfg["predict"]["horizons"] = horizons
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([
+            "predict", "--config", str(path), "--data", str(tmp_path / "data"),
+            "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / name), "--seed", "5",
+        ]) == 0
+        outputs[name] = read_bytes(tmp_path / name / "accuracy.csv").replace(b"1000000", b"inf")
+    assert outputs["inf"] == outputs["late"]
+
+
+@pytest.mark.parametrize(
     "section, key, value, message",
     [
         ("sampler", "rm_decay", 0.3, "config.sampler: rm_decay"),

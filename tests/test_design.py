@@ -248,6 +248,92 @@ def test_transition_log_intensity_weibull_clock_reset(null_link_design):
     assert got == pytest.approx(np.log(6.0))
 
 
+def _squared_value_link(reg):
+    """A three-component link (h, dh/dt, h^2) from user callbacks."""
+    from msjoint.families import CustomLink
+
+    value_slope, value = ValueSlopeLink(reg), ValueLink(reg)
+
+    def g(t, x, psi):
+        h = value.value(t, x, psi)
+        return np.concatenate([value_slope.value(t, x, psi), h * h], axis=-1)
+
+    def jac(t, x, psi):
+        h = value.value(t, x, psi)
+        return np.concatenate([value_slope.jac_psi(t, x, psi), 2.0 * h[..., None] * value.jac_psi(t, x, psi)], axis=-2)
+
+    return CustomLink(g, jac, dim=3)
+
+
+SUM_LINKS = {
+    "empty": lambda reg: EmptyLink(),
+    "value": ValueLink,
+    "value_slope": ValueSlopeLink,
+    "custom_three": _squared_value_link,
+}
+
+
+def _sum_rule_case(link_name, k):
+    """A one-edge design with a clock-reset Weibull baseline and the named
+    link, seeded coefficients, and 50 rows of 4 node times laid out as
+    ``node_intensities`` lays them: t (50, 4), entry (50, 1), x (50, 1, k)
+    and psi (50, 1, 3)."""
+    reg = PiecewiseAffine(6.0)
+    link = SUM_LINKS[link_name](reg)
+    design = ModelDesign(GammaPlusB(), reg, {(0, 1): (WeibullHazard(1.5, 2.0), link)})
+    rng = np.random.default_rng(40 + 4 * link.dim + k)
+    params = ModelParams(
+        gamma=np.zeros(3),
+        q_repr=repr_from_cov(np.eye(3), "diag"),
+        r_repr=repr_from_cov(np.eye(1), "ball"),
+        alpha={(0, 1): rng.normal(size=link.dim)},
+        beta={(0, 1): rng.normal(size=k)},
+    )
+    entry = rng.uniform(0.0, 3.0, size=(50, 1))
+    t = entry + rng.uniform(0.1, 9.0, size=(50, 4))
+    x = rng.normal(size=(50, 1, k))
+    psi = rng.normal(size=(50, 1, 3))
+    return design, params, t, entry, x, psi
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("link_name", list(SUM_LINKS))
+def test_transition_log_intensity_adds_the_products_left_to_right(link_name, k):
+    # per row and node, in plain Python floats: log lambda_0, then the link's
+    # products a_j g_j added left to right, then the covariates' b_j x_j
+    design, params, t, entry, x, psi = _sum_rule_case(link_name, k)
+    got = transition_log_intensity(design, params, (0, 1), t, entry, x, psi)
+    assert got.shape == t.shape
+    log_h0 = design.hazard((0, 1)).log_hazard(t - entry, design.hazard_values((0, 1), params))
+    g = design.link((0, 1)).value(t, x, psi)
+    alpha, beta = params.alpha[(0, 1)].tolist(), params.beta[(0, 1)].tolist()
+
+    def dot(values, coefs):
+        products = [float(v) * c for v, c in zip(values, coefs)]
+        total = products[0] if products else 0.0
+        for p in products[1:]:
+            total += p
+        return total
+
+    for i in range(t.shape[0]):
+        for j in range(t.shape[1]):
+            expected = float(log_h0[i, j]) + dot(g[i, j], alpha) + dot(x[i, 0], beta)
+            assert got[i, j] == expected, (i, j)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("link_name", ["empty", "value", "value_slope"])
+def test_transition_log_intensity_keeps_the_bytes_of_numpys_sums(link_name, k):
+    # up to two components, the products added in order are numpy's own sum
+    # over the last axis, so the bytes of every built-in link are unchanged
+    design, params, t, entry, x, psi = _sum_rule_case(link_name, k)
+    got = transition_log_intensity(design, params, (0, 1), t, entry, x, psi)
+    out = design.hazard((0, 1)).log_hazard(t - entry, design.hazard_values((0, 1), params))
+    out = out + (design.link((0, 1)).value(t, x, psi) * params.alpha[(0, 1)]).sum(axis=-1)
+    out = out + (x * params.beta[(0, 1)]).sum(axis=-1)
+    assert np.array_equal(got, out)
+
+
 def test_cumulative_intensity_constant(null_link_design):
     design, params = null_link_design
     got = cumulative_intensity(design, params, (0, 1), 2.0, 5.0, np.zeros(1), np.zeros(3))

@@ -633,6 +633,59 @@ def test_predict_state_grid_matches_functional():
     assert modal[0] == 0
 
 
+def test_occupancy_counts_follow_state_occupied_at():
+    # prefixes of one to four pairs; horizons before every first pair,
+    # exactly at transition times, between them, past the last pair and +inf
+    prefixes = [
+        ((0.0, 0),),
+        ((0.0, 0), (2.0, 1)),
+        ((0.5, 1), (2.0, 2)),
+        ((0.0, 0), (1.0, 1), (3.5, 0), (6.0, 2)),
+        ((-1.0, 1), (3.5, 2)),
+    ]
+    horizons = np.array([-2.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.5, 6.0, 9.0, np.inf])
+    counts = predict._occupancy_counts(prefixes, horizons, 3)
+    expected = np.zeros((horizons.size, 3), dtype=int)
+    for prefix in prefixes:
+        for ui, u in enumerate(horizons):
+            expected[ui, state_occupied_at(prefix, u)] += 1
+    np.testing.assert_array_equal(counts, expected)
+
+
+def test_state_grid_counts_the_continuations_by_state_occupied_at(study_cohort, study_design, study_params,
+                                                                   study_graph):
+    cohort, latent = study_cohort
+    t = 4.0
+    rec = next(r for r in cohort if r.censoring_time > t and [s for u, s in r.trajectory.pairs if u <= t][-1] == 1)
+    b = np.random.default_rng(3).normal(scale=0.5, size=(60, 3))
+    prefixes, _ = _continuations(rec, t, study_design, study_params, study_graph, 60, 11, None, b, 10_000,
+                                 cap=np.inf)
+    entered_1 = rec.trajectory.truncated(t).pairs[-1][0]
+    simulated = next(p for p in prefixes if len(p) > len(rec.trajectory.truncated(t).pairs))[-1][0]
+    # before the first pair, at the observed and at a simulated transition
+    # time, past every last pair and +inf (the cap is then +inf too)
+    horizons = [-1.0, entered_1, t, simulated, 60.0, np.inf]
+    probs, modal = predict_state_grid(rec, t, horizons, study_design, study_params, study_graph, n_draws=60,
+                                      rng=11, b_draws=b)
+    expected = np.zeros((len(horizons), study_graph.num_states))
+    for prefix in prefixes:
+        for ui, u in enumerate(horizons):
+            expected[ui, state_occupied_at(prefix, u)] += 1.0
+    expected /= len(prefixes)
+    assert np.array_equal(probs, expected)
+    np.testing.assert_array_equal(modal, np.argmax(expected, axis=1))
+    assert probs[0, 0] == 1.0 and probs[-1, 2] > 0
+
+
+@pytest.mark.parametrize("horizons", [[], [4.0, np.nan]], ids=["empty", "nan"])
+def test_state_grid_rejects_empty_and_nan_horizons(horizons, study_design, study_params, study_graph, small_cohort):
+    cohort, _ = small_cohort
+    with pytest.raises(ValueError, match="horizons must be one or more numbers, not NaN"):
+        predict_state_grid(
+            cohort[0], 2.0, horizons, study_design, study_params, study_graph, n_draws=4, b_draws=np.zeros((4, 3))
+        )
+
+
 def test_state_grid_draws_its_own_posterior_sample(study_cohort, study_design, study_params, study_graph):
     # without b_draws, a request conditions the record on a seed taken from
     # its rng, then continues on the rest of that rng's stream
