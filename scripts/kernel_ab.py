@@ -4,25 +4,25 @@ alternation.
 
     python scripts/kernel_ab.py --parent DIR [--rounds 15] [--out FILE]
 
-One long-lived worker process per tree (``PYTHONPATH=<tree>/src``,
-``OMP_NUM_THREADS=1``) builds the same inputs: the seed-42 n=1000 study
-cohort at the study truth, with random effects near the simulated ones at 5
-and 15 chains, and one record in state 1 truncated at t = 4. Kernel after
-kernel, each round times the kernel once on each side, the side that goes
-first alternating from round to round; a timing is the mean over a batch of
-calls, sized by one call of each side before the rounds so that the slower
-side's batch takes about 30 ms. Per kernel
-and side the report holds the median and quartiles of the per-call time
-over the rounds, in microseconds, the median minor page faults per call
-(``ru_minflt`` of the worker over the batch), and the rounds the change
-wins.
+Each kernel gets a fresh pair of worker processes, one per tree
+(``PYTHONPATH=<tree>/src``, ``OMP_NUM_THREADS=1``), which build the same
+inputs: the seed-42 n=1000 study cohort at the study truth, with random
+effects near the simulated ones at 5 and 15 chains, and one record in state
+1 truncated at t = 4. Each round times the kernel once on each side, the
+side that goes first alternating from round to round; a timing is the mean
+over a batch of calls, sized by one call of each side before the rounds so
+that the slower side's batch takes about 30 ms. Per kernel and side the
+report holds the median and quartiles of the per-call time over the rounds,
+in microseconds, the median minor page faults per call (``ru_minflt`` of the
+worker over the batch), and the rounds the change wins.
 
-The faults a kernel takes depend on what the process freed before it: once
-a process has freed large arrays (the CSV kernels do), the C allocator
-raises its threshold for fresh mappings and keeps freed pages in its heap, so
-later kernels fault far less on either side. The fit kernel therefore runs
-first, in the state of a process that has only built its inputs, as a fit in
-a fresh process does. Kernels, in order:
+The faults a kernel takes depend on what the process ran and freed before
+it: once a process has freed large arrays (the CSV kernels do), the C
+allocator raises its threshold for fresh mappings and keeps freed pages in
+its heap, so later kernels fault far less, by amounts that differ between
+two trees whose kernels allocate differently. Fresh workers run every
+kernel in the state of a process that has only built its inputs, on both
+sides alike. Kernels, in order:
 
 - ten iterations of the study fit on the n=1000 cohort from the study's
   zero/identity start, with the study-fit benchmark's settings
@@ -59,6 +59,7 @@ and numpy versions) to ``--out`` when given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -204,6 +205,20 @@ class Worker:
         self.proc.wait()
 
 
+@contextlib.contextmanager
+def worker_pair(trees: dict[str, Path]):
+    """A :class:`Worker` per side of ``trees`` (side -> tree), all closed on
+    exit."""
+    workers = {}
+    try:
+        for side, tree in trees.items():
+            workers[side] = Worker(tree)
+        yield workers
+    finally:
+        for worker in workers.values():
+            worker.close()
+
+
 def alternate(measure, names: list[str], rounds: int) -> dict[str, dict[str, list[tuple[float, float]]]]:
     """(seconds, minor page faults) per call of every kernel, per side
     (``parent``, ``change``) and round: ``measure(side, name, number)`` times
@@ -252,13 +267,14 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=15, help="alternating rounds per kernel (default 15)")
     parser.add_argument("--out", type=Path, help="write the report as JSON here")
     args = parser.parse_args(argv)
-    workers = {"change": Worker(ROOT), "parent": Worker(args.parent.resolve())}
-    try:
-        measure = lambda side, name, number: workers[side].measure(name, number)  # noqa: E731
-        times = alternate(measure, workers["change"].names, args.rounds)
-    finally:
-        for worker in workers.values():
-            worker.close()
+    trees = {"change": ROOT, "parent": args.parent.resolve()}
+    with worker_pair({"change": ROOT}) as workers:
+        names = workers["change"].names
+    times = {}
+    for name in names:  # a fresh pair per kernel: see the faults above
+        with worker_pair(trees) as workers:
+            measure = lambda side, kernel, number: workers[side].measure(kernel, number)  # noqa: E731
+            times.update(alternate(measure, [name], args.rounds))
     report = {"machine": machine(), "rounds": args.rounds, "kernels": summarize(times)}
     for name, entry in report["kernels"].items():
         p, c = entry["parent"], entry["change"]

@@ -465,6 +465,30 @@ class _BoundParams:
         mode = -np.einsum("nij,nkj,nk->ni", L, L, H[:, :s, s]) - shift[:, 0]
         return mode, L
 
+    def importance(self, rng: np.random.Generator, n_proposals: int, scale: float):
+        """Importance sampling of each individual's random effects from
+        :meth:`gaussian` with its covariance scaled by scale^2, weighed in
+        one ``posterior_logdensity`` call at K = n_proposals chains: (b, w,
+        ess, log_scale). b, (n, K, s), are the proposals, drawn as one (n, K,
+        s) standard normal from ``rng``; w, (n, K), the weights p(b, data) /
+        q(b) over each individual's largest, non-finite ones 0; ess the Kish
+        ESS (sum w)^2 / sum w^2, 0 without a finite weight; log_scale, (n,),
+        the largest log-weight, so that log mean(w) + log_scale estimates log
+        p(data_i | theta)."""
+        mode, L = self.gaussian
+        n, s = mode.shape
+        eps = rng.standard_normal((n, n_proposals, s))
+        b = mode[:, None] + scale * (eps @ L.transpose(0, 2, 1))
+        # log w less the log-normaliser log|det cL| + (s/2) log 2 pi of q
+        log_q = -0.5 * np.einsum("nks,nks->nk", eps, eps)
+        log_w = self.engine.posterior_logdensity(self, b.transpose(1, 0, 2)).T - log_q
+        top = log_w.max(axis=1)
+        with np.errstate(invalid="ignore"):
+            w = np.nan_to_num(np.exp(log_w - top[:, None]))
+        ess = w.sum(axis=1) ** 2 / np.maximum(np.einsum("nk,nk->n", w, w), np.finfo(float).tiny)
+        log_det = s * np.log(scale) + np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        return b, w, ess, top + log_det + 0.5 * s * LOG_2PI
+
     def stack(self, block: _Block) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """The affine rows of the block's cached rows, W of shape (n_cached,
         s + 1, nodes) (None without cached rows): the link weights alpha . J,

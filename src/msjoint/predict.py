@@ -39,27 +39,23 @@ IS_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
-class StoppingSpec:
-    """A pair of prefix-monotone rules: ``tau`` fires at the index where the
-    predicted event is decided, ``kappa`` where it has become impossible.
-    Each maps a trajectory prefix to a fired index or None (not yet)."""
+class Functional:
+    """A prediction target: a pair of prefix-monotone rules, ``tau`` firing
+    at the index where the predicted event is decided and ``kappa`` where it
+    has become impossible (each maps a trajectory prefix to a fired index or
+    None, not yet), and the outcome map ``evaluate(tau, kappa, kept)``,
+    called on the prefix up to min(tau, kappa) with an unfired index +inf."""
 
     tau: Callable[[Prefix], int | None]
     kappa: Callable[[Prefix], int | None]
+    evaluate: Callable[[int | float, int | float, Prefix], object]
 
     def fired(self, prefix: Prefix) -> bool:
         return self.tau(prefix) is not None or self.kappa(prefix) is not None
 
-
-@dataclass(frozen=True)
-class Functional:
-    """Outcome map evaluated on the prefix up to min(tau, kappa)."""
-
-    evaluate: Callable[[int | float, int | float, Prefix], object]
-
-    def __call__(self, spec: StoppingSpec, prefix: Prefix):
-        tau = spec.tau(prefix)
-        kappa = spec.kappa(prefix)
+    def __call__(self, prefix: Prefix):
+        tau = self.tau(prefix)
+        kappa = self.kappa(prefix)
         tau = np.inf if tau is None else tau
         kappa = np.inf if kappa is None else kappa
         stop = min(tau, kappa)
@@ -69,19 +65,14 @@ class Functional:
 
 @dataclass
 class PredictionResult:
-    """Weighted empirical distribution of a functional's outcomes for one
-    individual: uniform weights over completed draws; draws cut short by the
-    max-transitions guard are counted separately, never silently dropped."""
+    """Empirical distribution of a functional's outcomes for one individual,
+    uniform over the completed draws; draws cut short by the max-transitions
+    guard are counted separately, never silently dropped."""
 
     outcomes: list
     n_draws: int
     n_horizon_censored: int
     truncation_time: float
-
-    @property
-    def weights(self) -> np.ndarray:
-        n_ok = len(self.outcomes)
-        return np.full(n_ok, 1.0 / n_ok) if n_ok else np.zeros(0)
 
     @property
     def horizon_censored_fraction(self) -> float:
@@ -90,19 +81,20 @@ class PredictionResult:
     def distribution(self) -> dict:
         """Outcome -> probability over completed draws (sums to 1)."""
         out: dict = {}
-        w = self.weights
-        for value, wi in zip(self.outcomes, w):
-            out[value] = out.get(value, 0.0) + wi
+        for value in self.outcomes:
+            out[value] = out.get(value, 0.0) + 1.0 / len(self.outcomes)
         return out
 
     def modal(self):
-        """Most likely outcome; ties break toward the smaller outcome."""
+        """Most likely outcome; ties break toward the smaller outcome. Raises
+        ValueError when the max-transitions guard cut off every draw."""
+        if not self.outcomes:
+            raise ValueError(f"the max-transitions guard cut off all {self.n_draws} draws: no outcome to take")
         dist = self.distribution()
-        best = max(sorted(dist), key=lambda v: dist[v])
-        return best
+        return max(sorted(dist), key=lambda v: dist[v])
 
 
-def state_at_time(graph: TransitionGraph, u: float) -> tuple[StoppingSpec, Functional]:
+def state_at_time(graph: TransitionGraph, u: float) -> Functional:
     """Stop at the first index with time >= u or an absorbing state; the
     outcome is the state occupied at u."""
 
@@ -115,10 +107,10 @@ def state_at_time(graph: TransitionGraph, u: float) -> tuple[StoppingSpec, Funct
     def kappa(prefix: Prefix):
         return None
 
-    return StoppingSpec(tau, kappa), Functional(lambda ti, ki, kept: state_occupied_at(kept, u))
+    return Functional(tau, kappa, lambda ti, ki, kept: state_occupied_at(kept, u))
 
 
-def hitting_time(graph: TransitionGraph, targets: set[int]) -> tuple[StoppingSpec, Functional]:
+def hitting_time(graph: TransitionGraph, targets: set[int]) -> Functional:
     """tau fires on entering the target set, kappa when the current state can
     no longer reach it; the outcome is the hitting time, +inf if impossible."""
     targets = set(targets)
@@ -144,7 +136,7 @@ def hitting_time(graph: TransitionGraph, targets: set[int]) -> tuple[StoppingSpe
             return kept[int(tau_idx)][0]
         return np.inf
 
-    return StoppingSpec(tau, kappa), Functional(evaluate)
+    return Functional(tau, kappa, evaluate)
 
 
 # --------------------------------------------------------------------------
@@ -176,9 +168,9 @@ def condition_cohort(
     (IS_PROPOSALS_PER_DRAW * n_draws)`` individuals (at least one) are
     sampled by importance resampling (:func:`_importance_resample`): K =
     IS_PROPOSALS_PER_DRAW * n_draws proposals from N(mode_i, c^2 H_i^-1),
-    the Gaussian of the fold (``_BoundParams.gaussian``) widened by c =
-    IS_SCALE, weighed by one ``posterior_logdensity`` call at K chains and
-    resampled. An individual whose Kish ESS (sum w)^2 / sum w^2 falls below
+    the Gaussian of the fold widened by c = IS_SCALE, weighed by one
+    ``posterior_logdensity`` call at K chains (``_BoundParams.importance``)
+    and resampled. An individual whose Kish ESS (sum w)^2 / sum w^2 falls below
     n_draws / 4, and every one when the engine does not fold, is conditioned
     by random-walk MH instead (:func:`_mh_condition`), all in one run. The
     sampler configuration (``warmup``, ``thin``, step adaptation; the
@@ -219,25 +211,17 @@ def _importance_resample(
     n, q), for an engine that ``folds``: n_proposals proposals per
     individual drawn from the fold's Gaussian with its covariance scaled by
     IS_SCALE^2 and weighed by the posterior over the proposal density, in
-    one ``posterior_logdensity`` call. Each individual's draws are a
-    multinomial resample of its proposals, all individuals in one pass.
-    Returns each individual's Kish ESS (0 without a finite weight)."""
-    bound = engine.bind(params)
-    mode, L = bound.gaussian
+    one ``posterior_logdensity`` call (``_BoundParams.importance``). Each
+    individual's draws are a multinomial resample of its proposals, all
+    individuals in one pass. Returns each individual's Kish ESS (0 without
+    a finite weight)."""
+    b, w, ess, _ = engine.bind(params).importance(rng, n_proposals, IS_SCALE)
     n = engine.n
-    eps = rng.standard_normal((n, n_proposals, mode.shape[1]))
-    b = mode[:, None] + IS_SCALE * (eps @ L.transpose(0, 2, 1))  # (n, K, q)
-    # log w = log p(b | data) - log q(b), less a per-record constant
-    log_w = engine.posterior_logdensity(bound, b.transpose(1, 0, 2)).T + 0.5 * np.einsum("nks,nks->nk", eps, eps)
-    with np.errstate(invalid="ignore"):
-        w = np.nan_to_num(np.exp(log_w - log_w.max(axis=1, keepdims=True)))
-    tiny = np.finfo(float).tiny
-    ess = w.sum(axis=1) ** 2 / np.maximum(np.einsum("nk,nk->n", w, w), tiny)
     # inverse-CDF multinomial resampling: record i's cumulative weights and
     # uniforms are shifted by i, so one sorted search serves every record
     shift = np.arange(n)[:, None]
     cum = np.cumsum(w, axis=1)
-    cum /= np.maximum(cum[:, -1:], tiny)
+    cum /= np.maximum(cum[:, -1:], np.finfo(float).tiny)
     u = rng.random((n, out.shape[0]))
     pick = np.searchsorted((cum + shift).ravel(), (u + shift).ravel(), side="right").reshape(n, -1)
     pick = np.minimum(pick - n_proposals * shift, n_proposals - 1)  # u + i may round up to i + 1
@@ -328,8 +312,7 @@ def _continuations(
 def predict_functional(
     record: IndividualRecord,
     t: float,
-    stop_spec: StoppingSpec,
-    xi: Functional,
+    functional: Functional,
     design: ModelDesign,
     params: ModelParams,
     graph: TransitionGraph,
@@ -343,14 +326,15 @@ def predict_functional(
 
     Random effects are drawn from their posterior given the history up to t
     (or taken from ``b_draws``); each draw is continued by simulation until
-    the stopping pair fires and the functional is evaluated on the prefix.
+    the functional's stopping rules fire and its outcome is evaluated on
+    the prefix.
     """
     prefixes, n_guard = _continuations(
         record, t, design, params, graph, n_draws, rng, sampler_config, b_draws,
-        max_transitions, stop=stop_spec.fired,
+        max_transitions, stop=functional.fired,
     )
     return PredictionResult(
-        outcomes=[xi(stop_spec, p) for p in prefixes],
+        outcomes=[functional(p) for p in prefixes],
         n_draws=n_draws,
         n_horizon_censored=n_guard,
         truncation_time=t,

@@ -27,7 +27,6 @@ the batch it is stepped in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,20 +40,6 @@ BISECT_TOL = 1e-9
 MAX_BRACKET_DOUBLINGS = 200
 MAX_NEWTON_PASSES = 200
 MAX_REJECTION_ROUNDS = 100
-
-
-@dataclass
-class SimConfig:
-    """Per-cohort simulation settings: censoring times (finite or +inf),
-    optional survival conditions (default -inf), and the max-transitions
-    guard against runaway cyclic graphs."""
-
-    censoring: np.ndarray | float = np.inf
-    t_surv: np.ndarray | float = -np.inf
-    max_transitions: int = 10_000
-
-    def __post_init__(self):
-        check_count(self.max_transitions, "max_transitions", 1)
 
 
 class TrajectoryLimitError(RuntimeError):
@@ -306,15 +291,18 @@ def sample_trajectories(
     x: np.ndarray,
     psi: np.ndarray,
     initial: Sequence[tuple[float, int]] | tuple[float, int],
-    sim_config: SimConfig,
     rng: np.random.Generator,
+    censoring: np.ndarray | float = np.inf,
+    t_surv: np.ndarray | float = -np.inf,
+    max_transitions: int = 10_000,
 ) -> list[Trajectory]:
     """Simulate one trajectory per row of (x, psi) from its initial pair.
 
     Follows the one-transition-at-a-time competing construction; the
-    survival condition raises the integration lower bound of the first
-    transition only. Transitions stop at censoring or in absorbing states;
-    exceeding the max-transitions guard raises TrajectoryLimitError.
+    survival condition T >= ``t_surv`` raises the integration lower bound of
+    the first transition only. Transitions stop at ``censoring`` or in
+    absorbing states; exceeding ``max_transitions`` raises
+    TrajectoryLimitError.
     ``initial`` is one (time, state) pair for every row, or a list of one
     pair per row; a list of another length raises ValueError.
 
@@ -333,13 +321,13 @@ def sample_trajectories(
         raise ValueError(f"{len(initial)} initial pairs for {n} rows of (x, psi)")
     paths = [[(float(t0), int(s0))] for t0, s0 in initial]
     running = extend_paths(
-        design, params, x, psi, paths, sim_config.censoring, RowStreams.spawn(rng, n),
-        t_surv=sim_config.t_surv, max_transitions=sim_config.max_transitions,
+        design, params, x, psi, paths, censoring, RowStreams.spawn(rng, n),
+        t_surv=t_surv, max_transitions=max_transitions,
     )
     if running.any():
         raise TrajectoryLimitError(
             f"{int(running.sum())} trajectories exceeded the "
-            f"{sim_config.max_transitions}-transition guard"
+            f"{max_transitions}-transition guard"
         )
     return [Trajectory(tuple(p)) for p in paths]
 
@@ -365,20 +353,18 @@ def conditioned_equals_rejection(
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     master = np.random.default_rng(seed)
 
-    def first_transitions(cfg, m, rng):
+    def first_transitions(lower, m, rng):
         xs = np.repeat(x, m, axis=0)
         psis = np.repeat(psi, m, axis=0)
-        trajs = sample_trajectories(design, params, xs, psis, initial, cfg, rng)
+        trajs = sample_trajectories(design, params, xs, psis, initial, rng, censoring=censoring, t_surv=lower)
         times = np.array([tr.pairs[1][0] if len(tr) > 1 else np.inf for tr in trajs])
         states = np.array([tr.pairs[1][1] if len(tr) > 1 else -1 for tr in trajs])
         return times, states
 
-    cond_cfg = SimConfig(censoring=censoring, t_surv=t_surv)
-    t_cond, s_cond = first_transitions(cond_cfg, n_draws, master.spawn(1)[0])
+    t_cond, s_cond = first_transitions(t_surv, n_draws, master.spawn(1)[0])
 
     t_rej = np.empty(0)
     s_rej = np.empty(0, dtype=int)
-    plain_cfg = SimConfig(censoring=censoring)
     rej_rng = master.spawn(1)[0]
     rounds = 0
     while t_rej.size < n_draws:
@@ -387,7 +373,7 @@ def conditioned_equals_rejection(
                 f"rejection sampling stopped after {rounds} rounds: acceptance rate "
                 f"{t_rej.size / (rounds * n_draws):.3g} gave {t_rej.size} of {n_draws} draws"
             )
-        t_all, s_all = first_transitions(plain_cfg, n_draws, rej_rng)
+        t_all, s_all = first_transitions(-np.inf, n_draws, rej_rng)
         keep = t_all >= t_surv
         t_rej = np.concatenate([t_rej, t_all[keep]])
         s_rej = np.concatenate([s_rej, s_all[keep]])
@@ -498,8 +484,9 @@ def generate_cohort(
     y = y + rng.standard_normal((n, m, d)) @ chol_r.T
     y[t_grid > c[:, None]] = np.nan
 
-    cfg = SimConfig(censoring=c, max_transitions=max_transitions)
-    trajectories = sample_trajectories(design, params, x, psi, initial, cfg, rng)
+    trajectories = sample_trajectories(
+        design, params, x, psi, initial, rng, censoring=c, max_transitions=max_transitions
+    )
 
     records = []
     for i in range(n):

@@ -39,7 +39,7 @@ from msjoint.inference import FitConfig, StopRule, compute_fim, fit, stderr, sto
 from msjoint.params import Sharing, flatten, unflatten
 from msjoint.predict import condition_cohort, predict_state_grid
 from msjoint.sampler import SamplerConfig, init_chains, run
-from msjoint.simulate import SimConfig, conditioned_equals_rejection, generate_cohort, sample_trajectories
+from msjoint.simulate import conditioned_equals_rejection, generate_cohort, sample_trajectories
 
 KS_CRIT_1PCT = 1.63
 
@@ -132,7 +132,7 @@ def test_criterion_05_simulator_correctness():
     n = 100_000
     trajs = sample_trajectories(
         design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0),
-        SimConfig(censoring=np.inf), rng=np.random.default_rng(1005),
+        rng=np.random.default_rng(1005), censoring=np.inf,
     )
     times = np.array([tr.pairs[1][0] for tr in trajs])
     states = np.array([tr.pairs[1][1] for tr in trajs])

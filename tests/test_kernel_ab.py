@@ -90,6 +90,30 @@ def test_main_writes_the_report(monkeypatch, tmp_path, capsys):
     assert "change wins 2/2; faults per call 40 -> 0" in capsys.readouterr().out
 
 
+def test_main_starts_a_fresh_pair_of_workers_per_kernel(monkeypatch, tmp_path):
+    module = load_script()
+    events = []
+
+    class FakeWorker:
+        def __init__(self, tree):
+            self.id = sum(kind == "start" for kind, _ in events)
+            events.append(("start", self.id))
+            self.names = ["a", "b"]
+
+        def measure(self, name, number):
+            events.append((name, self.id))
+            return 1.0, 0.0
+
+        def close(self):
+            events.append(("close", self.id))
+
+    monkeypatch.setattr(module, "Worker", FakeWorker)
+    assert module.main(["--parent", str(tmp_path), "--rounds", "2"]) == 0
+    ids = {kind: sorted({i for k, i in events if k == kind}) for kind in ("start", "a", "b", "close")}
+    # worker 0 gives the names; 1 and 2 serve kernel "a" only, 3 and 4 "b"; all close
+    assert ids["a"] == [1, 2] and ids["b"] == [3, 4] and ids["close"] == list(range(5))
+
+
 def test_worker_replies_with_seconds_and_page_faults_per_call(monkeypatch, capsys):
     module = load_script()
     kept = []

@@ -33,7 +33,7 @@ from msjoint.predict import (
     state_occupied_at,
 )
 from msjoint.sampler import SamplerConfig
-from msjoint.simulate import SimConfig, generate_cohort, sample_trajectories
+from msjoint.simulate import generate_cohort, sample_trajectories
 
 
 def four_state_graph():
@@ -45,34 +45,34 @@ def four_state_graph():
 
 def test_state_at_time_examples():
     g = build_graph(2, [(0, 1)])
-    spec, xi = state_at_time(g, 1.0)
-    assert xi(spec, ((0.0, 0), (2.0, 1))) == 0
-    spec10, xi10 = state_at_time(g, 10.0)
-    assert xi10(spec10, ((0.0, 0), (2.0, 1))) == 1  # state 1 absorbing
-    spec_early, xi_early = state_at_time(g, -5.0)
-    assert spec_early.tau(((0.0, 0),)) == 0  # first pair already has T >= u
-    assert xi_early(spec_early, ((0.0, 0), (2.0, 1))) == 0
+    xi = state_at_time(g, 1.0)
+    assert xi(((0.0, 0), (2.0, 1))) == 0
+    xi10 = state_at_time(g, 10.0)
+    assert xi10(((0.0, 0), (2.0, 1))) == 1  # state 1 absorbing
+    xi_early = state_at_time(g, -5.0)
+    assert xi_early.tau(((0.0, 0),)) == 0  # first pair already has T >= u
+    assert xi_early(((0.0, 0), (2.0, 1))) == 0
 
 
 def test_state_at_time_stops_at_absorbing():
     g = four_state_graph()
-    spec, _ = state_at_time(g, 100.0)
-    assert spec.tau(((0.0, 0), (1.0, 3))) == 1
+    xi = state_at_time(g, 100.0)
+    assert xi.tau(((0.0, 0), (1.0, 3))) == 1
 
 
 def test_hitting_time_examples():
     g = four_state_graph()
-    spec, xi = hitting_time(g, {1})
+    xi = hitting_time(g, {1})
     # reaching the absorbing state 3 first: kappa fires, outcome +inf
     prefix = ((0.0, 0), (2.0, 3))
-    assert spec.kappa(prefix) == 1
-    assert xi(spec, prefix) == np.inf
+    assert xi.kappa(prefix) == 1
+    assert xi(prefix) == np.inf
     # initial state already inside the target set
-    spec_in, xi_in = hitting_time(g, {0})
-    assert xi_in(spec_in, ((0.5, 0), (2.0, 3))) == 0.5
+    xi_in = hitting_time(g, {0})
+    assert xi_in(((0.5, 0), (2.0, 3))) == 0.5
     # target set = all states: the hitting time is T0
-    spec_all, xi_all = hitting_time(g, set(range(4)))
-    assert xi_all(spec_all, ((0.25, 2), (1.0, 3))) == 0.25
+    xi_all = hitting_time(g, set(range(4)))
+    assert xi_all(((0.25, 2), (1.0, 3))) == 0.25
 
 
 def test_hitting_time_rejects_empty_target():
@@ -97,12 +97,12 @@ def test_prefix_measurability_of_builtins():
             if rng.random() < 0.3:
                 break
         full = tuple(pairs)
-        for spec, xi in rules:
-            tau = spec.tau(full)
-            kappa = spec.kappa(full)
+        for xi in rules:
+            tau = xi.tau(full)
+            kappa = xi.kappa(full)
             stop = min(x for x in (tau, kappa, len(full) - 1) if x is not None)
             truncated = full[: stop + 1]
-            assert xi(spec, full) == xi(spec, truncated)
+            assert xi(full) == xi(truncated)
 
 
 def test_state_occupied_at():
@@ -372,6 +372,34 @@ def test_importance_resampling_matches_the_exact_posterior(monkeypatch, scale):
     assert (np.abs(x.var(axis=0) - sd**2) < 4 * sd**2 * np.sqrt(2) * spread).all()
 
 
+@pytest.mark.parametrize("scale", [1.0, predict.IS_SCALE])
+def test_importance_weights_estimate_the_marginal_likelihood(scale):
+    # log mean(w) + log_scale estimates log p(data_i | theta): the closed form
+    # is log N(y_i; 0, 0.4 I + 0.5 11^T) plus the event term, which does not
+    # depend on b (rate 0.3, censored at 4 or absorbed at 2.5)
+    g, design, params, records, _, _ = random_intercept_cohort()
+    engine = LikelihoodEngine(Cohort(tuple(records)), design, g)
+    k = 2_000
+    b, w, ess, log_scale = engine.bind(params).importance(np.random.default_rng(8), k, scale)
+    assert b.shape == (3, k, 1) and w.shape == (3, k) and ess.shape == (3,)
+    np.testing.assert_array_equal(w.max(axis=1), 1.0)
+    exact = []
+    for rec in records:
+        y = rec.measurements[:, 0]
+        cov = 0.4 * np.eye(y.size) + 0.5
+        gauss = y.size * np.log(2 * np.pi) + np.linalg.slogdet(cov)[1] + y @ np.linalg.solve(cov, y)
+        event = np.log(0.3) - 0.3 * 2.5 if len(rec.trajectory) > 1 else -0.3 * 4.0
+        exact.append(event - 0.5 * gauss)
+    got = np.log(w.mean(axis=1)) + log_scale
+    if scale == 1.0:
+        # the proposal is the posterior: every weight is 1
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+    else:
+        # the relative variance of w under q is rho = (c^2 / sqrt(2c^2 - 1))^s - 1, s = 1
+        rho = scale**2 / np.sqrt(2 * scale**2 - 1) - 1
+        assert (np.abs(got - exact) < 4 * np.sqrt(rho / k)).all()
+
+
 def test_importance_resampling_matches_a_long_mh_run(study_design, study_params, study_graph):
     # the study's value+slope links make the posterior non-Gaussian; records
     # of the held-out cohort, truncated at 5, against 40 long MH chains
@@ -452,7 +480,10 @@ def test_an_empty_cohort_conditions_to_no_draws(study_design, study_params, stud
 @pytest.mark.parametrize("value", [0, -3, 2.5, True])
 def test_max_transitions_must_be_a_positive_integer(value, study_design, study_params, study_graph, small_cohort):
     with pytest.raises(ValueError, match="max_transitions"):
-        SimConfig(max_transitions=value)
+        sample_trajectories(
+            study_design, study_params, np.zeros((1, 1)), np.zeros((1, 3)), (0.0, 0), np.random.default_rng(0),
+            max_transitions=value,
+        )
     rec = small_cohort[0][0]
     with pytest.raises(ValueError, match="max_transitions"):
         predict_state_grid(
@@ -500,9 +531,9 @@ def test_predict_point_mass_on_current_state():
         trajectory=Trajectory(((0.0, 0),)),
         censoring_time=5.0,
     )
-    spec, xi = state_at_time(g, 2.0)
+    xi = state_at_time(g, 2.0)
     result = predict_functional(
-        rec, 2.0, spec, xi, design, params, g, n_draws=50,
+        rec, 2.0, xi, design, params, g, n_draws=50,
         rng=np.random.default_rng(5), b_draws=np.zeros((50, 1)),
     )
     dist = result.distribution()
@@ -520,9 +551,9 @@ def test_predict_absorbing_state_point_mass():
         trajectory=Trajectory(((0.0, 0), (1.0, 1))),
         censoring_time=2.0,
     )
-    spec, xi = state_at_time(g, 9.0)
+    xi = state_at_time(g, 9.0)
     result = predict_functional(
-        rec, 2.0, spec, xi, design, params, g, n_draws=40,
+        rec, 2.0, xi, design, params, g, n_draws=40,
         rng=np.random.default_rng(6), b_draws=np.zeros((40, 1)),
     )
     dist = result.distribution()
@@ -542,9 +573,9 @@ def test_predict_constant_hazard_transition_probability():
     )
     t, u = 2.0, 5.0
     n_draws = 100_000
-    spec, xi = state_at_time(g, u)
+    xi = state_at_time(g, u)
     result = predict_functional(
-        rec, t, spec, xi, design, params, g, n_draws=n_draws,
+        rec, t, xi, design, params, g, n_draws=n_draws,
         rng=np.random.default_rng(7), b_draws=np.zeros((n_draws, 1)),
     )
     # memoryless continuation from t: P(state 1 at u) = 1 - exp(-rate (u - t))
@@ -563,10 +594,10 @@ def test_predict_hitting_time_law():
         trajectory=Trajectory(((0.0, 0),)),
         censoring_time=1.0,
     )
-    spec, xi = hitting_time(g, {1})
+    xi = hitting_time(g, {1})
     n_draws = 20_000
     result = predict_functional(
-        rec, 1.0, spec, xi, design, params, g, n_draws=n_draws,
+        rec, 1.0, xi, design, params, g, n_draws=n_draws,
         rng=np.random.default_rng(8), b_draws=np.zeros((n_draws, 1)),
     )
     times = np.array(result.outcomes)
@@ -575,9 +606,10 @@ def test_predict_hitting_time_law():
     assert d * np.sqrt(times.size) < 1.63
 
 
-def test_prediction_weights_sum_to_one_and_censoring_reported():
-    # recurrent two-state loop: the state_at rule never fires before the
-    # horizon guard on a small guard budget
+def recurrent_loop_prediction(max_transitions):
+    """60 draws of the state at 50 on a recurrent two-state loop with rate 5
+    each way, from state 0 at t = 1: the state_at rule never fires before
+    the horizon guard on a small guard budget."""
     g = build_graph(2, [(0, 1), (1, 0)])
     reg = Polynomial(0)
     design = ModelDesign(
@@ -599,15 +631,26 @@ def test_prediction_weights_sum_to_one_and_censoring_reported():
         trajectory=Trajectory(((0.0, 0),)),
         censoring_time=1.0,
     )
-    spec, xi = state_at_time(g, 50.0)
-    result = predict_functional(
-        rec, 1.0, spec, xi, design, params, g, n_draws=60,
-        rng=np.random.default_rng(9), b_draws=np.zeros((60, 1)), max_transitions=20,
+    return predict_functional(
+        rec, 1.0, state_at_time(g, 50.0), design, params, g, n_draws=60,
+        rng=np.random.default_rng(9), b_draws=np.zeros((60, 1)), max_transitions=max_transitions,
     )
+
+
+def test_prediction_weights_sum_to_one_and_censoring_reported():
+    result = recurrent_loop_prediction(max_transitions=20)
     assert result.n_horizon_censored > 0  # guard trips and is reported
     if result.outcomes:
-        assert result.weights.sum() == pytest.approx(1.0)
+        assert sum(result.distribution().values()) == pytest.approx(1.0)
     assert result.n_horizon_censored + len(result.outcomes) == 60
+
+
+def test_modal_names_the_guard_when_it_cut_off_every_draw():
+    result = recurrent_loop_prediction(max_transitions=1)
+    assert (result.outcomes, result.n_horizon_censored) == ([], 60)
+    assert result.distribution() == {}
+    with pytest.raises(ValueError, match="guard cut off all 60 draws"):
+        result.modal()
 
 
 def test_predict_state_grid_matches_functional():
@@ -724,8 +767,8 @@ def test_continuation_from_initial_pair_equals_sample_trajectories(study_design,
     x = np.tile(rec.covariates, (n, 1))
     psi = study_design.effects.psi(study_params.gamma, x, b)
     expected = sample_trajectories(
-        study_design, study_params, x, psi, (0.0, 0), SimConfig(censoring=C, t_surv=s),
-        rng=np.random.default_rng(7),
+        study_design, study_params, x, psi, (0.0, 0),
+        rng=np.random.default_rng(7), censoring=C, t_surv=s,
     )
     assert n_guard == 0
     assert paths == [tr.pairs for tr in expected]
@@ -775,11 +818,11 @@ def test_prediction_rejects_fewer_than_one_draw(entry, study_design, study_param
     cohort, _ = generate_cohort(study_design, study_params, n=2, m=5, seed=8)
     cfg = SamplerConfig(n_chains=2, warmup=5)
     common = (study_design, study_params, study_graph)
-    spec, xi = state_at_time(study_graph, 4.0)
+    xi = state_at_time(study_graph, 4.0)
     calls = {
         "condition_cohort": lambda: condition_cohort(cohort, 2.0, *common, cfg, n_draws=0),
         "predict_functional": lambda: predict_functional(
-            cohort[0], 2.0, spec, xi, *common, n_draws=0, sampler_config=cfg
+            cohort[0], 2.0, xi, *common, n_draws=0, sampler_config=cfg
         ),
         "predict_state_grid": lambda: predict_state_grid(
             cohort[0], 2.0, [4.0, 6.0], *common, n_draws=0, sampler_config=cfg

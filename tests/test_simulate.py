@@ -20,7 +20,6 @@ from msjoint.hazards import ExponentialHazard, WeibullHazard
 from msjoint.simulate import (
     BISECT_TOL,
     MAX_REJECTION_ROUNDS,
-    SimConfig,
     TrajectoryLimitError,
     conditioned_equals_rejection,
     extend_paths,
@@ -299,9 +298,8 @@ def test_vanishing_hazard_falls_back_to_bisection():
 
 def test_absorbing_initial_state_yields_single_pair():
     g, design, params = two_state_model({(0, 1): 0.3})
-    cfg = SimConfig(censoring=np.inf)
     [traj] = sample_trajectories(
-        design, params, np.zeros((1, 1)), np.zeros((1, 1)), (0.0, 1), cfg, np.random.default_rng(3)
+        design, params, np.zeros((1, 1)), np.zeros((1, 1)), (0.0, 1), np.random.default_rng(3), censoring=np.inf
     )
     assert traj.pairs == ((0.0, 1),)
 
@@ -312,18 +310,17 @@ def test_initial_pairs_must_match_the_rows(study_design, study_params):
     psi = np.tile(study_params.gamma, (3, 1))
     with pytest.raises(ValueError, match="2 initial pairs for 3 rows"):
         sample_trajectories(
-            study_design, study_params, x, psi, [(0.0, 0), (0.0, 0)], SimConfig(censoring=10.0),
-            np.random.default_rng(0),
+            study_design, study_params, x, psi, [(0.0, 0), (0.0, 0)], np.random.default_rng(0),
+            censoring=10.0,
         )
 
 
 def test_single_edge_sojourn_is_exponential():
     g, design, params = two_state_model({(0, 1): 0.4})
     n = 100_000
-    cfg = SimConfig(censoring=np.inf)
     trajs = sample_trajectories(
-        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0), cfg,
-        rng=np.random.default_rng(4),
+        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0),
+        rng=np.random.default_rng(4), censoring=np.inf,
     )
     sojourns = np.array([tr.pairs[1][0] for tr in trajs])
     d = stats.kstest(sojourns, "expon", args=(0, 1 / 0.4)).statistic
@@ -334,10 +331,9 @@ def test_competing_constant_hazards_joint_law():
     lam_a, lam_b = 0.3, 0.5
     g, design, params = two_state_model({(0, 1): lam_a, (0, 2): lam_b})
     n = 100_000
-    cfg = SimConfig(censoring=np.inf)
     trajs = sample_trajectories(
-        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0), cfg,
-        rng=np.random.default_rng(5),
+        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0),
+        rng=np.random.default_rng(5), censoring=np.inf,
     )
     times = np.array([tr.pairs[1][0] for tr in trajs])
     states = np.array([tr.pairs[1][1] for tr in trajs])
@@ -368,8 +364,8 @@ def test_a_later_edge_that_cannot_win_stops_after_its_probe(monkeypatch):
     monkeypatch.setattr(simulate, "node_intensities", counting)
     n = 200
     trajs = sample_trajectories(
-        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0), SimConfig(censoring=np.inf),
-        rng=np.random.default_rng(11),
+        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (0.0, 0),
+        rng=np.random.default_rng(11), censoring=np.inf,
     )
     assert [tr.pairs[1][1] for tr in trajs] == [1] * n
     assert [c for c in calls if c[0] == (0, 2)] == [((0, 2), n)]
@@ -411,11 +407,10 @@ def test_max_transitions_guard_fires_on_cycles():
         alpha={e: np.zeros(1) for e in design.edges},
         beta={e: np.zeros(1) for e in design.edges},
     )
-    cfg = SimConfig(censoring=np.inf, max_transitions=50)
     with pytest.raises(TrajectoryLimitError):
         sample_trajectories(
-            design, params, np.zeros((3, 1)), np.zeros((3, 1)), (0.0, 0), cfg,
-            rng=np.random.default_rng(7),
+            design, params, np.zeros((3, 1)), np.zeros((3, 1)), (0.0, 0),
+            rng=np.random.default_rng(7), censoring=np.inf, max_transitions=50,
         )
 
 
@@ -462,13 +457,11 @@ def test_conditioned_matches_rejection_sampling():
 
 def test_no_condition_reduces_to_plain_sampler():
     _, design, params = two_state_model({(0, 1): 0.3})
-    cfg_plain = SimConfig(censoring=np.inf, t_surv=-np.inf)
-    cfg_cond = SimConfig(censoring=np.inf, t_surv=-np.inf)
     a = sample_trajectories(
-        design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), cfg_plain, np.random.default_rng(9)
+        design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), np.random.default_rng(9)
     )
     b = sample_trajectories(
-        design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), cfg_cond, np.random.default_rng(9)
+        design, params, np.zeros((50, 1)), np.zeros((50, 1)), (0.0, 0), np.random.default_rng(9), t_surv=-np.inf
     )
     assert [x.pairs for x in a] == [y.pairs for y in b]
 
@@ -484,9 +477,9 @@ def test_rejection_stops_at_round_limit():
 
 def test_survival_beyond_censoring_leaves_initial_pair_only():
     _, design, params = two_state_model({(0, 1): 0.3, (0, 2): 0.2})
-    cfg = SimConfig(censoring=3.0, t_surv=5.0)
     trajs = sample_trajectories(
-        design, params, np.zeros((20, 1)), np.zeros((20, 1)), (0.0, 0), cfg, np.random.default_rng(10)
+        design, params, np.zeros((20, 1)), np.zeros((20, 1)), (0.0, 0), np.random.default_rng(10),
+        censoring=3.0, t_surv=5.0,
     )
     assert [tr.pairs for tr in trajs] == [((0.0, 0),)] * 20
 
@@ -683,11 +676,10 @@ def test_weibull_trajectories_sojourn_law():
         beta={(0, 1): np.zeros(1)},
     )
     n = 30_000
-    cfg = SimConfig(censoring=np.inf)
     # entry at a nonzero time: sojourn ages from the entry, not from zero
     trajs = sample_trajectories(
-        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (5.0, 0), cfg,
-        rng=np.random.default_rng(14),
+        design, params, np.zeros((n, 1)), np.zeros((n, 1)), (5.0, 0),
+        rng=np.random.default_rng(14), censoring=np.inf,
     )
     sojourns = np.array([tr.pairs[1][0] - 5.0 for tr in trajs])
     d = stats.kstest(sojourns, lambda x: 1 - np.exp(-((x / 3.0) ** 2))).statistic
